@@ -1,10 +1,10 @@
-//! Micro-benchmark: a [`MultiDecoder`] cohort vs the one-at-a-time
+//! Micro-benchmark: a [`MultiDecoder`] pool vs the one-at-a-time
 //! serving loop.
 //!
 //! One measured iteration decodes a fixed fleet of 16 same-shape
 //! receivers with per-symbol feedback: first pass chunked, then one
 //! symbol per session per round until genie acceptance. The scheduler
-//! runs every retry incrementally, fused through one shared scratch;
+//! runs every retry incrementally and whole through one shared scratch;
 //! the baseline re-decodes each session from scratch on every arrival.
 //! The `bench_multi_session` binary runs the full fleet-size sweep and
 //! writes `BENCH_multi_session.json`.

@@ -7,8 +7,8 @@
 //! everything it has; sessions stop at genie acceptance. Three engines
 //! run the *identical* arrival trace and attempt schedule:
 //!
-//! * **scheduler** — a [`MultiDecoder`] pool: all sessions' attempts run
-//!   fused per cohort through one hot expansion scratch, every retry is
+//! * **scheduler** — a [`MultiDecoder`] pool: every session's attempt
+//!   runs whole through the pool's one hot scratch, every retry is
 //!   incremental via per-session checkpoints, and checkpoint memory sits
 //!   under one global budget.
 //! * **one_at_a_time** — the pre-scheduler serving loop: each arrival
@@ -31,8 +31,8 @@
 //! any session loses its checkpoints outright (evictions), and the
 //! packed footprint fixes how many sessions stay resident per byte of
 //! budget. A full run writes `BENCH_multi_session.json`; `--quick`
-//! (the CI smoke) runs the worker-count and budget bit-identity
-//! self-checks on a reduced fleet and writes only the deterministic
+//! (the CI smoke) runs the budget bit-identity self-check on a reduced
+//! fleet and writes only the deterministic
 //! `quick_multi_session.json` summary, which CI diffs against
 //! `crates/bench/golden/quick_multi_session.json`.
 //!
@@ -461,8 +461,8 @@ fn main() {
     for &n in fleet {
         let flows = build_flows(n, args.seed);
 
-        // Bit-identity across engines (and the worker-count self-check):
-        // every engine must accept each session at the same symbol.
+        // Bit-identity across engines: every engine must accept each
+        // session at the same symbol.
         let mut stats = SchedStats::default();
         let sched = run_scheduler(&flows, MultiConfig::default(), Some(&mut stats));
         let scratch = run_one_at_a_time(&flows);
@@ -477,15 +477,6 @@ fn main() {
                 "incremental and from-scratch must accept at the same symbol (lane {lane})"
             );
         }
-        let workers2 = run_scheduler(
-            &flows,
-            MultiConfig {
-                workers: 2,
-                ..MultiConfig::default()
-            },
-            None,
-        );
-        assert_eq!(sched, workers2, "worker count must not change results");
         // A tight budget must also change nothing (evictions are policy).
         let mut tight_stats = SchedStats::default();
         let tight = run_scheduler(

@@ -45,9 +45,7 @@
 //!   [`DecoderScratch`] that survives across levels *and* across decode
 //!   attempts. [`BeamDecoder::decode_into`] additionally reuses the
 //!   output buffers, so a warmed-up attempt performs **zero heap
-//!   allocation** (verified by the `no_alloc` integration test; the
-//!   `parallel` feature's worker threads are the one documented
-//!   exception).
+//!   allocation** (verified by the `no_alloc` integration test).
 //! * **Hash-block deduplication.** All observations at a level read
 //!   their symbol bits out of the same few 64-bit expansion blocks of
 //!   the child spine. The engine plans each level once
@@ -62,12 +60,6 @@
 //!   (the paper's "arbitrarily", made deterministic), so results are
 //!   bit-identical to the straightforward reference implementation in
 //!   [`crate::decode::reference`].
-//! * **Optional parallelism.** With the `parallel` crate feature, levels
-//!   whose expansion exceeds a work threshold are split over scoped
-//!   `std::thread` workers by parent chunk. Every child's cost is
-//!   computed with the same floating-point operation order as the serial
-//!   loop and written to a disjoint pre-sized slice, so the output is
-//!   **bit-identical** to the serial path.
 
 use crate::bits::BitVec;
 use crate::decode::batch::{self, ObsRead, PackedMask};
@@ -173,8 +165,7 @@ pub struct DecoderScratch {
     /// Bit-channel fast path: per-block XOR/popcount masks (empty when
     /// the level is not packable).
     packed: Vec<PackedMask>,
-    /// Hash-block cache in block-major child-run layout
-    /// (one `block_len × branch` region per worker under `parallel`).
+    /// Hash-block cache in block-major child-run layout.
     blocks: Vec<u64>,
     /// The ascending segment values `0, 1, 2, …` handed to the batched
     /// child-spine hash (`seg_ids[..level_branch]` per parent row).
@@ -185,11 +176,9 @@ pub struct DecoderScratch {
     selector: SelectScratch,
     /// Segment buffer for backtracking.
     path: Vec<u16>,
-    /// Cohort-shared level-plan geometry: in a fused multi-session
-    /// sweep, lockstep same-shape sessions reuse one `block_ids`/`reads`
-    /// build per level instead of each rebuilding it (the packed masks
-    /// embed observed bit *values* and stay per-session).
-    shared_plan: SharedPlanGeo,
+    /// The level-plan geometry slot every incremental attempt reads
+    /// (see [`PlanGeo`]).
+    plan_geo: PlanGeo,
 }
 
 impl DecoderScratch {
@@ -198,43 +187,39 @@ impl DecoderScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Cohort plan-sharing counters for this scratch: `(hits, builds)` —
-    /// levels whose geometry was reused from a same-shape cohort
-    /// neighbour vs. levels that built it. Only attempts driven through
-    /// a multi-session pool touch these; empty observation levels count
-    /// toward neither.
-    pub fn shared_plan_stats(&self) -> (u64, u64) {
-        (self.shared_plan.hits, self.shared_plan.builds)
-    }
 }
 
-/// One level's hash-block plan *geometry* (`block_ids` + `reads`),
-/// shared across cohort members inside a fused sweep. The geometry is a
-/// pure function of the level's observation pass list and the mapper's
+/// One level's hash-block plan *geometry* (`block_ids` + `reads`), kept
+/// in the scratch for incremental attempts. The geometry is a pure
+/// function of the level's observation pass list and the mapper's
 /// bits-per-symbol — independent of the hash seed and of observed
-/// values — so lockstep same-shape sessions compute identical bytes;
-/// the first member of a sweep builds it, the rest reuse it. The
-/// fingerprint (0 = empty) names the exact pass list the buffers hold.
+/// values — so any level of any session with the same key reuses it
+/// unchanged. The key is stored and compared, never hashed, so two
+/// geometries cannot alias. The packed masks embed observed bit
+/// *values* and stay per-session in [`CachedPlan`].
 #[derive(Clone, Debug, Default)]
-struct SharedPlanGeo {
-    fingerprint: u64,
+struct PlanGeo {
+    /// Bits per symbol the geometry was built for (0 = empty slot).
+    bps: u32,
+    /// The exact pass list the geometry was built for.
+    passes: Vec<u32>,
     block_ids: Vec<u64>,
     reads: Vec<ObsRead>,
-    hits: u64,
-    builds: u64,
 }
 
-/// Fingerprint of one level's plan-geometry inputs: the observation
-/// pass list and bits-per-symbol (splitmix-style mixing, forced
-/// nonzero so 0 can mean "empty slot").
-fn plan_fingerprint(passes: impl Iterator<Item = u32>, bps: u32) -> u64 {
-    let mut acc = 0x243f_6a88_85a3_08d3u64 ^ u64::from(bps);
-    for p in passes {
-        acc = (acc ^ u64::from(p)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        acc ^= acc >> 29;
+impl PlanGeo {
+    /// Makes the slot hold `level_obs`'s geometry, rebuilding it only
+    /// when the key differs from the one it holds.
+    fn refresh<S>(&mut self, level_obs: &[(u32, S)], bps: u32) {
+        let passes = level_obs.iter().map(|&(pass, _)| pass);
+        if self.bps == bps && self.passes.iter().copied().eq(passes.clone()) {
+            return;
+        }
+        batch::plan_level(passes.clone(), bps, &mut self.block_ids, &mut self.reads);
+        self.passes.clear();
+        self.passes.extend(passes);
+        self.bps = bps;
     }
-    acc | 1
 }
 
 /// Default for the largest entering frontier [`BeamCheckpoints`] will
@@ -303,19 +288,14 @@ impl SavedStates {
     }
 }
 
-/// One level's cached hash-block plan (see [`crate::decode::batch`]),
-/// invalidated by observation-count changes. `obs_len == usize::MAX`
-/// marks a never-built or reset entry. The packed masks carry their own
-/// freshness (`packed_obs_len`): a cohort sweep that borrows shared
-/// geometry rebuilds only the per-session masks, leaving the local
-/// geometry stale — the split keeps a later solo attempt from trusting
-/// it.
+/// One level's cached per-session plan half: the packed XOR/popcount
+/// masks (see [`crate::decode::batch`]), which embed observed bit values
+/// and are invalidated by observation-count changes. `obs_len ==
+/// usize::MAX` marks a never-built or reset entry. The geometry half
+/// lives in the scratch's [`PlanGeo`] slot.
 #[derive(Clone, Debug)]
 struct CachedPlan {
     obs_len: usize,
-    packed_obs_len: usize,
-    block_ids: Vec<u64>,
-    reads: Vec<ObsRead>,
     packed: Vec<PackedMask>,
 }
 
@@ -323,9 +303,6 @@ impl Default for CachedPlan {
     fn default() -> Self {
         Self {
             obs_len: usize::MAX,
-            packed_obs_len: usize::MAX,
-            block_ids: Vec::new(),
-            reads: Vec::new(),
             packed: Vec::new(),
         }
     }
@@ -333,7 +310,7 @@ impl Default for CachedPlan {
 
 /// Persistent cross-attempt state for [`BeamDecoder::decode_incremental`]:
 /// per-level frontier checkpoints, the backtracking arena they index
-/// into, and per-level hash-block plan caches.
+/// into, and per-level packed-mask caches.
 ///
 /// A retry that only added observations at levels `>= d` (e.g. one more
 /// punctured sub-pass, or the next symbol of an in-progress pass) resumes
@@ -449,7 +426,6 @@ impl BeamCheckpoints {
         self.saved.valid = 0;
         for plan in &mut self.plans {
             plan.obs_len = usize::MAX;
-            plan.packed_obs_len = usize::MAX;
         }
         self.obs_len = 0;
         self.n_levels = 0;
@@ -472,7 +448,7 @@ impl BeamCheckpoints {
     }
 
     /// Heap bytes currently held by this store (capacity-based: saved
-    /// frontiers, the backtracking arena, and cached level plans). The
+    /// frontiers, the backtracking arena, and cached packed masks). The
     /// figure a pool-level checkpoint-memory budget accounts against.
     pub fn memory_bytes(&self) -> usize {
         use core::mem::size_of;
@@ -485,9 +461,7 @@ impl BeamCheckpoints {
                 + level.segs.capacity() * size_of::<u16>();
         }
         for plan in &self.plans {
-            bytes += plan.block_ids.capacity() * size_of::<u64>()
-                + plan.reads.capacity() * size_of::<ObsRead>()
-                + plan.packed.capacity() * size_of::<PackedMask>();
+            bytes += plan.packed.capacity() * size_of::<PackedMask>();
         }
         bytes + self.packed.memory_bytes()
     }
@@ -603,21 +577,18 @@ enum PlanSource<'a> {
         reads: &'a mut Vec<ObsRead>,
         packed: &'a mut Vec<PackedMask>,
     },
-    /// Reuse cached plans, rebuilding only levels whose observation
-    /// count changed. With `geo`, the geometry half of a rebuild is
-    /// borrowed from (or contributed to) a cohort-shared slot instead.
-    /// count changed (the incremental path).
+    /// The incremental path: geometry from the scratch's slot (rebuilt
+    /// only when a level's pass list differs from the one it holds),
+    /// packed masks from the per-session cache (rebuilt only when a
+    /// level's observation count changed).
     Cached {
         cache: &'a mut Vec<CachedPlan>,
-        geo: Option<&'a mut SharedPlanGeo>,
+        geo: &'a mut PlanGeo,
     },
 }
 
-/// The per-attempt *session* state one level step advances: the SoA
-/// frontier entering the level. Between levels this is all that
-/// persists per search (at most `beam_width` entries at observed
-/// levels), which is what lets a multi-session cohort keep one
-/// [`ExpandScratch`] hot while interleaving many sessions' sweeps.
+/// The SoA frontier entering a level; a level step leaves it holding
+/// the frontier entering the next level.
 struct Frontier<'a> {
     spines: &'a mut Vec<u64>,
     keys: &'a mut Vec<u64>,
@@ -626,8 +597,7 @@ struct Frontier<'a> {
 }
 
 /// The expansion working buffers a level step borrows. Contents never
-/// carry information across steps, so one set can be shared by every
-/// session of a cohort (and by every attempt of a session).
+/// carry information across steps.
 struct ExpandScratch<'a> {
     spines: &'a mut Vec<u64>,
     keys: &'a mut Vec<u64>,
@@ -640,39 +610,10 @@ struct ExpandScratch<'a> {
 }
 
 impl DecoderScratch {
-    /// The frontier buffers (the per-session half of a cohort sweep).
-    fn frontier_mut(&mut self) -> Frontier<'_> {
-        Frontier {
-            spines: &mut self.spines,
-            keys: &mut self.keys,
-            parents: &mut self.parents,
-            segs: &mut self.segs,
-        }
-    }
-
-    /// The expansion buffers plus the cohort plan-geometry slot (the
-    /// fused multi-session sweep borrows both from the shared scratch;
-    /// the shareable half of a cohort sweep).
-    fn expand_and_plan_mut(&mut self) -> (ExpandScratch<'_>, &mut SharedPlanGeo) {
-        (
-            ExpandScratch {
-                spines: &mut self.next_spines,
-                keys: &mut self.next_keys,
-                parents: &mut self.next_parents,
-                segs: &mut self.next_segs,
-                blocks: &mut self.blocks,
-                seg_ids: &mut self.seg_ids,
-                order: &mut self.order,
-                selector: &mut self.selector,
-            },
-            &mut self.shared_plan,
-        )
-    }
-
-    /// Splits one scratch into both halves plus the backtrack path
-    /// buffer (the solo-attempt layout: session and shared buffers live
-    /// in the same scratch).
-    fn split_mut(&mut self) -> (Frontier<'_>, ExpandScratch<'_>, &mut Vec<u16>) {
+    /// Splits the scratch into the frontier, the expansion buffers, the
+    /// plan-geometry slot, and the backtrack path buffer (the
+    /// incremental attempt's layout).
+    fn split_mut(&mut self) -> (Frontier<'_>, ExpandScratch<'_>, &mut PlanGeo, &mut Vec<u16>) {
         (
             Frontier {
                 spines: &mut self.spines,
@@ -690,6 +631,7 @@ impl DecoderScratch {
                 order: &mut self.order,
                 selector: &mut self.selector,
             },
+            &mut self.plan_geo,
             &mut self.path,
         )
     }
@@ -732,10 +674,6 @@ pub struct BeamDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> {
     mapper: M,
     cost: C,
     config: BeamConfig,
-    /// Worker-thread count for the `parallel` feature, resolved once at
-    /// construction (env reads allocate; the decode hot path must not).
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    parallel_workers: usize,
     /// SIMD tier for the integer kernels, resolved once at construction
     /// (feature detection is cached but still an atomic load; the hot
     /// path reads a field instead).
@@ -767,7 +705,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             mapper,
             cost: cost.clone(),
             config,
-            parallel_workers: default_parallel_workers(),
             kernel_dispatch: KernelDispatch::detect(),
             select_mode: SelectMode::Auto,
         })
@@ -812,16 +749,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         &self.mapper
     }
 
-    /// Overrides the worker-thread count the `parallel` feature may use
-    /// for large levels (default: the `SPINAL_DECODE_WORKERS` environment
-    /// variable when set, the machine's available parallelism otherwise).
-    /// A count of 1 pins the decoder to its serial path.
-    #[cfg(feature = "parallel")]
-    pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        self.parallel_workers = workers.clamp(1, PARALLEL_MAX_WORKERS);
-        self
-    }
-
     /// Runs one decode attempt over everything received so far and
     /// returns the best hypotheses.
     ///
@@ -856,8 +783,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     /// The fully buffer-reusing entry point: decodes into `out`,
     /// recycling its message/candidate storage. With a warmed-up
     /// `scratch` and `out`, a decode attempt performs **zero heap
-    /// allocation** (the `parallel` feature's scoped worker threads are
-    /// the one exception — thread spawning allocates stacks).
+    /// allocation**.
     ///
     /// This is the one-shot form of the search:
     /// [`decode_incremental`](Self::decode_incremental) runs the same
@@ -893,7 +819,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             order,
             selector,
             path,
-            shared_plan: _,
+            plan_geo: _,
         } = scratch;
         init_root(spines, keys, parents, segs, arena_parents, arena_segs);
         let mut stats = fresh_stats(self.kernel_dispatch);
@@ -982,24 +908,20 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         let (start, mut stats) = self.attempt_begin(obs, dirty_from, ckpt, scratch);
         let n_levels = self.params.n_segments();
         for t in start..n_levels {
-            let (fr, ex, _) = scratch.split_mut();
-            self.ckpt_level(t, obs, ckpt, fr, ex, None, &mut stats);
+            let (fr, ex, geo, _) = scratch.split_mut();
+            self.ckpt_level(t, obs, ckpt, fr, ex, geo, &mut stats);
         }
-        let (fr, ex, path) = scratch.split_mut();
+        let (fr, ex, _, path) = scratch.split_mut();
         self.ckpt_finish(ckpt, fr, ex.order, ex.selector, path, stats, out);
     }
 
-    /// First third of an incremental attempt: validates/refreshes the
+    /// The head of an incremental attempt: validates/refreshes the
     /// checkpoint store, picks the resume level, restores the entering
     /// frontier into `scratch`'s frontier buffers (or initializes the
     /// root for a from-scratch start), and rolls the arena back. Returns
     /// the start level and the as-if-from-scratch work counters entering
-    /// it. Follow with [`attempt_level`](Self::attempt_level) for every
-    /// level from the start and [`attempt_finish`](Self::attempt_finish);
-    /// the sequence is exactly [`decode_incremental`](Self::decode_incremental)
-    /// decomposed, so results are bit-identical to it (and therefore to
-    /// batch [`decode_into`](Self::decode_into)).
-    pub(crate) fn attempt_begin(
+    /// it.
+    fn attempt_begin(
         &self,
         obs: &Observations<M::Symbol>,
         dirty_from: u32,
@@ -1073,49 +995,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         (start, init_stats)
     }
 
-    /// One level step of an incremental attempt, with the session's
-    /// frontier in `session` and the expansion buffers in `shared` —
-    /// two *different* scratches in a multi-session cohort sweep (the
-    /// shared one stays cache-hot across every session), the same split
-    /// of one scratch in the solo path. The shared scratch also carries
-    /// the cohort plan-geometry slot: lockstep same-shape neighbours at
-    /// the same level reuse one `block_ids`/`reads` build.
-    pub(crate) fn attempt_level(
-        &self,
-        t: u32,
-        obs: &Observations<M::Symbol>,
-        ckpt: &mut BeamCheckpoints,
-        session: &mut DecoderScratch,
-        shared: &mut DecoderScratch,
-        stats: &mut DecodeStats,
-    ) {
-        let (ex, geo) = shared.expand_and_plan_mut();
-        self.ckpt_level(t, obs, ckpt, session.frontier_mut(), ex, Some(geo), stats);
-    }
-
-    /// Final third of an incremental attempt: snapshots the final
-    /// frontier, ranks the survivors, and materializes `out`.
-    pub(crate) fn attempt_finish(
-        &self,
-        ckpt: &mut BeamCheckpoints,
-        session: &mut DecoderScratch,
-        shared: &mut DecoderScratch,
-        stats: DecodeStats,
-        out: &mut DecodeResult,
-    ) {
-        self.ckpt_finish(
-            ckpt,
-            session.frontier_mut(),
-            &mut shared.order,
-            &mut shared.selector,
-            &mut shared.path,
-            stats,
-            out,
-        );
-    }
-
     /// [`level_core`](Self::level_core) wired to a checkpoint store's
-    /// arena, plan cache, and saver.
+    /// arena, packed-mask cache, and saver, and to the scratch's
+    /// plan-geometry slot.
     #[allow(clippy::too_many_arguments)]
     fn ckpt_level(
         &self,
@@ -1124,7 +1006,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         ckpt: &mut BeamCheckpoints,
         fr: Frontier<'_>,
         ex: ExpandScratch<'_>,
-        geo: Option<&mut SharedPlanGeo>,
+        geo: &mut PlanGeo,
         stats: &mut DecodeStats,
     ) {
         let BeamCheckpoints {
@@ -1246,8 +1128,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         packed.active = true;
     }
 
-    /// Rebuilds `saved.levels[0..=start]` (and the arena prefix and plan
-    /// caches below `start`) from the packed image, after a
+    /// Rebuilds `saved.levels[0..=start]` (and the arena prefix and
+    /// packed-mask caches below `start`) from the packed image, after a
     /// [`BeamCheckpoints::demote`]. Spines and cost keys are recomputed
     /// by replaying, per entry, exactly the arithmetic the expansion
     /// loop used — the single-step spine hash, then either the packed
@@ -1319,6 +1201,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         let blocks = &mut scratch.blocks;
         let order = &mut scratch.order;
         let selector = &mut scratch.selector;
+        let geo = &mut scratch.plan_geo;
 
         // Level 0: the root (C_0 — never pruned, never committed).
         let n0 = r.pull_varint() as usize;
@@ -1362,24 +1245,23 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
 
             // Entries of this level were scored against level `u-1`'s
             // observations; refresh that plan (also re-warming the
-            // cache the demote dropped).
+            // packed-mask cache the demote dropped).
             let level_obs = obs.at_level(u as u32 - 1);
+            geo.refresh(level_obs, bps);
             let p = &mut plans[u - 1];
             if p.obs_len != level_obs.len() {
-                build_plan(
+                build_packed(
                     &self.mapper,
                     &self.cost,
                     level_obs,
                     bps,
-                    &mut p.block_ids,
-                    &mut p.reads,
+                    &geo.block_ids,
                     &mut p.packed,
                 );
                 p.obs_len = level_obs.len();
-                p.packed_obs_len = level_obs.len();
             }
             blocks.clear();
-            blocks.resize(p.block_ids.len(), 0);
+            blocks.resize(geo.block_ids.len(), 0);
 
             let e = &mut saved.levels[u];
             e.spines.clear();
@@ -1392,21 +1274,21 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
                 let pspine = prev_spines[slot];
                 let pkey = prev_keys[slot];
                 let spine = self.hash.hash(pspine, u64::from(seg));
-                let key = if p.reads.is_empty() {
+                let key = if geo.reads.is_empty() {
                     pkey
                 } else {
                     // Replay the expansion's scoring for this one child:
                     // same block cache, same kernel / fold, same
                     // float-operation order — bit-identical keys.
                     let pcost = key_cost(pkey);
-                    batch::fill_blocks(&self.hash, spine, &p.block_ids, blocks);
+                    batch::fill_blocks(&self.hash, spine, &geo.block_ids, blocks);
                     if !p.packed.is_empty() {
                         let mut one = [0u64; 1];
                         kernels::packed_row_costs(dispatch, blocks, 1, &p.packed, pcost, &mut one);
                         one[0]
                     } else {
                         let mut acc = pcost;
-                        for (rd, &(_, observed)) in p.reads.iter().zip(level_obs) {
+                        for (rd, &(_, observed)) in geo.reads.iter().zip(level_obs) {
                             acc += self
                                 .cost
                                 .cost(observed, self.mapper.map(batch::read_obs(blocks, rd)));
@@ -1607,10 +1489,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     /// One level of the beam sweep: snapshot, pre-prune, arena commit,
     /// plan, expand, prune. `fr` holds the frontier entering level `t`
     /// and leaves holding the frontier entering `t + 1`; `ex` is pure
-    /// scratch. Both the batch and incremental entry points — and the
-    /// multi-session cohort sweep, which interleaves many sessions'
-    /// steps at the same level through one shared `ex` — are loops over
-    /// this one function, so they cannot drift apart.
+    /// scratch. Both the batch and incremental entry points are loops
+    /// over this one function, so they cannot drift apart.
     #[allow(clippy::too_many_arguments)]
     fn level_core(
         &self,
@@ -1706,9 +1586,10 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         // Plan the level once: distinct expansion blocks + one read
         // descriptor per observation; on 1-bit channels, also try to
         // collapse the whole level into XOR/popcount block masks. The
-        // incremental path reuses the cached plan while the level's
-        // observation count is unchanged (observations are
-        // append-only, so equal count means equal content).
+        // incremental path reuses the geometry slot while the pass list
+        // matches and the packed masks while the level's observation
+        // count is unchanged (observations are append-only, so equal
+        // count means equal content).
         let (plan_blocks, plan_reads, plan_packed): (&[u64], &[ObsRead], &[PackedMask]) =
             match plans {
                 PlanSource::Scratch {
@@ -1728,58 +1609,20 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
                     (block_ids, reads, packed)
                 }
                 PlanSource::Cached { cache, geo } => {
+                    geo.refresh(level_obs, bps);
                     let p = &mut cache[t as usize];
-                    match geo {
-                        // Cohort sweep with a stale local plan: borrow the
-                        // shared geometry (building it for the cohort if
-                        // this member is first at this shape), and rebuild
-                        // only the per-session packed masks. The geometry
-                        // is a pure function of the fingerprinted inputs,
-                        // so shared and local builds are byte-identical.
-                        Some(geo) if !level_obs.is_empty() && p.obs_len != level_obs.len() => {
-                            let fp = plan_fingerprint(level_obs.iter().map(|&(pass, _)| pass), bps);
-                            if geo.fingerprint == fp {
-                                geo.hits += 1;
-                            } else {
-                                batch::plan_level(
-                                    level_obs.iter().map(|&(pass, _)| pass),
-                                    bps,
-                                    &mut geo.block_ids,
-                                    &mut geo.reads,
-                                );
-                                geo.fingerprint = fp;
-                                geo.builds += 1;
-                            }
-                            if p.packed_obs_len != level_obs.len() {
-                                build_packed(
-                                    &self.mapper,
-                                    &self.cost,
-                                    level_obs,
-                                    bps,
-                                    &geo.block_ids,
-                                    &mut p.packed,
-                                );
-                                p.packed_obs_len = level_obs.len();
-                            }
-                            (&geo.block_ids, &geo.reads, &p.packed)
-                        }
-                        _ => {
-                            if p.obs_len != level_obs.len() {
-                                build_plan(
-                                    &self.mapper,
-                                    &self.cost,
-                                    level_obs,
-                                    bps,
-                                    &mut p.block_ids,
-                                    &mut p.reads,
-                                    &mut p.packed,
-                                );
-                                p.obs_len = level_obs.len();
-                                p.packed_obs_len = level_obs.len();
-                            }
-                            (&p.block_ids, &p.reads, &p.packed)
-                        }
+                    if p.obs_len != level_obs.len() {
+                        build_packed(
+                            &self.mapper,
+                            &self.cost,
+                            level_obs,
+                            bps,
+                            &geo.block_ids,
+                            &mut p.packed,
+                        );
+                        p.obs_len = level_obs.len();
                     }
+                    (&geo.block_ids, &geo.reads, &p.packed)
                 }
             };
 
@@ -1798,7 +1641,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             &self.hash,
             &self.mapper,
             &self.cost,
-            self.parallel_workers,
             self.kernel_dispatch,
             fr_spines,
             fr_keys,
@@ -1992,8 +1834,8 @@ fn build_plan<M: Mapper, C: CostModel<M::Symbol>>(
 
 /// Builds just the packed XOR/popcount masks for one level against an
 /// already-built geometry (`block_ids`) — the per-session half of a
-/// shared-geometry plan rebuild (the masks embed observed bit values,
-/// so they cannot be shared across sessions).
+/// plan (the masks embed observed bit values, so they cannot be shared
+/// across sessions).
 fn build_packed<M: Mapper, C: CostModel<M::Symbol>>(
     mapper: &M,
     cost: &C,
@@ -2068,15 +1910,18 @@ fn select_into(
     }
 }
 
-/// Expands one level, choosing the parallel path when it is enabled and
-/// worthwhile, and falling back to the serial flat loop otherwise.
+/// Expands one level with the flat loop over its parents, batched: each
+/// parent's whole child row is spine-hashed in one
+/// [`SpineHash::hash_batch_fixed_state`] sweep (directly into the output
+/// spine row), the row's expansion blocks are filled block-major by
+/// [`batch::fill_blocks_for_spines`] into `blocks`, and only the
+/// per-observation cost accumulation runs per child. Output slices hold
+/// exactly the level's children.
 #[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
 fn expand_level<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
     hash: &H,
     mapper: &M,
     cost: &C,
-    parallel_workers: usize,
     dispatch: KernelDispatch,
     parent_spines: &[u64],
     parent_keys: &[u64],
@@ -2093,89 +1938,10 @@ fn expand_level<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
     out_parents: &mut [u32],
     out_segs: &mut [u16],
 ) {
-    #[cfg(feature = "parallel")]
-    {
-        if expand_level_parallel(
-            hash,
-            mapper,
-            cost,
-            parallel_workers,
-            dispatch,
-            parent_spines,
-            parent_keys,
-            parent_base,
-            root_level,
-            seg_ids,
-            level_obs,
-            block_ids,
-            reads,
-            packed,
-            blocks,
-            out_spines,
-            out_keys,
-            out_parents,
-            out_segs,
-        ) {
-            return;
-        }
-    }
-    blocks.clear();
-    blocks.resize(block_ids.len() * seg_ids.len(), 0);
-    expand_parents(
-        hash,
-        mapper,
-        cost,
-        dispatch,
-        parent_spines,
-        parent_keys,
-        0,
-        parent_base,
-        root_level,
-        seg_ids,
-        level_obs,
-        block_ids,
-        reads,
-        packed,
-        blocks,
-        out_spines,
-        out_keys,
-        out_parents,
-        out_segs,
-    );
-}
-
-/// The flat expansion loop over a contiguous run of parents, batched:
-/// each parent's whole child row is spine-hashed in one
-/// [`SpineHash::hash_batch_fixed_state`] sweep (directly into the output
-/// spine row), the row's expansion blocks are filled block-major by
-/// [`batch::fill_blocks_for_spines`], and only the per-observation cost
-/// accumulation runs per child. `first_parent` is the run's global index
-/// (for arena parent pointers); output slices cover exactly this run's
-/// children; `blocks` must hold `block_ids.len() * seg_ids.len()` words.
-#[allow(clippy::too_many_arguments)]
-fn expand_parents<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
-    hash: &H,
-    mapper: &M,
-    cost: &C,
-    dispatch: KernelDispatch,
-    parent_spines: &[u64],
-    parent_keys: &[u64],
-    first_parent: usize,
-    parent_base: u32,
-    root_level: bool,
-    seg_ids: &[u64],
-    level_obs: &[(u32, M::Symbol)],
-    block_ids: &[u64],
-    reads: &[ObsRead],
-    packed: &[PackedMask],
-    blocks: &mut [u64],
-    out_spines: &mut [u64],
-    out_keys: &mut [u64],
-    out_parents: &mut [u32],
-    out_segs: &mut [u16],
-) {
     let level_branch = seg_ids.len();
     debug_assert_eq!(out_spines.len(), parent_spines.len() * level_branch);
+    blocks.clear();
+    blocks.resize(block_ids.len() * level_branch, 0);
     // Chunked iterators instead of indexed writes: one child row per
     // `zip` step, no bounds checks in the hot loop.
     let parents = parent_spines.iter().zip(parent_keys);
@@ -2190,7 +1956,7 @@ fn expand_parents<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
         let parent_idx = if root_level {
             u32::MAX
         } else {
-            parent_base + (first_parent + p) as u32
+            parent_base + p as u32
         };
         // One batched hash sweep computes the whole child-spine row.
         hash.hash_batch_fixed_state(pspine, seg_ids, row_s);
@@ -2230,139 +1996,6 @@ fn expand_parents<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
             *slot_g = seg as u16;
         }
     }
-}
-
-/// Minimum `children × observations` work for a level before scoped
-/// threads pay for themselves.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_WORK: usize = 1 << 14;
-
-/// Cap on worker threads per level.
-#[cfg(feature = "parallel")]
-const PARALLEL_MAX_WORKERS: usize = 8;
-
-/// Default worker count for parallel expansion, resolved at decoder
-/// construction: the `SPINAL_DECODE_WORKERS` environment variable when
-/// set (useful for benchmarking and for exercising the threaded path on
-/// machines where `available_parallelism` reports 1), the machine's
-/// parallelism otherwise.
-#[cfg(feature = "parallel")]
-fn default_parallel_workers() -> usize {
-    let machine = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let n = match std::env::var("SPINAL_DECODE_WORKERS") {
-        // A malformed value falls back to the machine default rather
-        // than silently pinning the decoder serial.
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| machine()),
-        Err(_) => machine(),
-    };
-    n.clamp(1, PARALLEL_MAX_WORKERS)
-}
-
-/// Without the `parallel` feature the decoder is always serial.
-#[cfg(not(feature = "parallel"))]
-fn default_parallel_workers() -> usize {
-    1
-}
-
-/// Splits the expansion over scoped worker threads by parent chunk.
-/// Returns `false` (doing nothing) when the level is too small, the
-/// machine has a single core, or the level is unobserved. Each worker
-/// writes a disjoint slice and runs the identical per-child arithmetic,
-/// so the result is bit-identical to [`expand_parents`].
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn expand_level_parallel<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
-    hash: &H,
-    mapper: &M,
-    cost: &C,
-    parallel_workers: usize,
-    dispatch: KernelDispatch,
-    parent_spines: &[u64],
-    parent_keys: &[u64],
-    parent_base: u32,
-    root_level: bool,
-    seg_ids: &[u64],
-    level_obs: &[(u32, M::Symbol)],
-    block_ids: &[u64],
-    reads: &[ObsRead],
-    packed: &[PackedMask],
-    blocks: &mut Vec<u64>,
-    out_spines: &mut [u64],
-    out_keys: &mut [u64],
-    out_parents: &mut [u32],
-    out_segs: &mut [u16],
-) -> bool {
-    let level_branch = seg_ids.len();
-    let n_parents = parent_spines.len();
-    let work = n_parents * level_branch * level_obs.len();
-    if level_obs.is_empty() || work < PARALLEL_MIN_WORK {
-        return false;
-    }
-    let workers = parallel_workers.min(n_parents);
-    if workers < 2 {
-        return false;
-    }
-    let block_len = block_ids.len() * level_branch;
-    blocks.clear();
-    blocks.resize(workers * block_len, 0);
-    let chunk = n_parents.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut ps = parent_spines;
-        let mut pk = parent_keys;
-        let mut os = out_spines;
-        let mut ok = out_keys;
-        let mut op = out_parents;
-        let mut og = out_segs;
-        let mut bl = blocks.as_mut_slice();
-        let mut first_parent = 0usize;
-        while !ps.is_empty() {
-            let take = chunk.min(ps.len());
-            let (ps_c, ps_r) = ps.split_at(take);
-            ps = ps_r;
-            let (pk_c, pk_r) = pk.split_at(take);
-            pk = pk_r;
-            let (os_c, os_r) = std::mem::take(&mut os).split_at_mut(take * level_branch);
-            os = os_r;
-            let (ok_c, ok_r) = std::mem::take(&mut ok).split_at_mut(take * level_branch);
-            ok = ok_r;
-            let (op_c, op_r) = std::mem::take(&mut op).split_at_mut(take * level_branch);
-            op = op_r;
-            let (og_c, og_r) = std::mem::take(&mut og).split_at_mut(take * level_branch);
-            og = og_r;
-            let (bl_c, bl_r) = std::mem::take(&mut bl).split_at_mut(block_len);
-            bl = bl_r;
-            let fp = first_parent;
-            first_parent += take;
-            scope.spawn(move || {
-                expand_parents(
-                    hash,
-                    mapper,
-                    cost,
-                    dispatch,
-                    ps_c,
-                    pk_c,
-                    fp,
-                    parent_base,
-                    root_level,
-                    seg_ids,
-                    level_obs,
-                    block_ids,
-                    reads,
-                    packed,
-                    bl_c,
-                    os_c,
-                    ok_c,
-                    op_c,
-                    og_c,
-                );
-            });
-        }
-    });
-    true
 }
 
 /// Reconstructs the message bits along a leaf's root path into `out`
@@ -2771,43 +2404,6 @@ mod tests {
             opt.stats.hash_calls,
             reference.stats.hash_calls
         );
-    }
-
-    /// With the `parallel` feature, force multi-threaded expansion (this
-    /// container may report a single core) and check bit-identical
-    /// output against the always-serial reference.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_expansion_is_bit_identical_to_serial() {
-        let p = params(40, 8, 0);
-        let msg = BitVec::from_bytes(&[0x42, 0x99, 0x17, 0x5a, 0xc3]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        // B = 64 → 64·256 = 16384 children per level: crosses
-        // PARALLEL_MIN_WORK, so the scoped-thread path engages.
-        let cfg = BeamConfig::with_beam(64);
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            cfg,
-        )
-        .unwrap()
-        .with_parallel_workers(4);
-        let obs = noiseless_obs(&enc, 3);
-        let par = dec.decode(&obs);
-        let reference = reference_decode(
-            &p,
-            &Lookup3::new(p.seed()),
-            &LinearMapper::new(10),
-            &AwgnCost,
-            &cfg,
-            &obs,
-        );
-        assert_eq!(par.message, reference.message);
-        assert_eq!(par.cost.to_bits(), reference.cost.to_bits());
-        assert_eq!(par.candidates, reference.candidates);
-        assert_eq!(par.stats.nodes_expanded, reference.stats.nodes_expanded);
     }
 
     /// The wide cost engine's central claim: every supported SIMD tier

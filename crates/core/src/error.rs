@@ -104,6 +104,46 @@ impl std::fmt::Display for SnapshotErrorKind {
     }
 }
 
+/// Which serving-configuration rule a `ServeConfig` broke (see
+/// [`SpinalError::Config`]). Reported at server construction, so a bad
+/// deployment setting is named instead of surfacing later as a wire
+/// error.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ConfigErrorKind {
+    /// `shards` is zero: a server needs at least one event loop.
+    ZeroShards,
+    /// `egress_high_water` is zero or above `egress_capacity`: the
+    /// backpressure mark must sit inside the egress queue.
+    EgressWatermarks,
+    /// An admission cap (`max_message_bits` or `max_beam`) is zero, so
+    /// no HELLO could ever be admitted.
+    ZeroCap,
+    /// A lifecycle deadline (`keepalive_idle` or `idle_deadline`) is
+    /// zero, so every connection would be idle on arrival.
+    ZeroDeadline,
+    /// `pool.max_sessions` is zero, so no session could ever be
+    /// admitted.
+    ZeroSessions,
+}
+
+impl std::fmt::Display for ConfigErrorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            ConfigErrorKind::ZeroShards => "shards must be at least one",
+            ConfigErrorKind::EgressWatermarks => {
+                "egress_high_water must be at least one and at most egress_capacity"
+            }
+            ConfigErrorKind::ZeroCap => "max_message_bits and max_beam must be at least one",
+            ConfigErrorKind::ZeroDeadline => {
+                "keepalive_idle and idle_deadline must be at least one tick"
+            }
+            ConfigErrorKind::ZeroSessions => "pool.max_sessions must be at least one",
+        };
+        f.write_str(s)
+    }
+}
+
 /// Everything that can go wrong constructing or driving a spinal codec.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[non_exhaustive]
@@ -210,6 +250,12 @@ pub enum SpinalError {
         /// What made the snapshot unusable.
         kind: SnapshotErrorKind,
     },
+    /// A serving configuration broke one of its rules; see
+    /// [`ConfigErrorKind`].
+    Config {
+        /// The rule that was broken.
+        kind: ConfigErrorKind,
+    },
 }
 
 impl std::fmt::Display for SpinalError {
@@ -285,6 +331,9 @@ impl std::fmt::Display for SpinalError {
             }
             SpinalError::Snapshot { kind } => {
                 write!(f, "pool snapshot rejected: {kind}")
+            }
+            SpinalError::Config { kind } => {
+                write!(f, "serving configuration rejected: {kind}")
             }
         }
     }
@@ -407,6 +456,24 @@ mod tests {
             );
             let copied = e;
             assert_eq!(copied, e);
+        }
+    }
+
+    #[test]
+    fn config_errors_display_their_rule() {
+        let kinds = [
+            (ConfigErrorKind::ZeroShards, "shards"),
+            (ConfigErrorKind::EgressWatermarks, "egress_high_water"),
+            (ConfigErrorKind::ZeroCap, "max_beam"),
+            (ConfigErrorKind::ZeroDeadline, "idle_deadline"),
+            (ConfigErrorKind::ZeroSessions, "max_sessions"),
+        ];
+        for (kind, needle) in kinds {
+            let e = SpinalError::Config { kind };
+            assert!(
+                e.to_string().contains(needle),
+                "{e} should mention {needle}"
+            );
         }
     }
 }

@@ -107,7 +107,7 @@ pub use decode::{
     MlScratch, Observations,
 };
 pub use encode::Encoder;
-pub use error::{SpinalError, WireErrorKind};
+pub use error::{ConfigErrorKind, SpinalError, WireErrorKind};
 pub use frame::{
     frame_check, frame_check_into, frame_encode, AnyTerminator, Checksum, CrcTerminator,
     GenieOracle, Terminator,

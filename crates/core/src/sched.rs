@@ -6,13 +6,13 @@
 //! resources on the table:
 //!
 //! * **A hot expansion scratch.** A decode attempt's working set is
-//!   dominated by the child expansion buffers (`B × 2^k` SoA rows plus
-//!   the hash-block cache), which carry no information between attempts.
-//!   Per-session scratches turn every attempt into a sweep over cold
-//!   memory once a few dozen sessions interleave; the pool keeps **one**
-//!   scratch (per worker) hot and lends it to every attempt, so the only
-//!   per-session state touched between levels is the pruned frontier
-//!   (≤ `beam_width` entries) and the checkpoint store.
+//!   dominated by the frontier and child expansion buffers (`B × 2^k`
+//!   SoA rows plus the hash-block cache), which carry no information
+//!   between attempts. Per-session scratches cost every session that
+//!   memory and turn every attempt into a sweep over cold buffers once
+//!   a few dozen sessions interleave; the pool keeps **one** scratch hot
+//!   and lends it to every attempt, so a pooled session holds only its
+//!   observations and its checkpoint store.
 //! * **Checkpoint memory.** Incremental retries
 //!   ([`BeamDecoder::decode_incremental`](crate::decode::BeamDecoder::decode_incremental))
 //!   buy their speedup with per-session per-level snapshots. At hundreds
@@ -21,18 +21,17 @@
 //!   the *coldest* sessions' stores back to from-scratch decoding —
 //!   which changes work, never results.
 //!
-//! # Cohorts and the fused sweep
+//! # Whole attempts through one scratch
 //!
-//! Sessions with the same shape — spine length, segment size `k`, and
-//! [`BeamConfig`](crate::decode::BeamConfig) — form a *cohort*. A
-//! [`drive`](MultiDecoder::drive_into) runs all due attempts of a cohort
-//! **level-interleaved**: level `t` of every member runs back-to-back
-//! through the shared scratch (one plan/expand/prune kernel sequence per
-//! member per level, operating on the same hot buffers), then level
-//! `t + 1`. Each member's arithmetic is untouched — the fused sweep is
-//! the solo sweep with a different buffer home — so results are
-//! **bit-identical** to driving each session alone (pinned by
-//! `tests/multi_session_equivalence.rs`).
+//! A [`drive`](MultiDecoder::drive_into) runs its due attempts one after
+//! another in ascending slot order, each whole: one
+//! [`BeamDecoder::decode_incremental`](crate::decode::BeamDecoder::decode_incremental)
+//! call through the shared scratch — the routine a solo
+//! [`RxSession::ingest`] runs through its own scratch. Results are
+//! therefore **bit-identical** to driving each session alone (pinned by
+//! `tests/multi_session_equivalence.rs`). The scratch's plan-geometry
+//! slot also carries across attempts, so consecutive same-shape
+//! attempts whose levels see the same pass list skip the rebuild.
 //!
 //! # Scheduling policy: deadline-driven drives
 //!
@@ -48,7 +47,7 @@
 //! defers the rest with a [`SessionOutcome::Deferred`] event and an
 //! aging escape hatch: a session deferred for more than a few drives is
 //! served regardless of cost, so no session starves under a saturating
-//! cohort.
+//! load.
 //!
 //! Two protections bound the damage any one flow can do: **admission
 //! control** ([`MultiConfig::max_sessions`]) rejects inserts beyond a
@@ -58,14 +57,23 @@
 //! quarantined (never scheduled again, ingest rejected with
 //! [`SpinalError::SessionQuarantined`]) until removed.
 //!
+//! # Orphans
+//!
+//! The detach lifecycle — resume tokens, expiry, re-attachment — belongs
+//! to the serving layer. The pool keeps one orphan bit per session
+//! ([`detach`](MultiDecoder::detach) / [`attach`](MultiDecoder::attach)):
+//! an orphan is driven exactly like an attached session, but its
+//! checkpoints answer to [`MultiConfig::detached_budget`] first, and
+//! [`shed_costliest_detached`](MultiDecoder::shed_costliest_detached)
+//! picks its victims among orphans only.
+//!
 //! # Determinism contract
 //!
 //! For every session, the poll events a drive emits are a pure function
 //! of the symbols ingested between drives — identical to calling
 //! [`RxSession::ingest`] with the same symbols coalesced per drive, and
-//! therefore independent of cohort grouping, attempt ordering, the
-//! [`MultiConfig::workers`] count, and checkpoint evictions. Only
-//! latency and memory are policy; results never are.
+//! therefore independent of attempt ordering and checkpoint evictions.
+//! Only latency and memory are policy; results never are.
 //!
 //! # Example
 //!
@@ -121,11 +129,6 @@ const AGING_ROUNDS: u64 = 4;
 /// Pool-level resource configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultiConfig {
-    /// Worker threads a drive may spread attempt execution over.
-    /// Results are bit-identical for any count (sessions are disjoint);
-    /// `1` (the default) runs everything on the calling thread and is
-    /// the only allocation-free steady state.
-    pub workers: usize,
     /// Global cap, in heap bytes, on the checkpoint memory of all
     /// sessions combined ([`RxSession::checkpoint_bytes`] summed). When
     /// a drive ends over budget, the coldest sessions' stores are
@@ -158,11 +161,10 @@ pub struct MultiConfig {
     /// [`SpinalError::PoolFull`] beyond it. `usize::MAX` (the default)
     /// disables admission control.
     pub max_sessions: usize,
-    /// Rounds a [detached](MultiDecoder::detach) session survives
-    /// without being [resumed](MultiDecoder::resume_detached). Past the
-    /// TTL a resume is refused and
-    /// [`reap_expired_detached`](MultiDecoder::reap_expired_detached)
-    /// removes the session. `u64::MAX` (the default) disables expiry.
+    /// Ticks a detached session stays resumable — the TTL the serving
+    /// layer (`spinal-serve`'s server) enforces on its own detached
+    /// entries. The pool never reads it. `u64::MAX` (the default)
+    /// disables expiry.
     pub detach_ttl: u64,
     /// Byte budget for the checkpoint memory of *detached* sessions
     /// combined, enforced each drive ahead of the global
@@ -177,7 +179,6 @@ pub struct MultiConfig {
 impl Default for MultiConfig {
     fn default() -> Self {
         Self {
-            workers: 1,
             checkpoint_budget: usize::MAX,
             work_budget: u64::MAX,
             max_session_attempts: u32::MAX,
@@ -260,21 +261,10 @@ impl SessionEvent {
     }
 }
 
-/// The shape that decides which sessions can share a fused level sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct CohortKey {
-    n_levels: u32,
-    k: u32,
-    beam_width: usize,
-    max_frontier: usize,
-    defer_prune: bool,
-}
-
 #[derive(Debug)]
 struct Managed<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> {
     rx: RxSession<H, M, C, P>,
     gen: u32,
-    key: CohortKey,
     /// Round of this session's last decode attempt (eviction coldness).
     last_active: u64,
     /// Round its pending attempt became due (`u64::MAX` = not due).
@@ -284,33 +274,16 @@ struct Managed<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSche
     /// Abandoned at the attempt ceiling: never scheduled again, ingest
     /// rejected, waiting for [`MultiDecoder::remove`].
     quarantined: bool,
-    /// Orphaned by its driver ([`MultiDecoder::detach`]): still driven
-    /// normally — pending attempts conclude exactly as if the driver
-    /// were present, which is what keeps a later resume bit-identical —
-    /// but resumable by token, TTL-bounded, and first in line for the
-    /// detached-checkpoint budget and overload shedding.
+    /// The orphan bit ([`MultiDecoder::detach`]): still driven normally
+    /// — pending attempts conclude exactly as if the driver were
+    /// present, which is what keeps a later re-attachment bit-identical
+    /// — but first in line for the detached-checkpoint budget and
+    /// overload shedding.
     detached: bool,
-    /// Caller-chosen resume credential (valid while `detached`).
-    detach_token: u64,
-    /// Round the session was detached (TTL anchor).
-    detach_round: u64,
-}
-
-fn cohort_key<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>(
-    rx: &RxSession<H, M, C, P>,
-) -> CohortKey {
-    let beam = rx.config().beam;
-    CohortKey {
-        n_levels: rx.params().n_segments(),
-        k: rx.params().k(),
-        beam_width: beam.beam_width,
-        max_frontier: beam.max_frontier,
-        defer_prune: beam.defer_prune_unobserved,
-    }
 }
 
 /// A pool of live receiver sessions sharing one decoder core — see the
-/// [module docs](self) for the batching, policy, and determinism story.
+/// [module docs](self) for the scratch, policy, and determinism story.
 #[derive(Debug)]
 pub struct MultiDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> {
     cfg: MultiConfig,
@@ -325,16 +298,12 @@ pub struct MultiDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Pun
     demotions: u64,
     quarantined: u64,
     detached: usize,
-    detach_sheds: u64,
-    detach_expirations: u64,
     /// Indices of the sessions selected for attempts this drive.
     due: Vec<u32>,
     /// Indices of due sessions shed by the work budget this drive.
     deferred: Vec<u32>,
-    /// The shared expansion scratch (worker 0 / serial path).
+    /// The one scratch every attempt runs through.
     shared: DecoderScratch,
-    /// Extra per-worker scratches (`workers > 1` drives only).
-    extra: Vec<DecoderScratch>,
 }
 
 impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> Default
@@ -361,12 +330,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             demotions: 0,
             quarantined: 0,
             detached: 0,
-            detach_sheds: 0,
-            detach_expirations: 0,
             due: Vec::new(),
             deferred: Vec::new(),
             shared: DecoderScratch::new(),
-            extra: Vec::new(),
         }
     }
 
@@ -391,14 +357,10 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     }
 
     /// Carries the round counter of a pre-restart pool into this one
-    /// (monotone: the counter never moves backward). Round-relative
-    /// state — detach TTLs, activity stamps — is meaningful only against
-    /// a counter that survives a warm restart; a restored pool that
-    /// restarted at round 0 would hand every re-inserted detached
-    /// session a fresh TTL (immortalizing serial restarts) or, worse,
-    /// underflow comparisons against stamps from the old life. Call
-    /// before re-inserting restored sessions so their stamps are taken
-    /// against the carried counter.
+    /// (monotone: the counter never moves backward), so
+    /// [`rounds`](Self::rounds) and the activity stamps taken against it
+    /// continue across a warm restart. Call before re-inserting restored
+    /// sessions so their stamps are taken against the carried counter.
     pub fn restore_round(&mut self, round: u64) {
         self.round = self.round.max(round);
     }
@@ -431,69 +393,50 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         )
     }
 
-    /// Detaches a live session from its driver, keyed by a caller-chosen
-    /// resume `token` (the caller guarantees uniqueness among detached
-    /// sessions; the serve layer derives tokens from connection ids).
+    /// Sets a live session's orphan bit: its driver is gone (the serve
+    /// layer calls this on connection loss and keeps the resume
+    /// bookkeeping itself).
     ///
-    /// A detached session is **still driven normally** — a pending due
-    /// attempt concludes in exactly the drive it would have concluded in
-    /// with the driver present, which is what keeps a later
-    /// [`resume_detached`](Self::resume_detached) bit-identical to an
-    /// uninterrupted run. What changes is bookkeeping: the session
-    /// becomes resumable by token, its checkpoints fall under
-    /// [`MultiConfig::detached_budget`] (demote-first), it expires after
-    /// [`MultiConfig::detach_ttl`] rounds, and it is first in line for
-    /// [`shed_costliest_detached`](Self::shed_costliest_detached).
-    /// Detaching an already-detached session re-stamps its token and TTL.
+    /// An orphan is **still driven normally** — a pending due attempt
+    /// concludes in exactly the drive it would have concluded in with
+    /// the driver present, which is what keeps a later
+    /// [`attach`](Self::attach) bit-identical to an uninterrupted run.
+    /// What changes is policy: its checkpoints fall under
+    /// [`MultiConfig::detached_budget`] (demote-first), and it is a
+    /// candidate for [`shed_costliest_detached`](Self::shed_costliest_detached).
+    /// Detaching an orphan again is a no-op.
     ///
     /// # Errors
     ///
     /// [`SpinalError::UnknownSession`] for a stale or foreign id.
-    pub fn detach(&mut self, id: SessionId, token: u64) -> Result<(), SpinalError> {
-        self.resolve(id)?;
-        let round = self.round;
-        let m = self.slots[id.index as usize]
-            .as_mut()
-            .expect("resolved slot is live");
-        if !m.detached {
-            self.detached += 1;
-        }
-        m.detached = true;
-        m.detach_token = token;
-        m.detach_round = round;
-        Ok(())
+    pub fn detach(&mut self, id: SessionId) -> Result<(), SpinalError> {
+        self.set_detached(id, true)
     }
 
-    /// Re-attaches the detached session carrying `token`, returning its
-    /// id. Expired sessions (past [`MultiConfig::detach_ttl`]) never
-    /// resume — they wait for
-    /// [`reap_expired_detached`](Self::reap_expired_detached) — and a
-    /// token matches exactly one detached session or none, so a stale or
-    /// corrupted credential can never attach to another session.
+    /// Clears a session's orphan bit (its driver is back). Attaching an
+    /// attached session is a no-op.
     ///
     /// # Errors
     ///
-    /// [`SpinalError::UnknownSession`] when no live, unexpired detached
-    /// session carries `token`.
-    pub fn resume_detached(&mut self, token: u64) -> Result<SessionId, SpinalError> {
-        let ttl = self.cfg.detach_ttl;
-        let round = self.round;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Some(m) = slot.as_mut() else { continue };
-            if !m.detached || m.detach_token != token {
-                continue;
+    /// [`SpinalError::UnknownSession`] for a stale or foreign id.
+    pub fn attach(&mut self, id: SessionId) -> Result<(), SpinalError> {
+        self.set_detached(id, false)
+    }
+
+    fn set_detached(&mut self, id: SessionId, detached: bool) -> Result<(), SpinalError> {
+        self.resolve(id)?;
+        let m = self.slots[id.index as usize]
+            .as_mut()
+            .expect("resolved slot is live");
+        if m.detached != detached {
+            m.detached = detached;
+            if detached {
+                self.detached += 1;
+            } else {
+                self.detached -= 1;
             }
-            if ttl != u64::MAX && round.saturating_sub(m.detach_round) > ttl {
-                return Err(SpinalError::UnknownSession);
-            }
-            m.detached = false;
-            self.detached -= 1;
-            return Ok(SessionId {
-                index: i as u32,
-                gen: m.gen,
-            });
         }
-        Err(SpinalError::UnknownSession)
+        Ok(())
     }
 
     /// Detached sessions currently resident.
@@ -501,51 +444,13 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.detached
     }
 
-    /// Detached sessions removed by
-    /// [`shed_costliest_detached`](Self::shed_costliest_detached) so far.
-    pub fn detach_sheds(&self) -> u64 {
-        self.detach_sheds
-    }
-
-    /// Detached sessions removed at TTL expiry so far.
-    pub fn detach_expirations(&self) -> u64 {
-        self.detach_expirations
-    }
-
-    /// Removes every detached session past [`MultiConfig::detach_ttl`],
-    /// appending their resume tokens to `expired` (which is not
-    /// cleared). Call once per drive cadence; a no-op scan when nothing
-    /// expired, so the steady state allocates nothing.
-    pub fn reap_expired_detached(&mut self, expired: &mut Vec<u64>) {
-        let ttl = self.cfg.detach_ttl;
-        if ttl == u64::MAX {
-            return;
-        }
-        let round = self.round;
-        for i in 0..self.slots.len() {
-            let Some(m) = self.slots[i].as_ref() else {
-                continue;
-            };
-            if !m.detached || round.saturating_sub(m.detach_round) <= ttl {
-                continue;
-            }
-            let m = self.slots[i].take().expect("slot checked live");
-            self.free.push(i as u32);
-            self.next_gen[i] = m.gen + 1;
-            self.live -= 1;
-            self.detached -= 1;
-            self.detach_expirations += 1;
-            expired.push(m.detach_token);
-        }
-    }
-
     /// Removes the detached session with the highest predicted remaining
     /// cost — most tree levels its next attempt would expand, then most
     /// checkpoint bytes, then lowest slot index (deterministic) — and
-    /// returns its resume token and id. This is the overload-shedding
-    /// lever: under pool pressure an orphan nobody may ever reclaim is
-    /// abandoned before any connected `Hello` is refused.
-    pub fn shed_costliest_detached(&mut self) -> Option<(u64, SessionId)> {
+    /// returns its id. This is the overload-shedding lever: under pool
+    /// pressure an orphan nobody may ever reclaim is abandoned before
+    /// any connected `Hello` is refused.
+    pub fn shed_costliest_detached(&mut self) -> Option<SessionId> {
         let mut best: Option<(u32, u64, usize)> = None;
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(m) = slot.as_ref() else { continue };
@@ -563,30 +468,12 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             }
         }
         let (_, _, i) = best?;
-        let m = self.slots[i].take().expect("victim slot is live");
-        self.free.push(i as u32);
-        self.next_gen[i] = m.gen + 1;
-        self.live -= 1;
-        self.detached -= 1;
-        self.detach_sheds += 1;
-        Some((
-            m.detach_token,
-            SessionId {
-                index: i as u32,
-                gen: m.gen,
-            },
-        ))
-    }
-
-    /// Cross-cohort plan-sharing counters of the pool's shared scratch:
-    /// `(hits, builds)` — levels whose hash-block plan geometry was
-    /// reused from a same-shape cohort neighbour in a fused sweep vs.
-    /// levels that had to build it. Lockstep same-shape ensembles
-    /// converge to one build per level per drive with `members − 1`
-    /// hits; the counters cover the serial path and parallel worker 0
-    /// (workers 1.. keep their own scratches).
-    pub fn plan_sharing(&self) -> (u64, u64) {
-        self.shared.shared_plan_stats()
+        let id = SessionId {
+            index: i as u32,
+            gen: self.slots[i].as_ref().expect("victim slot is live").gen,
+        };
+        self.remove(id).expect("victim slot is live");
+        Some(id)
     }
 
     /// Total checkpoint memory currently held across the pool.
@@ -613,7 +500,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
                 max_sessions: self.cfg.max_sessions,
             });
         }
-        let key = cohort_key(&rx);
         self.live += 1;
         let index = match self.free.pop() {
             Some(index) => index,
@@ -627,14 +513,11 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.slots[index as usize] = Some(Managed {
             rx,
             gen,
-            key,
             last_active: self.round,
             due_since: u64::MAX,
             absorbed: 0,
             quarantined: false,
             detached: false,
-            detach_token: 0,
-            detach_round: 0,
         });
         Ok(SessionId { index, gen })
     }
@@ -694,7 +577,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             .as_mut()
             .expect("resolved slot is live");
         m.rx.rebind(decoder);
-        m.key = cohort_key(&m.rx);
         m.due_since = u64::MAX;
         m.absorbed = 0;
         m.quarantined = false;
@@ -757,9 +639,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     /// Runs the pool one scheduling round under the configured
     /// [`MultiConfig::work_budget`]: selects due attempts (all of them
     /// by default; cheapest-first with aging under a budget), abandons
-    /// sessions at their attempt ceiling, executes the selected attempts
-    /// fused per cohort through the shared scratch (across
-    /// [`MultiConfig::workers`] threads when configured), emits one
+    /// sessions at their attempt ceiling, runs the selected attempts
+    /// whole, one after another in ascending slot order, through the
+    /// shared scratch, emits one
     /// [`SessionEvent`] per session with activity — including
     /// [`SessionOutcome::Deferred`] for shed attempts — and enforces the
     /// checkpoint-memory budget. `events` is cleared first and reused.
@@ -862,21 +744,24 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             }
             self.deferred.extend_from_slice(&self.due[served..]);
             self.due.truncate(served);
-        }
-        // Group same-shape sessions adjacently for the fused sweep
-        // (stable within a cohort: ascending slot index).
-        {
-            let slots = &self.slots;
-            self.due.sort_unstable_by_key(|&i| {
-                (slots[i as usize].as_ref().expect("due slot is live").key, i)
-            });
+            self.due.sort_unstable();
         }
 
-        // Execute the selected attempts.
-        if self.cfg.workers > 1 && self.due.len() > 1 {
-            self.run_attempts_parallel(round, events);
-        } else {
-            self.run_attempts_serial(round, events);
+        // Run the selected attempts, each whole, through the one shared
+        // scratch.
+        for &i in &self.due {
+            let m = self.slots[i as usize].as_mut().expect("due slot is live");
+            let consumed = std::mem::take(&mut m.absorbed);
+            let poll = m.rx.run_attempt(Some(&mut self.shared), consumed);
+            m.due_since = u64::MAX;
+            m.last_active = round;
+            events.push(SessionEvent {
+                id: SessionId {
+                    index: i,
+                    gen: m.gen,
+                },
+                outcome: SessionOutcome::Poll(poll),
+            });
         }
 
         // Report the shed attempts. Their sessions stay due (`due_since`
@@ -936,166 +821,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         let mut events = Vec::new();
         self.drive_until_into(work_budget, &mut events);
         events
-    }
-
-    /// The serial fused execution path: zero steady-state allocation.
-    ///
-    /// NOTE: the group-scan / `attempt_take` / level-interleave /
-    /// `attempt_conclude` sequence here and in
-    /// [`run_attempts_parallel`](Self::run_attempts_parallel) must stay
-    /// in lockstep — the serial form indexes `slots` so a warm drive
-    /// never allocates, the parallel form needs a splittable borrow
-    /// table, and Rust offers no alloc-free way to abstract over both.
-    /// Any change to the per-member sequence belongs in `RxSession`'s
-    /// `attempt_*` methods (shared by construction); the
-    /// `pool_polls_match_solo_sessions` test pins both paths against
-    /// solo sessions.
-    fn run_attempts_serial(&mut self, round: u64, events: &mut Vec<SessionEvent>) {
-        let Self {
-            slots, shared, due, ..
-        } = self;
-        let mut g0 = 0usize;
-        while g0 < due.len() {
-            let key = slots[due[g0] as usize]
-                .as_ref()
-                .expect("due slot is live")
-                .key;
-            let mut g1 = g0 + 1;
-            while g1 < due.len()
-                && slots[due[g1] as usize]
-                    .as_ref()
-                    .expect("due slot is live")
-                    .key
-                    == key
-            {
-                g1 += 1;
-            }
-            for &i in &due[g0..g1] {
-                slots[i as usize]
-                    .as_mut()
-                    .expect("due slot is live")
-                    .rx
-                    .attempt_take();
-            }
-            // The fused sweep: level t of every cohort member runs
-            // back-to-back through the one hot scratch.
-            for t in 0..key.n_levels {
-                for &i in &due[g0..g1] {
-                    let m = slots[i as usize].as_mut().expect("due slot is live");
-                    if m.rx.sweep_start() <= t {
-                        m.rx.attempt_level(t, shared);
-                    }
-                }
-            }
-            for &i in &due[g0..g1] {
-                let m = slots[i as usize].as_mut().expect("due slot is live");
-                let consumed = m.absorbed;
-                m.absorbed = 0;
-                let poll = m.rx.attempt_conclude(shared, consumed);
-                m.due_since = u64::MAX;
-                m.last_active = round;
-                events.push(SessionEvent {
-                    id: SessionId {
-                        index: i,
-                        gen: m.gen,
-                    },
-                    outcome: SessionOutcome::Poll(poll),
-                });
-            }
-            g0 = g1;
-        }
-    }
-
-    /// The multi-worker execution path: the selected sessions are split
-    /// into contiguous chunks (cohort grouping preserved) and each chunk
-    /// runs its fused sweeps on its own thread and scratch (worker 0
-    /// borrows the pool's warm shared scratch; only workers 1.. get
-    /// extras). Sessions are disjoint, so output is bit-identical to the
-    /// serial path; this path allocates per drive (thread stacks and the
-    /// borrow table) and is therefore opt-in. See the lockstep NOTE on
-    /// [`run_attempts_serial`](Self::run_attempts_serial).
-    fn run_attempts_parallel(&mut self, round: u64, events: &mut Vec<SessionEvent>) {
-        let workers = self.cfg.workers.min(self.due.len());
-        while self.extra.len() + 1 < workers {
-            self.extra.push(DecoderScratch::new());
-        }
-        let mut by_index = self.due.clone();
-        by_index.sort_unstable();
-        let due = &self.due;
-        #[allow(clippy::type_complexity)]
-        let mut refs: Vec<(u32, &mut Managed<H, M, C, P>)> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let i = i as u32;
-                if by_index.binary_search(&i).is_ok() {
-                    s.as_mut().map(|m| (i, m))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        // Back into drive order (cohort-grouped).
-        refs.sort_unstable_by_key(|(i, m)| (m.key, *i));
-        debug_assert!(refs.iter().map(|(i, _)| *i).eq(due.iter().copied()));
-        let mut polls: Vec<Option<Poll>> = vec![None; refs.len()];
-        let chunk = refs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut refs_rest = refs.as_mut_slice();
-            let mut polls_rest = polls.as_mut_slice();
-            let scratches = std::iter::once(&mut self.shared)
-                .chain(self.extra.iter_mut())
-                .take(workers);
-            for scratch in scratches {
-                if refs_rest.is_empty() {
-                    break;
-                }
-                let take = chunk.min(refs_rest.len());
-                let (rc, rr) = std::mem::take(&mut refs_rest).split_at_mut(take);
-                refs_rest = rr;
-                let (pc, pr) = std::mem::take(&mut polls_rest).split_at_mut(take);
-                polls_rest = pr;
-                scope.spawn(move || {
-                    let mut g0 = 0usize;
-                    while g0 < rc.len() {
-                        let key = rc[g0].1.key;
-                        let mut g1 = g0 + 1;
-                        while g1 < rc.len() && rc[g1].1.key == key {
-                            g1 += 1;
-                        }
-                        for (_, m) in &mut rc[g0..g1] {
-                            m.rx.attempt_take();
-                        }
-                        for t in 0..key.n_levels {
-                            for (_, m) in &mut rc[g0..g1] {
-                                if m.rx.sweep_start() <= t {
-                                    m.rx.attempt_level(t, scratch);
-                                }
-                            }
-                        }
-                        for j in g0..g1 {
-                            let m = &mut rc[j].1;
-                            let consumed = m.absorbed;
-                            m.absorbed = 0;
-                            pc[j] = Some(m.rx.attempt_conclude(scratch, consumed));
-                            m.due_since = u64::MAX;
-                            m.last_active = round;
-                        }
-                        g0 = g1;
-                    }
-                });
-            }
-        });
-        for ((i, m), poll) in refs.iter().zip(polls) {
-            events.push(SessionEvent {
-                id: SessionId {
-                    index: *i,
-                    gen: m.gen,
-                },
-                outcome: SessionOutcome::Poll(poll.expect("every selected attempt concluded")),
-            });
-        }
     }
 
     /// [`enforce_budget`](Self::enforce_budget) restricted to detached
@@ -1247,89 +972,20 @@ mod tests {
     /// session alone, event for event.
     #[test]
     fn pool_polls_match_solo_sessions() {
-        for workers in [1usize, 3] {
-            let mut pool = Pool::new(MultiConfig {
-                workers,
-                ..MultiConfig::default()
-            });
-            let mut txs = Vec::new();
-            let mut ids = Vec::new();
-            let mut solo = Vec::new();
-            for i in 0..5u8 {
-                let m = msg(i);
-                let (tx, rx) = session_pair(100 + u64::from(i), &m, RxConfig::default());
-                let (_, rx2) = session_pair(100 + u64::from(i), &m, RxConfig::default());
-                txs.push(tx);
-                ids.push(pool.insert(rx).unwrap());
-                solo.push(rx2);
-            }
-            let mut events = Vec::new();
-            for _round in 0..40 {
-                let mut expect = Vec::new();
-                for ((tx, &id), s) in txs.iter_mut().zip(&ids).zip(solo.iter_mut()) {
-                    if s.is_finished() {
-                        continue;
-                    }
-                    let (_slot, sym) = tx.next_symbol();
-                    pool.ingest(id, &[sym]).unwrap();
-                    expect.push((id, s.ingest(&[sym]).unwrap()));
-                }
-                pool.drive_into(&mut events);
-                assert_eq!(events.len(), expect.len());
-                for (id, poll) in expect {
-                    let ev = events
-                        .iter()
-                        .find(|e| e.id == id)
-                        .expect("event per session");
-                    assert_eq!(ev.poll(), Some(poll));
-                }
-                if solo.iter().all(|s| s.is_finished()) {
-                    break;
-                }
-            }
-            for (&id, s) in ids.iter().zip(&solo) {
-                assert!(s.is_finished(), "noiseless session must decode");
-                let p = pool.get(id).unwrap();
-                assert_eq!(p.payload(), s.payload());
-                assert_eq!(p.symbols(), s.symbols());
-                assert_eq!(p.attempts(), s.attempts());
-                assert_eq!(p.last_result().candidates, s.last_result().candidates);
-                assert_eq!(p.last_result().stats, s.last_result().stats);
-            }
-        }
-    }
-
-    /// Cross-cohort plan sharing: a lockstep same-shape ensemble must
-    /// reuse one plan-geometry build per level per drive (`members − 1`
-    /// hits), and its polls must stay bit-identical to solo sessions
-    /// that never share anything.
-    #[test]
-    fn lockstep_cohort_shares_plan_geometry() {
-        const MEMBERS: usize = 4;
-        // Ingest into every member first, then drive once — the cohort
-        // sweep serves all due attempts in one fused pass, so each
-        // observed level builds its plan geometry once and hits
-        // `members − 1` times. Different hash seeds on purpose: the
-        // geometry depends only on the pass list and bits-per-symbol,
-        // never the seed.
-        let mut events = Vec::new();
         let mut pool = Pool::new(MultiConfig::default());
         let mut txs = Vec::new();
         let mut ids = Vec::new();
         let mut solo = Vec::new();
-        for i in 0..MEMBERS as u8 {
+        for i in 0..5u8 {
             let m = msg(i);
-            let (tx, rx) = session_pair(900 + u64::from(i), &m, RxConfig::default());
-            let (_, rx2) = session_pair(900 + u64::from(i), &m, RxConfig::default());
+            let (tx, rx) = session_pair(100 + u64::from(i), &m, RxConfig::default());
+            let (_, rx2) = session_pair(100 + u64::from(i), &m, RxConfig::default());
             txs.push(tx);
             ids.push(pool.insert(rx).unwrap());
             solo.push(rx2);
         }
-        let mut hits_before = 0u64;
-        for round in 0..40 {
-            if solo.iter().all(|s| s.is_finished()) {
-                break;
-            }
+        let mut events = Vec::new();
+        for _round in 0..40 {
             let mut expect = Vec::new();
             for ((tx, &id), s) in txs.iter_mut().zip(&ids).zip(solo.iter_mut()) {
                 if s.is_finished() {
@@ -1339,31 +995,31 @@ mod tests {
                 pool.ingest(id, &[sym]).unwrap();
                 expect.push((id, s.ingest(&[sym]).unwrap()));
             }
-            let live = expect.len() as u64;
             pool.drive_into(&mut events);
+            assert_eq!(events.len(), expect.len());
             for (id, poll) in expect {
-                let ev = events.iter().find(|e| e.id == id).expect("event");
-                assert_eq!(ev.poll(), Some(poll), "round {round}");
+                let ev = events
+                    .iter()
+                    .find(|e| e.id == id)
+                    .expect("event per session");
+                assert_eq!(ev.poll(), Some(poll));
             }
-            let (hits, _) = pool.plan_sharing();
-            if live == MEMBERS as u64 {
-                assert!(
-                    hits >= hits_before + live - 1,
-                    "round {round}: fused drive of {live} lockstep members must share \
-                     geometry at least at the newest level (hits {hits_before} -> {hits})"
-                );
+            if solo.iter().all(|s| s.is_finished()) {
+                break;
             }
-            hits_before = hits;
         }
         for (&id, s) in ids.iter().zip(&solo) {
             assert!(s.is_finished(), "noiseless session must decode");
             let p = pool.get(id).unwrap();
             assert_eq!(p.payload(), s.payload());
+            assert_eq!(p.symbols(), s.symbols());
+            assert_eq!(p.attempts(), s.attempts());
+            assert_eq!(p.last_result().candidates, s.last_result().candidates);
             assert_eq!(p.last_result().stats, s.last_result().stats);
         }
     }
 
-    /// The wide cost engine through the cohort path: a pool running the
+    /// The wide cost engine through the pool path: a pool running the
     /// machine's detected SIMD tier and radix selection must be
     /// bit-identical to solo sessions forced onto scalar kernels and
     /// comparator selection (everything except the diagnostic dispatch
@@ -1760,8 +1416,8 @@ mod tests {
         assert_eq!(rx.payload(), Some(&m));
     }
 
-    /// Detach is pure bookkeeping: a session detached mid-decode keeps
-    /// being driven and, once resumed by token, finishes with payload
+    /// The orphan bit is pure bookkeeping: a session detached mid-decode
+    /// keeps being driven and, once re-attached, finishes with payload
     /// and stats bit-identical to a never-detached twin.
     #[test]
     fn detached_session_resumes_bit_identical() {
@@ -1770,7 +1426,7 @@ mod tests {
         let (_, rx2) = session_pair(777, &m, RxConfig::default());
         let mut pool = Pool::new(MultiConfig::default());
         let mut solo = rx2;
-        let mut id = pool.insert(rx).unwrap();
+        let id = pool.insert(rx).unwrap();
         let mut events = Vec::new();
         let mut detached = false;
         for round in 0..200 {
@@ -1785,20 +1441,20 @@ mod tests {
             assert_eq!(ev.poll(), Some(expect), "round {round}");
             match round {
                 2 => {
-                    pool.detach(id, 0xfeed).unwrap();
-                    assert_eq!(pool.detached_len(), 1);
+                    pool.detach(id).unwrap();
+                    pool.detach(id).unwrap();
+                    assert_eq!(pool.detached_len(), 1, "re-detaching is a no-op");
                     detached = true;
-                    // A stale token must not resolve.
-                    assert_eq!(
-                        pool.resume_detached(0xbeef).unwrap_err(),
-                        SpinalError::UnknownSession
-                    );
+                    // A stale id must not resolve.
+                    let stale = SessionId {
+                        index: id.index,
+                        gen: id.gen + 1,
+                    };
+                    assert_eq!(pool.attach(stale).unwrap_err(), SpinalError::UnknownSession);
                 }
                 5 => {
-                    let back = pool.resume_detached(0xfeed).unwrap();
-                    assert_eq!(back, id, "token resolves to the same session");
+                    pool.attach(id).unwrap();
                     assert_eq!(pool.detached_len(), 0);
-                    id = back;
                     detached = false;
                 }
                 _ => {}
@@ -1810,43 +1466,6 @@ mod tests {
         assert_eq!(p.symbols(), solo.symbols());
         assert_eq!(p.attempts(), solo.attempts());
         assert_eq!(p.last_result().stats, solo.last_result().stats);
-    }
-
-    /// TTL expiry: past `detach_ttl` rounds a resume is refused, the
-    /// reaper frees the slot and reports the token, and the freed slot
-    /// is reusable with a fresh generation.
-    #[test]
-    fn detach_ttl_expires_and_reaps() {
-        let mut pool = Pool::new(MultiConfig {
-            detach_ttl: 2,
-            ..MultiConfig::default()
-        });
-        let m = msg(3);
-        let (mut tx, rx) = session_pair(31, &m, RxConfig::default());
-        let id = pool.insert(rx).unwrap();
-        let (_slot, sym) = tx.next_symbol();
-        pool.ingest(id, &[sym]).unwrap();
-        pool.detach(id, 0xD0_0D).unwrap();
-        let mut events = Vec::new();
-        // Rounds advance on drives; within the TTL the token resolves.
-        pool.drive_into(&mut events);
-        pool.drive_into(&mut events);
-        let mut reaped = Vec::new();
-        pool.reap_expired_detached(&mut reaped);
-        assert!(reaped.is_empty(), "within TTL nothing reaps");
-        // One more round pushes the age past the TTL.
-        pool.drive_into(&mut events);
-        assert_eq!(
-            pool.resume_detached(0xD0_0D).unwrap_err(),
-            SpinalError::UnknownSession,
-            "expired tokens never resume"
-        );
-        pool.reap_expired_detached(&mut reaped);
-        assert_eq!(reaped, vec![0xD0_0D]);
-        assert_eq!(pool.detach_expirations(), 1);
-        assert_eq!(pool.detached_len(), 0);
-        assert!(pool.is_empty());
-        assert!(pool.get(id).is_none(), "reaped id must not resolve");
     }
 
     /// Overload shedding: the detached session with the most remaining
@@ -1876,16 +1495,17 @@ mod tests {
         let mc = msg(13);
         let (_txc, rxc) = session_pair(63, &mc, RxConfig::default());
         let idc = pool.insert(rxc).unwrap();
-        pool.detach(ida, 0xa).unwrap();
-        pool.detach(idb, 0xb).unwrap();
-        let (tok, shed_id) = pool.shed_costliest_detached().expect("two candidates");
-        assert_eq!(tok, 0xb, "pending-work session B is the costlier victim");
-        assert_eq!(shed_id, idb);
+        pool.detach(ida).unwrap();
+        pool.detach(idb).unwrap();
+        let shed_id = pool.shed_costliest_detached().expect("two candidates");
+        assert_eq!(
+            shed_id, idb,
+            "pending-work session B is the costlier victim"
+        );
         assert!(pool.get(idb).is_none());
-        assert_eq!(pool.detach_sheds(), 1);
         assert_eq!(pool.detached_len(), 1);
-        let (tok2, _) = pool.shed_costliest_detached().expect("one candidate left");
-        assert_eq!(tok2, 0xa);
+        assert_eq!(pool.shed_costliest_detached(), Some(ida));
+        assert!(pool.get(ida).is_none());
         assert!(
             pool.shed_costliest_detached().is_none(),
             "attached sessions are never shed"
@@ -1908,7 +1528,7 @@ mod tests {
             detached_budget: 1, // any orphaned checkpoint store is over it
             ..MultiConfig::default()
         });
-        let mut id = pool.insert(rx).unwrap();
+        let id = pool.insert(rx).unwrap();
         let mut events = Vec::new();
         // Build up checkpoint state, then detach under a tiny budget.
         for _ in 0..3 {
@@ -1917,7 +1537,7 @@ mod tests {
             solo.ingest(&[sym]).unwrap();
             pool.drive_into(&mut events);
         }
-        pool.detach(id, 0x77).unwrap();
+        pool.detach(id).unwrap();
         let demotions_before = pool.demotions();
         let (_s, sym) = tx.next_symbol();
         pool.ingest(id, &[sym]).unwrap();
@@ -1927,7 +1547,7 @@ mod tests {
             pool.demotions() > demotions_before,
             "an over-budget orphaned store must be demoted to its packed image"
         );
-        id = pool.resume_detached(0x77).unwrap();
+        pool.attach(id).unwrap();
         for _ in 0..200 {
             if solo.is_finished() {
                 break;

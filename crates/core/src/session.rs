@@ -25,11 +25,14 @@
 //! [`BeamCheckpoints`] store. Every decode attempt runs through
 //! [`BeamDecoder::decode_incremental`]: tree levels below the lowest
 //! spine position that received a new symbol since the last attempt are
-//! *resumed from checkpoints* instead of re-expanded, and per-level
-//! hash-block plans are reused while a level's observation count is
-//! unchanged. Under strided puncturing (where most sub-passes touch only
-//! a suffix of the spine) and per-symbol feedback loops this removes a
-//! large fraction of the per-retry work — see `BENCH_session.json`.
+//! *resumed from checkpoints* instead of re-expanded, and a level's
+//! hash-block plan is reused while its observations are unchanged.
+//! Under strided puncturing (where most sub-passes touch only a suffix
+//! of the spine) and per-symbol feedback loops this removes a large
+//! fraction of the per-retry work — see `BENCH_session.json`. A session
+//! pooled in a [`crate::sched::MultiDecoder`] runs the same attempt
+//! through the pool's one shared scratch instead of its own, which then
+//! stays empty.
 //!
 //! # Determinism contract
 //!
@@ -358,8 +361,9 @@ enum RxState {
 /// The receiver's half of a streaming codec session.
 ///
 /// Owns everything a long-lived connection needs across retries: the
-/// slot-labelled observation set, the decoder's reusable scratch, the
-/// per-level checkpoint/plan caches that make retries incremental, and
+/// slot-labelled observation set, the decoder's reusable scratch (left
+/// cold when a pool lends its own), the per-level checkpoint caches
+/// that make retries incremental, and
 /// the [`Terminator`] that decides success (CRC framing for the
 /// practical receiver, the genie for §5-style experiments). After the
 /// first few attempts warm the buffers, a steady-state
@@ -393,10 +397,6 @@ pub struct RxSession<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Punctu
     attempts: u32,
     next_attempt: u64,
     state: RxState,
-    /// Resume level of the in-flight split attempt (scheduler path).
-    sweep_start: u32,
-    /// Work counters of the in-flight split attempt (scheduler path).
-    sweep_stats: crate::decode::DecodeStats,
 }
 
 impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSession<H, M, C, P> {
@@ -439,8 +439,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             attempts: 0,
             next_attempt: 1,
             state: RxState::Listening,
-            sweep_start: 0,
-            sweep_stats: crate::decode::DecodeStats::default(),
         })
     }
 
@@ -528,8 +526,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             self.obs.clear();
         }
         // Keep the stored config normalized to the decoder that runs
-        // (the same rule as `new`), so `config()` readers — including
-        // the pool's cohort grouping — never see a stale beam shape.
+        // (the same rule as `new`), so `config()` readers never see a
+        // stale beam shape.
         self.cfg.beam = *decoder.config();
         self.decoder = decoder;
         self.ckpt.reset();
@@ -633,23 +631,44 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
 
     fn poll_after_ingest(&mut self, consumed: usize) -> Poll {
         if self.attempt_due() {
-            self.attempts += 1;
-            let dirty = self.dirty_from;
-            self.dirty_from = u32::MAX;
-            self.decoder.decode_incremental(
-                &self.obs,
-                dirty,
-                &mut self.ckpt,
-                &mut self.scratch,
-                &mut self.result,
-            );
-            if self.settle_attempt() {
-                return Poll::Decoded {
-                    symbols_used: self.symbols,
-                    attempts: self.attempts,
-                };
-            }
+            return self.run_attempt(None, consumed);
         }
+        self.poll_without_attempt(consumed)
+    }
+
+    /// Runs the due decode attempt whole — one
+    /// [`BeamDecoder::decode_incremental`] call through `scratch`, or
+    /// through the session's own scratch when `None` — then the
+    /// terminator and the poll tail (`consumed` is echoed in
+    /// `NeedMore`). Solo [`ingest`](Self::ingest) and the
+    /// [`crate::sched::MultiDecoder`] pool (which lends its one shared
+    /// scratch) both run attempts through here, so a pooled session's
+    /// polls are the solo ones by construction.
+    pub(crate) fn run_attempt(
+        &mut self,
+        scratch: Option<&mut DecoderScratch>,
+        consumed: usize,
+    ) -> Poll {
+        debug_assert!(self.attempt_due());
+        self.attempts += 1;
+        let dirty = std::mem::replace(&mut self.dirty_from, u32::MAX);
+        let scratch = scratch.unwrap_or(&mut self.scratch);
+        self.decoder.decode_incremental(
+            &self.obs,
+            dirty,
+            &mut self.ckpt,
+            scratch,
+            &mut self.result,
+        );
+        if self.terminator.accept_into(&self.result, &mut self.payload) {
+            self.state = RxState::Decoded;
+            return Poll::Decoded {
+                symbols_used: self.symbols,
+                attempts: self.attempts,
+            };
+        }
+        self.next_attempt =
+            (self.symbols + 1).max((self.symbols as f64 * self.cfg.attempt_growth).ceil() as u64);
         self.poll_without_attempt(consumed)
     }
 
@@ -678,82 +697,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             .min(n_levels)
             .min(self.ckpt.valid_levels().saturating_sub(1));
         n_levels - resume
-    }
-
-    /// Takes the due attempt: bumps the counters, consumes the dirty
-    /// mark, and restores the resume frontier. Must be followed by
-    /// [`attempt_level`](Self::attempt_level) for every level from
-    /// [`sweep_start`](Self::sweep_start) and
-    /// [`attempt_conclude`](Self::attempt_conclude) — together these are
-    /// exactly the [`ingest`](Self::ingest) attempt decomposed, so the
-    /// scheduler path is bit-identical to solo ingestion.
-    pub(crate) fn attempt_take(&mut self) {
-        debug_assert!(self.attempt_due());
-        self.attempts += 1;
-        let dirty = self.dirty_from;
-        self.dirty_from = u32::MAX;
-        let (start, stats) =
-            self.decoder
-                .attempt_begin(&self.obs, dirty, &mut self.ckpt, &mut self.scratch);
-        self.sweep_start = start;
-        self.sweep_stats = stats;
-    }
-
-    /// The level the in-flight split attempt resumes from.
-    pub(crate) fn sweep_start(&self) -> u32 {
-        self.sweep_start
-    }
-
-    /// Runs level `t` of the in-flight split attempt, borrowing the
-    /// expansion buffers from `shared` (one scratch serves a whole
-    /// cohort).
-    pub(crate) fn attempt_level(&mut self, t: u32, shared: &mut DecoderScratch) {
-        self.decoder.attempt_level(
-            t,
-            &self.obs,
-            &mut self.ckpt,
-            &mut self.scratch,
-            shared,
-            &mut self.sweep_stats,
-        );
-    }
-
-    /// Concludes the in-flight split attempt: ranks the survivors, runs
-    /// the terminator, and returns the same [`Poll`] a solo
-    /// [`ingest`](Self::ingest) of the absorbed symbols would have
-    /// (`consumed` is echoed in `NeedMore`).
-    pub(crate) fn attempt_conclude(
-        &mut self,
-        shared: &mut DecoderScratch,
-        consumed: usize,
-    ) -> Poll {
-        self.decoder.attempt_finish(
-            &mut self.ckpt,
-            &mut self.scratch,
-            shared,
-            self.sweep_stats,
-            &mut self.result,
-        );
-        if self.settle_attempt() {
-            return Poll::Decoded {
-                symbols_used: self.symbols,
-                attempts: self.attempts,
-            };
-        }
-        self.poll_without_attempt(consumed)
-    }
-
-    /// Terminator check + attempt-schedule advance shared by the solo
-    /// and scheduler paths. Returns `true` on acceptance.
-    fn settle_attempt(&mut self) -> bool {
-        if self.terminator.accept_into(&self.result, &mut self.payload) {
-            self.state = RxState::Decoded;
-            true
-        } else {
-            self.next_attempt = (self.symbols + 1)
-                .max((self.symbols as f64 * self.cfg.attempt_growth).ceil() as u64);
-            false
-        }
     }
 
     /// The poll tail when no attempt ran (or the attempt was rejected):
@@ -920,7 +863,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// The SIMD tier this session's attempts run their integer kernels
     /// on (see [`crate::kernels`]). Every tier is bit-identical; mixed
     /// tiers across the sessions of a [`crate::sched::MultiDecoder`]
-    /// cohort are therefore safe — only per-attempt wall time differs.
+    /// are therefore safe — only per-attempt wall time differs.
     pub fn kernel_dispatch(&self) -> crate::kernels::KernelDispatch {
         self.decoder.kernel_dispatch()
     }

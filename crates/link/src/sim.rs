@@ -57,9 +57,8 @@ const STREAM_FAULT: u64 = 63;
 const STREAM_FEEDBACK: u64 = 64;
 
 /// The receiver pool type: every in-flight frame's session lives in one
-/// [`MultiDecoder`], so the window's same-shape sessions decode through
-/// a single shared scratch (fused cohort sweeps) instead of one cold
-/// scratch per frame.
+/// [`MultiDecoder`], so the window's sessions decode through a single
+/// shared scratch instead of one cold scratch per frame.
 type RxPool = MultiDecoder<AnyHash, AnyIqMapper, AwgnCost, AnySchedule>;
 
 /// One frame in flight: sender session and replay log, the pool id of
@@ -241,9 +240,8 @@ pub fn simulate_link(
         ..LinkReport::default()
     };
 
-    // All in-flight receiver sessions share one decoder pool: the
-    // window is a same-shape cohort, so every decode attempt runs
-    // through the pool's single hot scratch. The attempt ceiling routes
+    // All in-flight receiver sessions share one decoder pool, so every
+    // decode attempt runs through the pool's single hot scratch. The attempt ceiling routes
     // pathological frames to quarantine (the `Abandon` outcome).
     let mut pool = RxPool::new(MultiConfig {
         max_session_attempts: cfg.max_attempts_per_frame,

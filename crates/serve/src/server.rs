@@ -39,19 +39,24 @@
 //! still honoured), and sessions still streaming at the deadline are
 //! detached with their token and closed.
 //!
+//! The server is the only owner of that detach lifecycle: each shard's
+//! detached-entry list holds the token, the tick deadline and the pool
+//! [`SessionId`]; the pool only carries an orphan bit
+//! ([`MultiDecoder::detach`] / [`MultiDecoder::attach`]) that puts the
+//! session first in line for demotion and shedding.
+//!
 //! All timers count ticks, never wall-clock time, so every lifecycle
 //! path is deterministic. Shards never share mutable state, so
 //! [`tick_sharded`](Server::tick_sharded) runs them on scoped threads
-//! with bit-identical results to the serial [`tick`](Server::tick) —
-//! the same contract the pool's own `workers` knob upholds. The serial
-//! path is the allocation-free steady state (the sharded path allocates
-//! only its thread stacks).
+//! with bit-identical results to the serial [`tick`](Server::tick).
+//! The serial path is the allocation-free steady state (the sharded
+//! path allocates only its thread stacks).
 
 use std::thread;
 
 use spinal_core::bits::BitVec;
 use spinal_core::decode::{AwgnCost, BeamConfig};
-use spinal_core::error::{SnapshotErrorKind, SpinalError, WireErrorKind};
+use spinal_core::error::{ConfigErrorKind, SnapshotErrorKind, SpinalError, WireErrorKind};
 use spinal_core::frame::{AnyTerminator, Checksum};
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
@@ -150,12 +155,10 @@ impl Default for ServeProfile {
 pub struct ServeConfig {
     /// Shard (event-loop) count; connections are spread by stable hash.
     pub shards: usize,
-    /// Per-shard decoder-pool configuration. `workers` is forced to 1 —
-    /// shards are the parallelism axis here. `detach_ttl` is read as a
-    /// *tick* TTL for detached sessions and enforced by the server
-    /// itself (the pool's round-based TTL is disabled to avoid
-    /// round/tick skew); `detached_budget` bounds orphaned checkpoint
-    /// bytes demote-first inside each shard pool.
+    /// Per-shard decoder-pool configuration. `detach_ttl` is the *tick*
+    /// TTL of detached sessions, enforced by the server (the pool never
+    /// reads it); `detached_budget` bounds orphaned checkpoint bytes
+    /// demote-first inside each shard pool.
     pub pool: MultiConfig,
     /// Tree-level budget one shard tick may spend driving its pool
     /// (the deadline knob of [`MultiDecoder::drive_until_into`]).
@@ -215,85 +218,128 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// [`SpinalError::Wire`] with [`WireErrorKind::Corrupt`] on any
-    /// violation (zero shards, inverted egress watermarks, zero caps or
-    /// deadlines).
+    /// [`SpinalError::Config`] naming the first broken rule (see
+    /// [`ConfigErrorKind`]): zero shards, inverted or zero egress
+    /// watermarks, a zero admission cap, a zero lifecycle deadline, or
+    /// a pool that admits no session.
     pub fn validate(&self) -> Result<(), SpinalError> {
-        let ok = self.shards >= 1
-            && self.egress_high_water >= 1
-            && self.egress_capacity >= self.egress_high_water
-            && self.max_message_bits >= 1
-            && self.max_beam >= 1
-            && self.keepalive_idle >= 1
-            && self.idle_deadline >= 1
-            && self.pool.max_sessions >= 1;
-        if ok {
-            Ok(())
+        let kind = if self.shards < 1 {
+            ConfigErrorKind::ZeroShards
+        } else if self.egress_high_water < 1 || self.egress_capacity < self.egress_high_water {
+            ConfigErrorKind::EgressWatermarks
+        } else if self.max_message_bits < 1 || self.max_beam < 1 {
+            ConfigErrorKind::ZeroCap
+        } else if self.keepalive_idle < 1 || self.idle_deadline < 1 {
+            ConfigErrorKind::ZeroDeadline
+        } else if self.pool.max_sessions < 1 {
+            ConfigErrorKind::ZeroSessions
         } else {
-            Err(SpinalError::Wire {
-                kind: WireErrorKind::Corrupt,
-            })
-        }
+            return Ok(());
+        };
+        Err(SpinalError::Config { kind })
     }
 }
 
-/// Aggregate serving counters (summed over shards by
-/// [`Server::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
+/// Declares [`ServeStats`] from one table: `ticks` (the server clock,
+/// never summed across shards) followed by the summed counters, each
+/// declared once with its doc. The snapshot word order is the table
+/// order, and the serializers and the shard sum are derived from it.
+macro_rules! serve_stats {
+    (
+        $(#[doc = $ticks_doc:literal])* ticks,
+        $( $(#[doc = $doc:literal])* $field:ident, )*
+    ) => {
+        /// Aggregate serving counters (summed over shards by
+        /// [`Server::stats`]).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ServeStats {
+            $(#[doc = $ticks_doc])*
+            pub ticks: u64,
+            $( $(#[doc = $doc])* pub $field: u64, )*
+        }
+
+        /// Number of `u64` words a [`ServeStats`] serializes to (table
+        /// order; bumping this bumps the snapshot version).
+        const STAT_WORDS: usize = 1 + [$(stringify!($field)),*].len();
+
+        impl ServeStats {
+            fn to_words(self) -> [u64; STAT_WORDS] {
+                [self.ticks, $(self.$field),*]
+            }
+
+            fn from_words(w: &[u64; STAT_WORDS]) -> Self {
+                let mut w = w.iter().copied();
+                let mut next = || w.next().expect("one word per counter");
+                // Struct fields initialize in source order: table order.
+                Self {
+                    ticks: next(),
+                    $($field: next(),)*
+                }
+            }
+
+            /// Adds `other`'s counters into `self`, skipping `ticks`: it
+            /// is the clock, not a counter ([`Server::stats`] sets it).
+            fn absorb(&mut self, other: &ServeStats) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+serve_stats! {
     /// Ticks the server has run.
-    pub ticks: u64,
+    ticks,
     /// Sessions admitted (HELLO → HELLO-ACK).
-    pub admitted: u64,
+    admitted,
     /// Sessions rejected with BUSY (shard pool full, or draining).
-    pub busy_rejected: u64,
+    busy_rejected,
     /// Sessions that decoded.
-    pub decoded: u64,
+    decoded,
     /// Sessions that exhausted their symbol budget.
-    pub exhausted: u64,
+    exhausted,
     /// Sessions abandoned by the pool's attempt ceiling.
-    pub abandoned: u64,
+    abandoned,
     /// Connections closed for protocol violations (malformed frames,
     /// bad dialogue order, inadmissible HELLO).
-    pub protocol_errors: u64,
+    protocol_errors,
     /// Connections whose transport failed or closed.
-    pub transport_closed: u64,
+    transport_closed,
     /// Connection-ticks spent in backpressure (ingress not drained).
-    pub backpressure_ticks: u64,
+    backpressure_ticks,
     /// Droppable feedback frames dropped at the egress capacity cap.
-    pub egress_overflow: u64,
+    egress_overflow,
     /// Frames handled.
-    pub frames_in: u64,
+    frames_in,
     /// Symbols ingested.
-    pub symbols_in: u64,
+    symbols_in,
     /// Sessions detached with resumable state on connection loss (dead
     /// transport, idle deadline, drain deadline, mid-stream protocol
     /// failure).
-    pub detached: u64,
+    detached,
     /// Valid RESUME handshakes served (re-attachment or verdict
     /// replay).
-    pub resumed: u64,
+    resumed,
     /// RESUME requests refused (unknown, corrupted or expired token).
-    pub resume_rejected: u64,
+    resume_rejected,
     /// Detached sessions abandoned to make room for a new admission
     /// (highest predicted cost first).
-    pub shed: u64,
+    shed,
     /// Detached sessions that expired un-resumed at the tick TTL.
-    pub expired: u64,
+    expired,
     /// Connections closed by the idle deadline.
-    pub idle_closed: u64,
+    idle_closed,
     /// Keepalive PING probes sent.
-    pub keepalive_pings: u64,
+    keepalive_pings,
     /// Result-bearing frames (`Decoded`/`Close`) deferred at the egress
     /// capacity cap (retried, never dropped).
-    pub result_deferred: u64,
+    result_deferred,
     /// Warm-restart snapshots serialized by
     /// [`Server::snapshot_into`].
-    pub snapshots: u64,
+    snapshots,
     /// Sessions re-established from a warm-restart snapshot by
     /// [`Server::restore`] — in-flight sessions waiting detached for a
     /// RESUME, plus terminal verdicts held for replay.
-    pub restored: u64,
+    restored,
     /// In-flight sessions lost at [`Server::restore`] because their
     /// snapshot section failed validation (CRC damage, structural
     /// corruption, a forged token, or restore-time admission limits).
@@ -301,94 +347,7 @@ pub struct ServeStats {
     /// degraded restore: every admitted session ends in exactly one of
     /// decoded / exhausted / abandoned / shed / expired /
     /// restore-dropped.
-    pub restore_dropped: u64,
-}
-
-/// Number of `u64` counters a [`ServeStats`] serializes to (field
-/// order; bumping this bumps the snapshot version).
-const STAT_WORDS: usize = 23;
-
-impl ServeStats {
-    fn to_words(self) -> [u64; STAT_WORDS] {
-        [
-            self.ticks,
-            self.admitted,
-            self.busy_rejected,
-            self.decoded,
-            self.exhausted,
-            self.abandoned,
-            self.protocol_errors,
-            self.transport_closed,
-            self.backpressure_ticks,
-            self.egress_overflow,
-            self.frames_in,
-            self.symbols_in,
-            self.detached,
-            self.resumed,
-            self.resume_rejected,
-            self.shed,
-            self.expired,
-            self.idle_closed,
-            self.keepalive_pings,
-            self.result_deferred,
-            self.snapshots,
-            self.restored,
-            self.restore_dropped,
-        ]
-    }
-
-    fn from_words(w: &[u64; STAT_WORDS]) -> Self {
-        Self {
-            ticks: w[0],
-            admitted: w[1],
-            busy_rejected: w[2],
-            decoded: w[3],
-            exhausted: w[4],
-            abandoned: w[5],
-            protocol_errors: w[6],
-            transport_closed: w[7],
-            backpressure_ticks: w[8],
-            egress_overflow: w[9],
-            frames_in: w[10],
-            symbols_in: w[11],
-            detached: w[12],
-            resumed: w[13],
-            resume_rejected: w[14],
-            shed: w[15],
-            expired: w[16],
-            idle_closed: w[17],
-            keepalive_pings: w[18],
-            result_deferred: w[19],
-            snapshots: w[20],
-            restored: w[21],
-            restore_dropped: w[22],
-        }
-    }
-
-    fn absorb(&mut self, other: &ServeStats) {
-        self.admitted += other.admitted;
-        self.busy_rejected += other.busy_rejected;
-        self.decoded += other.decoded;
-        self.exhausted += other.exhausted;
-        self.abandoned += other.abandoned;
-        self.protocol_errors += other.protocol_errors;
-        self.transport_closed += other.transport_closed;
-        self.backpressure_ticks += other.backpressure_ticks;
-        self.egress_overflow += other.egress_overflow;
-        self.frames_in += other.frames_in;
-        self.symbols_in += other.symbols_in;
-        self.detached += other.detached;
-        self.resumed += other.resumed;
-        self.resume_rejected += other.resume_rejected;
-        self.shed += other.shed;
-        self.expired += other.expired;
-        self.idle_closed += other.idle_closed;
-        self.keepalive_pings += other.keepalive_pings;
-        self.result_deferred += other.result_deferred;
-        self.snapshots += other.snapshots;
-        self.restored += other.restored;
-        self.restore_dropped += other.restore_dropped;
-    }
+    restore_dropped,
 }
 
 /// Names a connection accepted by [`Server::add_connection`].
@@ -559,13 +518,7 @@ impl<T: Transport> Server<T> {
         cfg.validate()?;
         // The serving profile's stride must itself be constructible.
         StridedPuncture::with_order(cfg.profile.stride, cfg.profile.order)?;
-        let mut pool_cfg = cfg.pool;
-        pool_cfg.workers = 1;
-        // Detach TTL is enforced in ticks by the server; the pool's
-        // round TTL would skew against it (rounds pause with the
-        // drive budget), so it stays disabled.
-        pool_cfg.detach_ttl = u64::MAX;
-        let shards = (0..cfg.shards).map(|_| Shard::new(pool_cfg)).collect();
+        let shards = (0..cfg.shards).map(|_| Shard::new(cfg.pool)).collect();
         let resume_secret = cfg.resume_secret.unwrap_or_else(random_secret);
         Ok(Self {
             cfg,
@@ -1057,7 +1010,7 @@ impl<T: Transport> Server<T> {
                     }
                     shard
                         .pool
-                        .detach(sid, entry.token.id)
+                        .detach(sid)
                         .expect("freshly admitted session detaches");
                     pending_restored += 1;
                     (Some(sid), DetachedOutcome::Pending)
@@ -1561,36 +1514,30 @@ fn shard_tick<T: Transport>(
         conn.mode = entry.mode;
         conn.expected_seq = entry.expected_seq;
         match entry.outcome {
-            DetachedOutcome::Pending => match pool.resume_detached(entry.token.id) {
-                Ok(sid) => {
-                    let slot = sid.slot();
-                    if session_conn.len() <= slot {
-                        session_conn.resize(slot + 1, usize::MAX);
-                    }
-                    session_conn[slot] = cidx;
-                    conn.session = Some(sid);
-                    conn.first_data_tick = entry.first_data_tick;
-                    conn.state = ConnState::Streaming;
-                    conn.last_snapshot = tick;
-                    conn.nacked = false;
-                    stats.resumed += 1;
-                    enqueue(
-                        &mut conn.egress,
-                        cfg,
-                        &Frame::ResumeAck {
-                            expected_seq: entry.expected_seq,
-                        },
-                        stats,
-                    );
-                }
-                Err(_) => {
-                    // The pool let the session go (budget eviction):
-                    // the token no longer resolves.
-                    stats.resume_rejected += 1;
-                    send_close(conn, cfg, stats, CloseReason::ResumeInvalid);
-                    conn.state = ConnState::Closed;
-                }
-            },
+            DetachedOutcome::Pending => {
+                // A pending entry's session stays live until the entry
+                // goes: expiry, shedding and verdicts all remove both.
+                let sid = entry
+                    .session
+                    .expect("pending detached entry holds a session");
+                pool.attach(sid)
+                    .expect("pending detached session is live in the pool");
+                session_conn[sid.slot()] = cidx;
+                conn.session = Some(sid);
+                conn.first_data_tick = entry.first_data_tick;
+                conn.state = ConnState::Streaming;
+                conn.last_snapshot = tick;
+                conn.nacked = false;
+                stats.resumed += 1;
+                enqueue(
+                    &mut conn.egress,
+                    cfg,
+                    &Frame::ResumeAck {
+                        expected_seq: entry.expected_seq,
+                    },
+                    stats,
+                );
+            }
             DetachedOutcome::Done { bits, ack } => {
                 conn.decoded_bits = bits;
                 conn.done_ack = Some(ack);
@@ -1815,18 +1762,14 @@ fn admit_or_shed(
     loop {
         match admit(h, cfg, pool) {
             Err(SpinalError::PoolFull { live, max_sessions }) => {
-                let Some((token_id, sid)) = pool.shed_costliest_detached() else {
+                let Some(sid) = pool.shed_costliest_detached() else {
                     return Err(SpinalError::PoolFull { live, max_sessions });
                 };
-                if let Some(s) = session_conn.get_mut(sid.slot()) {
-                    *s = usize::MAX;
-                }
-                if let Some(eidx) = detached
-                    .iter()
-                    .position(|e| e.token.id == token_id && e.session.is_some())
-                {
-                    remove_detached_entry(detached, session_conn, eidx);
-                }
+                // Every pool orphan is a pending detached entry, mapped
+                // through `session_conn` since it was detached.
+                let eidx = session_conn[sid.slot()] - DETACHED_BASE;
+                session_conn[sid.slot()] = usize::MAX;
+                remove_detached_entry(detached, session_conn, eidx);
                 stats.shed += 1;
             }
             other => return other,
@@ -1859,7 +1802,7 @@ fn detach_conn<T>(
             let Some(id) = conn.session.take() else {
                 return;
             };
-            pool.detach(id, conn.resume_id)
+            pool.detach(id)
                 .expect("streaming session is live in the pool");
             session_conn[id.slot()] = DETACHED_BASE + detached.len();
             detached.push(DetachedEntry {
@@ -2018,4 +1961,33 @@ fn enqueue(
     // max_message_bits, far under the frame cap.
     let _ = encode_frame(frame, egress);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The counter table fixes the snapshot's stats words: 23 of them,
+    /// in declaration order, round-tripping exactly.
+    #[test]
+    fn stat_words_keep_snapshot_order() {
+        let words: [u64; STAT_WORDS] = std::array::from_fn(|i| i as u64);
+        let stats = ServeStats::from_words(&words);
+        assert_eq!(STAT_WORDS, 23);
+        assert_eq!(
+            (
+                stats.ticks,
+                stats.admitted,
+                stats.symbols_in,
+                stats.detached,
+                stats.restore_dropped
+            ),
+            (0, 1, 11, 12, 22)
+        );
+        assert_eq!(stats.to_words(), words);
+        let mut sum = stats;
+        sum.absorb(&stats);
+        assert_eq!(sum.ticks, 0, "absorb skips the clock");
+        assert_eq!(sum.restore_dropped, 44);
+    }
 }

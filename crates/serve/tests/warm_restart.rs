@@ -244,8 +244,12 @@ fn detached_ttl_survives_restore() {
 
     let mut buf = Vec::new();
     server.snapshot_into(&mut buf).unwrap();
+    let snapshot_tick = server.stats().ticks;
     let mut restored = Server::<LoopbackTransport>::restore(serve_cfg(1), &buf).unwrap();
     assert_eq!(restored.detached_sessions(), 1);
+    // The clock resumes once: the snapshot's tick count seeds the
+    // counters and `stats()` reads the clock, so neither doubles it.
+    assert_eq!(restored.stats().ticks, snapshot_tick);
 
     // Not even close to the TTL yet: the orphan must survive.
     for _ in 0..32 {

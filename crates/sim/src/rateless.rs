@@ -245,8 +245,8 @@ impl Accumulate for RatelessOutcome {
 /// scheduling chunk) are rebound per trial — after the first chunk
 /// warms a lane, a genie-mode worker performs **zero heap allocation**
 /// per trial (CRC-mode framing still builds one message per trial).
-/// Every chunk's trials decode *concurrently* through the pool's fused
-/// cohort sweeps (trials share one hot expansion scratch), and every
+/// Every chunk's trials decode *concurrently* through the pool (trials
+/// share its one hot scratch, one whole attempt at a time), and every
 /// retry is incremental via the per-lane checkpoint stores; results are
 /// bit-identical to running the trials one at a time.
 pub struct RatelessWorker<M: Mapper, C: CostModel<M::Symbol>, Ch> {
@@ -443,7 +443,7 @@ where
 
     /// Runs trials `indices` concurrently through the worker's pool —
     /// each round feeds every live lane its next non-empty sub-pass and
-    /// one drive runs all due (incremental) attempts fused per cohort —
+    /// one drive runs all due (incremental) attempts through one scratch —
     /// then accumulates outcomes in ascending trial order. Per-trial
     /// results are bit-identical to the one-at-a-time loop: each lane's
     /// symbol stream and attempt schedule are untouched by batching.

@@ -4,9 +4,9 @@
 //! The deployment story of §1 — a base station decoding many
 //! spinal-coded flows at once. Two [`MultiDecoder`] pools (one per
 //! symbol type) serve 16 AWGN flows at staggered SNRs and 16 BSC flows
-//! at staggered crossover probabilities. Every drive runs the due
-//! attempts of each same-shape cohort fused through one shared scratch,
-//! retries resume from per-session checkpoints, and the AWGN pool runs
+//! at staggered crossover probabilities. Every drive runs each due
+//! attempt whole through the pool's one shared scratch, retries resume
+//! from per-session checkpoints, and the AWGN pool runs
 //! under a deliberately tight checkpoint-memory budget to demonstrate
 //! eviction (which changes work, never results).
 //!

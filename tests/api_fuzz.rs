@@ -156,25 +156,23 @@ proptest! {
         work in 0u64..40,
         ceiling in 0u32..24,
         max_sessions in 1usize..8,
-        ttl in 0u64..8,
         dbudget in 0usize..4,
     ) {
         let mut pool = Pool::new(MultiConfig {
-            workers: 1,
             checkpoint_budget: budget,
             work_budget: if work == 0 { u64::MAX } else { work },
             max_session_attempts: ceiling.max(1),
             max_sessions,
-            detach_ttl: if ttl == 0 { u64::MAX } else { ttl },
             detached_budget: if dbudget == 0 { usize::MAX } else { dbudget * 20_000 },
+            ..MultiConfig::default()
         });
         let mut lanes: Vec<(spinal_codes::SessionId, Tx)> = Vec::new();
         let mut dead: Vec<spinal_codes::SessionId> = Vec::new();
-        let mut detached_toks: Vec<(u64, spinal_codes::SessionId)> = Vec::new();
+        let mut orphans: Vec<spinal_codes::SessionId> = Vec::new();
         let mut events = Vec::new();
-        // Policy removals (TTL reap, cost-ranked shed, detached-budget
-        // eviction during a drive) take sessions without a caller-side
+        // Cost-ranked shedding takes sessions without a caller-side
         // remove; reconcile the live set after every op that can do so.
+        // The orphan set must always match the pool's orphan count.
         macro_rules! reconcile {
             () => {
                 lanes.retain(|(id, _)| {
@@ -185,7 +183,8 @@ proptest! {
                         false
                     }
                 });
-                detached_toks.retain(|&(_, id)| pool.get(id).is_some());
+                orphans.retain(|&id| pool.get(id).is_some());
+                prop_assert_eq!(pool.detached_len(), orphans.len());
             };
         }
         for &op in &ops {
@@ -249,6 +248,7 @@ proptest! {
                         prop_assert!(pool.remove(id).is_ok());
                         prop_assert!(pool.remove(id).is_err(), "double remove");
                         dead.push(id);
+                        reconcile!();
                     }
                 }
                 6 => {
@@ -270,57 +270,48 @@ proptest! {
                     }
                 }
                 9 => {
-                    // Detach a random live session under a fuzz token
-                    // (re-detaching re-stamps); stale ids must be
-                    // rejected with a typed error.
+                    // Detach a random live session (detaching an orphan
+                    // again is a no-op); stale ids must be rejected with
+                    // a typed error.
                     let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
-                        let tok = op | 1;
-                        prop_assert!(pool.detach(*id, tok).is_ok(), "live sessions detach");
-                        detached_toks.retain(|&(_, i)| i != *id);
-                        detached_toks.push((tok, *id));
+                        prop_assert!(pool.detach(*id).is_ok(), "live sessions detach");
+                        if !orphans.contains(id) {
+                            orphans.push(*id);
+                        }
                     } else if let Some(&id) = dead.first() {
-                        prop_assert!(pool.detach(id, op).is_err(), "stale ids must not detach");
+                        prop_assert!(pool.detach(id).is_err(), "stale ids must not detach");
                     }
+                    reconcile!();
                 }
                 10 => {
-                    // Resume by token: a tracked token either re-attaches
-                    // (the id resolves) or reports the typed miss
-                    // (expired / re-stamped); a forged token never
-                    // attaches a session it does not own.
-                    if !detached_toks.is_empty() && (op >> 3) % 2 == 0 {
-                        let pick = (op >> 4) as usize % detached_toks.len();
-                        let (tok, id) = detached_toks.swap_remove(pick);
-                        match pool.resume_detached(tok) {
-                            Ok(rid) => {
-                                prop_assert_eq!(rid, id, "a token resumes its own session");
-                                prop_assert!(pool.get(rid).is_some(), "resumed id resolves");
-                            }
-                            Err(spinal_codes::SpinalError::UnknownSession) => {}
-                            Err(other) => {
-                                prop_assert!(false, "unexpected resume error {other:?}")
-                            }
-                        }
-                    } else if let Ok(rid) = pool.resume_detached(op ^ 0x5a5a) {
-                        // An accidental token collision may resume, but
-                        // only ever to a live session.
-                        prop_assert!(pool.get(rid).is_some());
+                    // Re-attach a tracked orphan (or a random live
+                    // session, a no-op when attached); stale ids must be
+                    // rejected with a typed error.
+                    let pick = (op >> 4) as usize;
+                    if !orphans.is_empty() && (op >> 3) % 2 == 0 {
+                        let id = orphans.swap_remove(pick % orphans.len());
+                        prop_assert!(pool.attach(id).is_ok(), "orphans re-attach");
+                        prop_assert!(pool.get(id).is_some(), "attached id resolves");
+                    } else if !lanes.is_empty() {
+                        let (id, _) = &lanes[pick % lanes.len()];
+                        prop_assert!(pool.attach(*id).is_ok(), "live sessions attach");
+                        orphans.retain(|o| o != id);
+                    } else if let Some(&id) = dead.first() {
+                        prop_assert!(pool.attach(id).is_err(), "stale ids must not attach");
                     }
+                    reconcile!();
                 }
                 11 => {
-                    // TTL reap and cost-ranked shed: reaped/shed sessions
-                    // vanish from the pool and their ids go stale.
-                    let mut expired = Vec::new();
-                    pool.reap_expired_detached(&mut expired);
-                    for tok in expired {
-                        detached_toks.retain(|&(t, _)| t != tok);
-                    }
-                    if (op >> 5) & 1 == 1 {
-                        if let Some((tok, sid)) = pool.shed_costliest_detached() {
+                    // Cost-ranked shed: only orphans are candidates, the
+                    // victim vanishes and its id goes stale.
+                    match pool.shed_costliest_detached() {
+                        Some(sid) => {
+                            prop_assert!(orphans.contains(&sid), "only orphans are shed");
                             prop_assert!(pool.get(sid).is_none(), "shed sessions are gone");
-                            detached_toks.retain(|&(t, _)| t != tok);
                         }
+                        None => prop_assert!(orphans.is_empty(), "an orphan was left unshed"),
                     }
                     reconcile!();
                 }

@@ -293,3 +293,76 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
     let e: Box<dyn std::error::Error> = Box::new(SpinalError::Stride(6));
     assert!(e.to_string().contains("power of two"));
 }
+
+/// Every serving-configuration rule reports its own typed config error
+/// — never the wire error a malformed frame gets — through both
+/// `ServeConfig::validate` and `Server::new`.
+#[test]
+fn serve_config_rules_return_typed_config_errors() {
+    use spinal_codes::serve::{LoopbackTransport, ServeConfig, Server};
+    use spinal_codes::ConfigErrorKind;
+
+    let base = ServeConfig::default();
+    assert_eq!(base.validate(), Ok(()));
+    let mut cases: Vec<(ServeConfig, ConfigErrorKind)> = vec![
+        (
+            ServeConfig { shards: 0, ..base },
+            ConfigErrorKind::ZeroShards,
+        ),
+        (
+            ServeConfig {
+                egress_high_water: 0,
+                ..base
+            },
+            ConfigErrorKind::EgressWatermarks,
+        ),
+        (
+            ServeConfig {
+                egress_high_water: 4096,
+                egress_capacity: 4095,
+                ..base
+            },
+            ConfigErrorKind::EgressWatermarks,
+        ),
+        (
+            ServeConfig {
+                max_message_bits: 0,
+                ..base
+            },
+            ConfigErrorKind::ZeroCap,
+        ),
+        (
+            ServeConfig {
+                max_beam: 0,
+                ..base
+            },
+            ConfigErrorKind::ZeroCap,
+        ),
+        (
+            ServeConfig {
+                keepalive_idle: 0,
+                ..base
+            },
+            ConfigErrorKind::ZeroDeadline,
+        ),
+        (
+            ServeConfig {
+                idle_deadline: 0,
+                ..base
+            },
+            ConfigErrorKind::ZeroDeadline,
+        ),
+    ];
+    let mut no_sessions = base;
+    no_sessions.pool.max_sessions = 0;
+    cases.push((no_sessions, ConfigErrorKind::ZeroSessions));
+    for (cfg, kind) in cases {
+        let expected = SpinalError::Config { kind };
+        assert_eq!(cfg.validate().unwrap_err(), expected, "{kind:?}");
+        assert_eq!(
+            Server::<LoopbackTransport>::new(cfg).err(),
+            Some(expected),
+            "{kind:?}"
+        );
+    }
+}

@@ -8,8 +8,7 @@
 //! as-if-from-scratch work counters) must be **bit-identical** to
 //! driving each session alone with the same symbols coalesced per
 //! drive. The same must hold with a checkpoint-memory budget tight
-//! enough to force evictions (eviction changes work, never results) and
-//! with multi-worker drives (sessions are disjoint).
+//! enough to force evictions (eviction changes work, never results).
 //!
 //! The compressed checkpoint tier gets the same treatment: a session
 //! forced through demote → packed-blob restore before every retry must
@@ -151,7 +150,7 @@ proptest! {
 
     /// The pinning property: over random interleavings, pool output is
     /// bit-identical to isolated per-session decoding — with and
-    /// without a budget forcing evictions, serial and multi-worker.
+    /// without a budget forcing evictions.
     #[test]
     fn prop_pool_bit_identical_to_solo(
         seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
@@ -163,13 +162,9 @@ proptest! {
         let tight = check_interleaving(
             MultiConfig { checkpoint_budget: 2048, ..MultiConfig::default() },
             &seeds, snr_db, &schedule);
-        let threaded = check_interleaving(
-            MultiConfig { workers: 2, ..MultiConfig::default() },
-            &seeds, snr_db, &schedule);
         // Every configuration sees the identical outcome set (each one
         // already matched its own solo mirror event-for-event).
         prop_assert_eq!(base, tight);
-        prop_assert_eq!(base, threaded);
     }
 
     /// Packed restore is invisible: a session whose raw checkpoint tier

@@ -10,11 +10,6 @@
 //! (each `#[test]` here is the only one in its binary run — Rust runs
 //! tests in one process, so this file holds exactly one test to keep the
 //! counter honest).
-//!
-//! This intentionally runs without the `parallel` feature's thread spawns
-//! engaged: the decode shapes stay below the parallel work threshold, and
-//! scoped-thread stacks are the documented exception to the no-alloc
-//! guarantee.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,11 +50,6 @@ use spinal_core::symbol::Slot;
 
 #[test]
 fn steady_state_decode_performs_zero_heap_allocation() {
-    // Scoped worker threads are the documented exception to the
-    // no-alloc guarantee; pin the engine to its serial path so this test
-    // measures the search itself on any machine.
-    #[cfg(feature = "parallel")]
-    std::env::set_var("SPINAL_DECODE_WORKERS", "1");
     let params = CodeParams::builder()
         .message_bits(48)
         .k(8)

@@ -50,9 +50,6 @@ use spinal_codes::{BitVec, IqSymbol};
 
 #[test]
 fn lifecycle_steady_state_performs_zero_heap_allocation() {
-    #[cfg(feature = "parallel")]
-    std::env::set_var("SPINAL_DECODE_WORKERS", "1");
-
     // keepalive_idle is tuned so the PING to the idle-but-live
     // connection fires *inside* the measured window (warm-up goes
     // silent ~800 ticks before it opens); idle_deadline stays infinite

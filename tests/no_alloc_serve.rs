@@ -46,9 +46,6 @@ use spinal_codes::{BitVec, IqSymbol};
 
 #[test]
 fn steady_state_server_tick_performs_zero_heap_allocation() {
-    #[cfg(feature = "parallel")]
-    std::env::set_var("SPINAL_DECODE_WORKERS", "1");
-
     // A small egress cap so the queue reaches its final size during
     // warm-up; frames past the cap are dropped (counted), not grown.
     let cfg = ServeConfig {

@@ -47,8 +47,6 @@ use spinal_core::{AwgnCost, Encoder};
 
 #[test]
 fn steady_state_session_cycle_performs_zero_heap_allocation() {
-    #[cfg(feature = "parallel")]
-    std::env::set_var("SPINAL_DECODE_WORKERS", "1");
     let base = CodeParams::builder()
         .message_bits(48)
         .k(8)
@@ -63,10 +61,8 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         .map(|i| BitVec::from_bytes(&[i ^ 0xca, i ^ 0xfe, i ^ 0x42, i, i ^ 0x5a, i ^ 0x13]))
         .collect();
 
-    // Decoders built before the window: under the `parallel` feature,
-    // `BeamDecoder::new` reads `SPINAL_DECODE_WORKERS` once, and env
-    // reads allocate. Cloning a built decoder is allocation-free (all
-    // fields are `Copy` here).
+    // Decoders built before the window. Cloning a built decoder is
+    // allocation-free (all fields are `Copy` here).
     let decoders: Vec<BeamDecoder<Lookup3, LinearMapper, AwgnCost>> = (0..6u64)
         .map(|seed| {
             BeamDecoder::new(
@@ -150,7 +146,7 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         "the packed blob must be resident after a packed finish"
     );
 
-    // ---- Multi-session scheduler: a warm cohort's ingest/drive cycle
+    // ---- Multi-session scheduler: a warm pool's ingest/drive cycle
     // must be equally allocation-free (the per-connection cost model of
     // a pool serving many receivers: allocation only at establishment).
     const POOL_SESSIONS: usize = 4;
