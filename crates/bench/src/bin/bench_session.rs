@@ -7,7 +7,8 @@
 //! everything received so far until the genie accepts. Two receivers run
 //! the *identical* attempt schedule over the identical noisy streams:
 //!
-//! * **incremental** — an [`RxSession`]-style loop through
+//! * **incremental** — an
+//!   [`RxSession`](spinal_core::session::RxSession)-style loop through
 //!   [`BeamDecoder::decode_incremental`]: per-level checkpoints resume
 //!   the tree sweep at the first spine position that changed, and cached
 //!   level plans skip re-planning unchanged levels;

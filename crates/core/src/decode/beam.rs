@@ -49,7 +49,7 @@
 //! * **Hash-block deduplication.** All observations at a level read
 //!   their symbol bits out of the same few 64-bit expansion blocks of
 //!   the child spine. The engine plans each level once
-//!   ([`crate::decode::batch`]), hashes each *distinct* block exactly
+//!   (the private `decode::batch` module), hashes each *distinct* block exactly
 //!   once per child, and slices every observation out of the cached
 //!   blocks — collapsing what was one or two hash invocations per
 //!   `(child, observation)` pair into one per `(child, distinct block)`.
@@ -337,8 +337,8 @@ impl Default for CachedPlan {
 /// a **compressed** image of the same prefix, refilled at every attempt
 /// finish: topology only — the parent index into the previous level's
 /// committed frontier plus the `k`-bit segment, bit-packed, with the
-/// per-level work counters varint-coded (see
-/// [`crate::decode::ckpt_pack`]). Spines and cost keys are *not* stored;
+/// per-level work counters varint-coded (see the private
+/// `decode::ckpt_pack` module). Spines and cost keys are *not* stored;
 /// they are recomputed on restore by replaying the per-entry spine hash
 /// and cost accumulation — the identical arithmetic the expansion loop
 /// used, so the rebuilt snapshots are bit-for-bit the originals. That

@@ -17,10 +17,11 @@
 //! decoder.
 //!
 //! Like the beam decoder, the ML decoder batches its hash work: each
-//! level's observation layout is planned once ([`crate::decode::batch`]),
-//! and every candidate child hashes each distinct expansion block exactly
-//! once however many observations the level holds. Working buffers live
-//! in a reusable [`MlScratch`] ([`MlDecoder::decode_with_scratch`]).
+//! level's observation layout is planned once (the private
+//! `decode::batch` module), and every candidate child hashes each
+//! distinct expansion block exactly once however many observations the
+//! level holds. Working buffers live in a reusable [`MlScratch`]
+//! ([`MlDecoder::decode_with_scratch`]).
 //!
 //! Use this decoder for small messages only (tests, theorem validation,
 //! beam-vs-ML comparisons); the beam decoder is the practical one.

@@ -137,7 +137,7 @@ pub struct MultiConfig {
     /// `usize::MAX` (the default) disables the budget.
     pub checkpoint_budget: usize,
     /// Work one drive may spend, counted in tree levels expanded (the
-    /// [`RxSession::levels_to_run`] cost of every served attempt summed)
+    /// `levels_to_run` cost of every served attempt summed)
     /// — the deadline knob: levels are the unit of decode wall time, so
     /// a latency target translates directly into a level budget. Due
     /// attempts beyond the budget are deferred with a
@@ -302,6 +302,9 @@ pub struct MultiDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Pun
     due: Vec<u32>,
     /// Indices of due sessions shed by the work budget this drive.
     deferred: Vec<u32>,
+    /// `(last_active, slot)` of one budget pass's candidates, coldest
+    /// first (kept, like `due`, so drives stay allocation-free).
+    victims: Vec<(u64, u32)>,
     /// The one scratch every attempt runs through.
     shared: DecoderScratch,
 }
@@ -332,6 +335,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             detached: 0,
             due: Vec::new(),
             deferred: Vec::new(),
+            victims: Vec::new(),
             shared: DecoderScratch::new(),
         }
     }
@@ -804,8 +808,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             });
         }
 
-        self.enforce_detached_budget();
-        self.enforce_budget();
+        self.enforce_budget(self.cfg.detached_budget, true);
+        self.enforce_budget(self.cfg.checkpoint_budget, false);
     }
 
     /// [`drive_into`](Self::drive_into) returning a fresh event vector.
@@ -823,111 +827,71 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         events
     }
 
-    /// [`enforce_budget`](Self::enforce_budget) restricted to detached
-    /// sessions under [`MultiConfig::detached_budget`]: orphans pay for
-    /// their memory before any connected session does. Demote-first,
-    /// then evict; results never change.
-    fn enforce_detached_budget(&mut self) {
-        if self.cfg.detached_budget == usize::MAX || self.detached == 0 {
+    /// Shrinks the coldest candidates' checkpoint stores until their
+    /// combined bytes fit `budget` (`usize::MAX` disables it). The
+    /// candidates are every session, or only orphans when
+    /// `orphans_only` (the [`MultiConfig::detached_budget`] pass, which
+    /// runs first so orphans pay for their memory before any connected
+    /// session does). Coldest first, by last active round then slot:
+    /// stores are first *demoted* to their packed image (~20× smaller,
+    /// full resume depth kept — the next retry transparently unpacks
+    /// bit-identical snapshots), then, only if the packed images alone
+    /// still exceed the budget, fully evicted (from-scratch re-decode on
+    /// the next retry). Either way results never change, only the work
+    /// to reproduce them.
+    fn enforce_budget(&mut self, budget: usize, orphans_only: bool) {
+        if budget == usize::MAX {
             return;
         }
+        let candidate = |m: &Managed<H, M, C, P>| m.detached || !orphans_only;
         let mut total: usize = self
             .slots
             .iter()
             .flatten()
-            .filter(|m| m.detached)
+            .filter(|m| candidate(m))
             .map(|m| m.rx.checkpoint_bytes())
             .sum();
-        while total > self.cfg.detached_budget {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref().and_then(|m| {
-                        (m.detached && m.rx.can_demote_checkpoints()).then_some((m.last_active, i))
-                    })
-                })
-                .min();
-            let Some((_, i)) = victim else { break };
-            let rx = &mut self.slots[i].as_mut().expect("victim slot is live").rx;
-            let before = rx.checkpoint_bytes();
-            rx.demote_checkpoints();
-            self.demotions += 1;
-            total -= before.saturating_sub(rx.checkpoint_bytes());
-        }
-        while total > self.cfg.detached_budget {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref().and_then(|m| {
-                        let bytes = m.rx.checkpoint_bytes();
-                        (m.detached && bytes > 0).then_some((m.last_active, i, bytes))
-                    })
-                })
-                .min();
-            let Some((_, i, bytes)) = victim else { break };
-            self.slots[i]
-                .as_mut()
-                .expect("victim slot is live")
-                .rx
-                .evict_checkpoints();
-            self.evictions += 1;
-            total -= bytes;
-        }
-    }
-
-    /// Shrinks the coldest sessions' checkpoint stores until the pool
-    /// fits its memory budget: first by *demoting* stores to their
-    /// packed image (~20× smaller, full resume depth kept — the next
-    /// retry transparently unpacks bit-identical snapshots), then, only
-    /// if the packed images alone still exceed the budget, by full
-    /// eviction (from-scratch re-decode on the next retry). Either way
-    /// results never change, only the work to reproduce them.
-    fn enforce_budget(&mut self) {
-        if self.cfg.checkpoint_budget == usize::MAX {
+        if total <= budget {
             return;
         }
-        let mut total: usize = self.checkpoint_bytes();
-        while total > self.cfg.checkpoint_budget {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref()
-                        .and_then(|m| m.rx.can_demote_checkpoints().then_some((m.last_active, i)))
-                })
-                .min();
-            let Some((_, i)) = victim else { break };
-            let rx = &mut self.slots[i].as_mut().expect("victim slot is live").rx;
-            let before = rx.checkpoint_bytes();
-            rx.demote_checkpoints();
-            self.demotions += 1;
-            total -= before.saturating_sub(rx.checkpoint_bytes());
-        }
-        while total > self.cfg.checkpoint_budget {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref().and_then(|m| {
-                        let bytes = m.rx.checkpoint_bytes();
-                        (bytes > 0).then_some((m.last_active, i, bytes))
-                    })
-                })
-                .min();
-            let Some((_, i, bytes)) = victim else { break };
-            self.slots[i]
+        // Neither sort key changes during the pass, so one sort fixes
+        // the victim order of both sweeps.
+        self.victims.clear();
+        self.victims
+            .extend(self.slots.iter().enumerate().filter_map(|(i, s)| {
+                s.as_ref()
+                    .filter(|m| candidate(m))
+                    .map(|m| (m.last_active, i as u32))
+            }));
+        self.victims.sort_unstable();
+        for &(_, i) in &self.victims {
+            if total <= budget {
+                break;
+            }
+            let rx = &mut self.slots[i as usize]
                 .as_mut()
                 .expect("victim slot is live")
-                .rx
-                .evict_checkpoints();
-            self.evictions += 1;
-            total -= bytes;
+                .rx;
+            let before = rx.checkpoint_bytes();
+            if rx.demote_checkpoints() {
+                self.demotions += 1;
+                total -= before.saturating_sub(rx.checkpoint_bytes());
+            }
+        }
+        for &(_, i) in &self.victims {
+            if total <= budget {
+                break;
+            }
+            let rx = &mut self.slots[i as usize]
+                .as_mut()
+                .expect("victim slot is live")
+                .rx;
+            let bytes = rx.checkpoint_bytes();
+            if bytes > 0 {
+                rx.evict_checkpoints();
+                self.evictions += 1;
+                total -= bytes;
+            }
         }
     }
 

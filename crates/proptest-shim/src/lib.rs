@@ -13,8 +13,9 @@
 //! * integer / float range strategies (`0u64..4096`, `1u32..=64`,
 //!   `-0.4..0.4f64`, …),
 //! * [`collection::vec`] with exact or ranged lengths,
-//! * combinators: [`Strategy::prop_map`], tuple strategies (up to
-//!   arity 8), and the unweighted [`prop_oneof!`] macro.
+//! * combinators: [`Strategy::prop_map`](strategy::Strategy::prop_map),
+//!   tuple strategies (up to arity 8), and the unweighted
+//!   [`prop_oneof!`] macro.
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
@@ -316,7 +317,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// An exact or ranged element count for [`vec`].
+    /// An exact or ranged element count for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,
@@ -349,7 +350,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -1,11 +1,12 @@
 //! The sharded codec-serving event loop.
 //!
 //! A [`Server`] owns `N` shards; each shard owns one
-//! [`MultiDecoder`] pool plus the connections a stable hash assigned to
-//! it. One [`tick`](Server::tick) runs every shard through the same
-//! cycle:
+//! [`MultiDecoder`] pool, one flow table, and the connections a stable
+//! hash assigned to it. One [`tick`](Server::tick) runs every shard
+//! through the same cycle:
 //!
-//! 1. **expire** — detached sessions past their tick TTL are reaped;
+//! 1. **expire** — detached flows past their persisted tick deadline
+//!    are removed (with their pool session, if still decoding);
 //! 2. **flush** — drain each connection's bounded egress queue into its
 //!    transport (partial sends are backpressure, not errors), then
 //!    re-enqueue any result frame (`Decoded`/`Close`) deferred at the
@@ -17,14 +18,15 @@
 //!    keepalive, RESUME re-attachment); then enforce the tick-counted
 //!    idle deadlines (keepalive probe past `keepalive_idle`, detach and
 //!    close past `idle_deadline`);
-//! 4. **resume** — deferred RESUME requests re-attach detached sessions
+//! 4. **resume** — deferred RESUME requests re-attach detached flows
 //!    (or replay a verdict reached while detached);
-//! 5. **drive** — one [`MultiDecoder::drive_until_into`] round under
-//!    the per-tick level budget, turning pool events into feedback
-//!    frames (ACK + decoded bits, Close on exhaustion/abandonment) and
-//!    completion-latency samples — detached sessions are driven exactly
-//!    like attached ones, which is what keeps a later resume
-//!    bit-identical to an uninterrupted run;
+//! 5. **drive** — one [`MultiDecoder::drive_into`] round under the
+//!    pool's per-tick level budget ([`MultiConfig::work_budget`]),
+//!    turning pool events into flow verdicts and, for attached flows,
+//!    feedback frames (ACK + decoded bits, Close on
+//!    exhaustion/abandonment) and completion-latency samples — detached
+//!    flows are driven exactly like attached ones, which is what keeps a
+//!    later resume bit-identical to an uninterrupted run;
 //! 6. **snapshot** — periodic cumulative-ACK frames for sessions that
 //!    negotiated [`FeedbackMode::CumulativeAck`].
 //!
@@ -39,9 +41,12 @@
 //! still honoured), and sessions still streaming at the deadline are
 //! detached with their token and closed.
 //!
-//! The server is the only owner of that detach lifecycle: each shard's
-//! detached-entry list holds the token, the tick deadline and the pool
-//! [`SessionId`]; the pool only carries an orphan bit
+//! The server is the only owner of that detach lifecycle. Each shard
+//! keeps one flow table: one record per session, from admission until
+//! its verdict is delivered or its detach deadline passes, indexed by
+//! resume-token id and by pool slot. A connection only points at its
+//! flow; detaching unlinks the two and stamps the deadline, resuming
+//! looks the token up and relinks. The pool only carries an orphan bit
 //! ([`MultiDecoder::detach`] / [`MultiDecoder::attach`]) that puts the
 //! session first in line for demotion and shedding.
 //!
@@ -52,6 +57,9 @@
 //! The serial path is the allocation-free steady state (the sharded
 //! path allocates only its thread stacks).
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::thread;
 
 use spinal_core::bits::BitVec;
@@ -77,10 +85,6 @@ use crate::transport::Transport;
 use crate::wire::{encode_frame, CloseReason, Frame, Hello, ResumeToken, WireDecoder};
 
 type Pool = MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
-
-/// `session_conn` values at or above this base point into the shard's
-/// detached-entry list instead of its connection list.
-const DETACHED_BASE: usize = usize::MAX / 2;
 
 /// Reserved token id whose authenticator a snapshot header carries as
 /// its secret probe: a restorer whose pinned secret derives a different
@@ -155,14 +159,13 @@ impl Default for ServeProfile {
 pub struct ServeConfig {
     /// Shard (event-loop) count; connections are spread by stable hash.
     pub shards: usize,
-    /// Per-shard decoder-pool configuration. `detach_ttl` is the *tick*
-    /// TTL of detached sessions, enforced by the server (the pool never
-    /// reads it); `detached_budget` bounds orphaned checkpoint bytes
-    /// demote-first inside each shard pool.
+    /// Per-shard decoder-pool configuration. `work_budget` is the tree
+    /// levels one shard tick may spend driving its pool (the deadline
+    /// knob); `detach_ttl` is the *tick* TTL of detached sessions,
+    /// enforced by the server (the pool never reads it);
+    /// `detached_budget` bounds orphaned checkpoint bytes demote-first
+    /// inside each shard pool.
     pub pool: MultiConfig,
-    /// Tree-level budget one shard tick may spend driving its pool
-    /// (the deadline knob of [`MultiDecoder::drive_until_into`]).
-    pub drive_budget: u64,
     /// Egress bytes queued per connection above which its ingress stops
     /// being drained (backpressure).
     pub egress_high_water: usize,
@@ -200,7 +203,6 @@ impl Default for ServeConfig {
         Self {
             shards: 1,
             pool: MultiConfig::default(),
-            drive_budget: u64::MAX,
             egress_high_water: 16 * 1024,
             egress_capacity: 64 * 1024,
             max_message_bits: 4096,
@@ -361,10 +363,9 @@ pub struct ConnHandle {
 enum ConnState {
     /// Awaiting HELLO or RESUME.
     Greeting,
-    /// Session live in the pool.
-    Streaming,
-    /// Decoded; later arrivals are re-ACKed.
-    Done,
+    /// Carrying flow `f` of the shard's flow table, whose `conn` points
+    /// back here. Whether it still decodes is the flow's verdict.
+    Attached(usize),
     /// Terminal; egress still flushes, ingress is ignored.
     Closed,
 }
@@ -374,28 +375,18 @@ struct Conn<T> {
     wire: WireDecoder,
     egress: Vec<u8>,
     state: ConnState,
-    session: Option<SessionId>,
-    mode: FeedbackMode,
-    expected_seq: u64,
     nacked: bool,
-    first_data_tick: u64,
-    done_ack: Option<(u64, u32)>,
-    decoded_bits: Option<BitVec>,
     last_snapshot: u64,
     backpressured: bool,
     dead: bool,
     /// Admission-order id (global across shards, deterministic).
     conn_id: u64,
-    /// Token id this connection's session detaches under — the
-    /// original connection's id, carried across resumes so one token
-    /// stays valid for the whole session lifetime.
-    resume_id: u64,
     last_rx_tick: u64,
     pinged: bool,
     goaway_sent: bool,
     resume_pending: bool,
     /// Decoded result frames deferred at the egress cap; retried from
-    /// the cached `decoded_bits`/`done_ack` every tick.
+    /// the attached flow's verdict every tick.
     result_pending: bool,
     /// Close frame deferred at the egress cap.
     close_pending: Option<CloseReason>,
@@ -408,18 +399,11 @@ impl<T> Conn<T> {
             wire: WireDecoder::new(),
             egress: Vec::new(),
             state: ConnState::Greeting,
-            session: None,
-            mode: FeedbackMode::AckOnly,
-            expected_seq: 0,
             nacked: false,
-            first_data_tick: u64::MAX,
-            done_ack: None,
-            decoded_bits: None,
             last_snapshot: 0,
             backpressured: false,
             dead: false,
             conn_id,
-            resume_id: conn_id,
             last_rx_tick: tick,
             pinged: false,
             goaway_sent: false,
@@ -430,42 +414,165 @@ impl<T> Conn<T> {
     }
 }
 
-/// What a detached session has concluded so far.
-enum DetachedOutcome {
-    /// Still decoding (and still driven every tick).
-    Pending,
-    /// Decoded while detached; held for replay on resume.
-    Done {
+/// What a flow has concluded so far.
+enum Verdict {
+    /// Still decoding in the pool (and driven every tick, attached or
+    /// not).
+    Pending(SessionId),
+    /// Decoded; the result is held for delivery and replay.
+    Decoded {
         bits: Option<BitVec>,
         ack: (u64, u32),
     },
-    /// Exhausted its symbol budget while detached.
+    /// Exhausted its symbol budget while detached; held for replay.
     Exhausted,
-    /// Abandoned by the pool while detached.
+    /// Abandoned by the pool while detached; held for replay.
     Abandoned,
 }
 
-/// A session orphaned by connection loss, resumable by token until its
-/// TTL.
-struct DetachedEntry {
-    token: ResumeToken,
-    /// Live pool session for `Pending`; `None` once a verdict landed.
-    session: Option<SessionId>,
-    outcome: DetachedOutcome,
+impl Verdict {
+    /// The `Close` reason that delivers a verdict without a result.
+    fn close_reason(&self) -> Option<CloseReason> {
+        match self {
+            Verdict::Exhausted => Some(CloseReason::Exhausted),
+            Verdict::Abandoned => Some(CloseReason::Abandoned),
+            Verdict::Pending(_) | Verdict::Decoded { .. } => None,
+        }
+    }
+}
+
+/// One session's record, from admission until its verdict is
+/// delivered or its detach deadline passes — the same record whether a
+/// connection carries it or not.
+struct Flow {
+    /// Resume-token id: the admitting connection's id, kept across
+    /// resumes so one token stays valid for the whole session lifetime.
+    token_id: u64,
+    verdict: Verdict,
     mode: FeedbackMode,
     expected_seq: u64,
     first_data_tick: u64,
+    /// The connection carrying the flow; `None` while detached.
+    conn: Option<usize>,
+    /// Tick at which the flow expires while detached.
     expires_tick: u64,
+}
+
+/// Token-id index with a fixed hash key, so its growth (and with it the
+/// allocation count) repeats run to run. Token ids are minted by the
+/// server, so fixed-key hashing cannot be flooded from outside.
+type TokenIndex = HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>;
+
+/// A shard's flows: a slab indexed by resume-token id and by the pool
+/// slot of each pending flow's session.
+#[derive(Default)]
+struct FlowTable {
+    slab: Vec<Option<Flow>>,
+    free: Vec<usize>,
+    tokens: TokenIndex,
+    /// Pool slot → index of the flow whose session holds it
+    /// (`usize::MAX` when none does).
+    slots: Vec<usize>,
+}
+
+impl FlowTable {
+    fn insert(&mut self, flow: Flow) -> usize {
+        let token_id = flow.token_id;
+        let session = match flow.verdict {
+            Verdict::Pending(sid) => Some(sid),
+            _ => None,
+        };
+        let f = match self.free.pop() {
+            Some(f) => {
+                self.slab[f] = Some(flow);
+                f
+            }
+            None => {
+                self.slab.push(Some(flow));
+                self.slab.len() - 1
+            }
+        };
+        self.tokens.insert(token_id, f);
+        if let Some(sid) = session {
+            if self.slots.len() <= sid.slot() {
+                self.slots.resize(sid.slot() + 1, usize::MAX);
+            }
+            self.slots[sid.slot()] = f;
+        }
+        f
+    }
+
+    /// Unlinks flow `f` from both indices and frees its record. A
+    /// pending flow's pool session is the caller's to remove.
+    fn remove(&mut self, f: usize) -> Flow {
+        let flow = self.slab[f].take().expect("removed flow is live");
+        self.free.push(f);
+        // Only if the index still names this flow: a crafted snapshot
+        // header can make a later admission reuse a restored token id.
+        if self.tokens.get(&flow.token_id) == Some(&f) {
+            self.tokens.remove(&flow.token_id);
+        }
+        if let Verdict::Pending(sid) = flow.verdict {
+            self.slots[sid.slot()] = usize::MAX;
+        }
+        flow
+    }
+
+    /// Records the verdict the pool reached for flow `f`, whose session
+    /// the caller has removed from the pool.
+    fn settle(&mut self, f: usize, verdict: Verdict) {
+        let flow = self.get_mut(f);
+        if let Verdict::Pending(sid) = std::mem::replace(&mut flow.verdict, verdict) {
+            self.slots[sid.slot()] = usize::MAX;
+        }
+    }
+
+    /// Removes every detached flow past its deadline, with its pool
+    /// session if it was still decoding. Returns how many were (settled
+    /// verdicts were counted when they landed).
+    fn expire(&mut self, tick: u64, pool: &mut Pool) -> u64 {
+        let mut expired = 0;
+        for f in 0..self.slab.len() {
+            let due = self.slab[f]
+                .as_ref()
+                .is_some_and(|flow| flow.conn.is_none() && tick >= flow.expires_tick);
+            if !due {
+                continue;
+            }
+            if let Verdict::Pending(sid) = self.remove(f).verdict {
+                let _ = pool.remove(sid);
+                expired += 1;
+            }
+        }
+        expired
+    }
+
+    fn get(&self, f: usize) -> &Flow {
+        self.slab[f].as_ref().expect("indexed flow is live")
+    }
+
+    fn get_mut(&mut self, f: usize) -> &mut Flow {
+        self.slab[f].as_mut().expect("indexed flow is live")
+    }
+
+    fn by_token(&self, token_id: u64) -> Option<usize> {
+        self.tokens.get(&token_id).copied()
+    }
+
+    fn by_slot(&self, slot: usize) -> Option<usize> {
+        self.slots.get(slot).copied().filter(|&f| f != usize::MAX)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Flow> {
+        self.slab.iter().flatten()
+    }
 }
 
 struct Shard<T> {
     pool: Pool,
     conns: Vec<Option<Conn<T>>>,
     free: Vec<usize>,
-    /// Pool slot → connection index, `DETACHED_BASE + i` for detached
-    /// entry `i`, or `usize::MAX` when unmapped.
-    session_conn: Vec<usize>,
-    detached: Vec<DetachedEntry>,
+    flows: FlowTable,
     /// RESUME requests deferred to after ingress, so re-attachment
     /// never races the death of the connection it supersedes.
     resumes: Vec<(usize, ResumeToken)>,
@@ -482,8 +589,7 @@ impl<T: Transport> Shard<T> {
             pool: Pool::new(pool_cfg),
             conns: Vec::new(),
             free: Vec::new(),
-            session_conn: Vec::new(),
-            detached: Vec::new(),
+            flows: FlowTable::default(),
             resumes: Vec::new(),
             events: Vec::new(),
             rxbuf: Vec::with_capacity(16 * 1024),
@@ -618,10 +724,10 @@ impl<T: Transport> Server<T> {
                 };
                 if done {
                     let mut conn = shard.conns[idx].take().expect("checked live");
-                    // Lifecycle paths detach before marking a conn dead;
-                    // anything still attached here chose not to resume
-                    // (orderly close) and is released for real.
-                    release_session(&mut conn.session, &mut shard.pool, &mut shard.session_conn);
+                    // Lifecycle paths detach or release a flow before a
+                    // connection ends; one still attached here is
+                    // released rather than left pointing at a free slot.
+                    release(&mut conn, &mut shard.flows, &mut shard.pool);
                     shard.free.push(idx);
                     reaped += 1;
                 }
@@ -661,7 +767,11 @@ impl<T: Transport> Server<T> {
     /// Detached sessions currently held for resumption (pending,
     /// decoded-awaiting-replay, or terminal-awaiting-replay).
     pub fn detached_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.detached.len()).sum()
+        self.shards
+            .iter()
+            .flat_map(|s| s.flows.iter())
+            .filter(|f| f.conn.is_none())
+            .count()
     }
 
     /// Whether a connection is currently backpressured (its egress sat
@@ -730,25 +840,9 @@ impl<T: Transport> Server<T> {
         // (best effort: a session with nothing packable restores cold —
         // same results, more first-attempt work).
         for shard in &mut self.shards {
-            let Shard {
-                pool,
-                conns,
-                detached,
-                ..
-            } = shard;
-            for entry in detached.iter() {
-                if let Some(sid) = entry.session {
-                    if let Some(rx) = pool.get_mut(sid) {
-                        let _ = rx.demote_checkpoints();
-                    }
-                }
-            }
-            for conn in conns.iter().flatten() {
-                if conn.dead || conn.state != ConnState::Streaming {
-                    continue;
-                }
-                if let Some(sid) = conn.session {
-                    if let Some(rx) = pool.get_mut(sid) {
+            for flow in shard.flows.iter() {
+                if let Verdict::Pending(sid) = flow.verdict {
+                    if let Some(rx) = shard.pool.get_mut(sid) {
                         let _ = rx.demote_checkpoints();
                     }
                 }
@@ -756,29 +850,10 @@ impl<T: Transport> Server<T> {
         }
 
         self.shards[0].stats.snapshots += 1;
-        let mut entry_count = 0u32;
-        let mut pending = 0u64;
-        for shard in &self.shards {
-            for e in &shard.detached {
-                entry_count += 1;
-                if matches!(e.outcome, DetachedOutcome::Pending) {
-                    pending += 1;
-                }
-            }
-            for conn in shard.conns.iter().flatten() {
-                if conn.dead {
-                    continue;
-                }
-                match conn.state {
-                    ConnState::Streaming if conn.session.is_some() => {
-                        entry_count += 1;
-                        pending += 1;
-                    }
-                    ConnState::Done if conn.done_ack.is_some() => entry_count += 1,
-                    _ => {}
-                }
-            }
-        }
+        let flows = || self.shards.iter().flat_map(|s| s.flows.iter());
+        let pending = flows()
+            .filter(|f| matches!(f.verdict, Verdict::Pending(_)))
+            .count() as u64;
 
         out.clear();
         write_preamble(out);
@@ -795,85 +870,45 @@ impl<T: Transport> Server<T> {
                     .max()
                     .unwrap_or(0),
                 pending,
-                entry_count,
+                entry_count: flows().count() as u32,
                 stats: self.stats().to_words().to_vec(),
                 latencies: self.latencies(),
             },
         );
 
         for shard in &self.shards {
-            for e in &shard.detached {
-                let body = match &e.outcome {
-                    DetachedOutcome::Pending => {
-                        let sid = e.session.expect("pending detached entry holds a session");
-                        let rx = shard.pool.get(sid).expect("pending session is live");
-                        pending_body(rx)
+            for flow in shard.flows.iter() {
+                let body = match &flow.verdict {
+                    Verdict::Pending(sid) => {
+                        pending_body(shard.pool.get(*sid).expect("pending session is live"))
                     }
-                    DetachedOutcome::Done { bits, ack } => EntryBodyRef::Done {
+                    Verdict::Decoded { bits, ack } => EntryBodyRef::Done {
                         bits: bits.as_ref(),
                         ack: *ack,
                     },
-                    DetachedOutcome::Exhausted => EntryBodyRef::Exhausted,
-                    DetachedOutcome::Abandoned => EntryBodyRef::Abandoned,
+                    Verdict::Exhausted => EntryBodyRef::Exhausted,
+                    Verdict::Abandoned => EntryBodyRef::Abandoned,
                 };
                 write_entry(
                     out,
                     &EntryRef {
-                        token: e.token,
-                        mode: e.mode,
-                        expected_seq: e.expected_seq,
-                        first_data_tick: e.first_data_tick,
-                        expires_tick: e.expires_tick,
+                        token: ResumeToken {
+                            id: flow.token_id,
+                            auth: resume_auth(secret, flow.token_id),
+                        },
+                        mode: flow.mode,
+                        expected_seq: flow.expected_seq,
+                        first_data_tick: flow.first_data_tick,
+                        // An attached flow is not on the detach clock;
+                        // its restored deadline starts at the snapshot
+                        // tick.
+                        expires_tick: match flow.conn {
+                            Some(_) => tick.saturating_add(ttl),
+                            None => flow.expires_tick,
+                        },
                         body,
                     },
                 );
-            }
-            for conn in shard.conns.iter().flatten() {
-                if conn.dead {
-                    continue;
-                }
-                let token = ResumeToken {
-                    id: conn.resume_id,
-                    auth: resume_auth(secret, conn.resume_id),
-                };
-                // An attached session was not on the detach clock; its
-                // restored TTL starts at the snapshot tick.
-                let expires_tick = tick.saturating_add(ttl);
-                match conn.state {
-                    ConnState::Streaming => {
-                        let Some(sid) = conn.session else { continue };
-                        let rx = shard.pool.get(sid).expect("streaming session is live");
-                        write_entry(
-                            out,
-                            &EntryRef {
-                                token,
-                                mode: conn.mode,
-                                expected_seq: conn.expected_seq,
-                                first_data_tick: conn.first_data_tick,
-                                expires_tick,
-                                body: pending_body(rx),
-                            },
-                        );
-                    }
-                    ConnState::Done => {
-                        let Some(ack) = conn.done_ack else { continue };
-                        write_entry(
-                            out,
-                            &EntryRef {
-                                token,
-                                mode: conn.mode,
-                                expected_seq: conn.expected_seq,
-                                first_data_tick: u64::MAX,
-                                expires_tick,
-                                body: EntryBodyRef::Done {
-                                    bits: conn.decoded_bits.as_ref(),
-                                    ack,
-                                },
-                            },
-                        );
-                    }
-                    ConnState::Greeting | ConnState::Closed => {}
-                }
             }
         }
         Ok(())
@@ -963,10 +998,10 @@ impl<T: Transport> Server<T> {
             }
             let shard_i = (derive_seed(0x5EED_C0DE, 41, entry.token.id) % n_shards) as usize;
             let shard = &mut server.shards[shard_i];
-            if shard.detached.iter().any(|e| e.token.id == entry.token.id) {
+            if shard.flows.by_token(entry.token.id).is_some() {
                 continue;
             }
-            let (session, outcome) = match entry.body {
+            let verdict = match entry.body {
                 ParsedBody::Pending {
                     shape,
                     attempts,
@@ -1013,26 +1048,19 @@ impl<T: Transport> Server<T> {
                         .detach(sid)
                         .expect("freshly admitted session detaches");
                     pending_restored += 1;
-                    (Some(sid), DetachedOutcome::Pending)
+                    Verdict::Pending(sid)
                 }
-                ParsedBody::Done { bits, ack } => (None, DetachedOutcome::Done { bits, ack }),
-                ParsedBody::Exhausted => (None, DetachedOutcome::Exhausted),
-                ParsedBody::Abandoned => (None, DetachedOutcome::Abandoned),
+                ParsedBody::Done { bits, ack } => Verdict::Decoded { bits, ack },
+                ParsedBody::Exhausted => Verdict::Exhausted,
+                ParsedBody::Abandoned => Verdict::Abandoned,
             };
-            if let Some(sid) = session {
-                let slot = sid.slot();
-                if shard.session_conn.len() <= slot {
-                    shard.session_conn.resize(slot + 1, usize::MAX);
-                }
-                shard.session_conn[slot] = DETACHED_BASE + shard.detached.len();
-            }
-            shard.detached.push(DetachedEntry {
-                token: entry.token,
-                session,
-                outcome,
+            shard.flows.insert(Flow {
+                token_id: entry.token.id,
+                verdict,
                 mode: entry.mode,
                 expected_seq: entry.expected_seq,
                 first_data_tick: entry.first_data_tick,
+                conn: None,
                 expires_tick: entry.expires_tick,
             });
             restored += 1;
@@ -1088,8 +1116,7 @@ fn shard_tick<T: Transport>(
         pool,
         conns,
         free: _,
-        session_conn,
-        detached,
+        flows,
         resumes,
         events,
         rxbuf,
@@ -1099,28 +1126,10 @@ fn shard_tick<T: Transport>(
     } = shard;
     let ttl = cfg.pool.detach_ttl;
 
-    // Phase 0: expire detached sessions past the tick TTL. Entries
-    // whose verdict already landed (session == None) vanish silently —
-    // their outcome was counted when it happened.
-    if ttl != u64::MAX {
-        let mut i = 0;
-        while i < detached.len() {
-            if tick < detached[i].expires_tick {
-                i += 1;
-                continue;
-            }
-            if let Some(sid) = detached[i].session {
-                let _ = pool.remove(sid);
-                if let Some(s) = session_conn.get_mut(sid.slot()) {
-                    if *s == DETACHED_BASE + i {
-                        *s = usize::MAX;
-                    }
-                }
-                stats.expired += 1;
-            }
-            remove_detached_entry(detached, session_conn, i);
-        }
-    }
+    // Phase 0: expire detached flows past their deadline. The deadline
+    // is the one stamped at detach (or carried by a snapshot), so it
+    // holds whatever TTL this server was configured with.
+    stats.expired += flows.expire(tick, pool);
 
     // Phases 1 + 2: per-connection flush (with deferred-result retry),
     // then ingress unless backpressured, then the tick-counted
@@ -1153,7 +1162,7 @@ fn shard_tick<T: Transport>(
                     conn.egress.drain(..n);
                 }
                 Err(_) => {
-                    detach_conn(conn, pool, session_conn, detached, tick, ttl, stats, secret);
+                    detach(conn, flows, pool, tick, ttl, stats);
                     conn.dead = true;
                     stats.transport_closed += 1;
                     continue;
@@ -1166,7 +1175,9 @@ fn shard_tick<T: Transport>(
         if conn.egress.len() < cfg.egress_capacity {
             if conn.result_pending {
                 conn.result_pending = false;
-                emit_result(conn);
+                if let ConnState::Attached(f) = conn.state {
+                    emit_result(&mut conn.egress, flows.get(f));
+                }
             }
             if let Some(reason) = conn.close_pending.take() {
                 let _ = encode_frame(&Frame::Close { reason }, &mut conn.egress);
@@ -1224,17 +1235,7 @@ fn shard_tick<T: Transport>(
             match action {
                 Action::Hello(h) => {
                     if conn.state != ConnState::Greeting || conn.resume_pending {
-                        protocol_close(
-                            conn,
-                            pool,
-                            session_conn,
-                            detached,
-                            tick,
-                            ttl,
-                            stats,
-                            cfg,
-                            secret,
-                        );
+                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
                         break;
                     }
                     if drain.is_some() {
@@ -1252,23 +1253,25 @@ fn shard_tick<T: Transport>(
                         conn.state = ConnState::Closed;
                         continue;
                     }
-                    match admit_or_shed(&h, cfg, pool, detached, session_conn, stats) {
+                    match admit_or_shed(&h, cfg, pool, flows, stats) {
                         Ok(id) => {
-                            let slot = id.slot();
-                            if session_conn.len() <= slot {
-                                session_conn.resize(slot + 1, usize::MAX);
-                            }
-                            session_conn[slot] = idx;
-                            conn.session = Some(id);
-                            conn.mode = h.mode;
-                            conn.state = ConnState::Streaming;
+                            let f = flows.insert(Flow {
+                                token_id: conn.conn_id,
+                                verdict: Verdict::Pending(id),
+                                mode: h.mode,
+                                expected_seq: 0,
+                                first_data_tick: u64::MAX,
+                                conn: Some(idx),
+                                expires_tick: u64::MAX,
+                            });
+                            conn.state = ConnState::Attached(f);
                             conn.last_snapshot = tick;
                             stats.admitted += 1;
                             enqueue(
                                 &mut conn.egress,
                                 cfg,
                                 &Frame::HelloAck {
-                                    token: slot as u64,
+                                    token: id.slot() as u64,
                                     resume: ResumeToken {
                                         id: conn.conn_id,
                                         auth: resume_auth(secret, conn.conn_id),
@@ -1294,104 +1297,79 @@ fn shard_tick<T: Transport>(
                             conn.state = ConnState::Closed;
                         }
                         Err(_) => {
-                            protocol_close(
-                                conn,
-                                pool,
-                                session_conn,
-                                detached,
-                                tick,
-                                ttl,
-                                stats,
-                                cfg,
-                                secret,
-                            );
+                            protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
                             break;
                         }
                     }
                 }
                 Action::Data { seq, count } => match conn.state {
                     ConnState::Greeting => {
-                        protocol_close(
-                            conn,
-                            pool,
-                            session_conn,
-                            detached,
-                            tick,
-                            ttl,
-                            stats,
-                            cfg,
-                            secret,
-                        );
+                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
                         break;
                     }
-                    ConnState::Done => {
-                        // Re-ACK so a lost ACK heals off the sender's
-                        // own continued transmissions (unless the full
-                        // result is still deferred — it already carries
-                        // the ACK).
-                        if !conn.result_pending {
-                            if let Some((symbols_used, attempts)) = conn.done_ack {
-                                enqueue(
-                                    &mut conn.egress,
-                                    cfg,
-                                    &Frame::Ack {
-                                        symbols_used,
-                                        attempts,
-                                    },
-                                    stats,
-                                );
-                            }
-                        }
-                    }
                     ConnState::Closed => {}
-                    ConnState::Streaming => {
-                        stats.symbols_in += count as u64;
-                        if conn.first_data_tick == u64::MAX {
-                            conn.first_data_tick = tick;
-                        }
-                        if seq > conn.expected_seq {
-                            if conn.mode == FeedbackMode::Nack && !conn.nacked {
-                                enqueue(
-                                    &mut conn.egress,
-                                    cfg,
-                                    &Frame::Nack {
-                                        expected_seq: conn.expected_seq,
-                                    },
-                                    stats,
-                                );
-                                conn.nacked = true;
+                    ConnState::Attached(f) => {
+                        let flow = flows.get_mut(f);
+                        match flow.verdict {
+                            Verdict::Pending(id) => {
+                                stats.symbols_in += count as u64;
+                                if flow.first_data_tick == u64::MAX {
+                                    flow.first_data_tick = tick;
+                                }
+                                if seq > flow.expected_seq {
+                                    if flow.mode == FeedbackMode::Nack && !conn.nacked {
+                                        enqueue(
+                                            &mut conn.egress,
+                                            cfg,
+                                            &Frame::Nack {
+                                                expected_seq: flow.expected_seq,
+                                            },
+                                            stats,
+                                        );
+                                        conn.nacked = true;
+                                    }
+                                } else {
+                                    // In-order or replayed-from-the-gap
+                                    // data: the NACK did its job (or none
+                                    // was owed).
+                                    conn.nacked = false;
+                                }
+                                flow.expected_seq = flow.expected_seq.max(seq + count as u64);
+                                if pool.ingest_at(id, symbols).is_err() {
+                                    protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                                    break;
+                                }
                             }
-                        } else {
-                            // In-order or replayed-from-the-gap data:
-                            // the NACK did its job (or none was owed).
-                            conn.nacked = false;
-                        }
-                        conn.expected_seq = conn.expected_seq.max(seq + count as u64);
-                        let id = conn.session.expect("streaming implies session");
-                        match pool.ingest_at(id, symbols) {
-                            Ok(()) => {}
-                            Err(_) => {
-                                protocol_close(
-                                    conn,
-                                    pool,
-                                    session_conn,
-                                    detached,
-                                    tick,
-                                    ttl,
-                                    stats,
-                                    cfg,
-                                    secret,
-                                );
-                                break;
+                            // Re-ACK so a lost ACK heals off the sender's
+                            // own continued transmissions (unless the full
+                            // result is still deferred — it already
+                            // carries the ACK).
+                            Verdict::Decoded {
+                                ack: (symbols_used, attempts),
+                                ..
+                            } => {
+                                if !conn.result_pending {
+                                    enqueue(
+                                        &mut conn.egress,
+                                        cfg,
+                                        &Frame::Ack {
+                                            symbols_used,
+                                            attempts,
+                                        },
+                                        stats,
+                                    );
+                                }
                             }
+                            // An attached flow that exhausts or is
+                            // abandoned closes its connection at once.
+                            Verdict::Exhausted | Verdict::Abandoned => {}
                         }
                     }
                 },
                 Action::ClientClose => {
-                    // An orderly close renounces the session — nothing
-                    // is kept for resumption.
-                    release_session(&mut conn.session, pool, session_conn);
-                    conn.state = ConnState::Closed;
+                    // An orderly close renounces the flow — nothing is
+                    // kept for resumption.
+                    release(conn, flows, pool);
                 }
                 Action::Ping(nonce) => {
                     enqueue(&mut conn.egress, cfg, &Frame::Pong { nonce }, stats);
@@ -1399,41 +1377,21 @@ fn shard_tick<T: Transport>(
                 Action::Ignore => {}
                 Action::Resume(token) => {
                     if conn.state != ConnState::Greeting || conn.resume_pending {
-                        protocol_close(
-                            conn,
-                            pool,
-                            session_conn,
-                            detached,
-                            tick,
-                            ttl,
-                            stats,
-                            cfg,
-                            secret,
-                        );
+                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
                         break;
                     }
                     conn.resume_pending = true;
                     resumes.push((idx, token));
                 }
                 Action::Violation => {
-                    protocol_close(
-                        conn,
-                        pool,
-                        session_conn,
-                        detached,
-                        tick,
-                        ttl,
-                        stats,
-                        cfg,
-                        secret,
-                    );
+                    protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
                     break;
                 }
             }
         }
 
         if conn.dead {
-            detach_conn(conn, pool, session_conn, detached, tick, ttl, stats, secret);
+            detach(conn, flows, pool, tick, ttl, stats);
             continue;
         }
 
@@ -1442,7 +1400,7 @@ fn shard_tick<T: Transport>(
         if conn.state != ConnState::Closed {
             let idle = tick.saturating_sub(conn.last_rx_tick);
             if idle >= cfg.idle_deadline {
-                detach_conn(conn, pool, session_conn, detached, tick, ttl, stats, secret);
+                detach(conn, flows, pool, tick, ttl, stats);
                 conn.dead = true;
                 stats.idle_closed += 1;
                 continue;
@@ -1458,9 +1416,8 @@ fn shard_tick<T: Transport>(
         // token and the dialogue closed.
         if let Some(deadline) = drain {
             if tick >= deadline && conn.state != ConnState::Closed {
-                detach_conn(conn, pool, session_conn, detached, tick, ttl, stats, secret);
+                detach(conn, flows, pool, tick, ttl, stats);
                 send_close(conn, cfg, stats, CloseReason::Shed);
-                conn.state = ConnState::Closed;
             }
         }
     }
@@ -1470,32 +1427,20 @@ fn shard_tick<T: Transport>(
     // the death of a connection this resume supersedes — so
     // re-attachment order is index-deterministic and never racy.
     for &(cidx, token) in resumes.iter() {
-        let eidx = match detached.iter().position(|e| e.token == token) {
-            Some(e) => Some(e),
-            None if token.auth == resume_auth(secret, token.id) => {
-                // Takeover: the token's session may still be attached
-                // to an older connection the client abandoned (its
-                // death not yet observed). Newest connection wins; the
-                // stale one is detached here and closed.
-                let owner = conns.iter().position(|c| {
-                    c.as_ref().is_some_and(|c| {
-                        !c.dead
-                            && c.resume_id == token.id
-                            && matches!(c.state, ConnState::Streaming | ConnState::Done)
-                    })
-                });
-                match owner {
-                    Some(o) if o != cidx => {
-                        let oc = conns[o].as_mut().expect("owner checked live");
-                        detach_conn(oc, pool, session_conn, detached, tick, ttl, stats, secret);
-                        oc.dead = true;
-                        detached.iter().position(|e| e.token == token)
-                    }
-                    _ => None,
-                }
-            }
-            None => None,
+        // Only a token minted under this server's secret names a flow.
+        let f = if token.auth == resume_auth(secret, token.id) {
+            flows.by_token(token.id)
+        } else {
+            None
         };
+        // Takeover: the flow may still be attached to an older
+        // connection the client abandoned (its death not yet observed).
+        // Newest connection wins; the stale one is detached and closed.
+        if let Some(o) = f.and_then(|f| flows.get(f).conn) {
+            let oc = conns[o].as_mut().expect("a flow's connection is live");
+            detach(oc, flows, pool, tick, ttl, stats);
+            oc.dead = true;
+        }
         let Some(conn) = conns.get_mut(cidx).and_then(|c| c.as_mut()) else {
             continue;
         };
@@ -1503,174 +1448,118 @@ fn shard_tick<T: Transport>(
             continue;
         }
         conn.resume_pending = false;
-        let Some(eidx) = eidx else {
+        let Some(f) = f else {
             stats.resume_rejected += 1;
             send_close(conn, cfg, stats, CloseReason::ResumeInvalid);
             conn.state = ConnState::Closed;
             continue;
         };
-        let entry = remove_detached_entry(detached, session_conn, eidx);
-        conn.resume_id = entry.token.id;
-        conn.mode = entry.mode;
-        conn.expected_seq = entry.expected_seq;
-        match entry.outcome {
-            DetachedOutcome::Pending => {
-                // A pending entry's session stays live until the entry
-                // goes: expiry, shedding and verdicts all remove both.
-                let sid = entry
-                    .session
-                    .expect("pending detached entry holds a session");
-                pool.attach(sid)
-                    .expect("pending detached session is live in the pool");
-                session_conn[sid.slot()] = cidx;
-                conn.session = Some(sid);
-                conn.first_data_tick = entry.first_data_tick;
-                conn.state = ConnState::Streaming;
-                conn.last_snapshot = tick;
-                conn.nacked = false;
-                stats.resumed += 1;
-                enqueue(
-                    &mut conn.egress,
-                    cfg,
-                    &Frame::ResumeAck {
-                        expected_seq: entry.expected_seq,
-                    },
-                    stats,
-                );
-            }
-            DetachedOutcome::Done { bits, ack } => {
-                conn.decoded_bits = bits;
-                conn.done_ack = Some(ack);
-                conn.state = ConnState::Done;
-                conn.last_snapshot = tick;
-                stats.resumed += 1;
-                enqueue(
-                    &mut conn.egress,
-                    cfg,
-                    &Frame::ResumeAck {
-                        expected_seq: entry.expected_seq,
-                    },
-                    stats,
-                );
-                enqueue_result(conn, cfg, stats);
-            }
-            DetachedOutcome::Exhausted => {
-                stats.resumed += 1;
-                send_close(conn, cfg, stats, CloseReason::Exhausted);
-                conn.state = ConnState::Closed;
-            }
-            DetachedOutcome::Abandoned => {
-                stats.resumed += 1;
-                send_close(conn, cfg, stats, CloseReason::Abandoned);
-                conn.state = ConnState::Closed;
-            }
+        stats.resumed += 1;
+        let flow = flows.get_mut(f);
+        if let Some(reason) = flow.verdict.close_reason() {
+            // A verdict reached while detached is replayed once, then
+            // the flow is done.
+            flows.remove(f);
+            send_close(conn, cfg, stats, reason);
+            conn.state = ConnState::Closed;
+            continue;
+        }
+        if let Verdict::Pending(sid) = flow.verdict {
+            pool.attach(sid)
+                .expect("pending detached session is live in the pool");
+        }
+        flow.conn = Some(cidx);
+        conn.state = ConnState::Attached(f);
+        conn.last_snapshot = tick;
+        enqueue(
+            &mut conn.egress,
+            cfg,
+            &Frame::ResumeAck {
+                expected_seq: flow.expected_seq,
+            },
+            stats,
+        );
+        if matches!(flow.verdict, Verdict::Decoded { .. }) {
+            enqueue_result(conn, flow, cfg, stats);
         }
     }
     resumes.clear();
 
-    // Phase 3: drive the pool and turn events into feedback. Detached
-    // sessions are driven exactly like attached ones — a pending
-    // attempt concludes in the same drive it would have with the
-    // driver present, which is what keeps resume bit-identical.
-    pool.drive_until_into(cfg.drive_budget, events);
-    for ev in events.iter().copied() {
-        let Some(&cidx) = session_conn.get(ev.id.slot()) else {
+    // Phase 3: drive the pool and turn events into verdicts. Detached
+    // flows are driven exactly like attached ones — a pending attempt
+    // concludes in the same drive it would have with the driver
+    // present, which is what keeps resume bit-identical.
+    pool.drive_into(events);
+    for ev in events.iter() {
+        let Some(f) = flows.by_slot(ev.id.slot()) else {
             continue;
         };
-        if cidx >= DETACHED_BASE {
-            let Some(entry) = detached.get_mut(cidx - DETACHED_BASE) else {
+        let verdict = match ev.outcome {
+            SessionOutcome::Poll(Poll::NeedMore { .. }) | SessionOutcome::Deferred { .. } => {
                 continue;
-            };
-            match ev.outcome {
-                SessionOutcome::Poll(Poll::NeedMore { .. }) | SessionOutcome::Deferred { .. } => {}
-                SessionOutcome::Poll(Poll::Decoded {
-                    symbols_used,
-                    attempts,
-                }) => {
-                    if entry.first_data_tick != u64::MAX {
-                        latencies.push(tick - entry.first_data_tick);
-                    }
-                    let rx = pool.remove(ev.id).expect("decoded session is live");
-                    session_conn[ev.id.slot()] = usize::MAX;
-                    entry.session = None;
-                    entry.outcome = DetachedOutcome::Done {
-                        bits: rx.payload().cloned(),
-                        ack: (symbols_used, attempts),
-                    };
-                    stats.decoded += 1;
-                }
-                SessionOutcome::Poll(Poll::Exhausted { .. }) => {
-                    let _ = pool.remove(ev.id);
-                    session_conn[ev.id.slot()] = usize::MAX;
-                    entry.session = None;
-                    entry.outcome = DetachedOutcome::Exhausted;
-                    stats.exhausted += 1;
-                }
-                SessionOutcome::Abandoned { .. } => {
-                    let _ = pool.remove(ev.id);
-                    session_conn[ev.id.slot()] = usize::MAX;
-                    entry.session = None;
-                    entry.outcome = DetachedOutcome::Abandoned;
-                    stats.abandoned += 1;
-                }
             }
-            continue;
-        }
-        let Some(conn) = conns.get_mut(cidx).and_then(|c| c.as_mut()) else {
-            continue;
-        };
-        match ev.outcome {
-            SessionOutcome::Poll(Poll::NeedMore { .. }) | SessionOutcome::Deferred { .. } => {}
             SessionOutcome::Poll(Poll::Decoded {
                 symbols_used,
                 attempts,
             }) => {
-                if conn.first_data_tick != u64::MAX {
-                    latencies.push(tick - conn.first_data_tick);
+                let first_data_tick = flows.get(f).first_data_tick;
+                if first_data_tick != u64::MAX {
+                    latencies.push(tick - first_data_tick);
                 }
-                let rx = pool.remove(ev.id).expect("decoded session is live");
-                session_conn[ev.id.slot()] = usize::MAX;
-                conn.session = None;
-                conn.decoded_bits = rx.payload().cloned();
-                conn.done_ack = Some((symbols_used, attempts));
-                conn.state = ConnState::Done;
                 stats.decoded += 1;
-                enqueue_result(conn, cfg, stats);
+                Verdict::Decoded {
+                    bits: pool
+                        .remove(ev.id)
+                        .expect("decoded session is live")
+                        .payload()
+                        .cloned(),
+                    ack: (symbols_used, attempts),
+                }
             }
             SessionOutcome::Poll(Poll::Exhausted { .. }) => {
-                release_session(&mut conn.session, pool, session_conn);
-                conn.state = ConnState::Closed;
+                let _ = pool.remove(ev.id);
                 stats.exhausted += 1;
-                send_close(conn, cfg, stats, CloseReason::Exhausted);
+                Verdict::Exhausted
             }
             SessionOutcome::Abandoned { .. } => {
-                release_session(&mut conn.session, pool, session_conn);
-                conn.state = ConnState::Closed;
+                let _ = pool.remove(ev.id);
                 stats.abandoned += 1;
-                send_close(conn, cfg, stats, CloseReason::Abandoned);
+                Verdict::Abandoned
+            }
+        };
+        flows.settle(f, verdict);
+        let flow = flows.get(f);
+        // A detached flow holds its verdict for replay on resume.
+        let Some(cidx) = flow.conn else {
+            continue;
+        };
+        let conn = conns[cidx].as_mut().expect("a flow's connection is live");
+        match flow.verdict.close_reason() {
+            None => enqueue_result(conn, flow, cfg, stats),
+            Some(reason) => {
+                release(conn, flows, pool);
+                send_close(conn, cfg, stats, reason);
             }
         }
     }
 
     // Phase 4: cumulative-ACK snapshots.
     for conn in conns.iter_mut().flatten() {
-        let FeedbackMode::CumulativeAck { period } = conn.mode else {
+        let ConnState::Attached(f) = conn.state else {
             continue;
         };
-        let live = matches!(conn.state, ConnState::Streaming | ConnState::Done);
-        if !live || tick.saturating_sub(conn.last_snapshot) < period {
+        let flow = flows.get(f);
+        let FeedbackMode::CumulativeAck { period } = flow.mode else {
+            continue;
+        };
+        if tick.saturating_sub(conn.last_snapshot) < period {
             continue;
         }
         conn.last_snapshot = tick;
-        let (decoded, symbols_used) = match (conn.state, conn.done_ack) {
-            (ConnState::Done, Some((s, _))) => (true, s),
-            _ => {
-                let s = conn
-                    .session
-                    .and_then(|id| pool.get(id))
-                    .map_or(0, |rx| rx.symbols());
-                (false, s)
-            }
+        let (decoded, symbols_used) = match flow.verdict {
+            Verdict::Decoded { ack, .. } => (true, ack.0),
+            Verdict::Pending(sid) => (false, pool.get(sid).map_or(0, |rx| rx.symbols())),
+            Verdict::Exhausted | Verdict::Abandoned => (false, 0),
         };
         enqueue(
             &mut conn.egress,
@@ -1755,8 +1644,7 @@ fn admit_or_shed(
     h: &Hello,
     cfg: &ServeConfig,
     pool: &mut Pool,
-    detached: &mut Vec<DetachedEntry>,
-    session_conn: &mut [usize],
+    flows: &mut FlowTable,
     stats: &mut ServeStats,
 ) -> Result<SessionId, SpinalError> {
     loop {
@@ -1765,11 +1653,12 @@ fn admit_or_shed(
                 let Some(sid) = pool.shed_costliest_detached() else {
                     return Err(SpinalError::PoolFull { live, max_sessions });
                 };
-                // Every pool orphan is a pending detached entry, mapped
-                // through `session_conn` since it was detached.
-                let eidx = session_conn[sid.slot()] - DETACHED_BASE;
-                session_conn[sid.slot()] = usize::MAX;
-                remove_detached_entry(detached, session_conn, eidx);
+                // Every pool orphan is a detached pending flow; the pool
+                // has already removed its session.
+                let f = flows
+                    .by_slot(sid.slot())
+                    .expect("a pool orphan belongs to a flow");
+                flows.remove(f);
                 stats.shed += 1;
             }
             other => return other,
@@ -1777,152 +1666,97 @@ fn admit_or_shed(
     }
 }
 
-/// Moves a connection's session (or its cached verdict) into the
-/// shard's detached list under the connection's resume token, so a
-/// later RESUME can pick it up. Greeting/Closed connections have
-/// nothing to keep.
-#[allow(clippy::too_many_arguments)]
-fn detach_conn<T>(
+/// Unlinks a connection from its flow and starts the flow's detach
+/// clock, so a later RESUME can pick it up: a pending session becomes a
+/// pool orphan, a decoded one keeps its result for replay. The
+/// connection ends `Closed`; a greeting one carried nothing.
+fn detach<T>(
     conn: &mut Conn<T>,
+    flows: &mut FlowTable,
     pool: &mut Pool,
-    session_conn: &mut [usize],
-    detached: &mut Vec<DetachedEntry>,
     tick: u64,
     ttl: u64,
     stats: &mut ServeStats,
-    secret: u64,
 ) {
-    let token = ResumeToken {
-        id: conn.resume_id,
-        auth: resume_auth(secret, conn.resume_id),
-    };
-    let expires_tick = tick.saturating_add(ttl);
-    match conn.state {
-        ConnState::Streaming => {
-            let Some(id) = conn.session.take() else {
-                return;
-            };
-            pool.detach(id)
-                .expect("streaming session is live in the pool");
-            session_conn[id.slot()] = DETACHED_BASE + detached.len();
-            detached.push(DetachedEntry {
-                token,
-                session: Some(id),
-                outcome: DetachedOutcome::Pending,
-                mode: conn.mode,
-                expected_seq: conn.expected_seq,
-                first_data_tick: conn.first_data_tick,
-                expires_tick,
-            });
-            stats.detached += 1;
+    if let ConnState::Attached(f) = conn.state {
+        let flow = flows.get_mut(f);
+        flow.conn = None;
+        flow.expires_tick = tick.saturating_add(ttl);
+        if let Verdict::Pending(sid) = flow.verdict {
+            pool.detach(sid)
+                .expect("pending session is live in the pool");
         }
-        ConnState::Done => {
-            // The result may not have flushed; keep it replayable.
-            let Some(ack) = conn.done_ack else {
-                return;
-            };
-            detached.push(DetachedEntry {
-                token,
-                session: None,
-                outcome: DetachedOutcome::Done {
-                    bits: conn.decoded_bits.take(),
-                    ack,
-                },
-                mode: conn.mode,
-                expected_seq: conn.expected_seq,
-                first_data_tick: u64::MAX,
-                expires_tick,
-            });
-            conn.done_ack = None;
-            conn.result_pending = false;
-            stats.detached += 1;
-        }
-        ConnState::Greeting | ConnState::Closed => {}
+        conn.result_pending = false;
+        stats.detached += 1;
     }
+    conn.state = ConnState::Closed;
 }
 
-/// Removes detached entry `i` (swap-remove), re-pointing the moved
-/// entry's `session_conn` mapping.
-fn remove_detached_entry(
-    detached: &mut Vec<DetachedEntry>,
-    session_conn: &mut [usize],
-    i: usize,
-) -> DetachedEntry {
-    let e = detached.swap_remove(i);
-    if let Some(moved) = detached.get(i) {
-        if let Some(sid) = moved.session {
-            if let Some(s) = session_conn.get_mut(sid.slot()) {
-                *s = DETACHED_BASE + i;
-            }
+/// Closes a connection and drops its flow for good, pool session
+/// included: nothing is kept for resumption.
+fn release<T>(conn: &mut Conn<T>, flows: &mut FlowTable, pool: &mut Pool) {
+    if let ConnState::Attached(f) = conn.state {
+        if let Verdict::Pending(sid) = flows.remove(f).verdict {
+            let _ = pool.remove(sid);
         }
     }
-    e
+    conn.state = ConnState::Closed;
 }
 
-fn release_session(session: &mut Option<SessionId>, pool: &mut Pool, session_conn: &mut [usize]) {
-    if let Some(id) = session.take() {
-        let _ = pool.remove(id);
-        if let Some(slot) = session_conn.get_mut(id.slot()) {
-            *slot = usize::MAX;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn protocol_close<T>(
     conn: &mut Conn<T>,
+    flows: &mut FlowTable,
     pool: &mut Pool,
-    session_conn: &mut [usize],
-    detached: &mut Vec<DetachedEntry>,
     tick: u64,
     ttl: u64,
     stats: &mut ServeStats,
     cfg: &ServeConfig,
-    secret: u64,
 ) {
     // A mid-stream violation is treated as connection loss (a corrupted
-    // byte at the transport boundary, say): the session detaches and
-    // stays resumable instead of being dropped.
-    if conn.state == ConnState::Streaming && conn.session.is_some() {
-        detach_conn(conn, pool, session_conn, detached, tick, ttl, stats, secret);
-    } else {
-        release_session(&mut conn.session, pool, session_conn);
+    // byte at the transport boundary, say): a pending session detaches
+    // and stays resumable instead of being dropped.
+    match conn.state {
+        ConnState::Attached(f) if matches!(flows.get(f).verdict, Verdict::Pending(_)) => {
+            detach(conn, flows, pool, tick, ttl, stats);
+        }
+        _ => release(conn, flows, pool),
     }
-    conn.state = ConnState::Closed;
     stats.protocol_errors += 1;
     send_close(conn, cfg, stats, CloseReason::Protocol);
 }
 
-/// Queues the cached decode result (`Decoded` + `Ack`) — undroppable:
+/// Queues a decoded flow's result (`Decoded` + `Ack`) — undroppable:
 /// at the capacity cap it defers and retries every tick instead.
-fn enqueue_result<T>(conn: &mut Conn<T>, cfg: &ServeConfig, stats: &mut ServeStats) {
+fn enqueue_result<T>(conn: &mut Conn<T>, flow: &Flow, cfg: &ServeConfig, stats: &mut ServeStats) {
     if conn.egress.len() >= cfg.egress_capacity {
         conn.result_pending = true;
         stats.result_deferred += 1;
         return;
     }
-    emit_result(conn);
+    emit_result(&mut conn.egress, flow);
 }
 
-/// Encodes the cached result frames unconditionally (capacity was
+/// Encodes a decoded flow's result frames unconditionally (capacity was
 /// checked by the caller or the retry loop).
-fn emit_result<T>(conn: &mut Conn<T>) {
-    if let Some(bits) = &conn.decoded_bits {
+fn emit_result(egress: &mut Vec<u8>, flow: &Flow) {
+    let Verdict::Decoded { bits, ack } = &flow.verdict else {
+        return;
+    };
+    if let Some(bits) = bits {
         let _ = encode_frame(
             &Frame::Decoded(crate::wire::DecodedBits::from_bits(bits)),
-            &mut conn.egress,
+            egress,
         );
     }
-    if let Some((symbols_used, attempts)) = conn.done_ack {
-        if !matches!(conn.mode, FeedbackMode::CumulativeAck { .. }) {
-            let _ = encode_frame(
-                &Frame::Ack {
-                    symbols_used,
-                    attempts,
-                },
-                &mut conn.egress,
-            );
-        }
+    if !matches!(flow.mode, FeedbackMode::CumulativeAck { .. }) {
+        let (symbols_used, attempts) = *ack;
+        let _ = encode_frame(
+            &Frame::Ack {
+                symbols_used,
+                attempts,
+            },
+            egress,
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end serve dialogues over the deterministic loopback:
 //! decode, NACK recovery, admission control, backpressure, terminal
-//! closes, and serial-vs-sharded bit-identity.
+//! closes, the per-tick drive budget, and serial-vs-sharded
+//! bit-identity.
 
 use spinal_core::bits::BitVec;
 use spinal_core::sched::MultiConfig;
@@ -274,6 +275,44 @@ fn sharded_run_is_bit_identical_to_serial() {
     let sharded5 = run(5, true);
     assert_eq!(serial, sharded3, "3-way sharding changed results");
     assert_eq!(serial, sharded5, "5-way sharding changed results");
+}
+
+/// The pool's level budget paces the server's drive: at one level per
+/// tick, attempts queue behind each other, so the same fleet needs
+/// more ticks — and still decodes every payload.
+#[test]
+fn pool_work_budget_paces_the_server_drive() {
+    let run = |work_budget: u64| {
+        let cfg = ServeConfig {
+            pool: MultiConfig {
+                work_budget,
+                ..MultiConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(cfg).unwrap();
+        let mut clients = Vec::new();
+        for i in 0..8 {
+            let (local, remote) = loopback_pair(1 << 16);
+            server.add_connection(remote);
+            let ccfg = ClientConfig {
+                seed: 300 + i,
+                ..ClientConfig::default()
+            };
+            clients.push(ServeClient::new(local, &ccfg, &payload(i)).unwrap());
+        }
+        run_to_done(&mut server, &mut clients, false);
+        for (i, c) in clients.iter().enumerate() {
+            assert_eq!(c.decoded_payload(), Some(&payload(i as u64)));
+        }
+        server.stats().ticks
+    };
+    let free = run(u64::MAX);
+    let paced = run(1);
+    assert!(
+        paced > free,
+        "a one-level budget must pace the drive ({paced} vs {free} ticks)"
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Warm-restart coverage: kill/restore/resume identity against
-//! uninterrupted twins (serial and sharded), secret pinning, detached
-//! TTL survival across the restart, and adversarial snapshot bytes
+//! uninterrupted twins (serial and sharded, up to 256 flows), secret
+//! pinning, detached TTL survival across the restart (under the same
+//! TTL and under an infinite one), and adversarial snapshot bytes
 //! (truncation at every boundary, single-byte corruption, forged
 //! tokens, byte soup) — typed errors or accounted drops, never a panic
 //! and never a wrong-session attach.
@@ -151,21 +152,19 @@ fn run_killed(
     (results(&clients), server)
 }
 
-/// One kill mid-decode: every flow must conclude with the same verdict
-/// (`symbols_used`, `attempts`) and payload as a never-killed twin —
-/// serial and sharded — and the restored server's conservation law
-/// must close exactly with zero lost flows.
-#[test]
-fn kill_restart_is_bit_identical_to_uninterrupted() {
-    let n = 4;
-    let bytes = 6;
+/// Kills the server at both `kills` ticks, mid-decode: every flow must
+/// conclude with the same verdict (`symbols_used`, `attempts`) and
+/// payload as a never-killed twin — serial and sharded — and the
+/// restored server's conservation law must close exactly with zero lost
+/// flows.
+fn assert_kill_restart_identity(n: usize, bytes: usize, kills: [u64; 2]) {
     let baseline = run_uninterrupted(n, 1, false, 7, bytes);
     for f in &baseline {
         assert!(matches!(f.0, Some(ClientOutcome::Decoded { .. })));
     }
-    let (serial, server) = run_killed(n, 1, false, 7, bytes, &[6, 11]);
+    let (serial, server) = run_killed(n, 1, false, 7, bytes, &kills);
     assert_eq!(serial, baseline, "serial kill/restart must be invisible");
-    let (sharded, _) = run_killed(n, 3, true, 7, bytes, &[6, 11]);
+    let (sharded, _) = run_killed(n, 3, true, 7, bytes, &kills);
     assert_eq!(sharded, baseline, "sharded kill/restart must be invisible");
 
     let stats = server.stats();
@@ -186,6 +185,17 @@ fn kill_restart_is_bit_identical_to_uninterrupted() {
             + stats.restore_dropped,
         "conservation must close with zero lost flows"
     );
+}
+
+/// A handful of flows, and a fleet of 256 short ones whose restores
+/// exercise flow-table slot reuse, token-index growth and pool-slot
+/// remapping over hundreds of sessions. The short flows finish by tick
+/// 11, so their kills come earlier: the second one lands with some
+/// flows decoded and the rest still in flight.
+#[test]
+fn kill_restart_is_bit_identical_to_uninterrupted() {
+    assert_kill_restart_identity(4, 6, [6, 11]);
+    assert_kill_restart_identity(256, 2, [4, 8]);
 }
 
 proptest! {
@@ -273,6 +283,44 @@ fn detached_ttl_survives_restore() {
     );
     assert_eq!(restored.stats().expired, 1);
     assert_eq!(restored.live_sessions(), 0);
+}
+
+/// A persisted deadline holds under any restorer TTL: a session
+/// detached under a finite TTL still expires at that deadline when its
+/// snapshot is restored by a server whose own TTL is infinite.
+#[test]
+fn persisted_deadline_holds_under_infinite_restorer_ttl() {
+    let (mut server, mut clients) = new_fleet(1, 1, 3, 6);
+    for _ in 0..6 {
+        tick_all(&mut server, &mut clients, false);
+    }
+    assert!(!clients[0].is_done(), "flow must still be mid-stream");
+    let (dead_local, _dead_remote) = loopback_pair(16);
+    drop(clients[0].reconnect(dead_local));
+    for _ in 0..3 {
+        server.tick();
+    }
+    assert_eq!(server.detached_sessions(), 1);
+
+    let mut buf = Vec::new();
+    server.snapshot_into(&mut buf).unwrap();
+    let restorer = ServeConfig {
+        resume_secret: Some(SECRET),
+        pool: MultiConfig::default(),
+        ..ServeConfig::default()
+    };
+    assert_eq!(restorer.pool.detach_ttl, u64::MAX);
+    let mut restored = Server::<LoopbackTransport>::restore(restorer, &buf).unwrap();
+    for _ in 0..32 {
+        restored.tick();
+    }
+    assert_eq!(restored.detached_sessions(), 1, "deadline not reached yet");
+    for _ in 32..DETACH_TTL + 64 {
+        restored.tick();
+    }
+    assert_eq!(restored.stats().expired, 1, "persisted deadline must hold");
+    assert_eq!(restored.live_sessions(), 0);
+    assert_eq!(restored.detached_sessions(), 0);
 }
 
 /// Secret pinning is mandatory on both sides, and a mismatched secret

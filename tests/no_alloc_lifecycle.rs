@@ -8,7 +8,7 @@
 //! Detach and re-attach themselves are admission-time costs (a fresh
 //! connection's buffers), so the warm-up performs one full
 //! disconnect → RESUME → re-attach cycle to size every lifecycle
-//! buffer (detached-entry list, resume queue, egress slack for PING
+//! buffer (flow table, resume queue, egress slack for PING
 //! and GO-AWAY) before the measured window opens on the second,
 //! unresumed disconnect.
 //!
@@ -54,7 +54,7 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
     // connection fires *inside* the measured window (warm-up goes
     // silent ~800 ticks before it opens); idle_deadline stays infinite
     // so the connection is probed, never detached. The detached
-    // session's tick TTL is infinite so its entry is scanned every
+    // session's tick TTL is infinite so its flow is scanned every
     // measured tick without expiring.
     // The resume secret is pinned so the server is snapshottable: the
     // warm-restart phase below images this server and re-measures the
@@ -102,7 +102,7 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
     assert_eq!(server.live_sessions(), 2);
 
     // Warm-up 2: one full disconnect → RESUME → re-attach cycle for B,
-    // sizing the detached-entry list, the resume queue, and the fresh
+    // sizing the flow table, the resume queue, and the fresh
     // connection's buffers.
     let token = b.resume_token().expect("admitted client holds a token");
     let (srv2, cli2) = loopback_pair(1 << 12);
@@ -148,7 +148,7 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
 
     // Measured window: idle bookkeeping for A (the keepalive PING
     // fires ~100 ticks in and is encoded, enqueued, and flushed),
-    // drain-deadline checks, the detached entry's TTL scan, and a
+    // drain-deadline checks, the detached flow's TTL scan, and a
     // drive round over one live and one detached lane.
     let before = allocations();
     for _ in 0..200 {
