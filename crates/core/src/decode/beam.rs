@@ -222,13 +222,11 @@ impl PlanGeo {
     }
 }
 
-/// Default for the largest entering frontier [`BeamCheckpoints`] will
-/// snapshot. Levels whose frontier exceeds the limit (deep
-/// unobserved-gap deferral) stop the checkpoint prefix for that attempt;
-/// resumption then starts below them. Bounds checkpoint memory at
-/// `limit × n_levels` entries per store. The limit is a per-store knob
-/// ([`BeamCheckpoints::with_max_frontier`]) so a multi-session pool can
-/// trade per-session resumption depth against its global memory budget.
+/// The largest entering frontier [`BeamCheckpoints`] will snapshot.
+/// Levels whose frontier exceeds the limit (deep unobserved-gap
+/// deferral) stop the checkpoint prefix for that attempt; resumption
+/// then starts below them. Bounds checkpoint memory at
+/// `limit × n_levels` entries per store.
 pub const MAX_CHECKPOINT_FRONTIER: usize = 1 << 12;
 
 /// One level's snapshot: the frontier *entering* the level, the arena
@@ -254,12 +252,12 @@ struct SavedStates {
 impl SavedStates {
     /// Snapshots the state entering level `t`. Only extends the valid
     /// prefix contiguously, and skips (freezing the prefix) when the
-    /// frontier exceeds `limit` — too large to be worth copying.
+    /// frontier exceeds [`MAX_CHECKPOINT_FRONTIER`] — too large to be
+    /// worth copying.
     #[allow(clippy::too_many_arguments)]
     fn save(
         &mut self,
         t: u32,
-        limit: usize,
         spines: &[u64],
         keys: &[u64],
         parents: &[u32],
@@ -267,7 +265,7 @@ impl SavedStates {
         arena_len: usize,
         stats: DecodeStats,
     ) {
-        if t != self.valid || spines.len() > limit {
+        if t != self.valid || spines.len() > MAX_CHECKPOINT_FRONTIER {
             return;
         }
         if self.levels.len() <= t as usize {
@@ -333,8 +331,8 @@ impl Default for CachedPlan {
 ///
 /// # The packed tier
 ///
-/// Alongside the raw per-level snapshots, the store keeps (by default)
-/// a **compressed** image of the same prefix, refilled at every attempt
+/// Alongside the raw per-level snapshots, the store keeps a
+/// **compressed** image of the same prefix, refilled at every attempt
 /// finish: topology only — the parent index into the previous level's
 /// committed frontier plus the `k`-bit segment, bit-packed, with the
 /// per-level work counters varint-coded (see the private
@@ -345,7 +343,7 @@ impl Default for CachedPlan {
 /// makes [`demote`](Self::demote) possible: drop the raw tier (~20× the
 /// bytes) while keeping full resumption depth, at the cost of one
 /// transparent unpack on the session's next attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BeamCheckpoints {
     saved: SavedStates,
     /// The backtracking arena shared across attempts (replaces the
@@ -358,65 +356,21 @@ pub struct BeamCheckpoints {
     n_levels: u32,
     levels_resumed: u64,
     levels_run: u64,
-    /// Largest entering frontier this store will snapshot (see
-    /// [`MAX_CHECKPOINT_FRONTIER`], the default).
-    max_frontier: usize,
     /// Compressed image of `saved` (topology + stats bitstream),
-    /// refilled at every attempt finish while `packing` is on.
+    /// refilled at every attempt finish.
     packed: PackedCheckpoints,
     /// Raw tier dropped; the next attempt must unpack before resuming.
     demoted: bool,
-    /// Maintain the packed tier (on by default; turning it off also
-    /// discards the blob, since it would go stale at the next attempt).
-    packing: bool,
     /// Packs performed over the store's lifetime.
     packs: u64,
     /// Demote→unpack round trips over the store's lifetime.
     unpacks: u64,
 }
 
-impl Default for BeamCheckpoints {
-    fn default() -> Self {
-        Self {
-            saved: SavedStates::default(),
-            arena_parents: Vec::new(),
-            arena_segs: Vec::new(),
-            plans: Vec::new(),
-            obs_len: 0,
-            n_levels: 0,
-            levels_resumed: 0,
-            levels_run: 0,
-            max_frontier: MAX_CHECKPOINT_FRONTIER,
-            packed: PackedCheckpoints::default(),
-            demoted: false,
-            packing: true,
-            packs: 0,
-            unpacks: 0,
-        }
-    }
-}
-
 impl BeamCheckpoints {
     /// Creates an empty checkpoint store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty store that snapshots frontiers only up to
-    /// `limit` entries per level (default:
-    /// [`MAX_CHECKPOINT_FRONTIER`]). Smaller limits cap the store's
-    /// memory; `0` disables checkpointing entirely (every attempt then
-    /// decodes from scratch — results are unchanged, only work is).
-    pub fn with_max_frontier(limit: usize) -> Self {
-        Self {
-            max_frontier: limit,
-            ..Self::default()
-        }
-    }
-
-    /// The per-level snapshot frontier limit in use.
-    pub fn max_frontier(&self) -> usize {
-        self.max_frontier
     }
 
     /// Discards all checkpoints and cached plans (keeping capacity), so
@@ -474,7 +428,7 @@ impl BeamCheckpoints {
 
     /// The packed checkpoint image, when one is in sync with the saved
     /// prefix — the bytes a pool snapshot carries across a process
-    /// restart. `None` when packing is off or nothing has been packed.
+    /// restart. `None` when nothing has been packed.
     pub fn packed_image(&self) -> Option<&[u8]> {
         if self.packed.active {
             Some(&self.packed.bytes)
@@ -516,29 +470,8 @@ impl BeamCheckpoints {
         true
     }
 
-    /// Enables or disables the packed tier (on by default). Disabling
-    /// discards the current blob — it would silently go stale at the
-    /// next attempt otherwise. On a demoted store the blob is the only
-    /// surviving tier, so disabling falls all the way back to a cold
-    /// store (full replay at the next attempt — checkpoints are policy,
-    /// results never change).
-    pub fn set_packing(&mut self, enabled: bool) {
-        self.packing = enabled;
-        if !enabled {
-            if self.demoted {
-                self.reset();
-            }
-            self.packed.clear();
-        }
-    }
-
-    /// Whether the packed tier is maintained.
-    pub fn packing(&self) -> bool {
-        self.packing
-    }
-
     /// Packs performed over the store's lifetime (one per attempt finish
-    /// while packing is on).
+    /// that left a checkpoint prefix).
     pub fn packs(&self) -> u64 {
         self.packs
     }
@@ -1014,7 +947,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             arena_parents,
             arena_segs,
             plans,
-            max_frontier,
             ..
         } = ckpt;
         let mut plans = PlanSource::Cached { cache: plans, geo };
@@ -1026,7 +958,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             arena_parents,
             arena_segs,
             &mut plans,
-            Some((saved, *max_frontier)),
+            Some(saved),
             stats,
         );
     }
@@ -1047,9 +979,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             saved,
             arena_parents,
             arena_segs,
-            max_frontier,
             packed,
-            packing,
             packs,
             ..
         } = ckpt;
@@ -1057,7 +987,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             fr,
             arena_parents,
             arena_segs,
-            Some((saved, *max_frontier)),
+            Some(saved),
             order,
             selector,
             path,
@@ -1067,7 +997,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         // Keep the compressed tier in sync with the snapshots this
         // attempt just (re)wrote, so the store is demotable at any
         // point between attempts.
-        if *packing && saved.valid > 0 {
+        if saved.valid > 0 {
             self.pack_checkpoints(saved, packed);
             *packs += 1;
         }
@@ -1370,7 +1300,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         ckpt.reset();
         ckpt.n_levels = self.params.n_segments();
         ckpt.obs_len = obs_len;
-        let limit = ckpt.max_frontier.min(self.config.max_frontier);
+        let limit = MAX_CHECKPOINT_FRONTIER.min(self.config.max_frontier);
         let valid = self.validate_packed_blob(blob, limit)?;
         ckpt.packed.bytes.clear();
         ckpt.packed.bytes.extend_from_slice(blob);
@@ -1501,7 +1431,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         arena_parents: &mut Vec<u32>,
         arena_segs: &mut Vec<u16>,
         plans: &mut PlanSource<'_>,
-        saver: Option<(&mut SavedStates, usize)>,
+        saver: Option<&mut SavedStates>,
         stats: &mut DecodeStats,
     ) {
         let msg_segs = self.params.message_segments();
@@ -1535,10 +1465,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         // Snapshot the state entering this level so a later attempt
         // whose first new observation sits at or above `t` can resume
         // here.
-        if let Some((sv, limit)) = saver {
+        if let Some(sv) = saver {
             sv.save(
                 t,
-                limit,
                 fr_spines,
                 fr_keys,
                 fr_parents,
@@ -1706,7 +1635,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         fr: Frontier<'_>,
         arena_parents: &[u32],
         arena_segs: &[u16],
-        saver: Option<(&mut SavedStates, usize)>,
+        saver: Option<&mut SavedStates>,
         order: &mut Vec<u32>,
         selector: &mut SelectScratch,
         path: &mut Vec<u16>,
@@ -1720,10 +1649,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             parents: fr_parents,
             segs: fr_segs,
         } = fr;
-        if let Some((sv, limit)) = saver {
+        if let Some(sv) = saver {
             sv.save(
                 n_levels,
-                limit,
                 fr_spines,
                 fr_keys,
                 fr_parents,
@@ -2837,72 +2765,6 @@ mod tests {
         // Every retry whose resume level is > 0 unpacked (the t == 0
         // retries restart from the root with nothing to rebuild).
         assert!(ckpt.unpacks() >= 8, "{}", ckpt.unpacks());
-    }
-
-    /// Packing can be turned off (the blob is discarded so it can never
-    /// go stale), and a store with packing off refuses to demote.
-    #[test]
-    fn packing_toggle_discards_blob_and_blocks_demote() {
-        let p = params(24, 8, 0);
-        let msg = BitVec::from_bytes(&[1, 2, 3]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::paper_default(),
-        )
-        .unwrap();
-        let obs = noiseless_obs(&enc, 1);
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut out = DecodeResult::default();
-        dec.decode_incremental(&obs, 0, &mut ckpt, &mut scratch, &mut out);
-        assert!(ckpt.can_demote());
-        assert!(ckpt.packed_bytes() > 0);
-        ckpt.set_packing(false);
-        assert!(!ckpt.can_demote());
-        assert!(!ckpt.demote());
-        dec.decode_incremental(&obs, 0, &mut ckpt, &mut scratch, &mut out);
-        assert!(!ckpt.can_demote(), "no blob is maintained while off");
-        ckpt.set_packing(true);
-        dec.decode_incremental(&obs, 0, &mut ckpt, &mut scratch, &mut out);
-        assert!(ckpt.can_demote(), "re-enabled packing refills at finish");
-        let batch = dec.decode(&obs);
-        assert_eq!(out.candidates, batch.candidates);
-    }
-
-    /// Disabling packing on a *demoted* store discards the only
-    /// surviving tier — the store must fall back to cold (full replay)
-    /// rather than try to restore from the vanished blob. Regression
-    /// for a crash the API fuzzer found: demote → set_packing(false) →
-    /// next attempt unpacked an empty blob into an empty frontier.
-    #[test]
-    fn disabling_packing_while_demoted_falls_back_to_cold() {
-        let p = params(24, 8, 0);
-        let msg = BitVec::from_bytes(&[9, 8, 7]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::paper_default(),
-        )
-        .unwrap();
-        let obs = noiseless_obs(&enc, 1);
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut out = DecodeResult::default();
-        dec.decode_incremental(&obs, 0, &mut ckpt, &mut scratch, &mut out);
-        assert!(ckpt.demote());
-        ckpt.set_packing(false);
-        assert!(!ckpt.is_demoted(), "cold store, not a demoted one");
-        dec.decode_incremental(&obs, 2, &mut ckpt, &mut scratch, &mut out);
-        let batch = dec.decode(&obs);
-        assert_eq!(out.candidates, batch.candidates);
-        assert_eq!(out.stats, batch.stats, "full replay, as-if-from-scratch");
     }
 
     proptest! {

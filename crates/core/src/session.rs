@@ -750,12 +750,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.ckpt.demote()
     }
 
-    /// Enables or disables maintenance of the packed checkpoint tier
-    /// (on by default; disabling discards the current image).
-    pub fn set_checkpoint_packing(&mut self, enabled: bool) {
-        self.ckpt.set_packing(enabled);
-    }
-
     /// The symbol count the thinning schedule will run the next decode
     /// attempt at (see [`RxConfig::attempt_growth`]). Part of the
     /// session's restartable receive state: restoring it exactly is what

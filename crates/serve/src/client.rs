@@ -4,7 +4,10 @@
 //! payload, negotiates the session with HELLO, streams symbol bursts as
 //! DATA frames and reacts to feedback — seeking its
 //! [`TxSession`] on NACK, finishing on ACK / cumulative snapshot /
-//! Close. Impairments compose in front of the wire: an optional
+//! Close. A client that learns of its decode answers with
+//! `Close { Done }`, so the server drops the flow's record at once
+//! instead of holding the verdict for a resume that will never come.
+//! Impairments compose in front of the wire: an optional
 //! [`FaultPlan`] rewrites each pushed symbol into zero or more
 //! deliveries (drop, duplicate, reorder, corrupt, stale slot) and an
 //! optional noise hook perturbs I/Q values (e.g. an AWGN channel), both
@@ -314,6 +317,7 @@ impl<T: Transport> ServeClient<T> {
             return;
         }
         if self.state == ClientState::Done {
+            let _ = self.flush();
             return;
         }
         let idle = self.tick_count.saturating_sub(self.last_rx_tick);
@@ -339,6 +343,22 @@ impl<T: Transport> ServeClient<T> {
             self.outcome = Some(outcome);
         }
         self.state = ClientState::Done;
+    }
+
+    /// Finishes on the server's decode report and queues
+    /// `Close { Done }`: the verdict has arrived, so the server need not
+    /// hold it for replay.
+    fn finish_decoded(&mut self, symbols_used: u64, attempts: u32) {
+        self.finish(ClientOutcome::Decoded {
+            symbols_used,
+            attempts,
+        });
+        let _ = encode_frame(
+            &Frame::Close {
+                reason: CloseReason::Done,
+            },
+            &mut self.egress,
+        );
     }
 
     fn flush(&mut self) -> Result<(), SpinalError> {
@@ -431,14 +451,8 @@ impl<T: Transport> ServeClient<T> {
                 }
                 Fb::GoAway(drain_ticks) => self.goaway = Some(drain_ticks),
                 Fb::Busy => self.finish(ClientOutcome::Busy),
-                Fb::Ack(symbols_used, attempts) => self.finish(ClientOutcome::Decoded {
-                    symbols_used,
-                    attempts,
-                }),
-                Fb::CumDecoded(symbols_used) => self.finish(ClientOutcome::Decoded {
-                    symbols_used,
-                    attempts: 0,
-                }),
+                Fb::Ack(symbols_used, attempts) => self.finish_decoded(symbols_used, attempts),
+                Fb::CumDecoded(symbols_used) => self.finish_decoded(symbols_used, 0),
                 Fb::Decoded(bits) => self.decoded = Some(bits),
                 Fb::Nack(expected) => {
                     // An uncoverable NACK (window slid past the gap)

@@ -24,9 +24,9 @@
 //!    pool's per-tick level budget ([`MultiConfig::work_budget`]),
 //!    turning pool events into flow verdicts and, for attached flows,
 //!    feedback frames (ACK + decoded bits, Close on
-//!    exhaustion/abandonment) and completion-latency samples — detached
-//!    flows are driven exactly like attached ones, which is what keeps a
-//!    later resume bit-identical to an uninterrupted run;
+//!    exhaustion/abandonment) — detached flows are driven exactly like
+//!    attached ones, which is what keeps a later resume bit-identical to
+//!    an uninterrupted run;
 //! 6. **snapshot** — periodic cumulative-ACK frames for sessions that
 //!    negotiated [`FeedbackMode::CumulativeAck`].
 //!
@@ -451,7 +451,6 @@ struct Flow {
     verdict: Verdict,
     mode: FeedbackMode,
     expected_seq: u64,
-    first_data_tick: u64,
     /// The connection carrying the flow; `None` while detached.
     conn: Option<usize>,
     /// Tick at which the flow expires while detached.
@@ -579,7 +578,6 @@ struct Shard<T> {
     events: Vec<SessionEvent>,
     rxbuf: Vec<u8>,
     symbols: Vec<(Slot, IqSymbol)>,
-    latencies: Vec<u64>,
     stats: ServeStats,
 }
 
@@ -594,7 +592,6 @@ impl<T: Transport> Shard<T> {
             events: Vec::new(),
             rxbuf: Vec::with_capacity(16 * 1024),
             symbols: Vec::new(),
-            latencies: Vec::new(),
             stats: ServeStats::default(),
         }
     }
@@ -748,16 +745,6 @@ impl<T: Transport> Server<T> {
         out
     }
 
-    /// Completion latencies (in ticks, DATA-first-seen → decoded) of
-    /// every session that decoded, appended shard by shard.
-    pub fn latencies(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.latencies);
-        }
-        out
-    }
-
     /// Sessions currently live across all shard pools (attached and
     /// detached).
     pub fn live_sessions(&self) -> usize {
@@ -805,10 +792,11 @@ impl<T: Transport> Server<T> {
     /// CRC-framed warm-restart snapshot — the image [`Server::restore`]
     /// rebuilds a bit-identical server from.
     ///
-    /// Every in-flight session is first demoted to its packed
-    /// checkpoint tier (~20× smaller; demotion changes decode *work*,
-    /// never results), then written with its code shape, receive
-    /// dynamics and full observation set. Sessions attached to live
+    /// Every in-flight session is written with its code shape, receive
+    /// dynamics, full observation set and packed checkpoint image
+    /// (refreshed at every attempt finish, ~20× smaller than the raw
+    /// tier, which stays resident: imaging a session leaves its next
+    /// attempt's work unchanged). Sessions attached to live
     /// connections are imaged as *detached* under their resume token:
     /// transports do not survive a process, so after a restore every
     /// client re-attaches through the ordinary RESUME path with the
@@ -835,20 +823,6 @@ impl<T: Transport> Server<T> {
         let secret = self.resume_secret;
         let ttl = self.cfg.pool.detach_ttl;
         let tick = self.tick;
-
-        // Demote every pending session's checkpoints to the packed tier
-        // (best effort: a session with nothing packable restores cold —
-        // same results, more first-attempt work).
-        for shard in &mut self.shards {
-            for flow in shard.flows.iter() {
-                if let Verdict::Pending(sid) = flow.verdict {
-                    if let Some(rx) = shard.pool.get_mut(sid) {
-                        let _ = rx.demote_checkpoints();
-                    }
-                }
-            }
-        }
-
         self.shards[0].stats.snapshots += 1;
         let flows = || self.shards.iter().flat_map(|s| s.flows.iter());
         let pending = flows()
@@ -872,7 +846,6 @@ impl<T: Transport> Server<T> {
                 pending,
                 entry_count: flows().count() as u32,
                 stats: self.stats().to_words().to_vec(),
-                latencies: self.latencies(),
             },
         );
 
@@ -898,7 +871,6 @@ impl<T: Transport> Server<T> {
                         },
                         mode: flow.mode,
                         expected_seq: flow.expected_seq,
-                        first_data_tick: flow.first_data_tick,
                         // An attached flow is not on the detach clock;
                         // its restored deadline starts at the snapshot
                         // tick.
@@ -937,7 +909,7 @@ impl<T: Transport> Server<T> {
     /// way are counted in [`ServeStats::restore_dropped`] so the
     /// lifecycle conservation law closes exactly. Restored entries are
     /// counted in [`ServeStats::restored`]; the snapshot's aggregate
-    /// stats and latency samples carry over.
+    /// stats carry over.
     ///
     /// # Errors
     ///
@@ -958,7 +930,7 @@ impl<T: Transport> Server<T> {
         let header_payload = reader.take_section()?.ok_or(SpinalError::Snapshot {
             kind: SnapshotErrorKind::Corrupt,
         })?;
-        let mut header = parse_header(header_payload)?;
+        let header = parse_header(header_payload)?;
         if header.stats.len() != STAT_WORDS {
             return Err(SpinalError::Snapshot {
                 kind: SnapshotErrorKind::Corrupt,
@@ -976,7 +948,6 @@ impl<T: Transport> Server<T> {
         let mut words = [0u64; STAT_WORDS];
         words.copy_from_slice(&header.stats);
         server.shards[0].stats = ServeStats::from_words(&words);
-        server.shards[0].latencies = std::mem::take(&mut header.latencies);
         for shard in &mut server.shards {
             shard.pool.restore_round(header.pool_round);
         }
@@ -1059,7 +1030,6 @@ impl<T: Transport> Server<T> {
                 verdict,
                 mode: entry.mode,
                 expected_seq: entry.expected_seq,
-                first_data_tick: entry.first_data_tick,
                 conn: None,
                 expires_tick: entry.expires_tick,
             });
@@ -1076,7 +1046,7 @@ impl<T: Transport + Send> Server<T> {
     ///
     /// Shards share no mutable state — each owns its pool, connections
     /// and counters — so the result is bit-identical to the serial
-    /// [`tick`](Server::tick): same frames, same latencies, same stats,
+    /// [`tick`](Server::tick): same frames, same verdicts, same stats,
     /// for any shard count.
     pub fn tick_sharded(&mut self) {
         self.tick += 1;
@@ -1121,7 +1091,6 @@ fn shard_tick<T: Transport>(
         events,
         rxbuf,
         symbols,
-        latencies,
         stats,
     } = shard;
     let ttl = cfg.pool.detach_ttl;
@@ -1260,7 +1229,6 @@ fn shard_tick<T: Transport>(
                                 verdict: Verdict::Pending(id),
                                 mode: h.mode,
                                 expected_seq: 0,
-                                first_data_tick: u64::MAX,
                                 conn: Some(idx),
                                 expires_tick: u64::MAX,
                             });
@@ -1313,9 +1281,6 @@ fn shard_tick<T: Transport>(
                         match flow.verdict {
                             Verdict::Pending(id) => {
                                 stats.symbols_in += count as u64;
-                                if flow.first_data_tick == u64::MAX {
-                                    flow.first_data_tick = tick;
-                                }
                                 if seq > flow.expected_seq {
                                     if flow.mode == FeedbackMode::Nack && !conn.nacked {
                                         enqueue(
@@ -1502,10 +1467,6 @@ fn shard_tick<T: Transport>(
                 symbols_used,
                 attempts,
             }) => {
-                let first_data_tick = flows.get(f).first_data_tick;
-                if first_data_tick != u64::MAX {
-                    latencies.push(tick - first_data_tick);
-                }
                 stats.decoded += 1;
                 Verdict::Decoded {
                     bits: pool
@@ -1823,5 +1784,55 @@ mod tests {
         sum.absorb(&stats);
         assert_eq!(sum.ticks, 0, "absorb skips the clock");
         assert_eq!(sum.restore_dropped, 44);
+    }
+
+    /// Imaging a session leaves its checkpoint store as it was: every
+    /// pending session keeps its raw tier (no unpack owed on its next
+    /// attempt) and holds the packed image the snapshot carried.
+    #[test]
+    fn snapshot_leaves_checkpoints_resident() {
+        use crate::client::{ClientConfig, ServeClient};
+        use crate::transport::loopback_pair;
+
+        let cfg = ServeConfig {
+            resume_secret: Some(7),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(cfg).unwrap();
+        let ccfg = ClientConfig {
+            max_symbols: 1 << 20,
+            ..ClientConfig::default()
+        };
+        let mut clients = Vec::new();
+        for i in 0..4u8 {
+            let (local, remote) = loopback_pair(1 << 16);
+            server.add_connection(remote);
+            let client = ServeClient::new(local, &ccfg, &BitVec::from_bytes(&[i, 0x5a]))
+                .unwrap()
+                .with_noise(Box::new(|_| IqSymbol::new(0.0, 0.0)));
+            clients.push(client);
+        }
+        for _ in 0..30 {
+            server.tick();
+            for c in &mut clients {
+                c.tick();
+            }
+        }
+        let mut image = Vec::new();
+        server.snapshot_into(&mut image).unwrap();
+
+        let shard = &server.shards[0];
+        let mut pending = 0;
+        for flow in shard.flows.iter() {
+            let Verdict::Pending(sid) = flow.verdict else {
+                continue;
+            };
+            let rx = shard.pool.get(sid).unwrap();
+            assert!(rx.attempts() > 0, "the session has attempted a decode");
+            assert!(!rx.checkpoints().is_demoted(), "snapshot demoted a session");
+            assert!(rx.packed_checkpoint_image().is_some());
+            pending += 1;
+        }
+        assert_eq!(pending, 4);
     }
 }

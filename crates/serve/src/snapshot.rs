@@ -4,11 +4,11 @@
 //! a 5-byte preamble (magic + version) followed by CRC-framed
 //! *sections*, each `[len: u32 LE][payload][crc32: u32 LE]` with the
 //! CRC taken over the payload alone. Section 0 is the header (tick
-//! counters, resume-secret probe, aggregate stats, latency samples);
-//! every further section is one session *entry* — either a pending
-//! in-flight decode (code shape, receive dynamics, the full observation
-//! set, and optionally the packed checkpoint blob) or a terminal
-//! verdict held for replay.
+//! counters, resume-secret probe, aggregate stats), a fixed size
+//! whatever the server has served; every further section is one live
+//! session *entry* — either a pending in-flight decode (code shape,
+//! receive dynamics, the full observation set, and optionally the
+//! packed checkpoint blob) or a terminal verdict held for replay.
 //!
 //! The framing is built for graceful degradation on untrusted bytes:
 //!
@@ -39,7 +39,7 @@ use crate::wire::ResumeToken;
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 
 /// The snapshot-format version this build writes and restores.
-pub(crate) const SNAP_VERSION: u8 = 1;
+pub(crate) const SNAP_VERSION: u8 = 2;
 
 /// Preamble length: magic + version byte.
 const PREAMBLE_LEN: usize = SNAP_MAGIC.len() + 1;
@@ -108,8 +108,6 @@ pub(crate) struct SnapshotHeader {
     pub entry_count: u32,
     /// Aggregate stats counters, in `ServeStats` field order.
     pub stats: Vec<u64>,
-    /// Completion-latency samples, shard-concatenated.
-    pub latencies: Vec<u64>,
 }
 
 /// Code shape of a pending session — exactly the HELLO fields, so the
@@ -129,7 +127,6 @@ pub(crate) struct EntryRef<'a> {
     pub token: ResumeToken,
     pub mode: FeedbackMode,
     pub expected_seq: u64,
-    pub first_data_tick: u64,
     pub expires_tick: u64,
     pub body: EntryBodyRef<'a>,
 }
@@ -162,7 +159,6 @@ pub(crate) struct ParsedEntry {
     pub token: ResumeToken,
     pub mode: FeedbackMode,
     pub expected_seq: u64,
-    pub first_data_tick: u64,
     pub expires_tick: u64,
     pub body: ParsedBody,
 }
@@ -207,10 +203,6 @@ pub(crate) fn write_header(out: &mut Vec<u8>, h: &SnapshotHeader) {
         for &s in &h.stats {
             p.extend_from_slice(&s.to_le_bytes());
         }
-        p.extend_from_slice(&(h.latencies.len() as u32).to_le_bytes());
-        for &l in &h.latencies {
-            p.extend_from_slice(&l.to_le_bytes());
-        }
     });
 }
 
@@ -228,7 +220,6 @@ pub(crate) fn write_entry(out: &mut Vec<u8>, e: &EntryRef<'_>) {
         p.push(mode_tag);
         p.extend_from_slice(&period.to_le_bytes());
         p.extend_from_slice(&e.expected_seq.to_le_bytes());
-        p.extend_from_slice(&e.first_data_tick.to_le_bytes());
         p.extend_from_slice(&e.expires_tick.to_le_bytes());
         match &e.body {
             EntryBodyRef::Pending {
@@ -415,14 +406,6 @@ pub(crate) fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, SpinalError
     for _ in 0..n_stats {
         stats.push(r.u64().ok_or_else(corrupt)?);
     }
-    let n_lat = r.u32().ok_or_else(corrupt)? as usize;
-    if n_lat > r.remaining() / 8 {
-        return Err(corrupt());
-    }
-    let mut latencies = Vec::with_capacity(n_lat);
-    for _ in 0..n_lat {
-        latencies.push(r.u64().ok_or_else(corrupt)?);
-    }
     if !r.done() {
         return Err(corrupt());
     }
@@ -434,7 +417,6 @@ pub(crate) fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, SpinalError
         pending,
         entry_count,
         stats,
-        latencies,
     })
 }
 
@@ -453,7 +435,6 @@ pub(crate) fn parse_entry(payload: &[u8]) -> Option<ParsedEntry> {
         _ => return None,
     };
     let expected_seq = r.u64()?;
-    let first_data_tick = r.u64()?;
     let expires_tick = r.u64()?;
     let body = match r.u8()? {
         KIND_PENDING => {
@@ -534,7 +515,6 @@ pub(crate) fn parse_entry(payload: &[u8]) -> Option<ParsedEntry> {
         token: ResumeToken { id, auth },
         mode,
         expected_seq,
-        first_data_tick,
         expires_tick,
         body,
     })
@@ -553,7 +533,6 @@ mod tests {
             pending: 1,
             entry_count: 2,
             stats: vec![1, 2, 3],
-            latencies: vec![10, 20],
         }
     }
 
@@ -567,7 +546,6 @@ mod tests {
                 token: ResumeToken { id: 5, auth: 77 },
                 mode: FeedbackMode::CumulativeAck { period: 3 },
                 expected_seq: 12,
-                first_data_tick: 4,
                 expires_tick: 600,
                 body: EntryBodyRef::Pending {
                     shape: PendingShape {
@@ -593,7 +571,6 @@ mod tests {
                 token: ResumeToken { id: 6, auth: 78 },
                 mode: FeedbackMode::AckOnly,
                 expected_seq: 40,
-                first_data_tick: u64::MAX,
                 expires_tick: 700,
                 body: EntryBodyRef::Done {
                     bits: Some(&bits),
@@ -625,7 +602,6 @@ mod tests {
         assert_eq!(h.pending, 1);
         assert_eq!(h.entry_count, 2);
         assert_eq!(h.stats, vec![1, 2, 3]);
-        assert_eq!(h.latencies, vec![10, 20]);
 
         let e1 = parse_entry(r.take_section().unwrap().unwrap()).unwrap();
         assert_eq!(e1.token, ResumeToken { id: 5, auth: 77 });
@@ -764,7 +740,6 @@ mod tests {
                 token: ResumeToken { id: 1, auth: 2 },
                 mode: FeedbackMode::AckOnly,
                 expected_seq: 0,
-                first_data_tick: 0,
                 expires_tick: 0,
                 body: EntryBodyRef::Exhausted,
             },
@@ -787,7 +762,6 @@ mod tests {
                 token: ResumeToken { id: 1, auth: 2 },
                 mode: FeedbackMode::AckOnly,
                 expected_seq: 0,
-                first_data_tick: 0,
                 expires_tick: 0,
                 body: EntryBodyRef::Done {
                     bits: Some(&bits),

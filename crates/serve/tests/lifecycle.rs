@@ -1,7 +1,8 @@
 //! Connection-lifecycle dialogues over deterministic transports:
 //! mid-stream disconnect + resume bit-identity, keepalive probing and
 //! idle closure, graceful drain, overload shedding of detached
-//! orphans, chaos-transport recovery, and a real-socket TCP smoke run.
+//! orphans, delivered flows leaving no record behind, chaos-transport
+//! recovery, and a real-socket TCP smoke run.
 
 use spinal_core::bits::BitVec;
 use spinal_core::sched::MultiConfig;
@@ -378,6 +379,39 @@ fn admission_sheds_detached_orphans_before_busy() {
     }
     assert!(refused, "a shed session's token must be refused");
     assert_eq!(server.stats().resume_rejected, 1);
+}
+
+/// A delivered flow's record does not outlive the flow, even under the
+/// default config (infinite detach TTL): a client that hangs up right
+/// after its verdict has already closed the dialogue, so the server
+/// holds nothing for it — not in the pool, not as a detached verdict.
+#[test]
+fn delivered_flows_leave_no_record_under_default_config() {
+    let mut server = Server::new(ServeConfig::default()).unwrap();
+    for i in 0..200u64 {
+        let (local, remote) = loopback_pair(1 << 16);
+        server.add_connection(remote);
+        let ccfg = ClientConfig {
+            seed: 500 + i,
+            ..ClientConfig::default()
+        };
+        let mut clients = vec![ServeClient::new(local, &ccfg, &payload(i)).unwrap()];
+        run_to_done(&mut server, &mut clients, false);
+        assert_eq!(clients[0].decoded_payload(), Some(&payload(i)));
+        // The client hangs up the moment it has its verdict.
+        drop(clients);
+    }
+    for _ in 0..100 {
+        server.tick();
+    }
+    server.reap_closed();
+    assert_eq!(server.stats().decoded, 200);
+    assert_eq!(server.live_sessions(), 0);
+    assert_eq!(
+        server.detached_sessions(),
+        0,
+        "delivered flows left records"
+    );
 }
 
 /// A chaos-injected mid-stream disconnect surfaces as

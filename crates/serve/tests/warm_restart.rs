@@ -1,7 +1,8 @@
 //! Warm-restart coverage: kill/restore/resume identity against
 //! uninterrupted twins (serial and sharded, up to 256 flows), secret
-//! pinning, detached TTL survival across the restart (under the same
-//! TTL and under an infinite one), and adversarial snapshot bytes
+//! pinning, snapshot size independent of the traffic already served,
+//! detached TTL survival across the restart (under the same TTL and
+//! under an infinite one), and adversarial snapshot bytes
 //! (truncation at every boundary, single-byte corruption, forged
 //! tokens, byte soup) — typed errors or accounted drops, never a panic
 //! and never a wrong-session attach.
@@ -231,6 +232,46 @@ proptest! {
                 + stats.expired + stats.restore_dropped
         );
     }
+}
+
+/// A snapshot images live sessions, not lifetime traffic: a server
+/// that has served 220 flows one after another writes the same header
+/// and the same image size as one that has served 20.
+#[test]
+fn snapshot_size_does_not_grow_with_flows_served() {
+    let mut server = Server::new(ServeConfig {
+        resume_secret: Some(SECRET),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut serve = |flows: std::ops::Range<u64>| {
+        for f in flows {
+            let (local, remote) = loopback_pair(1 << 16);
+            server.add_connection(remote);
+            let mut clients =
+                vec![ServeClient::new(local, &client_cfg(f), &payload(f, 2, 3)).unwrap()];
+            for _ in 0..MAX_TICKS {
+                if tick_all(&mut server, &mut clients, false) {
+                    break;
+                }
+            }
+            assert!(matches!(
+                clients[0].outcome(),
+                Some(ClientOutcome::Decoded { .. })
+            ));
+        }
+        // Let the server read the last client's goodbye.
+        server.tick();
+        server.reap_closed();
+        let mut image = Vec::new();
+        server.snapshot_into(&mut image).unwrap();
+        image
+    };
+    let header_len = |image: &[u8]| u32::from_le_bytes(image[5..9].try_into().unwrap());
+    let after_20 = serve(0..20);
+    let after_220 = serve(20..220);
+    assert_eq!(header_len(&after_20), header_len(&after_220));
+    assert_eq!(after_20.len(), after_220.len());
 }
 
 /// The detach TTL survives the restart: a session detached before the

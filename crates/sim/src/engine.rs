@@ -136,8 +136,10 @@ pub trait Scenario: Sync {
     /// loop over [`run_trial`](Self::run_trial); scenarios that serve
     /// many concurrent decoder sessions override this to batch the
     /// chunk's trials through one multi-session scheduler
-    /// (`spinal_core::sched::MultiDecoder`), which amortizes beam
-    /// expansion across them. Overrides **must** accumulate results in
+    /// (`spinal_core::sched::MultiDecoder`), whose attempts all run
+    /// through the pool's one hot decoder scratch (its plan-geometry
+    /// slot included) instead of each trial warming its own. Overrides
+    /// **must** accumulate results in
     /// ascending trial order and produce an accumulator bit-identical to
     /// the default loop — trials are independent, so concurrency is an
     /// execution detail, never a semantic.

@@ -12,7 +12,7 @@
 //!   slots must consume nothing.
 //! * **`MultiDecoder` id streams** — random interleavings of
 //!   insert / ingest / drive / budgeted `drive_until` / remove /
-//!   checkpoint demote / packing toggles / detach / resume-by-token /
+//!   checkpoint demote / detach / resume-by-token /
 //!   TTL reap / cost-ranked shed, including stale (generational) and
 //!   double-removed ids and forged resume tokens, against pools with
 //!   tiny checkpoint budgets, detached-session TTLs and byte budgets,
@@ -252,21 +252,15 @@ proptest! {
                     }
                 }
                 6 => {
-                    // Checkpoint tiering ops on a random live session:
-                    // demotion and packing toggles are transparent
-                    // policy, so any interleaving must stay panic-free.
+                    // Demote a random live session's checkpoints:
+                    // demotion is transparent policy, so any
+                    // interleaving must stay panic-free.
                     let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
                         let rx = pool.get_mut(*id).expect("live id");
-                        match (op >> 9) % 3 {
-                            0 => {
-                                let could = rx.can_demote_checkpoints();
-                                prop_assert_eq!(rx.demote_checkpoints(), could);
-                            }
-                            1 => rx.set_checkpoint_packing(false),
-                            _ => rx.set_checkpoint_packing(true),
-                        }
+                        let could = rx.can_demote_checkpoints();
+                        prop_assert_eq!(rx.demote_checkpoints(), could);
                     }
                 }
                 9 => {

@@ -12,7 +12,7 @@
 //!
 //! The compressed checkpoint tier gets the same treatment: a session
 //! forced through demote → packed-blob restore before every retry must
-//! be bit-identical to one with packing disabled outright.
+//! be bit-identical to one that is never demoted.
 
 use proptest::prelude::*;
 use spinal_codes::channel::{AwgnChannel, Channel};
@@ -171,7 +171,7 @@ proptest! {
     /// is dropped (demoted) before every ingest — so each retry must
     /// rebuild its resume state from the packed blob — produces polls,
     /// payloads, and per-attempt `DecodeResult`s bit-identical to a
-    /// session that never packs at all.
+    /// session that never restores from its packed blob.
     #[test]
     fn prop_packed_restore_bit_identical_to_never_packed(
         seed in 1u64..1_000_000,
@@ -181,7 +181,6 @@ proptest! {
         let msg = BitVec::from_bytes(&[seed as u8, (seed >> 8) as u8, (seed >> 16) as u8 ^ 0x5a]);
         let (mut lane, mut demoted) = build_lane(seed, &msg, snr_db);
         let (_, mut plain) = build_lane(seed, &msg, snr_db);
-        plain.set_checkpoint_packing(false);
         for &c in &chunks {
             if demoted.is_finished() {
                 break;
@@ -206,9 +205,9 @@ proptest! {
             prop_assert_eq!(&dr.stats, &pr.stats, "stats are as-if-from-scratch");
         }
         // The cold path actually ran: every attempt repacked, and the
-        // never-packed mirror holds no blob.
+        // never-demoted mirror never unpacked.
         prop_assert!(demoted.checkpoints().packs() >= u64::from(demoted.attempts()));
-        prop_assert_eq!(plain.checkpoint_packed_bytes(), 0);
+        prop_assert_eq!(plain.checkpoints().unpacks(), 0);
     }
 }
 

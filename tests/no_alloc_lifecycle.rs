@@ -187,8 +187,8 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
     // ---- Warm restart: the restored server reaches the same
     // allocation-free steady state. ----
 
-    // The snapshot itself may allocate (header vectors, checkpoint
-    // demotion), but it must reuse the caller's buffer across calls:
+    // The snapshot itself may allocate (the header's counter vector),
+    // but it must reuse the caller's buffer across calls:
     // once sized by the first image, a second image does not regrow it.
     let mut image = Vec::new();
     server.snapshot_into(&mut image).unwrap();
