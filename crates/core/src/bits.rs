@@ -37,6 +37,14 @@ impl BitVec {
         Self::default()
     }
 
+    /// Creates an empty bit vector with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            len: 0,
+        }
+    }
+
     /// Creates a bit vector of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
         Self {
@@ -70,11 +78,8 @@ impl BitVec {
     ///
     /// Panics if `len > 64`.
     pub fn from_u64(value: u64, len: usize) -> Self {
-        assert!(len <= 64, "from_u64 supports at most 64 bits");
         let mut v = Self::new();
-        for i in (0..len).rev() {
-            v.push((value >> i) & 1 == 1);
-        }
+        v.push_bits(value, len);
         v
     }
 
@@ -107,6 +112,19 @@ impl BitVec {
         self.len += 1;
     }
 
+    /// Appends the `count` low-order bits of `value`, most significant
+    /// of those bits first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 64`.
+    pub fn push_bits(&mut self, value: u64, count: usize) {
+        assert!(count <= 64, "push_bits supports at most 64 bits");
+        for i in (0..count).rev() {
+            self.push((value >> i) & 1 == 1);
+        }
+    }
+
     /// Returns bit `i`.
     ///
     /// # Panics
@@ -132,8 +150,15 @@ impl BitVec {
         }
     }
 
-    /// Appends all bits of `other`.
+    /// Appends all bits of `other` — whole bytes at once when `self`
+    /// ends on a byte boundary (padding bits are always zero, so
+    /// `other`'s bytes append as they are).
     pub fn extend_from(&mut self, other: &BitVec) {
+        if self.len.is_multiple_of(8) {
+            self.bytes.extend_from_slice(&other.bytes);
+            self.len += other.len;
+            return;
+        }
         for i in 0..other.len() {
             self.push(other.get(i));
         }
@@ -314,6 +339,16 @@ mod tests {
             }
             let collected: Vec<bool> = v.iter().collect();
             prop_assert_eq!(collected, bits);
+        }
+
+        /// Appending, byte-wise from a byte boundary or bit-wise
+        /// otherwise, equals building the concatenation bit by bit.
+        #[test]
+        fn prop_extend_from_is_concatenation(a in proptest::collection::vec(any::<bool>(), 0..40),
+                                             b in proptest::collection::vec(any::<bool>(), 0..40)) {
+            let mut v = BitVec::from_bools(&a);
+            v.extend_from(&BitVec::from_bools(&b));
+            prop_assert_eq!(v, BitVec::from_bools(&[a, b].concat()));
         }
 
         #[test]

@@ -20,7 +20,14 @@
 //!   instead carries the whole frontier across such levels — bounded by
 //!   [`BeamConfig::max_frontier`] — and lets the next observed level do
 //!   the pruning. This is what lets rates exceed `k` bits/symbol at high
-//!   SNR.
+//!   SNR. A long enough gap still reaches the cap, and the decoder then
+//!   pre-prunes blindly, as the paper paths measure it. The decoder
+//!   can also walk an attempt's frontier sizes without expanding
+//!   anything, to tell whether it fits under the cap before it runs,
+//!   which is how a session with
+//!   [`RxConfig::exact_attempts`](crate::session::RxConfig::exact_attempts)
+//!   set (every served one) waits for the symbols that fill its gap
+//!   instead.
 //! * **Tail segments.** Levels past the message carry known zero
 //!   segments (§4), so only the zero branch is expanded there.
 //!
@@ -121,6 +128,39 @@ impl BeamConfig {
         }
         Ok(())
     }
+
+    /// Parents a level that branches `branch` ways may expand: the
+    /// pre-prune bound that keeps any single expansion within
+    /// `max_frontier`.
+    fn parent_cap(&self, branch: usize) -> usize {
+        (self.max_frontier / branch).max(1)
+    }
+
+    /// Children a level keeps: `B` at an observed level (or at every
+    /// level when deferral is off), otherwise only the frontier cap.
+    fn survivors(&self, observed: bool) -> usize {
+        if observed || !self.defer_prune_unobserved {
+            self.beam_width
+        } else {
+            self.max_frontier
+        }
+    }
+}
+
+/// A decode attempt's frontier arithmetic, predicted without expanding
+/// a node (see [`BeamDecoder::walk_attempt`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AttemptWalk {
+    /// Every level's expansion stays within
+    /// [`BeamConfig::max_frontier`]: the attempt carries every
+    /// hypothesis its observations cannot yet tell apart, with no
+    /// pre-prune and no blind prune at the cap, so it is bit-identical
+    /// to an attempt with an unbounded frontier.
+    pub(crate) fits: bool,
+    /// Children the attempt generates from the walk's start level on —
+    /// from level 0, exactly the [`DecodeStats::nodes_expanded`] it
+    /// reports.
+    pub(crate) nodes: u64,
 }
 
 impl Default for BeamConfig {
@@ -682,6 +722,40 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         &self.mapper
     }
 
+    /// Walks the frontier arithmetic of an attempt over `obs` level by
+    /// level — pre-prune, expansion, prune — without hashing or
+    /// allocating anything: the frontier enters level 0 as the root,
+    /// and each level expands `min(F, cap) × branch` children, where a
+    /// message level branches `2^k` ways and a tail level once. The
+    /// walk reports whether the attempt fits (`F × branch ≤
+    /// max_frontier` at every level) and the children generated from
+    /// level `start` on; pass an attempt's resume level to price what
+    /// it will actually expand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs` was created for a different spine length.
+    pub(crate) fn walk_attempt(&self, obs: &Observations<M::Symbol>, start: u32) -> AttemptWalk {
+        self.check_levels(obs);
+        let msg_segs = self.params.message_segments();
+        let branch = 1usize << self.params.k();
+        let mut walk = AttemptWalk {
+            fits: true,
+            nodes: 0,
+        };
+        let mut frontier = 1usize;
+        for t in 0..self.params.n_segments() {
+            let level_branch = if t >= msg_segs { 1 } else { branch };
+            walk.fits &= frontier.saturating_mul(level_branch) <= self.config.max_frontier;
+            let children = frontier.min(self.config.parent_cap(level_branch)) * level_branch;
+            if t >= start {
+                walk.nodes += children as u64;
+            }
+            frontier = children.min(self.config.survivors(!obs.at_level(t).is_empty()));
+        }
+        walk
+    }
+
     /// Runs one decode attempt over everything received so far and
     /// returns the best hypotheses.
     ///
@@ -1240,7 +1314,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             // resume level: sweep `start` itself will run live.)
             if (u as u32) < start {
                 let level_branch = if u as u32 >= msg_segs { 1 } else { branch };
-                let cap_parents = (self.config.max_frontier / level_branch).max(1);
+                let cap_parents = self.config.parent_cap(level_branch);
                 prev_spines.clear();
                 prev_keys.clear();
                 prev_parents.clear();
@@ -1394,7 +1468,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             // Replay the pre-prune's committed-frontier size for the
             // next level's slot addressing (same formula as the unpack).
             let level_branch = if u >= msg_segs { 1usize } else { branch };
-            let cap_parents = (self.config.max_frontier / level_branch).max(1);
+            let cap_parents = self.config.parent_cap(level_branch);
             prev_committed = n.min(cap_parents);
         }
         // The bitstream must end exactly where the walk did (up to the
@@ -1478,7 +1552,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         }
 
         // Pre-prune so the expansion never exceeds max_frontier.
-        let cap_parents = (self.config.max_frontier / level_branch).max(1);
+        let cap_parents = self.config.parent_cap(level_branch);
         if fr_spines.len() > cap_parents {
             select_into(
                 order,
@@ -1594,11 +1668,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
 
         // Prune: to B at observed levels (or always, if deferral is
         // off); otherwise only enforce the frontier cap.
-        let keep = if !level_obs.is_empty() || !self.config.defer_prune_unobserved {
-            self.config.beam_width
-        } else {
-            self.config.max_frontier
-        };
+        let keep = self.config.survivors(!level_obs.is_empty());
         if n_children > keep {
             select_into(
                 order,
@@ -2810,6 +2880,108 @@ mod tests {
             let bound = 16 + (segs as u64 - 1) * (b as u64) * 16;
             prop_assert!(res.stats.nodes_expanded <= bound);
             prop_assert_eq!(res.message.len(), (4 * segs) as usize);
+        }
+    }
+
+    /// Noiseless observations of the levels `observed` selects (one or
+    /// two passes each) for a `k`-bit code of `segs` message and `tail`
+    /// tail segments, with a random message.
+    fn walk_case(
+        k: u32,
+        segs: u32,
+        tail: u32,
+        msg_seed: u64,
+        observed: impl Fn(u32) -> bool,
+        passes: u64,
+    ) -> (CodeParams, Observations<crate::symbol::IqSymbol>) {
+        let p = params(k * segs, k, tail);
+        let msg: BitVec = (0..k * segs)
+            .map(|i| (msg_seed.rotate_left(i) & 1) == 1)
+            .collect();
+        let enc = Encoder::new(&p, Lookup3::new(42), LinearMapper::new(6), &msg).unwrap();
+        let mut obs = Observations::new(p.n_segments());
+        for t in (0..p.n_segments()).filter(|&t| observed(t)) {
+            for pass in 0..1 + ((passes >> t) & 1) as u32 {
+                obs.push(Slot::new(t, pass), enc.symbol(Slot::new(t, pass)));
+            }
+        }
+        (p, obs)
+    }
+
+    fn walk_decoder(
+        p: &CodeParams,
+        beam_width: usize,
+        max_frontier: usize,
+        defer_prune_unobserved: bool,
+    ) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
+        let cfg = BeamConfig {
+            beam_width,
+            max_frontier,
+            defer_prune_unobserved,
+        };
+        BeamDecoder::new(p, Lookup3::new(42), LinearMapper::new(6), AwgnCost, cfg).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The walk prices an attempt exactly: from level 0 it predicts
+        /// the `nodes_expanded` of a from-scratch decode, pre-prunes and
+        /// blind prunes at the cap included, over random shapes, caps
+        /// and slot patterns.
+        #[test]
+        fn prop_walk_predicts_nodes_expanded(k in 2u32..=5, segs in 1u32..=8, tail in 0u32..=2,
+                                             beam in 1usize..=16, cap_exp in 0u32..=12,
+                                             cap_frac in 0usize..1024, defer in any::<bool>(),
+                                             mask in any::<u64>(), passes in any::<u64>(),
+                                             msg_seed in any::<u64>()) {
+            let cap = beam.max((1 << cap_exp) + (1usize << cap_exp) * cap_frac / 1024);
+            let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (mask >> t) & 1 == 1, passes);
+            let dec = walk_decoder(&p, beam, cap, defer);
+            let res = dec.decode(&obs);
+            prop_assert_eq!(dec.walk_attempt(&obs, 0).nodes, res.stats.nodes_expanded);
+            prop_assert_eq!(dec.walk_attempt(&obs, p.n_segments()).nodes, 0);
+        }
+
+        /// The fit rule is tight and the attempts it admits are exact:
+        /// the walk says "fits" exactly when an unbounded decode's
+        /// frontier peak stays within the cap, and a fitting attempt is
+        /// bit-identical — result and work counters — to the unbounded
+        /// one. Unobserved runs are limited so the unbounded decode
+        /// stays under 2^14 nodes a level.
+        #[test]
+        fn prop_walk_fits_iff_unbounded_peak_fits(k in 2u32..=5, segs in 1u32..=8,
+                                                  tail in 0u32..=2, beam in 1usize..=16,
+                                                  cap_exp in 0u32..=14, cap_frac in 0usize..1024,
+                                                  mask in any::<u64>(), passes in any::<u64>(),
+                                                  msg_seed in any::<u64>()) {
+            let cap = beam.max((1 << cap_exp) + (1usize << cap_exp) * cap_frac / 1024);
+            let mut max_run = 0u32;
+            while beam << (k * (max_run + 2)) <= 1 << 14 {
+                max_run += 1;
+            }
+            let mut observed = 0u64;
+            let mut run = 0;
+            for t in 0..segs + tail {
+                if (mask >> t) & 1 == 1 || (t < segs && run == max_run) {
+                    observed |= 1 << t;
+                    run = 0;
+                } else {
+                    run += 1;
+                }
+            }
+            let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (observed >> t) & 1 == 1, passes);
+            let capped = walk_decoder(&p, beam, cap, true);
+            let unbounded = walk_decoder(&p, beam, 1 << 24, true).decode(&obs);
+            let walk = capped.walk_attempt(&obs, 0);
+            prop_assert_eq!(walk.fits, unbounded.stats.frontier_peak <= cap);
+            if walk.fits {
+                let res = capped.decode(&obs);
+                prop_assert_eq!(&res.message, &unbounded.message);
+                prop_assert_eq!(res.cost.to_bits(), unbounded.cost.to_bits());
+                prop_assert_eq!(&res.candidates, &unbounded.candidates);
+                prop_assert_eq!(res.stats, unbounded.stats);
+            }
         }
     }
 }

@@ -20,42 +20,93 @@ use crate::bits::BitVec;
 use crate::decode::DecodeResult;
 
 /// CRC-32/BZIP2: polynomial `0x04C11DB7`, init `0xFFFFFFFF`, output XOR
-/// `0xFFFFFFFF`, no reflection — processed bit-at-a-time MSB-first, so it
+/// `0xFFFFFFFF`, no reflection — defined bit-at-a-time MSB-first, so it
 /// is defined for any bit-length input and agrees with the byte-wise
 /// standard on whole bytes.
 pub fn crc32(bits: &BitVec) -> u32 {
-    crc32_bits(bits.iter())
+    CRC32.prefix(bits, bits.len())
 }
 
 /// CRC-16/CCITT-FALSE: polynomial `0x1021`, init `0xFFFF`, no reflection,
 /// bit-at-a-time MSB-first.
 pub fn crc16(bits: &BitVec) -> u16 {
-    crc16_bits(bits.iter())
+    CRC16.prefix(bits, bits.len()) as u16
 }
 
-fn crc32_bits(bits: impl Iterator<Item = bool>) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for bit in bits {
-        let top = (crc >> 31) & 1 == 1;
-        crc <<= 1;
-        if top != bit {
-            crc ^= 0x04C1_1DB7;
-        }
-    }
-    crc ^ 0xFFFF_FFFF
+/// An MSB-first CRC whose `width`-bit register is kept top-aligned in a
+/// `u32`, so one routine serves both widths: whole bytes go through a
+/// 256-entry table, an unaligned tail bit by bit. Both paths compute the
+/// same bit-serial definition.
+struct Crc {
+    /// Polynomial, top-aligned.
+    poly: u32,
+    /// Initial register, top-aligned.
+    init: u32,
+    /// Output XOR, top-aligned.
+    xorout: u32,
+    /// `32 - width`: the shift that brings the register down.
+    shift: u32,
+    /// The register after shifting one byte through it, per top byte.
+    table: [u32; 256],
 }
 
-fn crc16_bits(bits: impl Iterator<Item = bool>) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for bit in bits {
-        let top = (crc >> 15) & 1 == 1;
-        crc <<= 1;
-        if top != bit {
-            crc ^= 0x1021;
+impl Crc {
+    const fn new(width: u32, poly: u32, init: u32, xorout: u32) -> Self {
+        let shift = 32 - width;
+        let poly = poly << shift;
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut reg = (i as u32) << 24;
+            let mut b = 0;
+            while b < 8 {
+                reg = if reg >> 31 == 1 {
+                    (reg << 1) ^ poly
+                } else {
+                    reg << 1
+                };
+                b += 1;
+            }
+            table[i] = reg;
+            i += 1;
+        }
+        Self {
+            poly,
+            init: init << shift,
+            xorout: xorout << shift,
+            shift,
+            table,
         }
     }
-    crc
+
+    /// Shifts `bits` through `reg`, one bit at a time.
+    fn bits(&self, mut reg: u32, bits: impl Iterator<Item = bool>) -> u32 {
+        for bit in bits {
+            let top = reg >> 31 == 1;
+            reg <<= 1;
+            if top != bit {
+                reg ^= self.poly;
+            }
+        }
+        reg
+    }
+
+    /// The checksum of the first `len` bits of `bits`: whole bytes
+    /// through the table, the rest through the bit loop.
+    fn prefix(&self, bits: &BitVec, len: usize) -> u32 {
+        let whole = len / 8;
+        let reg = bits.as_bytes()[..whole]
+            .iter()
+            .fold(self.init, |reg, &byte| {
+                (reg << 8) ^ self.table[((reg >> 24) as u8 ^ byte) as usize]
+            });
+        let reg = self.bits(reg, (whole * 8..len).map(|i| bits.get(i)));
+        (reg ^ self.xorout) >> self.shift
+    }
 }
+
+static CRC16: Crc = Crc::new(16, 0x1021, 0xFFFF, 0);
+static CRC32: Crc = Crc::new(32, 0x04C1_1DB7, 0xFFFF_FFFF, 0xFFFF_FFFF);
 
 /// The checksum appended by [`frame_encode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,9 +140,13 @@ impl Checksum {
     /// Panics if `len > bits.len()`.
     pub fn compute_prefix(&self, bits: &BitVec, len: usize) -> u64 {
         assert!(len <= bits.len(), "prefix longer than the vector");
+        u64::from(self.crc().prefix(bits, len))
+    }
+
+    fn crc(&self) -> &'static Crc {
         match self {
-            Checksum::Crc16 => u64::from(crc16_bits(bits.iter().take(len))),
-            Checksum::Crc32 => u64::from(crc32_bits(bits.iter().take(len))),
+            Checksum::Crc16 => &CRC16,
+            Checksum::Crc32 => &CRC32,
         }
     }
 }
@@ -100,11 +155,9 @@ impl Checksum {
 /// `payload ‖ CRC(payload)`. The framed length is what the spinal code
 /// treats as its message.
 pub fn frame_encode(payload: &BitVec, checksum: Checksum) -> BitVec {
-    let mut framed = payload.clone();
-    framed.extend_from(&BitVec::from_u64(
-        checksum.compute(payload),
-        checksum.width(),
-    ));
+    let mut framed = BitVec::with_capacity(payload.len() + checksum.width());
+    framed.extend_from(payload);
+    framed.push_bits(checksum.compute(payload), checksum.width());
     framed
 }
 
@@ -438,6 +491,20 @@ mod tests {
     }
 
     proptest! {
+        /// The table path must agree with the bit-serial definition for
+        /// both widths at every length from 0 to 256 bits, aligned or not.
+        #[test]
+        fn prop_byte_path_matches_bit_path(bytes in proptest::collection::vec(any::<u8>(), 32)) {
+            let bits = BitVec::from_bytes(&bytes);
+            for crc in [&CRC16, &CRC32] {
+                for len in 0..=256 {
+                    let serial =
+                        (crc.bits(crc.init, bits.iter().take(len)) ^ crc.xorout) >> crc.shift;
+                    prop_assert_eq!(crc.prefix(&bits, len), serial);
+                }
+            }
+        }
+
         #[test]
         fn prop_frame_roundtrip_any_payload(bits in proptest::collection::vec(any::<bool>(), 1..128)) {
             let payload = BitVec::from_bools(&bits);

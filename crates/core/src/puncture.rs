@@ -119,11 +119,12 @@ pub enum SubpassOrder {
 /// `t`. The default `order` is the bit-reversal permutation of
 /// `0..stride`, which maximises the spread of early coverage (positions
 /// hit 0, stride/2, stride/4, 3·stride/4, … apart); see [`SubpassOrder`]
-/// for the checkpoint-aware alternative.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// for the checkpoint-aware alternative. The order is computed from
+/// `(stride, ordering)` on demand, so the schedule is a plain `Copy`
+/// value and cloning it never allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StridedPuncture {
     stride: u32,
-    order: Vec<u32>,
     ordering: SubpassOrder,
 }
 
@@ -150,18 +151,7 @@ impl StridedPuncture {
         if !stride.is_power_of_two() || !(2..=64).contains(&stride) {
             return Err(SpinalError::Stride(stride));
         }
-        let bits = stride.trailing_zeros();
-        let order = match ordering {
-            SubpassOrder::BitReversed => (0..stride)
-                .map(|j| j.reverse_bits() >> (32 - bits))
-                .collect(),
-            SubpassOrder::DeepFirst => (0..stride).rev().collect(),
-        };
-        Ok(Self {
-            stride,
-            order,
-            ordering,
-        })
+        Ok(Self { stride, ordering })
     }
 
     /// The paper-default stride-8 schedule (`order = [0,4,2,6,1,5,3,7]`).
@@ -174,9 +164,13 @@ impl StridedPuncture {
         self.stride
     }
 
-    /// The sub-pass residue order.
-    pub fn order(&self) -> &[u32] {
-        &self.order
+    /// The residue sub-pass `j` of every pass sends (`j < stride`):
+    /// entry `j` of the bit-reversed or descending order.
+    pub fn residue(&self, j: u32) -> u32 {
+        match self.ordering {
+            SubpassOrder::BitReversed => j.reverse_bits() >> (32 - self.stride.trailing_zeros()),
+            SubpassOrder::DeepFirst => self.stride - 1 - j,
+        }
     }
 
     /// The ordering variant in use.
@@ -192,7 +186,7 @@ impl PunctureSchedule for StridedPuncture {
 
     fn subpass_slots_into(&self, n_spine: u32, g: u32, out: &mut Vec<Slot>) {
         let pass = g / self.stride;
-        let residue = self.order[(g % self.stride) as usize];
+        let residue = self.residue(g % self.stride);
         out.clear();
         out.extend(
             (residue..n_spine)
@@ -278,10 +272,15 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
+    /// A schedule's residue order over one pass.
+    fn order(s: &StridedPuncture) -> Vec<u32> {
+        (0..s.stride()).map(|j| s.residue(j)).collect()
+    }
+
     #[test]
     fn stride8_order_matches_design() {
         let s = StridedPuncture::stride8();
-        assert_eq!(s.order(), &[0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(order(&s), [0, 4, 2, 6, 1, 5, 3, 7]);
     }
 
     #[test]
@@ -355,13 +354,13 @@ mod tests {
     #[test]
     fn deep_first_sends_deep_residues_first() {
         let s = StridedPuncture::with_order(8, SubpassOrder::DeepFirst).unwrap();
-        assert_eq!(s.order(), &[7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(order(&s), [7, 6, 5, 4, 3, 2, 1, 0]);
         assert_eq!(s.ordering(), SubpassOrder::DeepFirst);
         assert_eq!(s.name(), "strided-deep");
         // Retry depth: the attempt after sub-pass j resumes at residue
         // order[j] — monotonically *shallower* within a pass, so the
         // expensive level-0 refresh happens exactly once, last.
-        for (j, w) in s.order().windows(2).enumerate() {
+        for (j, w) in order(&s).windows(2).enumerate() {
             assert!(w[0] > w[1], "order must descend at {j}");
         }
         // The default remains the paper schedule.
@@ -408,7 +407,7 @@ mod tests {
         #[test]
         fn prop_bit_reversed_order_is_permutation(log in 1u32..=6) {
             let s = StridedPuncture::new(1 << log).unwrap();
-            let mut sorted = s.order().to_vec();
+            let mut sorted = order(&s);
             sorted.sort_unstable();
             let expect: Vec<u32> = (0..(1 << log)).collect();
             prop_assert_eq!(sorted, expect);
@@ -422,7 +421,7 @@ mod tests {
             for slot in s.subpass_slots(n_spine, g) {
                 prop_assert!(slot.t < n_spine);
                 prop_assert_eq!(slot.pass, g / s.subpasses_per_pass());
-                prop_assert_eq!(slot.t % s.stride(), s.order()[(g % s.stride()) as usize]);
+                prop_assert_eq!(slot.t % s.stride(), s.residue(g % s.stride()));
             }
         }
 
@@ -432,8 +431,8 @@ mod tests {
             // stride/2 apart (bit-reversal property).
             let stride = 1u32 << stride_log;
             let s = StridedPuncture::new(stride).unwrap();
-            prop_assert_eq!(s.order()[0], 0);
-            prop_assert_eq!(s.order()[1], stride / 2);
+            prop_assert_eq!(s.residue(0), 0);
+            prop_assert_eq!(s.residue(1), stride / 2);
         }
     }
 }

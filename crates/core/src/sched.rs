@@ -37,17 +37,19 @@
 //!
 //! [`ingest`](MultiDecoder::ingest) only *absorbs* symbols; attempts run
 //! at the next [`drive_into`](MultiDecoder::drive_into). Each drive has
-//! a **work budget** in tree levels ([`MultiConfig::work_budget`], or a
-//! one-off budget via [`MultiDecoder::drive_until`]) — the deadline
-//! knob, since levels are the unit of decode wall time. The pool serves
-//! the **cheapest incremental retries first** (fewest levels to
-//! re-expand, i.e. deepest resume point — the signal is
-//! [`BeamCheckpoints::valid_levels`](crate::decode::BeamCheckpoints::valid_levels)
-//! against the session's dirty depth) until the budget is spent, and
-//! defers the rest with a [`SessionOutcome::Deferred`] event and an
-//! aging escape hatch: a session deferred for more than a few drives is
-//! served regardless of cost, so no session starves under a saturating
-//! load.
+//! a **work budget** in tree nodes expanded
+//! ([`MultiConfig::work_budget`], or a one-off budget via
+//! [`MultiDecoder::drive_until`]) — the deadline knob, since nodes are
+//! the unit of decode wall time: one level may cost `2^k` nodes or the
+//! whole frontier cap. An attempt's price is exact before it runs: the
+//! decoder walks its frontier arithmetic, without expanding anything,
+//! from the level it resumes at (the lower of its dirty depth and
+//! [`BeamCheckpoints::valid_levels`](crate::decode::BeamCheckpoints::valid_levels)).
+//! The pool serves the **cheapest attempts first** until the budget is
+//! spent, and defers the rest with a [`SessionOutcome::Deferred`] event
+//! and an aging escape hatch: a session deferred for more than a few
+//! drives is served regardless of cost, so no session starves under a
+//! saturating load.
 //!
 //! Two protections bound the damage any one flow can do: **admission
 //! control** ([`MultiConfig::max_sessions`]) rejects inserts beyond a
@@ -136,11 +138,11 @@ pub struct MultiConfig {
     /// decode from scratch on their next retry, with identical results.
     /// `usize::MAX` (the default) disables the budget.
     pub checkpoint_budget: usize,
-    /// Work one drive may spend, counted in tree levels expanded (the
-    /// `levels_to_run` cost of every served attempt summed)
-    /// — the deadline knob: levels are the unit of decode wall time, so
-    /// a latency target translates directly into a level budget. Due
-    /// attempts beyond the budget are deferred with a
+    /// Work one drive may spend, counted in tree nodes expanded (each
+    /// served attempt priced exactly, before it runs, from its resume
+    /// level) — the deadline knob: nodes are the unit of decode wall
+    /// time, so a latency target translates directly into a node
+    /// budget. Due attempts beyond the budget are deferred with a
     /// [`SessionOutcome::Deferred`] event (cheapest retries and aged
     /// sessions first; at least one attempt always runs, so a drive
     /// always makes progress). `u64::MAX` (the default) runs every due
@@ -221,9 +223,9 @@ pub enum SessionOutcome {
     Deferred {
         /// Drives this attempt has been waiting since it became due.
         waited: u64,
-        /// Tree levels the deferred attempt would have expanded (its
+        /// Tree nodes the deferred attempt would have expanded (its
         /// cost under the budget).
-        levels: u32,
+        nodes: u64,
     },
     /// The session hit [`MultiConfig::max_session_attempts`] without
     /// decoding and was quarantined: terminal, no payload. Emitted
@@ -449,19 +451,19 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     }
 
     /// Removes the detached session with the highest predicted remaining
-    /// cost — most tree levels its next attempt would expand, then most
+    /// cost — most tree nodes its next attempt would expand, then most
     /// checkpoint bytes, then lowest slot index (deterministic) — and
     /// returns its id. This is the overload-shedding lever: under pool
     /// pressure an orphan nobody may ever reclaim is abandoned before
     /// any connected `Hello` is refused.
     pub fn shed_costliest_detached(&mut self) -> Option<SessionId> {
-        let mut best: Option<(u32, u64, usize)> = None;
+        let mut best: Option<(u64, u64, usize)> = None;
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(m) = slot.as_ref() else { continue };
             if !m.detached {
                 continue;
             }
-            let cost = (m.rx.levels_to_run(), m.rx.checkpoint_bytes() as u64, i);
+            let cost = (m.rx.nodes_to_run(), m.rx.checkpoint_bytes() as u64, i);
             // Ascending scan: strict `>` keeps the lowest slot on ties.
             let better = match best {
                 None => true,
@@ -654,8 +656,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     }
 
     /// [`drive_into`](Self::drive_into) with a one-off work budget, in
-    /// tree levels — the deadline-driven drive: serve due attempts
-    /// cheapest-first until `work_budget` levels have been spent, defer
+    /// tree nodes — the deadline-driven drive: serve due attempts
+    /// cheapest-first until `work_budget` nodes have been spent, defer
     /// the rest with aging. At least one due attempt always runs
     /// (otherwise a budget below the cheapest attempt would livelock
     /// the pool), and an aged session (deferred ≥ a few drives) is
@@ -713,33 +715,29 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         if work_budget != u64::MAX && !self.due.is_empty() {
             let slots = &self.slots;
             // Aged sessions first (oldest debt first), then the
-            // cheapest incremental retries (fewest levels to run).
+            // cheapest attempts (fewest nodes to expand).
             self.due.sort_unstable_by_key(|&i| {
                 let m = slots[i as usize].as_ref().expect("due slot is live");
                 if round - m.due_since >= AGING_ROUNDS {
                     (0u8, m.due_since, i)
                 } else {
-                    (1u8, u64::from(m.rx.levels_to_run()), i)
+                    (1u8, m.rx.nodes_to_run(), i)
                 }
             });
-            // Admit attempts in that order until the level budget is
+            // Admit attempts in that order until the node budget is
             // spent; the first attempt is always admitted.
             let mut served = 1usize;
-            let mut spent = u64::from(
-                slots[self.due[0] as usize]
+            let mut spent = slots[self.due[0] as usize]
+                .as_ref()
+                .expect("due slot is live")
+                .rx
+                .nodes_to_run();
+            while served < self.due.len() {
+                let cost = slots[self.due[served] as usize]
                     .as_ref()
                     .expect("due slot is live")
                     .rx
-                    .levels_to_run(),
-            );
-            while served < self.due.len() {
-                let cost = u64::from(
-                    slots[self.due[served] as usize]
-                        .as_ref()
-                        .expect("due slot is live")
-                        .rx
-                        .levels_to_run(),
-                );
+                    .nodes_to_run();
                 if spent.saturating_add(cost) > work_budget {
                     break;
                 }
@@ -782,7 +780,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
                 },
                 outcome: SessionOutcome::Deferred {
                     waited: round - m.due_since,
-                    levels: m.rx.levels_to_run(),
+                    nodes: m.rx.nodes_to_run(),
                 },
             });
         }
@@ -1055,14 +1053,17 @@ mod tests {
         }
     }
 
-    /// Under a saturating cohort and a per-drive level budget, the pool
+    /// Under a saturating cohort and a per-drive node budget, the pool
     /// must shed work (Deferred events), stay within the budget, and —
     /// through aging — keep every session progressing: no starvation.
     #[test]
     fn budgeted_drives_defer_and_starve_no_session() {
-        // fig2 at 24 bits is a 6-level spine; a budget of 6 levels
-        // admits one fresh attempt (or several cheap incremental ones).
-        const BUDGET: u64 = 6;
+        // fig2 at 24 bits is a 3-level spine of k = 8 at B = 16: a
+        // gap-free attempt from scratch expands 256 + 2 × 16 × 256
+        // nodes, so the budget admits one such attempt (or several
+        // cheap incremental ones), and any attempt costs at least one
+        // 256-way expansion.
+        const BUDGET: u64 = 256 + 2 * 16 * 256;
         let mut pool = Pool::new(MultiConfig {
             work_budget: BUDGET,
             ..MultiConfig::default()
@@ -1089,29 +1090,36 @@ mod tests {
                 let (_slot, sym) = tx.next_symbol();
                 pool.ingest(id, &[sym]).unwrap();
             }
+            let price: Vec<u64> = ids
+                .iter()
+                .map(|&id| pool.get(id).unwrap().nodes_to_run())
+                .collect();
             pool.drive_into(&mut events);
             let mut served = 0u64;
+            let mut spent = 0u64;
             for ev in &events {
                 let lane = ids.iter().position(|&i| i == ev.id).unwrap();
                 match ev.outcome {
                     SessionOutcome::Poll(_) => {
                         served += 1;
+                        spent += price[lane];
                         served_rounds[lane].push(round);
                     }
-                    SessionOutcome::Deferred { levels, .. } => {
+                    SessionOutcome::Deferred { nodes, .. } => {
                         deferrals += 1;
-                        assert!(levels >= 1, "a due attempt has work to do");
+                        assert_eq!(nodes, price[lane], "a deferral reports its price");
+                        assert!(nodes >= 256, "a due attempt expands a level");
                     }
                     SessionOutcome::Abandoned { .. } => {
                         panic!("no attempt ceiling configured")
                     }
                 }
             }
-            // Each served attempt costs >= 1 level, so the budget also
-            // bounds the attempt count.
+            // The first attempt always runs; beyond it, the served
+            // attempts' prices fit the budget.
             assert!(
-                served <= BUDGET,
-                "budget must bound attempts per drive, served {served}"
+                served == 1 || spent <= BUDGET,
+                "budget must bound the nodes per drive, spent {spent} on {served} attempts"
             );
             assert_eq!(
                 events.len(),
@@ -1433,21 +1441,27 @@ mod tests {
     }
 
     /// Overload shedding: the detached session with the most remaining
-    /// predicted work goes first; attached sessions are never candidates.
+    /// predicted work, in nodes, goes first; attached sessions are never
+    /// candidates.
     #[test]
     fn shed_costliest_detached_prefers_expensive_orphans() {
         let mut pool = Pool::new(MultiConfig::default());
         let mut events = Vec::new();
-        // Session A: barely started (one symbol ingested, attempt served
-        // → little remaining work at its next retry).
+        // Session A: one symbol (level 0) ingested and its attempt
+        // served. Deferral carried the frontier across the two
+        // unobserved levels, so its next retry re-expands the 4,096
+        // hypotheses entering level 2, pre-pruned to 256 parents:
+        // 65,536 nodes for a single level — the costlier victim.
         let ma = msg(11);
         let (mut txa, rxa) = session_pair(61, &ma, RxConfig::default());
         let ida = pool.insert(rxa).unwrap();
         let (_s, sym) = txa.next_symbol();
         pool.ingest(ida, &[sym]).unwrap();
         pool.drive_into(&mut events);
-        // Session B: many symbols pending → its next attempt expands
-        // every level again, the costlier victim.
+        assert_eq!(pool.get(ida).unwrap().nodes_to_run(), 1 << 16);
+        // Session B: six symbols pending cover every level, so its
+        // first attempt expands three levels but only 256 + 2 × 4,096
+        // nodes.
         let mb = msg(12);
         let (mut txb, rxb) = session_pair(62, &mb, RxConfig::default());
         let idb = pool.insert(rxb).unwrap();
@@ -1459,17 +1473,18 @@ mod tests {
         let mc = msg(13);
         let (_txc, rxc) = session_pair(63, &mc, RxConfig::default());
         let idc = pool.insert(rxc).unwrap();
+        assert_eq!(pool.get(idb).unwrap().nodes_to_run(), 256 + 2 * 4096);
         pool.detach(ida).unwrap();
         pool.detach(idb).unwrap();
         let shed_id = pool.shed_costliest_detached().expect("two candidates");
         assert_eq!(
-            shed_id, idb,
-            "pending-work session B is the costlier victim"
+            shed_id, ida,
+            "the session facing a capped frontier is the costlier victim"
         );
-        assert!(pool.get(idb).is_none());
-        assert_eq!(pool.detached_len(), 1);
-        assert_eq!(pool.shed_costliest_detached(), Some(ida));
         assert!(pool.get(ida).is_none());
+        assert_eq!(pool.detached_len(), 1);
+        assert_eq!(pool.shed_costliest_detached(), Some(idb));
+        assert!(pool.get(idb).is_none());
         assert!(
             pool.shed_costliest_detached().is_none(),
             "attached sessions are never shed"

@@ -34,6 +34,21 @@
 //! through the pool's one shared scratch instead of its own, which then
 //! stays empty.
 //!
+//! # Exact attempts
+//!
+//! A lost or punctured symbol leaves a tree level unobserved, and the
+//! decoder carries the whole frontier across it; a long enough gap
+//! reaches [`BeamConfig::max_frontier`](crate::decode::BeamConfig::max_frontier),
+//! where the decoder prunes blindly. With [`RxConfig::exact_attempts`]
+//! set — every session `spinal-serve` admits — a due attempt runs only
+//! once it *fits*: the decoder walks the attempt's frontier sizes over
+//! the observation pattern, without expanding anything, and finds no
+//! expansion past the cap. An attempt that does not fit
+//! stays due and waits for the symbols that fill its gap; the ones that
+//! run are bit-identical to attempts with an unbounded frontier. The
+//! paper paths leave the switch off, since Figure 2 measures deferral
+//! with blind pruning.
+//!
 //! # Determinism contract
 //!
 //! Every decode attempt a session runs is **bit-identical** to batch
@@ -336,6 +351,17 @@ pub struct RxConfig {
     /// after every ingest that added symbols (the paper's idealised
     /// receiver); larger values trade latency for CPU on slow channels.
     pub attempt_growth: f64,
+    /// Run an attempt only when it fits: walked level by level over the
+    /// observation pattern, no expansion exceeds
+    /// [`BeamConfig::max_frontier`](crate::decode::BeamConfig::max_frontier),
+    /// so the decoder carries every hypothesis the observations cannot
+    /// yet tell apart without pruning blindly.
+    /// An attempt that does not fit stays due and waits for the symbols
+    /// that fill its gap; the attempts that run are the ones the
+    /// session would run without the switch. Off by default, so the
+    /// paper paths keep deferral with blind pruning; the server turns it
+    /// on for every session it admits.
+    pub exact_attempts: bool,
 }
 
 impl Default for RxConfig {
@@ -344,6 +370,7 @@ impl Default for RxConfig {
             beam: crate::decode::BeamConfig::paper_default(),
             max_symbols: u64::MAX,
             attempt_growth: 1.0,
+            exact_attempts: false,
         }
     }
 }
@@ -673,12 +700,15 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     }
 
     /// `true` when the next [`Poll`] evaluation would run a decode
-    /// attempt: something arrived since the last attempt and the
-    /// thinning schedule is due.
+    /// attempt: something arrived since the last attempt, the thinning
+    /// schedule is due, and — under [`RxConfig::exact_attempts`] — the
+    /// attempt fits. The fit is recomputed from the observations alone,
+    /// so a restored session waits exactly as an uninterrupted one.
     pub(crate) fn attempt_due(&self) -> bool {
         self.state == RxState::Listening
             && self.dirty_from != u32::MAX
             && self.symbols >= self.next_attempt
+            && (!self.cfg.exact_attempts || self.decoder.walk_attempt(&self.obs, 0).fits)
     }
 
     /// `true` while no terminal poll has been returned.
@@ -686,17 +716,17 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.state == RxState::Listening
     }
 
-    /// Tree levels the next attempt would actually expand — the
-    /// scheduler's cheapest-retry-first priority signal (fewer levels =
-    /// cheaper retry). Exact when an attempt is due; `n_levels` after a
-    /// reset.
-    pub(crate) fn levels_to_run(&self) -> u32 {
-        let n_levels = self.obs.n_levels();
+    /// Tree nodes the next attempt would expand: the decoder's
+    /// [`walk_attempt`](BeamDecoder::walk_attempt) summed from the
+    /// level the attempt resumes at (the lower of the dirty mark and
+    /// the last valid checkpoint). This is the pool's unit of work — its
+    /// budget, its cheapest-first order and its shedding order.
+    pub(crate) fn nodes_to_run(&self) -> u64 {
         let resume = self
             .dirty_from
-            .min(n_levels)
+            .min(self.obs.n_levels())
             .min(self.ckpt.valid_levels().saturating_sub(1));
-        n_levels - resume
+        self.decoder.walk_attempt(&self.obs, resume).nodes
     }
 
     /// The poll tail when no attempt ran (or the attempt was rejected):

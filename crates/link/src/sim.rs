@@ -149,6 +149,7 @@ impl LinkFrame {
                 beam: cfg.beam,
                 max_symbols: cfg.max_symbols_per_frame,
                 attempt_growth: cfg.attempt_growth,
+                ..RxConfig::default()
             },
         )?;
         let rx_id = pool.insert(rx)?;

@@ -29,7 +29,9 @@ use spinal_link::{Delivery, FaultPlan, FaultStream, FeedbackMode};
 
 use crate::server::ServeProfile;
 use crate::transport::Transport;
-use crate::wire::{encode_frame, CloseReason, Frame, Hello, ResumeToken, WireDecoder};
+use crate::wire::{
+    encode_frame, CloseReason, Frame, Hello, ResumeToken, WireDecoder, HEADER_LEN, SYMBOL_WIRE_LEN,
+};
 
 /// Pluggable I/Q impairment applied to every delivered symbol.
 pub type NoiseHook = Box<dyn FnMut(IqSymbol) -> IqSymbol + Send>;
@@ -181,7 +183,9 @@ impl<T: Transport> ServeClient<T> {
             seed: cfg.seed,
             mode: cfg.mode,
         };
-        let mut egress = Vec::new();
+        // Sized up front for one full DATA burst (header, sequence
+        // number, entry count, entries): the queue's steady-state need.
+        let mut egress = Vec::with_capacity(HEADER_LEN + 12 + SYMBOL_WIRE_LEN * cfg.burst.max(1));
         encode_frame(&Frame::Hello(hello), &mut egress)?;
         Ok(Self {
             transport,
@@ -189,7 +193,7 @@ impl<T: Transport> ServeClient<T> {
             egress,
             tx,
             next_seq: 0,
-            marks: VecDeque::with_capacity(cfg.marks),
+            marks: VecDeque::new(),
             marks_cap: cfg.marks.max(1),
             burst: cfg.burst.max(1),
             fault: None,
@@ -201,7 +205,7 @@ impl<T: Transport> ServeClient<T> {
             outcome: None,
             decoded: None,
             symbols_sent: 0,
-            rxbuf: Vec::with_capacity(4096),
+            rxbuf: Vec::new(),
             hello,
             tick_count: 0,
             last_rx_tick: 0,

@@ -17,16 +17,24 @@
 //!    (HELLO admission, DATA ingest with gap-triggered NACKs, PING/PONG
 //!    keepalive, RESUME re-attachment); then enforce the tick-counted
 //!    idle deadlines (keepalive probe past `keepalive_idle`, detach and
-//!    close past `idle_deadline`);
+//!    close past `idle_deadline`). HELLO admission refuses, with a
+//!    protocol close, a shape whose gap-free level cannot fit the
+//!    decoder's frontier cap (`beam × 2^k` above
+//!    [`BeamConfig::max_frontier`]): such a session could never attempt;
 //! 4. **resume** — deferred RESUME requests re-attach detached flows
 //!    (or replay a verdict reached while detached);
 //! 5. **drive** — one [`MultiDecoder::drive_into`] round under the
-//!    pool's per-tick level budget ([`MultiConfig::work_budget`]),
+//!    pool's per-tick node budget ([`MultiConfig::work_budget`]),
 //!    turning pool events into flow verdicts and, for attached flows,
 //!    feedback frames (ACK + decoded bits, Close on
 //!    exhaustion/abandonment) — detached flows are driven exactly like
 //!    attached ones, which is what keeps a later resume bit-identical to
-//!    an uninterrupted run;
+//!    an uninterrupted run. Every served session runs with
+//!    [`RxConfig::exact_attempts`]: an attempt runs only when it fits —
+//!    its decoder carries every hypothesis the observations cannot yet
+//!    tell apart without pruning blindly at the frontier cap — and
+//!    otherwise waits for the NACK replay or the next pass to fill the
+//!    gap, so a peer that skips slots costs the server no work;
 //! 6. **snapshot** — periodic cumulative-ACK frames for sessions that
 //!    negotiated [`FeedbackMode::CumulativeAck`].
 //!
@@ -160,7 +168,7 @@ pub struct ServeConfig {
     /// Shard (event-loop) count; connections are spread by stable hash.
     pub shards: usize,
     /// Per-shard decoder-pool configuration. `work_budget` is the tree
-    /// levels one shard tick may spend driving its pool (the deadline
+    /// nodes one shard tick may spend driving its pool (the deadline
     /// knob); `detach_ttl` is the *tick* TTL of detached sessions,
     /// enforced by the server (the pool never reads it);
     /// `detached_budget` bounds orphaned checkpoint bytes demote-first
@@ -1559,13 +1567,20 @@ fn pending_body(
 }
 
 /// Validates a HELLO and inserts the session into the shard pool.
+///
+/// A served session attempts only when the attempt fits its frontier
+/// cap ([`RxConfig::exact_attempts`]), so a shape whose gap-free level
+/// cannot fit (`B × 2^k` over the cap) could never attempt, and is
+/// refused like any other inadmissible shape.
 fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, SpinalError> {
+    let beam = BeamConfig::with_beam(h.beam as usize);
     let shape_ok = h.message_bits >= 1
         && h.message_bits <= cfg.max_message_bits
         && (1..=16).contains(&h.k)
         && (2..=16).contains(&h.c)
         && h.beam >= 1
         && h.beam <= cfg.max_beam
+        && u64::from(h.beam) << h.k <= beam.max_frontier as u64
         && h.max_symbols >= 1;
     if !shape_ok {
         return Err(SpinalError::Wire {
@@ -1590,9 +1605,10 @@ fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, Spi
         AwgnCost,
         AnyTerminator::crc(Checksum::Crc16),
         RxConfig {
-            beam: BeamConfig::with_beam(h.beam as usize),
+            beam,
             max_symbols: h.max_symbols,
             attempt_growth: 1.0,
+            exact_attempts: true,
         },
     )?;
     pool.insert(rx)

@@ -55,7 +55,7 @@ struct Pipe {
 impl Pipe {
     fn new(capacity: usize) -> Self {
         Self {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             closed: false,
         }
@@ -82,7 +82,9 @@ pub struct LoopbackTransport {
 /// Creates a bounded in-process duplex pipe: bytes sent on one half
 /// arrive on the other, FIFO, up to `capacity` bytes in flight per
 /// direction. `send` beyond capacity accepts a prefix (backpressure);
-/// `recv` drains everything available.
+/// `recv` drains everything available. `capacity` bounds the bytes in
+/// flight, not the memory reserved up front: each direction's buffer
+/// grows to its high-water mark on demand.
 pub fn loopback_pair(capacity: usize) -> (LoopbackTransport, LoopbackTransport) {
     loopback(capacity, None)
 }

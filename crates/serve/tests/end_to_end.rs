@@ -1,15 +1,23 @@
 //! End-to-end serve dialogues over the deterministic loopback:
 //! decode, NACK recovery, admission control, backpressure, terminal
-//! closes, the per-tick drive budget, and serial-vs-sharded
-//! bit-identity over a mixed-feedback fleet.
+//! closes, the per-tick drive budget, exact-or-wait attempts, and
+//! serial-vs-sharded bit-identity over a mixed-feedback fleet.
 
 use spinal_core::bits::BitVec;
+use spinal_core::decode::{AwgnCost, BeamConfig};
+use spinal_core::frame::{frame_encode, AnyTerminator, Checksum};
+use spinal_core::hash::Lookup3;
+use spinal_core::map::LinearMapper;
+use spinal_core::params::CodeParams;
+use spinal_core::puncture::StridedPuncture;
 use spinal_core::sched::MultiConfig;
-use spinal_core::symbol::IqSymbol;
+use spinal_core::session::RxConfig;
+use spinal_core::symbol::{IqSymbol, Slot};
+use spinal_core::SpinalCode;
 use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
 use spinal_serve::{
-    loopback_pair, loopback_pair_chunked, ClientConfig, ClientOutcome, ServeClient, ServeConfig,
-    Server,
+    encode_frame, loopback_pair, loopback_pair_chunked, ClientConfig, ClientOutcome, Frame, Hello,
+    LoopbackTransport, ServeClient, ServeConfig, Server, SymbolRun, Transport, WireDecoder,
 };
 use spinal_sim::stats::derive_seed;
 
@@ -312,9 +320,11 @@ fn sharded_run_is_bit_identical_to_serial() {
     assert_eq!(serial, sharded5, "5-way sharding changed results");
 }
 
-/// The pool's level budget paces the server's drive: at one level per
-/// tick, attempts queue behind each other, so the same fleet needs
-/// more ticks — and still decodes every payload.
+/// The pool's node budget paces the server's drive: at one gap-free
+/// attempt's worth of nodes per tick (the default shape is k = 4,
+/// B = 16 over 32 framed bits: 16 + 7 × 16 × 16 nodes from scratch),
+/// attempts queue behind each other, so the same fleet needs more
+/// ticks — and still decodes every payload.
 #[test]
 fn pool_work_budget_paces_the_server_drive() {
     let run = |work_budget: u64| {
@@ -343,10 +353,227 @@ fn pool_work_budget_paces_the_server_drive() {
         server.stats().ticks
     };
     let free = run(u64::MAX);
-    let paced = run(1);
+    let paced = run(16 + 7 * 16 * 16);
     assert!(
         paced > free,
-        "a one-level budget must pace the drive ({paced} vs {free} ticks)"
+        "a one-attempt node budget must pace the drive ({paced} vs {free} ticks)"
+    );
+}
+
+/// A hand-driven peer: it sends the frames a test builds, so the test
+/// chooses exactly which slots reach the server, and it records the
+/// server's ACK.
+struct RawPeer {
+    transport: LoopbackTransport,
+    wire: WireDecoder,
+    out: Vec<u8>,
+    rx: Vec<u8>,
+    /// `(symbols_used, attempts)` of the server's ACK, once received.
+    ack: Option<(u64, u32)>,
+}
+
+impl RawPeer {
+    fn connect(server: &mut Server<LoopbackTransport>, hello: Hello) -> Self {
+        let (local, remote) = loopback_pair(1 << 16);
+        server.add_connection(remote);
+        let mut peer = RawPeer {
+            transport: local,
+            wire: WireDecoder::new(),
+            out: Vec::new(),
+            rx: Vec::new(),
+            ack: None,
+        };
+        peer.send(&Frame::Hello(hello));
+        peer
+    }
+
+    fn send(&mut self, frame: &Frame<'_>) {
+        self.out.clear();
+        encode_frame(frame, &mut self.out).unwrap();
+        assert_eq!(self.transport.send(&self.out).unwrap(), self.out.len());
+    }
+
+    fn data(&mut self, seq: u64, run: &[(Slot, IqSymbol)]) {
+        self.send(&Frame::Data {
+            seq,
+            run: SymbolRun::Slots(run),
+        });
+    }
+
+    /// Reads every frame the server has sent so far.
+    fn poll(&mut self) {
+        self.rx.clear();
+        self.transport.recv(&mut self.rx).unwrap();
+        self.wire.push_bytes(&self.rx);
+        while let Some(frame) = self.wire.next_frame().unwrap() {
+            if let Frame::Ack {
+                symbols_used,
+                attempts,
+            } = frame
+            {
+                self.ack = Some((symbols_used, attempts));
+            }
+        }
+    }
+}
+
+/// A served session runs an attempt only when it fits: a peer that
+/// withholds three consecutive levels (at k = 4, B = 4 a three-level
+/// gap would carry 4 × 16^4 nodes, past the 65,536-node cap) gets no
+/// attempt at all while the gap is open — however many symbols it
+/// sends around it — and its flow decodes on the first attempt once
+/// the gap fills. A local session built exactly as the server admits
+/// one, fed the same frames, shows that attempt's frontier stayed
+/// within the cap.
+#[test]
+fn gapped_peer_gets_no_attempt_until_the_gap_fills() {
+    const GAP: std::ops::RangeInclusive<u32> = 4..=6;
+    let payload = BitVec::from_bytes(&[0x5e, 0xed, 0x20, 0x11]);
+    let framed = frame_encode(&payload, Checksum::Crc16);
+    let hello = Hello {
+        message_bits: framed.len() as u32,
+        k: 4,
+        c: 8,
+        beam: 4,
+        max_symbols: 1 << 14,
+        seed: 77,
+        mode: FeedbackMode::AckOnly,
+    };
+    let params = CodeParams::builder()
+        .message_bits(hello.message_bits)
+        .k(hello.k)
+        .seed(hello.seed)
+        .build()
+        .unwrap();
+    let code = SpinalCode::new(
+        params,
+        Lookup3::new(hello.seed),
+        LinearMapper::new(hello.c),
+        StridedPuncture::stride8(),
+    );
+    let enc = code.encoder(&framed).unwrap();
+    let beam = BeamConfig::with_beam(hello.beam as usize);
+    let mut mirror = code
+        .rx_session(
+            AwgnCost,
+            AnyTerminator::crc(Checksum::Crc16),
+            RxConfig {
+                beam,
+                max_symbols: hello.max_symbols,
+                attempt_growth: 1.0,
+                exact_attempts: true,
+            },
+        )
+        .unwrap();
+
+    let mut server = Server::new(ServeConfig::default()).unwrap();
+    let mut peer = RawPeer::connect(&mut server, hello);
+    let n_levels = params.n_segments();
+    // Two passes around the gap, one symbol per tick, then the gap's
+    // three symbols in one frame.
+    let symbol = |t: u32, pass: u32| (Slot::new(t, pass), enc.symbol(Slot::new(t, pass)));
+    let mut frames = Vec::new();
+    for pass in 0..2 {
+        for t in (0..n_levels).filter(|t| !GAP.contains(t)) {
+            frames.push(vec![symbol(t, pass)]);
+        }
+    }
+    frames.push(GAP.map(|t| symbol(t, 0)).collect());
+    let last = frames.len() - 1;
+    let mut seq = 0u64;
+    for (i, frame) in frames.iter().enumerate() {
+        peer.data(seq, frame);
+        seq += frame.len() as u64;
+        server.tick();
+        peer.poll();
+        mirror.ingest_at(frame).unwrap();
+        let peak = mirror.last_result().stats.frontier_peak;
+        assert!(peak <= beam.max_frontier, "attempt frontier {peak}");
+        if i < last {
+            assert_eq!(mirror.attempts(), 0, "an attempt ran with the gap open");
+            assert_eq!(peer.ack, None, "decoded with the gap open");
+        }
+    }
+    assert_eq!(
+        server.stats().decoded,
+        1,
+        "the flow decodes once the gap fills"
+    );
+    // The verdict leaves in the next tick's flush.
+    server.tick();
+    peer.poll();
+    assert_eq!(
+        peer.ack,
+        Some((seq, 1)),
+        "one attempt, run after the gap filled"
+    );
+    assert_eq!(mirror.payload(), Some(&payload));
+    assert_eq!(mirror.attempts(), 1);
+}
+
+/// Admission refuses a shape whose gap-free level cannot fit the
+/// frontier cap — at k = 8, beam 512 expands 512 × 256 nodes per level,
+/// past 65,536 — with the typed protocol close, while beam 256 sits
+/// exactly at the cap and is served.
+#[test]
+fn over_wide_hello_gets_a_protocol_close() {
+    let mut server = Server::new(ServeConfig::default()).unwrap();
+    let mut clients = Vec::new();
+    for beam in [512, 256] {
+        let (local, remote) = loopback_pair(1 << 16);
+        server.add_connection(remote);
+        let cfg = ClientConfig {
+            k: 8,
+            beam,
+            ..ClientConfig::default()
+        };
+        clients.push(ServeClient::new(local, &cfg, &payload(12)).unwrap());
+    }
+    run_to_done(&mut server, &mut clients, false);
+    assert_eq!(clients[0].outcome(), Some(ClientOutcome::ProtocolClosed));
+    assert!(matches!(
+        clients[1].outcome(),
+        Some(ClientOutcome::Decoded { .. })
+    ));
+    assert_eq!(clients[1].decoded_payload(), Some(&payload(12)));
+    let stats = server.stats();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.admitted, 1);
+}
+
+/// The documented k = 8 trade: at B = 16 one unobserved interior
+/// message level already overflows the cap (16 × 256 × 256 > 65,536),
+/// so a served k = 8 session attempts only once every interior level
+/// has a symbol — with the paper's schedule, no earlier than the last
+/// symbol of its first pass but one — and its served rate stays at
+/// about k bits/symbol.
+#[test]
+fn served_k8_session_decodes_after_its_first_full_pass() {
+    let mut server = Server::new(ServeConfig::default()).unwrap();
+    let (local, remote) = loopback_pair(1 << 16);
+    server.add_connection(remote);
+    // 6 payload bytes + CRC-16 = 64 framed bits = 8 message levels,
+    // one per residue of the stride-8 pass.
+    let p = BitVec::from_bytes(&[0x0b, 0xad, 0xc0, 0xde, 0x42, 0x17]);
+    let cfg = ClientConfig {
+        k: 8,
+        burst: 1,
+        ..ClientConfig::default()
+    };
+    let mut clients = vec![ServeClient::new(local, &cfg, &p).unwrap()];
+    run_to_done(&mut server, &mut clients, false);
+    let Some(ClientOutcome::Decoded {
+        symbols_used,
+        attempts,
+    }) = clients[0].outcome()
+    else {
+        panic!("a clean k = 8 flow must decode: {:?}", clients[0].outcome());
+    };
+    assert_eq!(clients[0].decoded_payload(), Some(&p));
+    assert!(symbols_used >= 7, "decoded after {symbols_used} symbols");
+    assert!(
+        u64::from(attempts) <= symbols_used - 6,
+        "{attempts} attempts by {symbols_used} symbols: one ran before seven"
     );
 }
 

@@ -414,6 +414,7 @@ where
                         beam: self.beam,
                         max_symbols: u64::MAX, // the pass budget bounds the loop
                         attempt_growth: self.attempt_growth,
+                        ..RxConfig::default()
                     },
                 )
                 .expect("attempt_growth validated by run entry point");

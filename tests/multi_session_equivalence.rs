@@ -12,7 +12,9 @@
 //!
 //! The compressed checkpoint tier gets the same treatment: a session
 //! forced through demote → packed-blob restore before every retry must
-//! be bit-identical to one that is never demoted.
+//! be bit-identical to one that is never demoted. So do sessions that
+//! attempt only when the attempt fits (`RxConfig::exact_attempts`, the
+//! served configuration).
 
 use proptest::prelude::*;
 use spinal_codes::channel::{AwgnChannel, Channel};
@@ -35,10 +37,11 @@ struct Lane {
     chunk: Vec<spinal_codes::IqSymbol>,
 }
 
-fn build_lane(seed: u64, msg: &BitVec, snr_db: f64) -> (Lane, Rx) {
+fn build_lane(seed: u64, msg: &BitVec, snr_db: f64, exact_attempts: bool) -> (Lane, Rx) {
     let code = SpinalCode::fig2(msg.len() as u32, seed).unwrap();
     let rx_cfg = RxConfig {
         max_symbols: 96,
+        exact_attempts,
         ..RxConfig::default()
     };
     let rx = code
@@ -60,6 +63,7 @@ fn build_lane(seed: u64, msg: &BitVec, snr_db: f64) -> (Lane, Rx) {
 /// coverage probe.
 fn check_interleaving(
     cfg: MultiConfig,
+    exact_attempts: bool,
     seeds: &[u64],
     snr_db: f64,
     schedule: &[Vec<u8>],
@@ -73,8 +77,8 @@ fn check_interleaving(
     let mut ids = Vec::new();
     let mut solo = Vec::new();
     for (&seed, msg) in seeds.iter().zip(&msgs) {
-        let (lane, rx) = build_lane(seed, msg, snr_db);
-        let (_, rx2) = build_lane(seed, msg, snr_db);
+        let (lane, rx) = build_lane(seed, msg, snr_db, exact_attempts);
+        let (_, rx2) = build_lane(seed, msg, snr_db, exact_attempts);
         lanes.push(lane);
         ids.push(pool.insert(rx).unwrap());
         solo.push(rx2);
@@ -158,12 +162,29 @@ proptest! {
         schedule in proptest::collection::vec(
             proptest::collection::vec(0u8..4, 1..5), 6..18),
     ) {
-        let base = check_interleaving(MultiConfig::default(), &seeds, snr_db, &schedule);
+        let base = check_interleaving(MultiConfig::default(), false, &seeds, snr_db, &schedule);
         let tight = check_interleaving(
             MultiConfig { checkpoint_budget: 2048, ..MultiConfig::default() },
-            &seeds, snr_db, &schedule);
+            false, &seeds, snr_db, &schedule);
         // Every configuration sees the identical outcome set (each one
         // already matched its own solo mirror event-for-event).
+        prop_assert_eq!(base, tight);
+    }
+
+    /// The same pinning property with the served switch on: a pooled
+    /// session that waits for its attempts to fit polls exactly as the
+    /// same session alone — with and without evictions.
+    #[test]
+    fn prop_exact_attempts_pool_bit_identical_to_solo(
+        seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
+        snr_db in 2.0f64..18.0,
+        schedule in proptest::collection::vec(
+            proptest::collection::vec(0u8..4, 1..5), 6..18),
+    ) {
+        let base = check_interleaving(MultiConfig::default(), true, &seeds, snr_db, &schedule);
+        let tight = check_interleaving(
+            MultiConfig { checkpoint_budget: 2048, ..MultiConfig::default() },
+            true, &seeds, snr_db, &schedule);
         prop_assert_eq!(base, tight);
     }
 
@@ -179,8 +200,8 @@ proptest! {
         chunks in proptest::collection::vec(any::<u8>(), 4..24),
     ) {
         let msg = BitVec::from_bytes(&[seed as u8, (seed >> 8) as u8, (seed >> 16) as u8 ^ 0x5a]);
-        let (mut lane, mut demoted) = build_lane(seed, &msg, snr_db);
-        let (_, mut plain) = build_lane(seed, &msg, snr_db);
+        let (mut lane, mut demoted) = build_lane(seed, &msg, snr_db, false);
+        let (_, mut plain) = build_lane(seed, &msg, snr_db, false);
         for &c in &chunks {
             if demoted.is_finished() {
                 break;
@@ -218,6 +239,12 @@ fn fixed_interleaving_matches_solo() {
     let schedule: Vec<Vec<u8>> = (0..16)
         .map(|r| vec![(r % 3) as u8, 1, ((r + 1) % 4) as u8])
         .collect();
-    let (decoded, _) = check_interleaving(MultiConfig::default(), &[11, 22, 33], 14.0, &schedule);
+    let (decoded, _) = check_interleaving(
+        MultiConfig::default(),
+        false,
+        &[11, 22, 33],
+        14.0,
+        &schedule,
+    );
     assert!(decoded >= 1, "14 dB should decode at least one session");
 }

@@ -1,7 +1,8 @@
 //! Steady-state allocation freedom for the serving event loop: once a
 //! shard's connections are established and its buffers warm, a serial
 //! `Server::tick` — egress flush (including the backpressured partial
-//! send), empty-ingress polling, a drive round over the live pool, and
+//! send), empty-ingress polling, a drive round over the live pool
+//! (including a session whose due attempt waits for a gap to fill), and
 //! periodic cumulative-ACK snapshots against a capped egress queue —
 //! must never touch the heap. Allocation is an admission-time cost, not
 //! a per-tick cost.
@@ -41,8 +42,11 @@ fn allocations() -> u64 {
 }
 
 use spinal_codes::link::FeedbackMode;
-use spinal_codes::serve::{loopback_pair, ClientConfig, ServeClient, ServeConfig, Server};
-use spinal_codes::{BitVec, IqSymbol};
+use spinal_codes::serve::{
+    encode_frame, loopback_pair, ClientConfig, Frame, Hello, ServeClient, ServeConfig, Server,
+    SymbolRun, Transport,
+};
+use spinal_codes::{BitVec, IqSymbol, Slot};
 
 #[test]
 fn steady_state_server_tick_performs_zero_heap_allocation() {
@@ -61,11 +65,43 @@ fn steady_state_server_tick_performs_zero_heap_allocation() {
     //   A: plain ACK-only flow — its lane sits at NeedMore, not due.
     //   B: cumulative-ACK flow with period 1 — every tick the server
     //      synthesises a snapshot frame into B's capped egress queue.
+    //   C: a hand-framed peer that withholds levels 2..=4 of a k = 4,
+    //      B = 16 spine: its attempt is due but cannot fit the frontier
+    //      cap (16 × 16^4 nodes), so every drive walks it and waits.
     let garbage = |_: IqSymbol| IqSymbol::new(0.0, 0.0);
     let (a_local, a_remote) = loopback_pair(1 << 12);
     let (b_local, b_remote) = loopback_pair(1 << 12);
+    let (mut c_local, c_remote) = loopback_pair(1 << 12);
     let a_handle = server.add_connection(a_remote);
     server.add_connection(b_remote);
+    server.add_connection(c_remote);
+    let mut c_bytes = Vec::new();
+    encode_frame(
+        &Frame::Hello(Hello {
+            message_bits: 32,
+            k: 4,
+            c: 8,
+            beam: 16,
+            max_symbols: 1 << 20,
+            seed: 3,
+            mode: FeedbackMode::AckOnly,
+        }),
+        &mut c_bytes,
+    )
+    .unwrap();
+    let around_gap: Vec<(Slot, IqSymbol)> = [0u32, 1, 5, 6, 7]
+        .iter()
+        .map(|&t| (Slot::new(t, 0), IqSymbol::new(0.0, 0.0)))
+        .collect();
+    encode_frame(
+        &Frame::Data {
+            seq: 0,
+            run: SymbolRun::Slots(&around_gap),
+        },
+        &mut c_bytes,
+    )
+    .unwrap();
+    assert_eq!(c_local.send(&c_bytes).unwrap(), c_bytes.len());
     let a_cfg = ClientConfig {
         max_symbols: 1 << 20,
         ..ClientConfig::default()
@@ -92,7 +128,7 @@ fn steady_state_server_tick_performs_zero_heap_allocation() {
         b.tick();
         server.tick();
     }
-    assert_eq!(server.live_sessions(), 2, "both sessions must be live");
+    assert_eq!(server.live_sessions(), 3, "all three sessions must be live");
 
     // Warm-up 2: go silent. The clients stop draining feedback, so B's
     // per-tick snapshots first fill the loopback pipe, then its egress
@@ -135,7 +171,7 @@ fn steady_state_server_tick_performs_zero_heap_allocation() {
         stats.backpressure_ticks > 0,
         "a stalled egress queue must register backpressure"
     );
-    assert_eq!(server.live_sessions(), 2);
+    assert_eq!(server.live_sessions(), 3);
     assert!(!server.is_closed(a_handle));
 
     // Sanity: the dialogue is still healable — when the clients resume
@@ -146,5 +182,7 @@ fn steady_state_server_tick_performs_zero_heap_allocation() {
         b.tick();
         server.tick();
     }
-    assert_eq!(server.live_sessions(), 2);
+    assert_eq!(server.live_sessions(), 3);
+    let stats = server.stats();
+    assert_eq!(stats.decoded + stats.exhausted + stats.abandoned, 0);
 }

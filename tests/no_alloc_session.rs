@@ -86,7 +86,7 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         RxConfig {
             beam,
             max_symbols: 4096,
-            attempt_growth: 1.0,
+            ..RxConfig::default()
         },
     )
     .unwrap();
@@ -176,7 +176,7 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
                     RxConfig {
                         beam,
                         max_symbols: 4096,
-                        attempt_growth: 1.0,
+                        ..RxConfig::default()
                     },
                 )
                 .unwrap(),
@@ -239,7 +239,7 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
 
     // ---- Deadline-driven drives: the defer/serve cycle of a budgeted
     // drive (aged-first selection, `Deferred` events, reused due/defer
-    // lists) must also be allocation-free once warm. A 1-level budget
+    // lists) must also be allocation-free once warm. A 1-node budget
     // forces every drive to serve one attempt and defer the rest.
     let run_budgeted_trial =
         |pool: &mut MultiDecoder<Lookup3, LinearMapper, AwgnCost, NoPuncture>,
@@ -292,6 +292,6 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
     );
     assert!(
         deferrals > 0,
-        "a 1-level budget over {POOL_SESSIONS} lanes must defer attempts"
+        "a 1-node budget over {POOL_SESSIONS} lanes must defer attempts"
     );
 }
