@@ -1,19 +1,21 @@
 //! Resilience sweep: frame-completion latency and goodput under data-link
-//! faults and feedback loss.
+//! faults and feedback loss, run through `spinal-serve`.
 //!
-//! Every scenario runs the full lossy-feedback protocol (NACK mode, a
-//! 20% BEC on the reverse link, sender retry timeout with backoff) over
-//! a data link degraded by one composable [`LinkFault`] class — drop,
-//! duplicate, reorder, burst corruption, stale-slot mislabel — plus a
-//! compound row stacking all five, with CRC-16 frame termination so
-//! mis-decodes are counted rather than silent. The drop class is swept
-//! over ≥ 3 loss points to trace goodput and p50/p99 completion latency
-//! vs loss rate.
+//! Every scenario drives one `Server` and a window of four
+//! `ServeClient`s ([`simulate_link_ensemble`]) in NACK mode, with the
+//! server's end of each link erasing 20% of its ACK/NACK frames and
+//! holding the rest 4 ticks, over a data link degraded by one
+//! composable [`LinkFault`] class — drop, duplicate, reorder, burst
+//! corruption, stale-slot mislabel — plus a compound row stacking all
+//! five. Frames are CRC-16 framed, and every delivered payload is
+//! compared with the one sent, so mis-decodes are counted rather than
+//! silent. The drop class is swept over ≥ 3 loss points to trace
+//! goodput and p50/p99 completion latency vs loss rate.
 //!
 //! Each cell is simulated twice — `SimEngine::serial()` and
 //! `SimEngine::with_workers(3)` — and the two reports are asserted
-//! bit-identical down to the per-frame completion-latency vector: the
-//! fault layer's counter-seeded draws must not depend on worker count.
+//! bit-identical down to the per-frame completion-latency vector: every
+//! draw is counter-seeded, so none may depend on worker count.
 //!
 //! A full run writes `BENCH_resilience.json`; `--quick` freezes the
 //! configuration, keeps every emitted quantity an exact integer
@@ -26,20 +28,13 @@
 //! ```
 
 use spinal_bench::{banner, RunArgs};
-use spinal_core::decode::BeamConfig;
-use spinal_core::frame::Checksum;
-use spinal_core::hash::HashFamily;
-use spinal_core::map::AnyIqMapper;
-use spinal_core::puncture::AnySchedule;
-use spinal_link::{
-    simulate_link_ensemble, FaultPlan, FeedbackConfig, FeedbackMode, LinkConfig, LinkFault,
-    LinkReport,
-};
+use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
+use spinal_serve::{simulate_link_ensemble, ChaosEvent, ChaosPlan, LinkConfig, LinkReport};
 use spinal_sim::engine::SimEngine;
 use spinal_sim::stats::derive_seed;
 
-const MESSAGE_BITS: u32 = 32;
-const CRC: Checksum = Checksum::Crc16;
+const PAYLOAD_BITS: u32 = 16;
+const CRC_BITS: u32 = 16;
 const SNR_DB: f64 = 18.0;
 const QUICK_SEED: u64 = 0x5EED_2011;
 const QUICK_FRAMES: u32 = 16;
@@ -112,54 +107,20 @@ fn scenarios(quick: bool) -> (Vec<FaultScenario>, usize) {
 
 fn config(plan: &FaultPlan) -> LinkConfig {
     LinkConfig {
-        message_bits: MESSAGE_BITS,
+        payload_bits: PAYLOAD_BITS,
         k: 4,
-        hash: HashFamily::Lookup3,
-        mapper: AnyIqMapper::linear(6),
-        schedule: AnySchedule::none(),
-        beam: BeamConfig::with_beam(8),
+        c: 6,
+        beam: 8,
         snr_db: SNR_DB,
-        feedback_delay: 4,
+        mode: FeedbackMode::Nack,
+        feedback: ChaosPlan::new(0)
+            .with(ChaosEvent::FeedbackLoss { p: 0.2 })
+            .with(ChaosEvent::FeedbackDelay { ticks: 4 }),
+        faults: plan.clone(),
         frames_in_flight: 4,
-        attempt_growth: 1.0,
         max_symbols_per_frame: 768,
         max_attempts_per_frame: u32::MAX,
-        feedback: FeedbackConfig {
-            mode: FeedbackMode::Nack,
-            loss: 0.2,
-            timeout: 96,
-            backoff: 2.0,
-        },
-        faults: plan.clone(),
-        crc: Some(CRC),
     }
-}
-
-/// The worker-count bit-identity contract: the fault layer, the feedback
-/// erasures, and the protocol state machine are all counter-seeded, so a
-/// threaded ensemble must reproduce the serial one exactly — including
-/// the order and values of every frame's completion latency.
-fn assert_identical(label: &str, a: &LinkReport, b: &LinkReport) {
-    assert_eq!(a.frames_requested, b.frames_requested, "{label}: requested");
-    assert_eq!(a.frames_delivered, b.frames_delivered, "{label}: delivered");
-    assert_eq!(a.frames_exhausted, b.frames_exhausted, "{label}: exhausted");
-    assert_eq!(a.frames_abandoned, b.frames_abandoned, "{label}: abandoned");
-    assert_eq!(
-        a.frames_misdecoded, b.frames_misdecoded,
-        "{label}: misdecoded"
-    );
-    assert_eq!(a.symbols_sent, b.symbols_sent, "{label}: symbols sent");
-    assert_eq!(
-        a.symbols_replayed, b.symbols_replayed,
-        "{label}: symbols replayed"
-    );
-    assert_eq!(a.feedback_sent, b.feedback_sent, "{label}: feedback sent");
-    assert_eq!(a.feedback_lost, b.feedback_lost, "{label}: feedback lost");
-    assert_eq!(a.duplicate_acks, b.duplicate_acks, "{label}: dup acks");
-    assert_eq!(
-        a.completion_latency, b.completion_latency,
-        "{label}: completion-latency vector must be bit-identical across worker counts"
-    );
 }
 
 /// Rate as exact parts-per-million of integer counters (so the quick
@@ -185,8 +146,7 @@ impl Row {
                 .frames_delivered
                 .saturating_sub(self.report.frames_misdecoded),
         );
-        let payload_bits = u64::from(MESSAGE_BITS) - CRC.width() as u64;
-        ppm(good * payload_bits, self.report.symbols_sent)
+        ppm(good * u64::from(PAYLOAD_BITS), self.report.symbols_sent)
     }
 
     fn json(&self) -> String {
@@ -194,8 +154,7 @@ impl Row {
         format!(
             "    {{\"scenario\": \"{}\", \"drop_pm\": {}, \"delivered\": {}, \"exhausted\": {}, \
              \"abandoned\": {}, \"misdecoded\": {}, \"symbols_sent\": {}, \"symbols_replayed\": {}, \
-             \"feedback_sent\": {}, \"feedback_lost\": {}, \"p50\": {}, \"p99\": {}, \
-             \"goodput_ppm\": {}}}",
+             \"p50\": {}, \"p99\": {}, \"goodput_ppm\": {}}}",
             self.name,
             self.drop_pm,
             r.frames_delivered,
@@ -204,8 +163,6 @@ impl Row {
             r.frames_misdecoded,
             r.symbols_sent,
             r.symbols_replayed,
-            r.feedback_sent,
-            r.feedback_lost,
             r.latency_percentile(0.5).unwrap_or(0),
             r.latency_percentile(0.99).unwrap_or(0),
             self.goodput_ppm(),
@@ -216,9 +173,8 @@ impl Row {
 fn render_json(bench: &str, seed: u64, frames: u32, reps: u32, rows: &[Row]) -> String {
     let body: Vec<String> = rows.iter().map(Row::json).collect();
     format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"seed\": {seed},\n  \"message_bits\": {MESSAGE_BITS},\n  \
-         \"crc_bits\": {},\n  \"frames\": {frames},\n  \"replications\": {reps},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        CRC.width(),
+        "{{\n  \"bench\": \"{bench}\",\n  \"seed\": {seed},\n  \"payload_bits\": {PAYLOAD_BITS},\n  \
+         \"crc_bits\": {CRC_BITS},\n  \"frames\": {frames},\n  \"replications\": {reps},\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
 }
@@ -232,8 +188,9 @@ fn main() {
         "resilience: latency & goodput under link faults and feedback loss",
         &args,
         &format!(
-            "32-bit CRC-16 frames, k=4, c=6, B=8 at {SNR_DB} dB; NACK feedback (20% loss, \
-             timeout 96×2); cells are {frames} frames × {reps} replications, serial == 3 workers"
+            "16-bit payloads + CRC-16, k=4, c=6, B=8 at {SNR_DB} dB through spinal-serve; NACK \
+             feedback (20% of ACK/NACK frames lost, 4-tick delay), window 4; cells are {frames} \
+             frames × {reps} replications, serial == 3 workers"
         ),
     );
 
@@ -251,7 +208,14 @@ fn main() {
         let threaded =
             simulate_link_ensemble(&cfg, frames, reps, cell_seed, &SimEngine::with_workers(3))
                 .expect("valid link config");
-        assert_identical(sc.name, &serial, &threaded);
+        // Every draw is counter-seeded, so a threaded ensemble must
+        // reproduce the serial one exactly — down to the order and
+        // values of every frame's completion latency.
+        assert_eq!(
+            serial, threaded,
+            "{}: serial and 3-worker reports differ",
+            sc.name
+        );
         assert_eq!(
             serial.frames_delivered + serial.frames_exhausted + serial.frames_abandoned,
             serial.frames_requested,

@@ -401,8 +401,7 @@ fn main() {
     // The same sweep at the paper's Figure 2 shape (k = 8, c = 10): the
     // probe shape above is cheap to sweep but not the shape a server
     // actually runs, so the promote-or-keep-opt-in verdict for
-    // `SubpassOrder::DeepFirst` (spinal-serve's
-    // `ServeProfile::deep_first()`) is made on BOTH grids.
+    // `SubpassOrder::DeepFirst` is made on BOTH grids.
     println!("# deep-first coverage grid at the Figure 2 shape (k = 8, c = 10)");
     let fig2_trials = if args.quick { 6 } else { 30 };
     let fig2_grid = deep_first_grid_shaped(&args, fig2_trials, 8, 10, 24);
@@ -414,7 +413,7 @@ fn main() {
         if promote {
             "full coverage at both shapes — eligible for default promotion"
         } else {
-            "coverage gaps remain — DeepFirst stays opt-in (ServeProfile::deep_first())"
+            "coverage gaps remain — DeepFirst stays opt-in (StridedPuncture::with_order)"
         }
     );
 
@@ -513,7 +512,7 @@ fn render_json(
     s.push_str("    ]\n  },\n");
     let promote = win_fraction >= 1.0 && fig2_win >= 1.0;
     s.push_str(&format!(
-        "  \"deep_first_verdict\": {{\n    \"win_threshold_ratio\": 0.995,\n    \"probe_shape_win_fraction\": {win_fraction:.3},\n    \"fig2_shape_win_fraction\": {fig2_win:.3},\n    \"promote_to_default\": {promote},\n    \"serving_profile\": \"ServeProfile::deep_first() (opt-in)\"\n  }}\n"
+        "  \"deep_first_verdict\": {{\n    \"win_threshold_ratio\": 0.995,\n    \"probe_shape_win_fraction\": {win_fraction:.3},\n    \"fig2_shape_win_fraction\": {fig2_win:.3},\n    \"promote_to_default\": {promote},\n    \"serving_profile\": \"stride-8 bit-reversed only; DeepFirst is opt-in via StridedPuncture::with_order\"\n  }}\n"
     ));
     s.push_str("}\n");
     s

@@ -225,7 +225,7 @@ pub fn deep_first_grid(args: &RunArgs, trials: u32) -> Vec<DeepFirstPoint> {
 /// two grids in one report never share noise realisations.
 /// `bench_session` runs this at the paper's Figure 2 shape (k = 8,
 /// c = 10) — the verdict that gates promoting `SubpassOrder::DeepFirst`
-/// beyond the opt-in `ServeProfile::deep_first()` serving profile.
+/// from opt-in to a default.
 pub fn deep_first_grid_shaped(
     args: &RunArgs,
     trials: u32,

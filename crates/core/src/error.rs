@@ -207,8 +207,6 @@ pub enum SpinalError {
     NoiseVariance(f64),
     /// A fading coherence block of zero symbols.
     BlockLength(u32),
-    /// A sender window holding zero frames.
-    Window(u32),
     /// A session was driven past a terminal [`crate::session::Poll`]
     /// (`Decoded` or `Exhausted`).
     SessionFinished,
@@ -227,10 +225,8 @@ pub enum SpinalError {
     /// that never decodes and was quarantined by the pool; remove it to
     /// reclaim the slot.
     SessionQuarantined,
-    /// A retry-backoff multiplier below 1.0.
-    Backoff(f64),
-    /// A count parameter that must be at least one (reorder windows,
-    /// burst lengths, cumulative-ACK periods, …).
+    /// A count parameter that must be at least one (sender windows,
+    /// reorder windows, burst lengths, cumulative-ACK periods, …).
     AtLeastOne {
         /// Which parameter was zero.
         name: &'static str,
@@ -303,9 +299,6 @@ impl std::fmt::Display for SpinalError {
             SpinalError::BlockLength(b) => {
                 write!(f, "coherence block must span at least one symbol, got {b}")
             }
-            SpinalError::Window(w) => {
-                write!(f, "sender window must hold at least one frame, got {w}")
-            }
             SpinalError::SessionFinished => {
                 write!(f, "session already returned a terminal poll")
             }
@@ -320,9 +313,6 @@ impl std::fmt::Display for SpinalError {
                 f,
                 "session was abandoned at its attempt ceiling and quarantined; remove it to reclaim the slot"
             ),
-            SpinalError::Backoff(b) => {
-                write!(f, "retry backoff must be >= 1.0, got {b}")
-            }
             SpinalError::AtLeastOne { name, value } => {
                 write!(f, "{name} must be at least one, got {value}")
             }

@@ -159,21 +159,6 @@ impl FaultPlan {
         self
     }
 
-    /// The decision seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The ordered fault list.
-    pub fn faults(&self) -> &[LinkFault] {
-        &self.faults
-    }
-
-    /// `true` when the plan applies no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// The same composition under a different decision seed — the
     /// per-frame / per-trial derivation hook (counter-based, like the
     /// simulation engine's trial seeds).
@@ -389,21 +374,6 @@ impl FaultStream {
     pub fn counters(&self) -> FaultCounters {
         self.counters
     }
-
-    /// Symbols pushed so far.
-    pub fn pushed(&self) -> u64 {
-        self.index
-    }
-
-    /// Rewinds the stream to its initial state (same decisions replay).
-    pub fn reset(&mut self) {
-        self.index = 0;
-        self.burst_left = 0;
-        self.last_slot = None;
-        self.held.clear();
-        self.order = 0;
-        self.counters = FaultCounters::default();
-    }
 }
 
 #[cfg(test)]
@@ -457,14 +427,6 @@ mod tests {
             run(&plan.reseeded(10), 200),
             "different seed, different stream"
         );
-        // Reset replays identically.
-        let mut s = plan.stream();
-        let mut out = Vec::new();
-        s.push(0, Slot::new(0, 0), sym(0), &mut out);
-        let first = out.clone();
-        s.reset();
-        s.push(0, Slot::new(0, 0), sym(0), &mut out);
-        assert_eq!(first, out);
     }
 
     #[test]

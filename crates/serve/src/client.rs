@@ -27,7 +27,6 @@ use spinal_core::symbol::{IqSymbol, Slot};
 use spinal_core::SpinalCode;
 use spinal_link::{Delivery, FaultPlan, FaultStream, FeedbackMode};
 
-use crate::server::ServeProfile;
 use crate::transport::Transport;
 use crate::wire::{
     encode_frame, CloseReason, Frame, Hello, ResumeToken, WireDecoder, HEADER_LEN, SYMBOL_WIRE_LEN,
@@ -37,12 +36,11 @@ use crate::wire::{
 pub type NoiseHook = Box<dyn FnMut(IqSymbol) -> IqSymbol + Send>;
 
 /// Client-side session shape (the HELLO fields the client negotiates,
-/// plus local pacing).
+/// plus local pacing). The client transmits on the paper's stride-8
+/// bit-reversed schedule; every DATA symbol carries its slot, so the
+/// server needs no schedule of its own.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// Serving schedule — must match the server's configured profile,
-    /// or slot labels will disagree.
-    pub profile: ServeProfile,
     /// Segment width `k`.
     pub k: u32,
     /// Mapper bit depth `c`.
@@ -68,7 +66,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            profile: ServeProfile::paper_default(),
             k: 4,
             c: 8,
             beam: 16,
@@ -140,6 +137,9 @@ pub struct ServeClient<T: Transport> {
     outcome: Option<ClientOutcome>,
     decoded: Option<BitVec>,
     symbols_sent: u64,
+    /// One past the highest sequence number sent: the symbols sent for
+    /// the first time.
+    fresh_symbols: u64,
     rxbuf: Vec<u8>,
     /// The HELLO as negotiated — replayed on a reconnect that has no
     /// resume token yet.
@@ -158,8 +158,12 @@ impl<T: Transport> ServeClient<T> {
     ///
     /// # Errors
     ///
-    /// Propagates invalid shape (bad `k`/`c`/stride, payload not a
-    /// whole number of segments after framing).
+    /// Propagates invalid shape (`k` out of range, payload not a whole
+    /// number of segments after framing).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 ≤ c ≤ 16`, like [`LinearMapper::new`].
     pub fn new(transport: T, cfg: &ClientConfig, payload: &BitVec) -> Result<Self, SpinalError> {
         let framed = frame_encode(payload, Checksum::Crc16);
         let params = CodeParams::builder()
@@ -171,7 +175,7 @@ impl<T: Transport> ServeClient<T> {
             params,
             Lookup3::new(cfg.seed),
             LinearMapper::new(cfg.c),
-            StridedPuncture::with_order(cfg.profile.stride, cfg.profile.order)?,
+            StridedPuncture::stride8(),
         );
         let tx = code.tx_session(&framed)?;
         let hello = Hello {
@@ -205,6 +209,7 @@ impl<T: Transport> ServeClient<T> {
             outcome: None,
             decoded: None,
             symbols_sent: 0,
+            fresh_symbols: 0,
             rxbuf: Vec::new(),
             hello,
             tick_count: 0,
@@ -233,6 +238,11 @@ impl<T: Transport> ServeClient<T> {
         self.state == ClientState::Done
     }
 
+    /// Whether the session is admitted and streaming symbols.
+    pub fn is_streaming(&self) -> bool {
+        self.state == ClientState::Streaming
+    }
+
     /// The session's verdict, once done.
     pub fn outcome(&self) -> Option<ClientOutcome> {
         self.outcome
@@ -247,6 +257,12 @@ impl<T: Transport> ServeClient<T> {
     /// Symbols pushed toward the wire so far (pre-fault count).
     pub fn symbols_sent(&self) -> u64 {
         self.symbols_sent
+    }
+
+    /// Of [`symbols_sent`](Self::symbols_sent), the symbols sent again
+    /// after a seek (NACK replay, resume or restart).
+    pub fn symbols_replayed(&self) -> u64 {
+        self.symbols_sent - self.fresh_symbols
     }
 
     /// The resume token from the session's HELLO-ACK, once received.
@@ -302,10 +318,18 @@ impl<T: Transport> ServeClient<T> {
         self.reconnect(transport)
     }
 
-    /// Runs one client cycle: flush egress, absorb feedback, then (if
-    /// streaming) push one burst of symbols as DATA frames, probing an
-    /// idle server with PING past the keepalive threshold.
+    /// Runs one client cycle: [`poll`](Self::poll), then
+    /// [`send_burst`](Self::send_burst).
     pub fn tick(&mut self) {
+        self.poll();
+        self.send_burst();
+    }
+
+    /// Runs the receiving half of a cycle: flush egress, absorb
+    /// feedback, and queue a PING to an idle server past the keepalive
+    /// threshold. Clients that share one channel all poll every tick,
+    /// and only the one whose turn it is sends.
+    pub fn poll(&mut self) {
         self.tick_count += 1;
         if self.state == ClientState::Done {
             // Keep flushing a final Close if queued.
@@ -333,6 +357,14 @@ impl<T: Transport> ServeClient<T> {
                 &mut self.egress,
             );
             self.pinged = true;
+        }
+    }
+
+    /// Runs the sending half of a cycle: once streaming, push one burst
+    /// of symbols as DATA frames; then flush egress.
+    pub fn send_burst(&mut self) {
+        if self.state == ClientState::Done {
+            return;
         }
         if self.state == ClientState::Streaming {
             self.push_burst();
@@ -566,5 +598,6 @@ impl<T: Transport> ServeClient<T> {
             );
             i = j;
         }
+        self.fresh_symbols = self.fresh_symbols.max(self.next_seq);
     }
 }

@@ -7,8 +7,10 @@
 //!   ACK/NACK/cumulative-ACK feedback, typed decode errors, zero-copy
 //!   reassembly).
 //! * [`transport`] — the non-blocking byte-transport contract, with a
-//!   deterministic bounded in-process loopback (optionally chunk-seeded)
-//!   and a dependency-free non-blocking `std::net` TCP implementation.
+//!   deterministic bounded in-process loopback (optionally chunk-seeded),
+//!   a dependency-free non-blocking `std::net` TCP implementation, and
+//!   counter-seeded connection chaos (stalls, closes, corrupt bytes,
+//!   lost and delayed feedback frames).
 //! * [`server`] — the sharded serving event loop: each shard owns one
 //!   [`spinal_core::sched::MultiDecoder`] pool and its hash-assigned
 //!   connections, every tick flushes feedback, drains ingress under
@@ -22,6 +24,10 @@
 //!   are bit-identical to never-killed ones.
 //! * [`client`] — a session driver for the other end of the wire, with
 //!   NACK-seeking replay and composable link faults / noise.
+//! * [`protocol`] and [`sim`] — the §6 link experiments: their
+//!   configuration and report, and the driver that runs a window of
+//!   clients sharing one noisy channel to one server, over lossy,
+//!   delayed feedback.
 //!
 //! ```
 //! use spinal_core::bits::BitVec;
@@ -44,13 +50,17 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod protocol;
 pub mod server;
+pub mod sim;
 mod snapshot;
 pub mod transport;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientOutcome, NoiseHook, ServeClient};
-pub use server::{ConnHandle, ServeConfig, ServeProfile, ServeStats, Server};
+pub use protocol::{LinkConfig, LinkReport};
+pub use server::{ConnHandle, ServeConfig, ServeStats, Server};
+pub use sim::{simulate_link, simulate_link_ensemble};
 pub use transport::{
     chaos_pair, loopback_pair, loopback_pair_chunked, ChaosEvent, ChaosPlan, ChaosTransport,
     LoopbackTransport, TcpAcceptor, TcpTransport, Transport,

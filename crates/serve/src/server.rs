@@ -77,7 +77,7 @@ use spinal_core::frame::{AnyTerminator, Checksum};
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
-use spinal_core::puncture::{StridedPuncture, SubpassOrder};
+use spinal_core::puncture::StridedPuncture;
 use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent, SessionId, SessionOutcome};
 use spinal_core::session::{Poll, RxConfig, RxSession};
 use spinal_core::symbol::{IqSymbol, Slot};
@@ -122,46 +122,6 @@ fn random_secret() -> u64 {
     h.finish()
 }
 
-/// The decoder-shape profile a server imposes on admitted sessions.
-///
-/// Clients negotiate code shape (`k`, `c`, beam, seed) per session; the
-/// puncturing schedule is serving policy. The default is the paper's
-/// stride-8 bit-reversed order; [`deep_first`](ServeProfile::deep_first)
-/// opts into the deep-first sub-pass order (validated at the Figure 2
-/// shape by `bench_session`'s `deep_first_grid`, where finishing
-/// sub-passes deepest-first reaches decodable prefixes sooner).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeProfile {
-    /// Sub-pass emission order within each stride group.
-    pub order: SubpassOrder,
-    /// Puncture stride (power of two in `2..=64`).
-    pub stride: u32,
-}
-
-impl ServeProfile {
-    /// The paper's schedule: stride 8, bit-reversed sub-pass order.
-    pub fn paper_default() -> Self {
-        Self {
-            order: SubpassOrder::BitReversed,
-            stride: 8,
-        }
-    }
-
-    /// Opt-in deep-first serving schedule (stride 8).
-    pub fn deep_first() -> Self {
-        Self {
-            order: SubpassOrder::DeepFirst,
-            stride: 8,
-        }
-    }
-}
-
-impl Default for ServeProfile {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -195,8 +155,6 @@ pub struct ServeConfig {
     /// dead: its session is detached (resumable by token) and the
     /// transport abandoned. `u64::MAX` disables the deadline.
     pub idle_deadline: u64,
-    /// Serving schedule profile.
-    pub profile: ServeProfile,
     /// Secret keying the `auth` half of every [`ResumeToken`] this
     /// server issues. `None` (the default) draws a fresh process-random
     /// secret at [`Server::new`], so tokens are unforgeable by network
@@ -217,7 +175,6 @@ impl Default for ServeConfig {
             max_beam: 1024,
             keepalive_idle: u64::MAX,
             idle_deadline: u64::MAX,
-            profile: ServeProfile::paper_default(),
             resume_secret: None,
         }
     }
@@ -627,8 +584,6 @@ impl<T: Transport> Server<T> {
     /// Propagates [`ServeConfig::validate`] failures.
     pub fn new(cfg: ServeConfig) -> Result<Self, SpinalError> {
         cfg.validate()?;
-        // The serving profile's stride must itself be constructible.
-        StridedPuncture::with_order(cfg.profile.stride, cfg.profile.order)?;
         let shards = (0..cfg.shards).map(|_| Shard::new(cfg.pool)).collect();
         let resume_secret = cfg.resume_secret.unwrap_or_else(random_secret);
         Ok(Self {
@@ -1595,11 +1550,14 @@ fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, Spi
         .map_err(|_| SpinalError::Wire {
             kind: WireErrorKind::Corrupt,
         })?;
+    // DATA frames carry explicit slots and are ingested by slot, so the
+    // session's schedule never labels a symbol: the paper's stride-8
+    // schedule stands in.
     let code = SpinalCode::new(
         params,
         Lookup3::new(h.seed),
         LinearMapper::new(h.c),
-        StridedPuncture::with_order(cfg.profile.stride, cfg.profile.order)?,
+        StridedPuncture::stride8(),
     );
     let rx = code.rx_session(
         AwgnCost,

@@ -24,6 +24,8 @@ use std::sync::{Arc, Mutex};
 use spinal_core::error::{SpinalError, WireErrorKind};
 use spinal_sim::stats::derive_seed;
 
+use crate::wire::split_frame;
+
 fn transport_err() -> SpinalError {
     SpinalError::Wire {
         kind: WireErrorKind::Transport,
@@ -193,8 +195,10 @@ impl Drop for LoopbackTransport {
 ///
 /// Operation counters count every `send`/`recv` call made through the
 /// wrapping [`ChaosTransport`], so a fixed call schedule replays the
-/// exact same failure, bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// exact same failure, bit for bit. The two feedback events act on
+/// whole frames the wrapped end sends, so they belong at a server's
+/// end of a connection.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChaosEvent {
     /// Both directions return `Ok(0)` (no progress, no error) for
     /// `ops` consecutive operations starting at `from_op`.
@@ -230,13 +234,33 @@ pub enum ChaosEvent {
         /// Cumulative received-byte offset to corrupt.
         at_byte: u64,
     },
+    /// Erases each feedback frame (`Ack`, `Nack`, `CumAck`) this end
+    /// sends with probability `p`, drawn per frame from the plan seed
+    /// and the frame's index. Every other frame — the handshake, the
+    /// `Decoded` result, `Close` — passes.
+    FeedbackLoss {
+        /// Per-frame erasure probability.
+        p: f64,
+    },
+    /// Holds each feedback frame this end sends for `ticks` `recv`
+    /// calls before it leaves. A server polls each connection once per
+    /// tick, so at its end this is `ticks` server ticks. Every other
+    /// frame leaves at once.
+    FeedbackDelay {
+        /// Receive calls a feedback frame is held for.
+        ticks: u64,
+    },
 }
+
+/// Stream label of [`ChaosEvent::FeedbackLoss`] draws (event `j` of a
+/// plan draws from `FEEDBACK_LOSS + j`).
+const FEEDBACK_LOSS: u64 = 0xFB_0000;
 
 /// A seeded, ordered composition of connection-level chaos events —
 /// the full description of a misbehaving connection, reproducible from
 /// `(events, seed)` alone. The connection-layer sibling of the link
 /// layer's `FaultPlan`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosPlan {
     events: Vec<ChaosEvent>,
     seed: u64,
@@ -264,14 +288,23 @@ impl ChaosPlan {
         self.seed
     }
 
-    /// The ordered event list.
-    pub fn events(&self) -> &[ChaosEvent] {
-        &self.events
-    }
-
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Checks the events' parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`SpinalError::Probability`] for a feedback-loss probability
+    /// outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), SpinalError> {
+        match self.events.iter().find_map(|e| match *e {
+            ChaosEvent::FeedbackLoss { p } if !(0.0..=1.0).contains(&p) => Some(p),
+            _ => None,
+        }) {
+            Some(value) => Err(SpinalError::Probability {
+                name: "feedback loss",
+                value,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The same composition under a different decision seed — the
@@ -287,6 +320,12 @@ impl ChaosPlan {
 
     /// Wraps a transport so this plan is applied to its operations.
     pub fn wrap<T: Transport>(&self, inner: T) -> ChaosTransport<T> {
+        let frames = self.events.iter().any(|e| {
+            matches!(
+                e,
+                ChaosEvent::FeedbackLoss { .. } | ChaosEvent::FeedbackDelay { .. }
+            )
+        });
         ChaosTransport {
             inner,
             events: self.events.clone(),
@@ -295,6 +334,13 @@ impl ChaosPlan {
             rx_bytes: 0,
             stalled_ops: 0,
             corrupted_bytes: 0,
+            frames,
+            recvs: 0,
+            feedback_frames: 0,
+            erased_frames: 0,
+            staged: Vec::new(),
+            outbound: Vec::new(),
+            held: VecDeque::new(),
         }
     }
 }
@@ -311,6 +357,20 @@ pub struct ChaosTransport<T> {
     rx_bytes: u64,
     stalled_ops: u64,
     corrupted_bytes: u64,
+    /// The plan has feedback events, so sends are split into frames.
+    frames: bool,
+    /// `recv` calls so far: the clock of [`ChaosEvent::FeedbackDelay`].
+    recvs: u64,
+    /// Feedback frames seen (the loss draws' counter).
+    feedback_frames: u64,
+    erased_frames: u64,
+    /// Sent bytes that do not form a whole frame yet.
+    staged: Vec<u8>,
+    /// Whole frames the inner transport has not accepted yet.
+    outbound: Vec<u8>,
+    /// Delayed feedback frames, each with the `recvs` count that
+    /// releases it (held for a fixed delay, so in release order).
+    held: VecDeque<(u64, Vec<u8>)>,
 }
 
 impl<T> ChaosTransport<T> {
@@ -327,6 +387,11 @@ impl<T> ChaosTransport<T> {
     /// Received bytes garbled by [`ChaosEvent::CorruptByte`].
     pub fn corrupted_bytes(&self) -> u64 {
         self.corrupted_bytes
+    }
+
+    /// Feedback frames erased by [`ChaosEvent::FeedbackLoss`].
+    pub fn erased_frames(&self) -> u64 {
+        self.erased_frames
     }
 
     /// Unwraps the inner transport, discarding the chaos state.
@@ -354,6 +419,75 @@ impl<T> ChaosTransport<T> {
             _ => false,
         })
     }
+
+    /// The next feedback frame's fate under the feedback events: erased
+    /// (`None`) or held for the returned number of ticks.
+    fn feedback_fate(&mut self) -> Option<u64> {
+        let n = self.feedback_frames;
+        self.feedback_frames += 1;
+        let mut hold = 0;
+        for (j, event) in self.events.iter().enumerate() {
+            match *event {
+                ChaosEvent::FeedbackLoss { p } => {
+                    let r = derive_seed(self.seed, FEEDBACK_LOSS + j as u64, n);
+                    // 53 uniform bits onto [0, 1), like the fault layer.
+                    let u = (r >> 11) as f64 / (1u64 << 53) as f64;
+                    if u < p {
+                        return None;
+                    }
+                }
+                ChaosEvent::FeedbackDelay { ticks } => hold += ticks,
+                _ => {}
+            }
+        }
+        Some(hold)
+    }
+}
+
+impl<T: Transport> ChaosTransport<T> {
+    /// Offers the pending outbound frames to the inner transport.
+    fn forward(&mut self) -> Result<(), SpinalError> {
+        while !self.outbound.is_empty() {
+            let n = self.inner.send(&self.outbound)?;
+            if n == 0 {
+                break;
+            }
+            self.outbound.drain(..n);
+        }
+        Ok(())
+    }
+
+    /// Takes `bytes` whole, splits them into frames and applies the
+    /// feedback events. While the inner transport still holds back
+    /// earlier frames it takes nothing, so its backpressure shows.
+    fn send_frames(&mut self, bytes: &[u8]) -> Result<usize, SpinalError> {
+        self.forward()?;
+        if !self.outbound.is_empty() {
+            return Ok(0);
+        }
+        self.staged.extend_from_slice(bytes);
+        let mut at = 0;
+        while let Some((len, feedback)) = split_frame(&self.staged[at..]) {
+            let frame = at..at + len;
+            at += len;
+            let fate = if feedback {
+                self.feedback_fate()
+            } else {
+                Some(0)
+            };
+            match fate {
+                None => self.erased_frames += 1,
+                Some(0) => self.outbound.extend_from_slice(&self.staged[frame]),
+                Some(hold) => {
+                    let due = self.recvs + hold;
+                    self.held.push_back((due, self.staged[frame].to_vec()));
+                }
+            }
+        }
+        self.staged.drain(..at);
+        self.forward()?;
+        Ok(bytes.len())
+    }
 }
 
 impl<T: Transport> Transport for ChaosTransport<T> {
@@ -367,18 +501,30 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             self.stalled_ops += 1;
             return Ok(0);
         }
+        if self.frames {
+            return self.send_frames(bytes);
+        }
         self.inner.send(bytes)
     }
 
     fn recv(&mut self, out: &mut Vec<u8>) -> Result<usize, SpinalError> {
         let op = self.op;
         self.op += 1;
+        let now = self.recvs;
+        self.recvs += 1;
         if self.rx_closed(op) {
             return Err(transport_err());
         }
         if self.stalled(op) {
             self.stalled_ops += 1;
             return Ok(0);
+        }
+        if self.frames {
+            while self.held.front().is_some_and(|&(due, _)| due <= now) {
+                let (_, frame) = self.held.pop_front().expect("a held frame is due");
+                self.outbound.extend_from_slice(&frame);
+            }
+            self.forward()?;
         }
         let start = out.len();
         let n = self.inner.recv(out)?;

@@ -2,8 +2,8 @@
 //!
 //! Every message on a serve connection is one *frame*: an 8-byte header
 //! (magic, version, frame type, payload length) followed by a
-//! little-endian payload. The dialogue mirrors the link-layer protocol
-//! of `spinal-link`:
+//! little-endian payload. The dialogue is the feedback link-layer
+//! protocol, in the feedback modes of `spinal-link`'s [`FeedbackMode`]:
 //!
 //! | type | frame | direction | payload |
 //! |---|---|---|---|
@@ -79,8 +79,7 @@ fn wire_err(kind: WireErrorKind) -> SpinalError {
 
 /// The client's opening frame: everything the server must know to build
 /// the decoder session — code shape, beam width, symbol budget and the
-/// feedback mode the client wants (matching `spinal-link`'s
-/// [`FeedbackMode`]).
+/// feedback mode the client wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hello {
     /// Message length in bits (CRC framing included); must divide by `k`.
@@ -404,6 +403,19 @@ impl Frame<'_> {
             Frame::ResumeAck { .. } => FT_RESUME_ACK,
         }
     }
+}
+
+/// The first whole frame at the front of `bytes`: its total length
+/// (header included) and whether it is droppable feedback (`Ack`,
+/// `Nack` or `CumAck`). `None` until the whole frame has arrived. It
+/// trusts the header, so it splits streams this crate encoded, never a
+/// peer's bytes.
+pub(crate) fn split_frame(bytes: &[u8]) -> Option<(usize, bool)> {
+    let header = bytes.get(..HEADER_LEN)?;
+    let payload = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let len = HEADER_LEN + payload as usize;
+    let feedback = matches!(header[3], FT_ACK | FT_NACK | FT_CUM_ACK);
+    (bytes.len() >= len).then_some((len, feedback))
 }
 
 /// Encodes one frame, appending header + payload to `out` (which is not

@@ -1,7 +1,8 @@
 //! End-to-end serve dialogues over the deterministic loopback:
-//! decode, NACK recovery, admission control, backpressure, terminal
-//! closes, the per-tick drive budget, exact-or-wait attempts, and
-//! serial-vs-sharded bit-identity over a mixed-feedback fleet.
+//! decode, NACK recovery, lost feedback, admission control,
+//! backpressure, terminal closes, the per-tick drive budget,
+//! exact-or-wait attempts, and serial-vs-sharded bit-identity over a
+//! mixed-feedback fleet.
 
 use spinal_core::bits::BitVec;
 use spinal_core::decode::{AwgnCost, BeamConfig};
@@ -16,8 +17,9 @@ use spinal_core::symbol::{IqSymbol, Slot};
 use spinal_core::SpinalCode;
 use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
 use spinal_serve::{
-    encode_frame, loopback_pair, loopback_pair_chunked, ClientConfig, ClientOutcome, Frame, Hello,
-    LoopbackTransport, ServeClient, ServeConfig, Server, SymbolRun, Transport, WireDecoder,
+    encode_frame, loopback_pair, loopback_pair_chunked, ChaosEvent, ChaosPlan, ChaosTransport,
+    ClientConfig, ClientOutcome, Frame, Hello, LoopbackTransport, ServeClient, ServeConfig, Server,
+    SymbolRun, Transport, WireDecoder,
 };
 use spinal_sim::stats::derive_seed;
 
@@ -29,9 +31,9 @@ fn payload(i: u64) -> BitVec {
 
 /// Ticks server and clients until every client has a verdict; returns
 /// the tick at which each client finished.
-fn run_to_done(
-    server: &mut Server<spinal_serve::LoopbackTransport>,
-    clients: &mut [ServeClient<spinal_serve::LoopbackTransport>],
+fn run_to_done<T: Transport + Send>(
+    server: &mut Server<T>,
+    clients: &mut [ServeClient<LoopbackTransport>],
     sharded: bool,
 ) -> Vec<usize> {
     let mut finished = vec![0; clients.len()];
@@ -128,6 +130,167 @@ fn cumulative_ack_mode_reports_decode() {
         Some(ClientOutcome::Decoded { .. })
     ));
     assert_eq!(clients[0].decoded_payload(), Some(&p));
+}
+
+/// Runs `flows` flows in `mode` to their verdicts against one server
+/// whose end of each link is wrapped in `plan` (reseeded per flow).
+fn run_lossy_fleet(
+    mode: FeedbackMode,
+    plan: &ChaosPlan,
+    flows: u64,
+) -> Vec<ServeClient<LoopbackTransport>> {
+    let mut server: Server<ChaosTransport<LoopbackTransport>> =
+        Server::new(ServeConfig::default()).unwrap();
+    let mut clients = Vec::new();
+    for i in 0..flows {
+        let (local, remote) = loopback_pair(1 << 16);
+        server.add_connection(plan.reseeded(derive_seed(plan.seed(), 85, i)).wrap(remote));
+        let cfg = ClientConfig {
+            seed: 400 + i,
+            mode,
+            ..ClientConfig::default()
+        };
+        clients.push(ServeClient::new(local, &cfg, &payload(i)).unwrap());
+    }
+    run_to_done(&mut server, &mut clients, false);
+    assert_eq!(server.stats().decoded, flows);
+    clients
+}
+
+/// Which of `n` feedback frames, sent one per tick through the server
+/// end of a link wrapped in `plan`, reach the peer.
+fn surviving_feedback(plan: &ChaosPlan, n: u64) -> Vec<bool> {
+    let (server_end, mut peer) = loopback_pair(1 << 16);
+    let mut server_end = plan.wrap(server_end);
+    let mut out = Vec::new();
+    (0..n)
+        .map(|i| {
+            out.clear();
+            encode_frame(&Frame::Nack { expected_seq: i }, &mut out).unwrap();
+            server_end.send(&out).unwrap();
+            let mut got = Vec::new();
+            peer.recv(&mut got).unwrap();
+            !got.is_empty()
+        })
+        .collect()
+}
+
+/// An ACK-only flow whose first ACK and first re-ACK are erased on the
+/// way back still learns of its decode: every DATA frame that reaches
+/// a decoded flow draws another ACK, so the third one gets through. It
+/// decodes exactly as its lossless twin does and pays the two extra
+/// bursts that drew the re-ACKs.
+#[test]
+fn ack_only_flow_heals_erased_acks_through_reacks() {
+    let plan = |seed: u64| ChaosPlan::new(seed).with(ChaosEvent::FeedbackLoss { p: 0.5 });
+    // The first flow's frames are reseeded from the plan seed (stream
+    // 85, flow 0): pick a plan whose draws erase, erase, then pass.
+    let seed = (0..)
+        .find(|&s| surviving_feedback(&plan(derive_seed(s, 85, 0)), 3) == [false, false, true])
+        .unwrap();
+    let clean = &run_lossy_fleet(FeedbackMode::AckOnly, &ChaosPlan::new(seed), 1)[0];
+    let lossy = &run_lossy_fleet(FeedbackMode::AckOnly, &plan(seed), 1)[0];
+    assert_eq!(lossy.outcome(), clean.outcome(), "the decode is unchanged");
+    assert_eq!(lossy.decoded_payload(), Some(&payload(0)));
+    let burst = ClientConfig::default().burst as u64;
+    assert_eq!(
+        lossy.symbols_sent(),
+        clean.symbols_sent() + 2 * burst,
+        "two bursts drew re-ACKs"
+    );
+}
+
+/// At 60% feedback loss every cumulative-ACK flow still delivers: a
+/// lost snapshot's news is repeated by the next one, at the price of
+/// the symbols the sender streams meanwhile.
+#[test]
+fn cumulative_ack_flows_deliver_through_later_snapshots_at_60pct_loss() {
+    let mode = FeedbackMode::CumulativeAck { period: 3 };
+    let flows = 8;
+    let clean = run_lossy_fleet(mode, &ChaosPlan::new(0x60), flows);
+    let lossy = run_lossy_fleet(
+        mode,
+        &ChaosPlan::new(0x60).with(ChaosEvent::FeedbackLoss { p: 0.6 }),
+        flows,
+    );
+    for (i, client) in lossy.iter().enumerate() {
+        assert!(matches!(
+            client.outcome(),
+            Some(ClientOutcome::Decoded { .. })
+        ));
+        assert_eq!(client.decoded_payload(), Some(&payload(i as u64)));
+    }
+    let sent = |fleet: &[ServeClient<_>]| fleet.iter().map(ServeClient::symbols_sent).sum::<u64>();
+    assert!(sent(&lossy) > sent(&clean), "lost snapshots cost symbols");
+}
+
+/// The feedback events act on whole frames: `FeedbackLoss` erases only
+/// ACK, NACK and cumulative-ACK frames, `FeedbackDelay` holds exactly
+/// those for its ticks while every other frame leaves at once, the
+/// peer decodes every byte it receives as whole frames, and one seed
+/// always erases the same frames.
+#[test]
+fn feedback_events_erase_or_delay_whole_feedback_frames() {
+    const DELAY: u64 = 3;
+    const SENT: u64 = 60;
+    let run = |seed: u64| {
+        let plan = ChaosPlan::new(seed)
+            .with(ChaosEvent::FeedbackLoss { p: 0.5 })
+            .with(ChaosEvent::FeedbackDelay { ticks: DELAY });
+        let (server_end, mut peer) = loopback_pair(1 << 16);
+        let mut server_end = plan.wrap(server_end);
+        let mut wire = WireDecoder::new();
+        let (mut out, mut rx) = (Vec::new(), Vec::new());
+        let mut arrived = Vec::new();
+        for tick in 0..SENT + DELAY {
+            out.clear();
+            if tick < SENT {
+                let feedback = match tick % 3 {
+                    0 => Frame::Ack {
+                        symbols_used: tick,
+                        attempts: 1,
+                    },
+                    1 => Frame::Nack { expected_seq: tick },
+                    _ => Frame::CumAck {
+                        decoded: false,
+                        symbols_used: tick,
+                    },
+                };
+                encode_frame(&feedback, &mut out).unwrap();
+                encode_frame(&Frame::Pong { nonce: tick }, &mut out).unwrap();
+            }
+            assert_eq!(server_end.send(&out).unwrap(), out.len());
+            // The server polls each connection once per tick.
+            server_end.recv(&mut Vec::new()).unwrap();
+            rx.clear();
+            peer.recv(&mut rx).unwrap();
+            wire.push_bytes(&rx);
+            while let Some(frame) = wire.next_frame().expect("only whole frames arrive") {
+                let sent_at = match frame {
+                    Frame::Pong { nonce } => {
+                        assert_eq!(nonce, tick, "other frames leave at once");
+                        continue;
+                    }
+                    Frame::Ack { symbols_used, .. } => symbols_used,
+                    Frame::Nack { expected_seq } => expected_seq,
+                    Frame::CumAck { symbols_used, .. } => symbols_used,
+                    other => panic!("unexpected frame {other:?}"),
+                };
+                assert_eq!(tick, sent_at + DELAY, "feedback is held {DELAY} ticks");
+                arrived.push(sent_at);
+            }
+        }
+        assert_eq!(arrived.len() as u64 + server_end.erased_frames(), SENT);
+        arrived
+    };
+    let a = run(7);
+    assert!(
+        (15..=45).contains(&a.len()),
+        "about half of {SENT} survive, got {}",
+        a.len()
+    );
+    assert_eq!(a, run(7), "same seed, same erasures");
+    assert_ne!(a, run(8), "another seed, other erasures");
 }
 
 #[test]

@@ -131,7 +131,7 @@ pub fn wilson_halfwidth(successes: u64, trials: u64, z: f64) -> f64 {
 /// sample). `None` when the sample is empty.
 ///
 /// This is the one percentile definition the workspace uses —
-/// `spinal-link`'s `LinkReport::latency_percentile` and the serving
+/// `spinal-serve`'s `LinkReport::latency_percentile` and the serving
 /// benchmarks both call it, so p99 on small samples cannot disagree
 /// between reports.
 pub fn percentile_nearest_rank(values: &mut [u64], q: f64) -> Option<u64> {

@@ -19,8 +19,8 @@
 //! | [`ldpc`] | `spinal-ldpc` | 802.11n-style QC-LDPC baseline with 40-iter BP |
 //! | [`info`] | `spinal-info` | Shannon capacities, PPV finite-blocklength bound, theorem thresholds |
 //! | [`sim`] | `spinal-sim` | the §5 experiment harness (genie/CRC rateless runs, LDPC goodput, sweeps) |
-//! | [`link`] | `spinal-link` | feedback link-layer protocol simulator (§6 future work) |
-//! | [`serve`] | `spinal-serve` | network-facing codec service: wire format, sharded event loops, backpressure |
+//! | [`link`] | `spinal-link` | feedback modes and deterministic data-link fault injection |
+//! | [`serve`] | `spinal-serve` | network-facing codec service: wire format, sharded event loops, backpressure, and the §6 link experiments run through it |
 //!
 //! ## Quickstart
 //!
@@ -96,13 +96,14 @@ pub mod sim {
     pub use spinal_sim::*;
 }
 
-/// The feedback link-layer protocol simulator (§6 future work).
+/// Feedback modes and deterministic data-link fault injection.
 pub mod link {
     pub use spinal_link::*;
 }
 
 /// The network-facing codec service: wire format, transports, sharded
-/// serving event loop with backpressure, and the client driver.
+/// serving event loop with backpressure, the client driver, and the §6
+/// link experiments (`serve::sim`) run through them.
 pub mod serve {
     pub use spinal_serve::*;
 }

@@ -13,7 +13,8 @@ use spinal_codes::{IqSymbol, MultiConfig, MultiDecoder, SessionEvent};
 use spinal_core::decode::AwgnCost;
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
-use spinal_link::{simulate_link, FaultPlan, FeedbackConfig, FeedbackMode, LinkConfig, LinkFault};
+use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
+use spinal_serve::{simulate_link, ChaosEvent, ChaosPlan, LinkConfig};
 
 #[test]
 fn invalid_inputs_return_typed_errors_and_never_panic() {
@@ -160,46 +161,55 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
         SpinalError::NoiseVariance(-0.5)
     );
 
-    // --- Link layer. ---
-    let mut link = LinkConfig::demo(10.0, 4, 1);
-    link.frames_in_flight = 0;
-    assert_eq!(
-        simulate_link(&link, 2, 1).unwrap_err(),
-        SpinalError::Window(0)
-    );
-    let mut link = LinkConfig::demo(10.0, 4, 1);
-    link.message_bits = 17; // not a multiple of k = 4
-    assert!(matches!(
-        simulate_link(&link, 2, 1).unwrap_err(),
-        SpinalError::Param(ParamError::MessageNotSegmentMultiple { .. })
-    ));
-
-    // --- Feedback protocol configuration. ---
-    let fb = FeedbackConfig {
-        loss: 1.1,
-        ..FeedbackConfig::default()
+    // --- Link experiments: one case per rule `LinkConfig` checks, each
+    // breaking one field of the valid demo configuration. ---
+    assert_eq!(LinkConfig::demo(10.0, 4, 1).validate(), Ok(()));
+    let link_err = |edit: &dyn Fn(&mut LinkConfig)| {
+        let mut link = LinkConfig::demo(10.0, 4, 1);
+        edit(&mut link);
+        simulate_link(&link, 2, 1).unwrap_err()
     };
+    let at_least_one = |name| SpinalError::AtLeastOne { name, value: 0 };
     assert_eq!(
-        fb.validate().unwrap_err(),
+        link_err(&|l| l.frames_in_flight = 0),
+        at_least_one("sender window")
+    );
+    assert_eq!(
+        link_err(&|l| l.max_symbols_per_frame = 0),
+        at_least_one("per-frame symbol budget")
+    );
+    assert_eq!(
+        link_err(&|l| l.max_attempts_per_frame = 0),
+        at_least_one("attempt ceiling")
+    );
+    assert_eq!(
+        link_err(&|l| l.mode = FeedbackMode::CumulativeAck { period: 0 }),
+        at_least_one("cumulative-ACK period")
+    );
+    // 17 payload bits + CRC-16 = 33 framed bits: not a multiple of k = 4.
+    assert_eq!(
+        link_err(&|l| l.payload_bits = 17),
+        SpinalError::Param(ParamError::MessageNotSegmentMultiple {
+            message_bits: 33,
+            k: 4
+        })
+    );
+    assert!(matches!(
+        link_err(&|l| l.beam = 0),
+        SpinalError::BeamConfig { beam_width: 0, .. }
+    ));
+    assert_eq!(
+        link_err(&|l| l.feedback = ChaosPlan::new(1).with(ChaosEvent::FeedbackLoss { p: 1.1 })),
         SpinalError::Probability {
             name: "feedback loss",
             value: 1.1
         }
     );
-    let fb = FeedbackConfig {
-        backoff: 0.5,
-        ..FeedbackConfig::default()
-    };
-    assert_eq!(fb.validate().unwrap_err(), SpinalError::Backoff(0.5));
-    let fb = FeedbackConfig {
-        mode: FeedbackMode::CumulativeAck { period: 0 },
-        ..FeedbackConfig::default()
-    };
     assert_eq!(
-        fb.validate().unwrap_err(),
-        SpinalError::AtLeastOne {
-            name: "cumulative-ACK period",
-            value: 0
+        link_err(&|l| l.faults = FaultPlan::new(1).with(LinkFault::Drop { p: 1.5 })),
+        SpinalError::Probability {
+            name: "link fault",
+            value: 1.5
         }
     );
 
@@ -228,27 +238,6 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
             value: 0
         }
     );
-    // Invalid fault and feedback parameters surface through the link
-    // entry point, too.
-    let mut link = LinkConfig::demo(10.0, 4, 1);
-    link.max_attempts_per_frame = 0;
-    assert_eq!(
-        simulate_link(&link, 2, 1).unwrap_err(),
-        SpinalError::AtLeastOne {
-            name: "attempt ceiling",
-            value: 0
-        }
-    );
-    let mut link = LinkConfig::demo(10.0, 4, 1);
-    link.crc = Some(Checksum::Crc16);
-    assert_eq!(
-        simulate_link(&link, 2, 1).unwrap_err(),
-        SpinalError::CrcWidth {
-            message_bits: 16,
-            crc_bits: 16
-        }
-    );
-
     // --- Pool admission control and quarantine. ---
     let code = SpinalCode::fig2(24, 1).unwrap();
     let msg = BitVec::from_bytes(&[1, 2, 3]);

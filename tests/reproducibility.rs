@@ -3,8 +3,8 @@
 //! and regardless of parallelism.
 
 use spinal_codes::ldpc::LdpcRate;
-use spinal_codes::link::{simulate_link, LinkConfig};
 use spinal_codes::modem::Modulation;
+use spinal_codes::serve::{simulate_link, LinkConfig};
 use spinal_codes::sim::rateless::{run_awgn, run_bsc, BscRatelessConfig, RatelessConfig};
 use spinal_codes::sim::{parallel_map, run_ldpc_awgn, LdpcConfig};
 
