@@ -8,9 +8,8 @@
 //! run the *identical* arrival trace and attempt schedule:
 //!
 //! * **scheduler** — a [`MultiDecoder`] pool: every session's attempt
-//!   runs whole through the pool's one hot scratch, every retry is
-//!   incremental via per-session checkpoints, and checkpoint memory sits
-//!   under one global budget.
+//!   runs whole through the pool's one hot scratch, and every retry is
+//!   incremental via per-session checkpoints.
 //! * **one_at_a_time** — the pre-scheduler serving loop: each arrival
 //!   immediately re-decodes that session from scratch
 //!   (`decode_into`, scratch reused across sessions). This is the
@@ -25,13 +24,8 @@
 //!
 //! All engines must accept every session at exactly the same symbol
 //! count (asserted — the scheduler is an optimization, never a
-//! semantic). A full run also sweeps the global checkpoint budget over a
-//! budget × fleet grid, recording how demote-first enforcement degrades:
-//! raw checkpoint tiers collapse to packed blobs (demotions) long before
-//! any session loses its checkpoints outright (evictions), and the
-//! packed footprint fixes how many sessions stay resident per byte of
-//! budget. A full run writes `BENCH_multi_session.json`; `--quick`
-//! (the CI smoke) runs the budget bit-identity self-check on a reduced
+//! semantic). A full run writes `BENCH_multi_session.json`; `--quick`
+//! (the CI smoke) runs the same bit-identity self-check on a reduced
 //! fleet and writes only the deterministic
 //! `quick_multi_session.json` summary, which CI diffs against
 //! `crates/bench/golden/quick_multi_session.json`.
@@ -148,12 +142,8 @@ fn decoder(flow: &Flow) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
 
 /// Scheduler engine: one symbol per live session per round, one drive
 /// per round. Returns per-session (symbols, attempts) at acceptance.
-fn run_scheduler(
-    flows: &[Flow],
-    cfg: MultiConfig,
-    stats_out: Option<&mut SchedStats>,
-) -> Vec<(u64, u32)> {
-    let mut pool = Pool::new(cfg);
+fn run_scheduler(flows: &[Flow], stats_out: Option<&mut SchedStats>) -> Vec<(u64, u32)> {
+    let mut pool = Pool::new(MultiConfig::default());
     let ids: Vec<_> = flows
         .iter()
         .map(|f| {
@@ -217,12 +207,9 @@ fn run_scheduler(
             let ck = rx.checkpoints();
             resumed += ck.levels_resumed();
             run += ck.levels_run();
-            stats.packed_bytes += rx.checkpoint_packed_bytes();
         }
         stats.levels_resumed_fraction = resumed as f64 / (resumed + run) as f64;
         stats.checkpoint_bytes = pool.checkpoint_bytes();
-        stats.evictions = pool.evictions();
-        stats.demotions = pool.demotions();
     }
     out
 }
@@ -231,9 +218,6 @@ fn run_scheduler(
 struct SchedStats {
     levels_resumed_fraction: f64,
     checkpoint_bytes: usize,
-    packed_bytes: usize,
-    evictions: u64,
-    demotions: u64,
 }
 
 /// The pre-scheduler serving loop: every arrival immediately re-decodes
@@ -338,90 +322,6 @@ fn run_checkpointed_sessions(flows: &[Flow]) -> Vec<(u64, u32)> {
     out
 }
 
-/// One cell of the budget × fleet grid: how the pool degraded while
-/// serving the identical trace under a global checkpoint budget.
-struct BudgetPoint {
-    sessions: usize,
-    /// `None` = unlimited (the footprint reference row).
-    budget: Option<usize>,
-    evictions: u64,
-    demotions: u64,
-    checkpoint_bytes: usize,
-    packed_bytes: usize,
-}
-
-/// Replays the identical trace under shrinking global checkpoint
-/// budgets. Demote-first enforcement means tight budgets are served by
-/// collapsing raw checkpoint tiers to their packed blobs (~20× smaller)
-/// before any session loses its checkpoints outright, so the evictions
-/// column stays at zero long after the raw tiers stop fitting. Returns
-/// the grid and the worst-case resident-capacity ratio (raw-tier bytes
-/// per session / packed bytes per session) across fleets.
-fn run_budget_sweep(master_seed: u64) -> (Vec<BudgetPoint>, f64) {
-    const SWEEP_FLEETS: [usize; 2] = [8, 64];
-    const BUDGETS: [Option<usize>; 5] = [
-        None,
-        Some(256 * 1024),
-        Some(64 * 1024),
-        Some(16 * 1024),
-        Some(4 * 1024),
-    ];
-    println!();
-    println!("checkpoint budget sweep (demote-first enforcement)");
-    println!(
-        "{:>9} {:>12} {:>10} {:>10} {:>13} {:>11}",
-        "sessions", "budget KiB", "demotions", "evictions", "resident KiB", "packed KiB"
-    );
-    let mut points = Vec::new();
-    let mut capacity_ratio = f64::INFINITY;
-    for &n in &SWEEP_FLEETS {
-        let flows = build_flows(n, master_seed);
-        let mut reference: Option<Vec<(u64, u32)>> = None;
-        for &budget in &BUDGETS {
-            let cfg = MultiConfig {
-                checkpoint_budget: budget.unwrap_or(usize::MAX),
-                ..MultiConfig::default()
-            };
-            let mut stats = SchedStats::default();
-            let outcomes = run_scheduler(&flows, cfg, Some(&mut stats));
-            match &reference {
-                None => {
-                    // Unlimited row: the raw-vs-packed footprint
-                    // reference. The raw tier is everything above the
-                    // packed blobs.
-                    let raw = stats.checkpoint_bytes.saturating_sub(stats.packed_bytes);
-                    if stats.packed_bytes > 0 {
-                        capacity_ratio = capacity_ratio.min(raw as f64 / stats.packed_bytes as f64);
-                    }
-                    reference = Some(outcomes);
-                }
-                Some(r) => assert_eq!(
-                    r, &outcomes,
-                    "checkpoint budget must not change results (fleet {n})"
-                ),
-            }
-            println!(
-                "{:>9} {:>12} {:>10} {:>10} {:>13.1} {:>11.1}",
-                n,
-                budget.map_or("unlimited".to_string(), |b| format!("{}", b / 1024)),
-                stats.demotions,
-                stats.evictions,
-                stats.checkpoint_bytes as f64 / 1024.0,
-                stats.packed_bytes as f64 / 1024.0,
-            );
-            points.push(BudgetPoint {
-                sessions: n,
-                budget,
-                evictions: stats.evictions,
-                demotions: stats.demotions,
-                checkpoint_bytes: stats.checkpoint_bytes,
-                packed_bytes: stats.packed_bytes,
-            });
-        }
-    }
-    (points, capacity_ratio)
-}
-
 fn time_sweep(rounds: u32, f: &mut impl FnMut() -> Vec<(u64, u32)>) -> f64 {
     black_box(f());
     let mut best = f64::INFINITY;
@@ -464,7 +364,7 @@ fn main() {
         // Bit-identity across engines: every engine must accept each
         // session at the same symbol.
         let mut stats = SchedStats::default();
-        let sched = run_scheduler(&flows, MultiConfig::default(), Some(&mut stats));
+        let sched = run_scheduler(&flows, Some(&mut stats));
         let scratch = run_one_at_a_time(&flows);
         let ckpt = run_checkpointed_sessions(&flows);
         for lane in 0..n {
@@ -477,31 +377,12 @@ fn main() {
                 "incremental and from-scratch must accept at the same symbol (lane {lane})"
             );
         }
-        // A tight budget must also change nothing (evictions are policy).
-        let mut tight_stats = SchedStats::default();
-        let tight = run_scheduler(
-            &flows,
-            MultiConfig {
-                checkpoint_budget: 64 * 1024,
-                ..MultiConfig::default()
-            },
-            Some(&mut tight_stats),
-        );
-        assert_eq!(sched, tight, "checkpoint eviction must not change results");
         let total_symbols: u64 = sched.iter().map(|&(s, _)| s).sum();
         let total_attempts: u64 = sched.iter().map(|&(_, a)| u64::from(a)).sum();
-        quick_rows.push((
-            n,
-            total_symbols,
-            total_attempts,
-            tight_stats.evictions,
-            tight_stats.demotions,
-        ));
+        quick_rows.push((n, total_symbols, total_attempts));
 
         // Timings.
-        let sched_secs = time_sweep(rounds, &mut || {
-            run_scheduler(&flows, MultiConfig::default(), None)
-        }) / n as f64;
+        let sched_secs = time_sweep(rounds, &mut || run_scheduler(&flows, None)) / n as f64;
         let scratch_secs = time_sweep(rounds, &mut || run_one_at_a_time(&flows)) / n as f64;
         let ckpt_secs = time_sweep(rounds, &mut || run_checkpointed_sessions(&flows)) / n as f64;
 
@@ -538,15 +419,7 @@ fn main() {
         std::fs::write("quick_multi_session.json", &json).expect("write quick_multi_session.json");
         println!("# wrote quick_multi_session.json (deterministic summary for the golden diff)");
     } else {
-        let (budget_points, capacity_ratio) = run_budget_sweep(args.seed);
-        assert!(
-            capacity_ratio >= 5.0,
-            "packed tier must fit >=5x more resident sessions than raw (got {capacity_ratio:.1}x)"
-        );
-        println!(
-            "# packed tier fits {capacity_ratio:.1}x more resident sessions per byte of budget than raw"
-        );
-        let json = render_json(&args, rounds, &points, &budget_points, capacity_ratio);
+        let json = render_json(&args, rounds, &points);
         std::fs::write("BENCH_multi_session.json", &json).expect("write BENCH_multi_session.json");
         println!("# wrote BENCH_multi_session.json");
     }
@@ -554,13 +427,7 @@ fn main() {
 
 /// Hand-rendered JSON (the workspace carries no serialization
 /// dependency).
-fn render_json(
-    args: &RunArgs,
-    rounds: u32,
-    points: &[Point],
-    budget_points: &[BudgetPoint],
-    capacity_ratio: f64,
-) -> String {
+fn render_json(args: &RunArgs, rounds: u32, points: &[Point]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"benchmark\": \"multi_session_scheduler\",\n");
@@ -589,37 +456,18 @@ fn render_json(
             if i + 1 == points.len() { "" } else { "," },
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"resident_capacity_ratio_packed_vs_raw\": {capacity_ratio:.1},\n"
-    ));
-    s.push_str("  \"budget_sweep\": [\n");
-    for (i, p) in budget_points.iter().enumerate() {
-        let budget = p.budget.map_or("null".to_string(), |b| b.to_string());
-        s.push_str(&format!(
-            "    {{\"sessions\": {}, \"budget_bytes\": {}, \"demotions\": {}, \"evictions\": {}, \"checkpoint_bytes\": {}, \"packed_bytes\": {}}}{}\n",
-            p.sessions,
-            budget,
-            p.demotions,
-            p.evictions,
-            p.checkpoint_bytes,
-            p.packed_bytes,
-            if i + 1 == budget_points.len() { "" } else { "," },
-        ));
-    }
     s.push_str("  ]\n}\n");
     s
 }
 
 /// The deterministic quick-mode summary (integers only: accepted symbol
-/// totals, attempt totals, and tight-budget demotion/eviction counts per
-/// fleet size) — the golden-diff artifact.
-fn render_quick_json(rows: &[(usize, u64, u64, u64, u64)]) -> String {
+/// and attempt totals per fleet size) — the golden-diff artifact.
+fn render_quick_json(rows: &[(usize, u64, u64)]) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"benchmark\": \"quick_multi_session\",\n  \"points\": [\n");
-    for (i, &(n, symbols, attempts, evictions, demotions)) in rows.iter().enumerate() {
+    for (i, &(n, symbols, attempts)) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"sessions\": {n}, \"total_symbols_to_decode\": {symbols}, \"total_attempts\": {attempts}, \"tight_budget_evictions\": {evictions}, \"tight_budget_demotions\": {demotions}}}{}\n",
+            "    {{\"sessions\": {n}, \"total_symbols_to_decode\": {symbols}, \"total_attempts\": {attempts}}}{}\n",
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -1,7 +1,8 @@
 //! CI smoke for the compressed checkpoint tier: for every SIMD kernel
 //! tier this runner supports, a decoder is driven per-symbol with its
-//! raw checkpoint tier force-demoted before every retry — so each
-//! attempt must rebuild its resume state from the packed blob — and the
+//! own packed image re-adopted before every retry, as a restart's
+//! restore would — so each attempt must rebuild its resume state from
+//! the packed blob — and the
 //! result is asserted bit-identical (message, cost bits, candidates,
 //! as-if-from-scratch stats) to a batch decode on the same tier and to
 //! the scalar baseline across tiers. Both cost paths run: packed-bit
@@ -75,10 +76,11 @@ fn slots(p: &CodeParams) -> Vec<Slot> {
     v
 }
 
-/// Drives one decoder per-symbol, demoting the checkpoint store before
-/// every retry (each attempt unpacks), and asserts the final result is
-/// bit-identical to the batch decode of the same observation set.
-fn drive_demoted<M, C>(dec: &BeamDecoder<Lookup3, M, C>, stream: &[(Slot, M::Symbol)]) -> Row
+/// Drives one decoder per-symbol, re-adopting the checkpoint store's
+/// own packed image before every retry (each attempt unpacks), and
+/// asserts the final result is bit-identical to the batch decode of the
+/// same observation set.
+fn drive_readopted<M, C>(dec: &BeamDecoder<Lookup3, M, C>, stream: &[(Slot, M::Symbol)]) -> Row
 where
     M: Mapper,
     M::Symbol: Copy,
@@ -89,19 +91,25 @@ where
     let mut ckpt = BeamCheckpoints::new();
     let mut scratch = DecoderScratch::new();
     let mut out = DecodeResult::default();
+    let mut image = Vec::new();
     for &(slot, y) in stream {
         obs.push(slot, y);
-        ckpt.demote();
+        if let Some(packed) = ckpt.packed_image() {
+            image.clear();
+            image.extend_from_slice(packed);
+            dec.adopt_packed_checkpoints(&mut ckpt, obs.len(), &image)
+                .expect("a store's own image validates");
+        }
         dec.decode_incremental(&obs, slot.t, &mut ckpt, &mut scratch, &mut out);
     }
     let batch = dec.decode(&obs);
-    assert_eq!(out.message, batch.message, "demoted == batch: message");
+    assert_eq!(out.message, batch.message, "restored == batch: message");
     assert_eq!(
         out.cost.to_bits(),
         batch.cost.to_bits(),
-        "demoted == batch: cost"
+        "restored == batch: cost"
     );
-    assert_eq!(out.candidates, batch.candidates, "demoted == batch");
+    assert_eq!(out.candidates, batch.candidates, "restored == batch");
     assert_eq!(out.stats, batch.stats, "stats are as-if-from-scratch");
     assert!(ckpt.unpacks() > 0, "the packed tier must have been hit");
     Row {
@@ -152,7 +160,7 @@ fn main() {
         )
         .expect("valid decoder")
         .with_kernel_dispatch(tier);
-        let row = drive_demoted(&dec, &bit_stream);
+        let row = drive_readopted(&dec, &bit_stream);
         match &bsc_row {
             None => bsc_row = Some(row),
             Some(base) => assert_rows_match("bsc", base, &row),
@@ -184,7 +192,7 @@ fn main() {
         )
         .expect("valid decoder")
         .with_kernel_dispatch(tier);
-        let row = drive_demoted(&dec, &iq_stream);
+        let row = drive_readopted(&dec, &iq_stream);
         match &awgn_row {
             None => awgn_row = Some(row),
             Some(base) => assert_rows_match("awgn", base, &row),

@@ -379,10 +379,12 @@ impl Default for CachedPlan {
 /// `decode::ckpt_pack` module). Spines and cost keys are *not* stored;
 /// they are recomputed on restore by replaying the per-entry spine hash
 /// and cost accumulation — the identical arithmetic the expansion loop
-/// used, so the rebuilt snapshots are bit-for-bit the originals. That
-/// makes [`demote`](Self::demote) possible: drop the raw tier (~20× the
-/// bytes) while keeping full resumption depth, at the cost of one
-/// transparent unpack on the session's next attempt.
+/// used, so the rebuilt snapshots are bit-for-bit the originals. The
+/// image is what a serving snapshot carries across a process restart
+/// ([`packed_image`](Self::packed_image)); installed into a fresh store
+/// by [`BeamDecoder::adopt_packed_checkpoints`], it keeps the full
+/// resumption depth at ~1/20 the bytes, at the cost of one transparent
+/// unpack on the session's next attempt.
 #[derive(Clone, Debug, Default)]
 pub struct BeamCheckpoints {
     saved: SavedStates,
@@ -399,11 +401,13 @@ pub struct BeamCheckpoints {
     /// Compressed image of `saved` (topology + stats bitstream),
     /// refilled at every attempt finish.
     packed: PackedCheckpoints,
-    /// Raw tier dropped; the next attempt must unpack before resuming.
+    /// Only the adopted packed image is resident; the next attempt
+    /// must unpack before resuming.
     demoted: bool,
     /// Packs performed over the store's lifetime.
     packs: u64,
-    /// Demote→unpack round trips over the store's lifetime.
+    /// Restores out of an adopted packed image over the store's
+    /// lifetime.
     unpacks: u64,
 }
 
@@ -428,10 +432,10 @@ impl BeamCheckpoints {
     }
 
     /// [`reset`](Self::reset) that also returns every buffer's memory to
-    /// the allocator — the multi-session scheduler's eviction path:
-    /// an evicted session decodes from scratch on its next retry
-    /// (bit-identical results, more work) and re-warms its buffers only
-    /// if it keeps running.
+    /// the allocator — the multi-session pool frees a quarantined
+    /// session's store this way. A released store decodes from scratch
+    /// on its next retry (bit-identical results, more work) and re-warms
+    /// its buffers only if it keeps running.
     pub fn release(&mut self) {
         self.reset();
         self.saved.levels = Vec::new();
@@ -442,8 +446,8 @@ impl BeamCheckpoints {
     }
 
     /// Heap bytes currently held by this store (capacity-based: saved
-    /// frontiers, the backtracking arena, and cached packed masks). The
-    /// figure a pool-level checkpoint-memory budget accounts against.
+    /// frontiers, the backtracking arena, cached packed masks, and the
+    /// packed image).
     pub fn memory_bytes(&self) -> usize {
         use core::mem::size_of;
         let mut bytes = self.arena_parents.capacity() * size_of::<u32>()
@@ -461,7 +465,7 @@ impl BeamCheckpoints {
     }
 
     /// Heap bytes the compressed checkpoint image currently holds —
-    /// what a demoted session's resumable state costs.
+    /// what a session's resumable state costs in a snapshot.
     pub fn packed_bytes(&self) -> usize {
         self.packed.memory_bytes()
     }
@@ -477,37 +481,11 @@ impl BeamCheckpoints {
         }
     }
 
-    /// Whether the raw snapshot tier has been dropped in favour of the
-    /// packed image ([`demote`](Self::demote)); cleared transparently by
-    /// the next attempt's restore.
+    /// Whether the store holds only a packed image installed by
+    /// [`BeamDecoder::adopt_packed_checkpoints`], with no raw tier in
+    /// sync; cleared transparently by the next attempt's restore.
     pub fn is_demoted(&self) -> bool {
         self.demoted
-    }
-
-    /// Whether a [`demote`](Self::demote) right now would succeed: the
-    /// packed image is in sync and the raw tier is still resident.
-    pub fn can_demote(&self) -> bool {
-        self.packed.active && !self.demoted && self.saved.valid > 0
-    }
-
-    /// Drops the raw snapshot tier — saved frontiers, arena, and cached
-    /// plans — keeping only the packed image (~20× smaller at the
-    /// paper-default shape) and the resume depth. The next attempt
-    /// transparently unpacks, recomputing the raw snapshots bit-for-bit,
-    /// so results are unchanged; only that attempt's restore does extra
-    /// work (one hash + cost evaluation per saved entry — still ~`2^k`×
-    /// cheaper than re-expanding from scratch). Returns `false` (doing
-    /// nothing) when there is nothing packed to fall back on.
-    pub fn demote(&mut self) -> bool {
-        if !self.can_demote() {
-            return false;
-        }
-        self.saved.levels = Vec::new();
-        self.arena_parents = Vec::new();
-        self.arena_segs = Vec::new();
-        self.plans = Vec::new();
-        self.demoted = true;
-        true
     }
 
     /// Packs performed over the store's lifetime (one per attempt finish
@@ -516,7 +494,8 @@ impl BeamCheckpoints {
         self.packs
     }
 
-    /// Demote→unpack round trips served over the store's lifetime.
+    /// Restores out of an adopted packed image served over the store's
+    /// lifetime.
     pub fn unpacks(&self) -> u64 {
         self.unpacks
     }
@@ -954,10 +933,10 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
                 .resize_with(n_levels as usize, CachedPlan::default);
         }
         if ckpt.demoted {
-            // The raw snapshot tier was dropped by `demote`; rebuild the
-            // levels this restore needs from the packed topology. The
-            // recompute replays the expansion arithmetic exactly, so the
-            // rebuilt snapshots are bit-for-bit what was demoted. A
+            // Only an adopted packed image is resident; rebuild the
+            // levels this restore needs from its topology. The recompute
+            // replays the expansion arithmetic exactly, so the rebuilt
+            // snapshots are bit-for-bit the ones that were packed. A
             // from-scratch start needs nothing back.
             if start > 0 {
                 self.unpack_checkpoints(start, obs, ckpt, scratch);
@@ -1069,8 +1048,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             out,
         );
         // Keep the compressed tier in sync with the snapshots this
-        // attempt just (re)wrote, so the store is demotable at any
-        // point between attempts.
+        // attempt just (re)wrote, so a snapshot can image the store at
+        // any point between attempts.
         if saved.valid > 0 {
             self.pack_checkpoints(saved, packed);
             *packs += 1;
@@ -1133,12 +1112,13 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     }
 
     /// Rebuilds `saved.levels[0..=start]` (and the arena prefix and
-    /// packed-mask caches below `start`) from the packed image, after a
-    /// [`BeamCheckpoints::demote`]. Spines and cost keys are recomputed
+    /// packed-mask caches below `start`) from the packed image, after
+    /// [`adopt_packed_checkpoints`](Self::adopt_packed_checkpoints).
+    /// Spines and cost keys are recomputed
     /// by replaying, per entry, exactly the arithmetic the expansion
     /// loop used — the single-step spine hash, then either the packed
     /// XOR/popcount kernel or the sequential per-observation cost fold —
-    /// so the rebuilt snapshots are bit-identical to the demoted ones.
+    /// so the rebuilt snapshots are bit-identical to the packed ones.
     /// Pre-prunes between levels are replayed with the same canonical
     /// selection to reconstruct each level's committed frontier (which
     /// the next level's slots index into). Cost: one hash + one cost
@@ -1249,7 +1229,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
 
             // Entries of this level were scored against level `u-1`'s
             // observations; refresh that plan (also re-warming the
-            // packed-mask cache the demote dropped).
+            // packed-mask cache the adopt reset).
             let level_obs = obs.at_level(u as u32 - 1);
             geo.refresh(level_obs, bps);
             let p = &mut plans[u - 1];
@@ -1345,11 +1325,11 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     }
 
     /// Installs a packed checkpoint image carried across a process
-    /// restart into `ckpt`, leaving the store exactly as if it had just
-    /// been [`demoted`](BeamCheckpoints::demote): the blob is the only
-    /// resident tier and the next attempt transparently unpacks it,
-    /// replaying the expansion arithmetic bit-for-bit. `obs_len` must be
-    /// the restored observation count the blob was packed against.
+    /// restart into `ckpt`: the blob becomes the only tier in sync and
+    /// the next attempt transparently unpacks it, replaying the
+    /// expansion arithmetic bit-for-bit. `obs_len` must be the restored
+    /// observation count, which covers every observation the blob was
+    /// packed against.
     ///
     /// The blob is **untrusted** (it crossed a process boundary): before
     /// installing, its structure is re-derived against this decoder's
@@ -2046,6 +2026,22 @@ mod tests {
             .unwrap()
     }
 
+    /// Re-installs the store's own packed image, as a restart's restore
+    /// would, so the next attempt must rebuild its resume state by
+    /// unpacking it. `false` when nothing has been packed yet.
+    fn readopt<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
+        dec: &BeamDecoder<H, M, C>,
+        ckpt: &mut BeamCheckpoints,
+    ) -> bool {
+        let Some(image) = ckpt.packed_image().map(<[u8]>::to_vec) else {
+            return false;
+        };
+        let obs_len = ckpt.obs_len;
+        dec.adopt_packed_checkpoints(ckpt, obs_len, &image)
+            .expect("a store's own image validates");
+        true
+    }
+
     fn noiseless_obs(
         enc: &Encoder<Lookup3, LinearMapper>,
         passes: u32,
@@ -2688,11 +2684,12 @@ mod tests {
         }
     }
 
-    /// Demoting to the packed tier between attempts must be invisible:
-    /// every restore recomputes the snapshots bit-for-bit, so results
-    /// (message, costs, candidates, stats) stay identical to batch at
-    /// every step. Strided puncturing plus a tight frontier cap makes
-    /// the unpack replay pre-prunes and multi-level resumption.
+    /// Restoring from the packed image between attempts must be
+    /// invisible: every restore recomputes the snapshots bit-for-bit,
+    /// so results (message, costs, candidates, stats) stay identical to
+    /// batch at every step. Strided puncturing plus a tight frontier
+    /// cap makes the unpack replay pre-prunes and multi-level
+    /// resumption.
     #[test]
     fn demoted_checkpoints_restore_bit_identical() {
         use crate::puncture::{PunctureSchedule, StridedPuncture};
@@ -2733,16 +2730,12 @@ mod tests {
             assert_eq!(inc.candidates, batch.candidates);
             assert_eq!(inc.stats, batch.stats, "stats are as-if-from-scratch");
             raw_peak = raw_peak.max(ckpt.memory_bytes());
-            // Demote after every attempt: the next one must unpack.
-            assert!(ckpt.demote(), "a finished attempt is always demotable");
+            // Re-adopt after every attempt: the next one must unpack.
+            assert!(readopt(&dec, &mut ckpt), "a finished attempt packs");
             assert!(ckpt.is_demoted());
-            assert!(
-                ckpt.memory_bytes() <= ckpt.packed_bytes(),
-                "demote leaves only the packed image resident"
-            );
         }
         assert!(ckpt.levels_resumed() > 0, "resumption must have happened");
-        assert!(ckpt.unpacks() > 0, "demoted restores must have unpacked");
+        assert!(ckpt.unpacks() > 0, "adopted restores must have unpacked");
         assert!(ckpt.packs() > 0);
         assert!(
             ckpt.packed_bytes() * 5 <= raw_peak,
@@ -2752,7 +2745,7 @@ mod tests {
         );
     }
 
-    /// Demote/unpack on the bit-channel packed-kernel path, across every
+    /// Adopt/unpack on the bit-channel packed-kernel path, across every
     /// supported SIMD tier: the unpack recompute routes through the same
     /// XOR/popcount kernel, so restored keys are bit-identical on all of
     /// them.
@@ -2783,9 +2776,9 @@ mod tests {
                         bit ^= 1;
                     }
                     obs.push(slot, bit);
-                    // Demote before each retry: resumption at `t` must
-                    // unpack every saved level below it.
-                    ckpt.demote();
+                    // Re-adopt before each retry: resumption at `t`
+                    // must unpack every saved level below it.
+                    readopt(&dec, &mut ckpt);
                     dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut inc);
                     let batch = dec.decode(&obs);
                     assert_eq!(inc.message, batch.message, "{tier} pass {pass} t {t}");
@@ -2798,9 +2791,10 @@ mod tests {
         }
     }
 
-    /// Deep resumption out of a demoted store: per-symbol arrivals with
-    /// a demote before every retry, so each restore unpacks a growing
-    /// prefix (the hardest replay path: every saved level rebuilt).
+    /// Deep resumption out of an adopted image: per-symbol arrivals
+    /// with a re-adopt before every retry, so each restore unpacks a
+    /// growing prefix (the hardest replay path: every saved level
+    /// rebuilt).
     #[test]
     fn demoted_per_symbol_arrivals_match_batch() {
         let p = params(40, 8, 0);
@@ -2822,7 +2816,7 @@ mod tests {
             for t in 0..p.n_segments() {
                 let slot = Slot::new(t, pass);
                 obs.push(slot, enc.symbol(slot));
-                ckpt.demote();
+                readopt(&dec, &mut ckpt);
                 dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut inc);
                 let batch = dec.decode(&obs);
                 assert_eq!(inc.message, batch.message, "pass {pass} t {t}");

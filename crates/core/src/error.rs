@@ -171,6 +171,11 @@ pub enum SpinalError {
     /// A puncturing stride outside the supported power-of-two range
     /// `2..=64`.
     Stride(u32),
+    /// A linear mapper depth outside `2..=16` bits per dimension.
+    MapperDepth {
+        /// The rejected bits per dimension.
+        c: u32,
+    },
     /// An observation set sized for a different spine length than the
     /// code's.
     ObservationLevels {
@@ -272,6 +277,10 @@ impl std::fmt::Display for SpinalError {
             SpinalError::Stride(s) => write!(
                 f,
                 "puncturing stride must be a power of two in 2..=64, got {s}"
+            ),
+            SpinalError::MapperDepth { c } => write!(
+                f,
+                "linear mapper requires 2 <= c <= 16 bits per dimension, got {c}"
             ),
             SpinalError::ObservationLevels { expected, got } => write!(
                 f,

@@ -20,6 +20,7 @@
 //! `SNR = 1/σ²` with `σ²` the total complex noise variance (DESIGN.md
 //! §2.8).
 
+use crate::error::SpinalError;
 use crate::symbol::IqSymbol;
 
 /// A deterministic map from a group of expansion bits to a channel symbol.
@@ -89,24 +90,34 @@ impl LinearMapper {
     ///
     /// # Panics
     ///
-    /// Panics unless `2 ≤ c ≤ 16` (with `c = 1` the magnitude field is
-    /// empty and every symbol is the origin).
+    /// Panics unless `2 ≤ c ≤ 16`; [`try_new`](Self::try_new) is the
+    /// checked form.
     pub fn new(c: u32) -> Self {
-        assert!(
-            (2..=16).contains(&c),
-            "LinearMapper requires 2 <= c <= 16, got {c}"
-        );
+        Self::try_new(c).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates the Eq. 3 mapper with `c` bits per dimension, rejecting a
+    /// depth outside `2..=16` with a typed error (with `c = 1` the
+    /// magnitude field is empty and every symbol is the origin).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpinalError::MapperDepth`].
+    pub fn try_new(c: u32) -> Result<Self, SpinalError> {
+        if !(2..=16).contains(&c) {
+            return Err(SpinalError::MapperDepth { c });
+        }
         // Per dimension the magnitude m is uniform on 0..N-1, N = 2^(c-1):
         //   E[m²] = (N−1)(2N−1)/6,
         //   E[x²] = P*² E[m²]/(N−1)² = P*² (2N−1)/(6(N−1)).
         // Unit *symbol* energy (two dimensions): 2 E[x²] = 1.
         let n = f64::from(1u32 << (c - 1));
         let p_star = (3.0 * (n - 1.0) / (2.0 * n - 1.0)).sqrt();
-        Self {
+        Ok(Self {
             c,
             p_star,
             scale: p_star / (n - 1.0),
-        }
+        })
     }
 
     /// The `c` parameter (bits per dimension).

@@ -2,24 +2,16 @@
 //! [`RxSession`]s.
 //!
 //! A base station or access point decodes many concurrent spinal-coded
-//! flows, not one. Driving each flow's session in isolation leaves two
-//! resources on the table:
-//!
-//! * **A hot expansion scratch.** A decode attempt's working set is
-//!   dominated by the frontier and child expansion buffers (`B × 2^k`
-//!   SoA rows plus the hash-block cache), which carry no information
-//!   between attempts. Per-session scratches cost every session that
-//!   memory and turn every attempt into a sweep over cold buffers once
-//!   a few dozen sessions interleave; the pool keeps **one** scratch hot
-//!   and lends it to every attempt, so a pooled session holds only its
-//!   observations and its checkpoint store.
-//! * **Checkpoint memory.** Incremental retries
-//!   ([`BeamDecoder::decode_incremental`](crate::decode::BeamDecoder::decode_incremental))
-//!   buy their speedup with per-session per-level snapshots. At hundreds
-//!   of sessions that memory is the scarce resource; the pool enforces a
-//!   **global budget** ([`MultiConfig::checkpoint_budget`]) by evicting
-//!   the *coldest* sessions' stores back to from-scratch decoding —
-//!   which changes work, never results.
+//! flows, not one. Driving each flow's session in isolation wastes its
+//! **expansion scratch**: a decode attempt's working set is dominated by
+//! the frontier and child expansion buffers (`B × 2^k` SoA rows plus
+//! the hash-block cache), which carry no information between attempts.
+//! Per-session scratches cost every session that memory and turn every
+//! attempt into a sweep over cold buffers once a few dozen sessions
+//! interleave; the pool keeps **one** scratch hot and lends it to every
+//! attempt, so a pooled session holds only its observations and its
+//! checkpoint store — which still makes each retry incremental
+//! ([`BeamDecoder::decode_incremental`](crate::decode::BeamDecoder::decode_incremental)).
 //!
 //! # Whole attempts through one scratch
 //!
@@ -59,23 +51,21 @@
 //! quarantined (never scheduled again, ingest rejected with
 //! [`SpinalError::SessionQuarantined`]) until removed.
 //!
-//! # Orphans
+//! # Shedding
 //!
-//! The detach lifecycle — resume tokens, expiry, re-attachment — belongs
-//! to the serving layer. The pool keeps one orphan bit per session
-//! ([`detach`](MultiDecoder::detach) / [`attach`](MultiDecoder::attach)):
-//! an orphan is driven exactly like an attached session, but its
-//! checkpoints answer to [`MultiConfig::detached_budget`] first, and
-//! [`shed_costliest_detached`](MultiDecoder::shed_costliest_detached)
-//! picks its victims among orphans only.
+//! The pool keeps no lifecycle: which sessions are orphaned, resumable
+//! or expired is the serving layer's record alone. Under overload the
+//! caller names its candidates, and
+//! [`shed_costliest`](MultiDecoder::shed_costliest) removes the one
+//! whose next attempt would cost the most.
 //!
 //! # Determinism contract
 //!
 //! For every session, the poll events a drive emits are a pure function
 //! of the symbols ingested between drives — identical to calling
 //! [`RxSession::ingest`] with the same symbols coalesced per drive, and
-//! therefore independent of attempt ordering and checkpoint evictions.
-//! Only latency and memory are policy; results never are.
+//! therefore independent of attempt ordering and of the work budget.
+//! Only latency is policy; results never are.
 //!
 //! # Example
 //!
@@ -114,6 +104,8 @@
 //! }
 //! ```
 
+use std::cmp::Reverse;
+
 use crate::decode::cost::CostModel;
 use crate::decode::{BeamDecoder, DecoderScratch};
 use crate::error::SpinalError;
@@ -131,13 +123,6 @@ const AGING_ROUNDS: u64 = 4;
 /// Pool-level resource configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultiConfig {
-    /// Global cap, in heap bytes, on the checkpoint memory of all
-    /// sessions combined ([`RxSession::checkpoint_bytes`] summed). When
-    /// a drive ends over budget, the coldest sessions' stores are
-    /// [evicted](RxSession::evict_checkpoints) until it fits — they
-    /// decode from scratch on their next retry, with identical results.
-    /// `usize::MAX` (the default) disables the budget.
-    pub checkpoint_budget: usize,
     /// Work one drive may spend, counted in tree nodes expanded (each
     /// served attempt priced exactly, before it runs, from its resume
     /// level) — the deadline knob: nodes are the unit of decode wall
@@ -168,25 +153,15 @@ pub struct MultiConfig {
     /// entries. The pool never reads it. `u64::MAX` (the default)
     /// disables expiry.
     pub detach_ttl: u64,
-    /// Byte budget for the checkpoint memory of *detached* sessions
-    /// combined, enforced each drive ahead of the global
-    /// [`checkpoint_budget`](MultiConfig::checkpoint_budget): orphaned
-    /// stores are demoted to their packed image first and fully evicted
-    /// only if the packed images alone still exceed the budget. Results
-    /// never change, only the work to reproduce them. `usize::MAX` (the
-    /// default) disables the budget.
-    pub detached_budget: usize,
 }
 
 impl Default for MultiConfig {
     fn default() -> Self {
         Self {
-            checkpoint_budget: usize::MAX,
             work_budget: u64::MAX,
             max_session_attempts: u32::MAX,
             max_sessions: usize::MAX,
             detach_ttl: u64::MAX,
-            detached_budget: usize::MAX,
         }
     }
 }
@@ -267,8 +242,6 @@ impl SessionEvent {
 struct Managed<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> {
     rx: RxSession<H, M, C, P>,
     gen: u32,
-    /// Round of this session's last decode attempt (eviction coldness).
-    last_active: u64,
     /// Round its pending attempt became due (`u64::MAX` = not due).
     due_since: u64,
     /// Symbols absorbed since the last emitted event.
@@ -276,12 +249,6 @@ struct Managed<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSche
     /// Abandoned at the attempt ceiling: never scheduled again, ingest
     /// rejected, waiting for [`MultiDecoder::remove`].
     quarantined: bool,
-    /// The orphan bit ([`MultiDecoder::detach`]): still driven normally
-    /// — pending attempts conclude exactly as if the driver were
-    /// present, which is what keeps a later re-attachment bit-identical
-    /// — but first in line for the detached-checkpoint budget and
-    /// overload shedding.
-    detached: bool,
 }
 
 /// A pool of live receiver sessions sharing one decoder core — see the
@@ -296,17 +263,11 @@ pub struct MultiDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Pun
     next_gen: Vec<u32>,
     live: usize,
     round: u64,
-    evictions: u64,
-    demotions: u64,
     quarantined: u64,
-    detached: usize,
     /// Indices of the sessions selected for attempts this drive.
     due: Vec<u32>,
     /// Indices of due sessions shed by the work budget this drive.
     deferred: Vec<u32>,
-    /// `(last_active, slot)` of one budget pass's candidates, coldest
-    /// first (kept, like `due`, so drives stay allocation-free).
-    victims: Vec<(u64, u32)>,
     /// The one scratch every attempt runs through.
     shared: DecoderScratch,
 }
@@ -331,13 +292,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             next_gen: Vec::new(),
             live: 0,
             round: 0,
-            evictions: 0,
-            demotions: 0,
             quarantined: 0,
-            detached: 0,
             due: Vec::new(),
             deferred: Vec::new(),
-            victims: Vec::new(),
             shared: DecoderScratch::new(),
         }
     }
@@ -362,28 +319,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.round
     }
 
-    /// Carries the round counter of a pre-restart pool into this one
-    /// (monotone: the counter never moves backward), so
-    /// [`rounds`](Self::rounds) and the activity stamps taken against it
-    /// continue across a warm restart. Call before re-inserting restored
-    /// sessions so their stamps are taken against the carried counter.
-    pub fn restore_round(&mut self, round: u64) {
-        self.round = self.round.max(round);
-    }
-
-    /// Checkpoint stores fully evicted by the memory budget so far
-    /// (after demotion alone could not fit the budget).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Checkpoint stores demoted to their packed image by the memory
-    /// budget so far — the budget's first, cheap lever: a demoted
-    /// session keeps its full resume depth at ~1/20 the bytes.
-    pub fn demotions(&self) -> u64 {
-        self.demotions
-    }
-
     /// Sessions abandoned at the attempt ceiling and quarantined so far
     /// (lifetime count, not currently-resident count).
     pub fn quarantines(&self) -> u64 {
@@ -399,86 +334,28 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         )
     }
 
-    /// Sets a live session's orphan bit: its driver is gone (the serve
-    /// layer calls this on connection loss and keeps the resume
-    /// bookkeeping itself).
-    ///
-    /// An orphan is **still driven normally** — a pending due attempt
-    /// concludes in exactly the drive it would have concluded in with
-    /// the driver present, which is what keeps a later
-    /// [`attach`](Self::attach) bit-identical to an uninterrupted run.
-    /// What changes is policy: its checkpoints fall under
-    /// [`MultiConfig::detached_budget`] (demote-first), and it is a
-    /// candidate for [`shed_costliest_detached`](Self::shed_costliest_detached).
-    /// Detaching an orphan again is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`SpinalError::UnknownSession`] for a stale or foreign id.
-    pub fn detach(&mut self, id: SessionId) -> Result<(), SpinalError> {
-        self.set_detached(id, true)
-    }
-
-    /// Clears a session's orphan bit (its driver is back). Attaching an
-    /// attached session is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`SpinalError::UnknownSession`] for a stale or foreign id.
-    pub fn attach(&mut self, id: SessionId) -> Result<(), SpinalError> {
-        self.set_detached(id, false)
-    }
-
-    fn set_detached(&mut self, id: SessionId, detached: bool) -> Result<(), SpinalError> {
-        self.resolve(id)?;
-        let m = self.slots[id.index as usize]
-            .as_mut()
-            .expect("resolved slot is live");
-        if m.detached != detached {
-            m.detached = detached;
-            if detached {
-                self.detached += 1;
-            } else {
-                self.detached -= 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Detached sessions currently resident.
-    pub fn detached_len(&self) -> usize {
-        self.detached
-    }
-
-    /// Removes the detached session with the highest predicted remaining
-    /// cost — most tree nodes its next attempt would expand, then most
-    /// checkpoint bytes, then lowest slot index (deterministic) — and
-    /// returns its id. This is the overload-shedding lever: under pool
-    /// pressure an orphan nobody may ever reclaim is abandoned before
-    /// any connected `Hello` is refused.
-    pub fn shed_costliest_detached(&mut self) -> Option<SessionId> {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(m) = slot.as_ref() else { continue };
-            if !m.detached {
-                continue;
-            }
-            let cost = (m.rx.nodes_to_run(), m.rx.checkpoint_bytes() as u64, i);
-            // Ascending scan: strict `>` keeps the lowest slot on ties.
-            let better = match best {
-                None => true,
-                Some((l, b, _)) => (cost.0, cost.1) > (l, b),
-            };
-            if better {
-                best = Some(cost);
-            }
-        }
-        let (_, _, i) = best?;
-        let id = SessionId {
-            index: i as u32,
-            gen: self.slots[i].as_ref().expect("victim slot is live").gen,
-        };
-        self.remove(id).expect("victim slot is live");
+    /// Removes the session with the highest predicted remaining cost
+    /// among `candidates` — most tree nodes its next attempt would
+    /// expand, then most checkpoint bytes, then lowest slot index
+    /// (deterministic) — and returns its id. Stale ids are skipped and
+    /// sessions left out of `candidates` are never touched; `None` when
+    /// no candidate is live. This is the overload-shedding lever: the
+    /// serving layer passes the orphans only it knows about, so under
+    /// pool pressure a session nobody may ever reclaim is abandoned
+    /// before any connected `Hello` is refused.
+    pub fn shed_costliest(
+        &mut self,
+        candidates: impl IntoIterator<Item = SessionId>,
+    ) -> Option<SessionId> {
+        let (_, id) = candidates
+            .into_iter()
+            .filter_map(|id| {
+                let rx = self.get(id)?;
+                let cost = (rx.nodes_to_run(), rx.checkpoint_bytes());
+                Some(((cost, Reverse(id.index)), id))
+            })
+            .max_by_key(|&(key, _)| key)?;
+        self.remove(id).expect("a resolved candidate is live");
         Some(id)
     }
 
@@ -519,11 +396,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.slots[index as usize] = Some(Managed {
             rx,
             gen,
-            last_active: self.round,
             due_since: u64::MAX,
             absorbed: 0,
             quarantined: false,
-            detached: false,
         });
         Ok(SessionId { index, gen })
     }
@@ -541,9 +416,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.free.push(id.index);
         self.next_gen[id.index as usize] = m.gen + 1;
         self.live -= 1;
-        if m.detached {
-            self.detached -= 1;
-        }
         Ok(m.rx)
     }
 
@@ -586,10 +458,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         m.due_since = u64::MAX;
         m.absorbed = 0;
         m.quarantined = false;
-        if m.detached {
-            m.detached = false;
-            self.detached -= 1;
-        }
         Ok(())
     }
 
@@ -649,8 +517,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     /// whole, one after another in ascending slot order, through the
     /// shared scratch, emits one
     /// [`SessionEvent`] per session with activity — including
-    /// [`SessionOutcome::Deferred`] for shed attempts — and enforces the
-    /// checkpoint-memory budget. `events` is cleared first and reused.
+    /// [`SessionOutcome::Deferred`] for shed attempts. `events` is
+    /// cleared first and reused.
     pub fn drive_into(&mut self, events: &mut Vec<SessionEvent>) {
         self.drive_until_into(self.cfg.work_budget, events);
     }
@@ -756,7 +624,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             let consumed = std::mem::take(&mut m.absorbed);
             let poll = m.rx.run_attempt(Some(&mut self.shared), consumed);
             m.due_since = u64::MAX;
-            m.last_active = round;
             events.push(SessionEvent {
                 id: SessionId {
                     index: i,
@@ -805,9 +672,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
                 outcome: SessionOutcome::Poll(poll),
             });
         }
-
-        self.enforce_budget(self.cfg.detached_budget, true);
-        self.enforce_budget(self.cfg.checkpoint_budget, false);
     }
 
     /// [`drive_into`](Self::drive_into) returning a fresh event vector.
@@ -823,74 +687,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         let mut events = Vec::new();
         self.drive_until_into(work_budget, &mut events);
         events
-    }
-
-    /// Shrinks the coldest candidates' checkpoint stores until their
-    /// combined bytes fit `budget` (`usize::MAX` disables it). The
-    /// candidates are every session, or only orphans when
-    /// `orphans_only` (the [`MultiConfig::detached_budget`] pass, which
-    /// runs first so orphans pay for their memory before any connected
-    /// session does). Coldest first, by last active round then slot:
-    /// stores are first *demoted* to their packed image (~20× smaller,
-    /// full resume depth kept — the next retry transparently unpacks
-    /// bit-identical snapshots), then, only if the packed images alone
-    /// still exceed the budget, fully evicted (from-scratch re-decode on
-    /// the next retry). Either way results never change, only the work
-    /// to reproduce them.
-    fn enforce_budget(&mut self, budget: usize, orphans_only: bool) {
-        if budget == usize::MAX {
-            return;
-        }
-        let candidate = |m: &Managed<H, M, C, P>| m.detached || !orphans_only;
-        let mut total: usize = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|m| candidate(m))
-            .map(|m| m.rx.checkpoint_bytes())
-            .sum();
-        if total <= budget {
-            return;
-        }
-        // Neither sort key changes during the pass, so one sort fixes
-        // the victim order of both sweeps.
-        self.victims.clear();
-        self.victims
-            .extend(self.slots.iter().enumerate().filter_map(|(i, s)| {
-                s.as_ref()
-                    .filter(|m| candidate(m))
-                    .map(|m| (m.last_active, i as u32))
-            }));
-        self.victims.sort_unstable();
-        for &(_, i) in &self.victims {
-            if total <= budget {
-                break;
-            }
-            let rx = &mut self.slots[i as usize]
-                .as_mut()
-                .expect("victim slot is live")
-                .rx;
-            let before = rx.checkpoint_bytes();
-            if rx.demote_checkpoints() {
-                self.demotions += 1;
-                total -= before.saturating_sub(rx.checkpoint_bytes());
-            }
-        }
-        for &(_, i) in &self.victims {
-            if total <= budget {
-                break;
-            }
-            let rx = &mut self.slots[i as usize]
-                .as_mut()
-                .expect("victim slot is live")
-                .rx;
-            let bytes = rx.checkpoint_bytes();
-            if bytes > 0 {
-                rx.evict_checkpoints();
-                self.evictions += 1;
-                total -= bytes;
-            }
-        }
     }
 
     fn resolve(&self, id: SessionId) -> Result<(), SpinalError> {
@@ -1273,74 +1069,6 @@ mod tests {
         assert!(pool.insert(mk()).is_ok(), "admission reopens after remove");
     }
 
-    /// A tight global budget must evict checkpoints — and change
-    /// nothing about the sessions' results.
-    #[test]
-    fn budget_eviction_preserves_results() {
-        let run = |budget: usize| {
-            let mut pool = Pool::new(MultiConfig {
-                checkpoint_budget: budget,
-                ..MultiConfig::default()
-            });
-            let mut txs = Vec::new();
-            let mut ids = Vec::new();
-            for i in 0..6u8 {
-                let m = msg(i);
-                let (tx, rx) = session_pair(500 + u64::from(i), &m, RxConfig::default());
-                txs.push(tx);
-                ids.push(pool.insert(rx).unwrap());
-            }
-            let mut events = Vec::new();
-            for _ in 0..40 {
-                for (tx, &id) in txs.iter_mut().zip(&ids) {
-                    if pool.get(id).unwrap().is_finished() {
-                        continue;
-                    }
-                    let (_slot, sym) = tx.next_symbol();
-                    pool.ingest(id, &[sym]).unwrap();
-                }
-                pool.drive_into(&mut events);
-                if budget != usize::MAX {
-                    assert!(
-                        pool.checkpoint_bytes() <= budget,
-                        "budget violated after drive: {} > {budget}",
-                        pool.checkpoint_bytes()
-                    );
-                }
-                if ids.iter().all(|&id| pool.get(id).unwrap().is_finished()) {
-                    break;
-                }
-            }
-            let outcomes: Vec<_> = ids
-                .iter()
-                .map(|&id| {
-                    let s = pool.get(id).unwrap();
-                    (s.payload().cloned(), s.symbols(), s.attempts())
-                })
-                .collect();
-            (outcomes, pool.evictions(), pool.demotions())
-        };
-        let (unbounded, ev0, dm0) = run(usize::MAX);
-        assert_eq!(ev0, 0);
-        assert_eq!(dm0, 0);
-        // A budget of one kilobyte cannot hold even one warm raw store,
-        // but the packed images fit: demotion alone satisfies it.
-        let (tight, ev1, dm1) = run(1024);
-        assert!(dm1 > 0, "tight budget must demote");
-        assert_eq!(unbounded, tight, "demotion must never change results");
-        // A budget below even the packed images forces full eviction.
-        let (minimal, ev2, _) = run(16);
-        assert!(ev2 > 0, "minimal budget must evict");
-        assert_eq!(unbounded, minimal, "eviction must never change results");
-        assert!(
-            ev1 <= ev2,
-            "demotion absorbs pressure before eviction ({ev1} vs {ev2})"
-        );
-        for (payload, _, _) in &unbounded {
-            assert!(payload.is_some(), "noiseless sessions must decode");
-        }
-    }
-
     #[test]
     fn ids_are_generational() {
         let mut pool = Pool::new(MultiConfig::default());
@@ -1388,61 +1116,10 @@ mod tests {
         assert_eq!(rx.payload(), Some(&m));
     }
 
-    /// The orphan bit is pure bookkeeping: a session detached mid-decode
-    /// keeps being driven and, once re-attached, finishes with payload
-    /// and stats bit-identical to a never-detached twin.
-    #[test]
-    fn detached_session_resumes_bit_identical() {
-        let m = msg(21);
-        let (mut tx, rx) = session_pair(777, &m, RxConfig::default());
-        let (_, rx2) = session_pair(777, &m, RxConfig::default());
-        let mut pool = Pool::new(MultiConfig::default());
-        let mut solo = rx2;
-        let id = pool.insert(rx).unwrap();
-        let mut events = Vec::new();
-        let mut detached = false;
-        for round in 0..200 {
-            if solo.is_finished() {
-                break;
-            }
-            let (_slot, sym) = tx.next_symbol();
-            pool.ingest(id, &[sym]).unwrap();
-            let expect = solo.ingest(&[sym]).unwrap();
-            pool.drive_into(&mut events);
-            let ev = events.iter().find(|e| e.id == id).expect("event");
-            assert_eq!(ev.poll(), Some(expect), "round {round}");
-            match round {
-                2 => {
-                    pool.detach(id).unwrap();
-                    pool.detach(id).unwrap();
-                    assert_eq!(pool.detached_len(), 1, "re-detaching is a no-op");
-                    detached = true;
-                    // A stale id must not resolve.
-                    let stale = SessionId {
-                        index: id.index,
-                        gen: id.gen + 1,
-                    };
-                    assert_eq!(pool.attach(stale).unwrap_err(), SpinalError::UnknownSession);
-                }
-                5 => {
-                    pool.attach(id).unwrap();
-                    assert_eq!(pool.detached_len(), 0);
-                    detached = false;
-                }
-                _ => {}
-            }
-        }
-        assert!(solo.is_finished() && !detached);
-        let p = pool.get(id).unwrap();
-        assert_eq!(p.payload(), solo.payload());
-        assert_eq!(p.symbols(), solo.symbols());
-        assert_eq!(p.attempts(), solo.attempts());
-        assert_eq!(p.last_result().stats, solo.last_result().stats);
-    }
-
-    /// Overload shedding: the detached session with the most remaining
-    /// predicted work, in nodes, goes first; attached sessions are never
-    /// candidates.
+    /// Overload shedding: among the candidates it is given, the session
+    /// with the most remaining predicted work, in nodes, goes first;
+    /// stale candidates are skipped, and a session left out of the list
+    /// is never shed.
     #[test]
     fn shed_costliest_detached_prefers_expensive_orphans() {
         let mut pool = Pool::new(MultiConfig::default());
@@ -1469,76 +1146,35 @@ mod tests {
             let (_s, sym) = txb.next_symbol();
             pool.ingest(idb, &[sym]).unwrap();
         }
-        // An attached third session must never be shed.
-        let mc = msg(13);
-        let (_txc, rxc) = session_pair(63, &mc, RxConfig::default());
-        let idc = pool.insert(rxc).unwrap();
         assert_eq!(pool.get(idb).unwrap().nodes_to_run(), 256 + 2 * 4096);
-        pool.detach(ida).unwrap();
-        pool.detach(idb).unwrap();
-        let shed_id = pool.shed_costliest_detached().expect("two candidates");
+        // Session C, A's twin, is as costly as A but never a candidate.
+        let (mut txc, rxc) = session_pair(61, &ma, RxConfig::default());
+        let idc = pool.insert(rxc).unwrap();
+        let (_s, sym) = txc.next_symbol();
+        pool.ingest(idc, &[sym]).unwrap();
+        pool.drive_into(&mut events);
+        assert_eq!(pool.get(idc).unwrap().nodes_to_run(), 1 << 16);
+        // A stale id (a removed session's) among the candidates.
+        let (_, rxd) = session_pair(64, &msg(14), RxConfig::default());
+        let stale = pool.insert(rxd).unwrap();
+        pool.remove(stale).unwrap();
+
+        let candidates = [stale, idb, ida];
+        let shed_id = pool
+            .shed_costliest(candidates)
+            .expect("two live candidates");
         assert_eq!(
             shed_id, ida,
             "the session facing a capped frontier is the costlier victim"
         );
         assert!(pool.get(ida).is_none());
-        assert_eq!(pool.detached_len(), 1);
-        assert_eq!(pool.shed_costliest_detached(), Some(idb));
+        assert_eq!(pool.shed_costliest(candidates), Some(idb));
         assert!(pool.get(idb).is_none());
         assert!(
-            pool.shed_costliest_detached().is_none(),
-            "attached sessions are never shed"
+            pool.shed_costliest(candidates).is_none(),
+            "stale and shed candidates are skipped"
         );
-        assert!(pool.get(idc).is_some());
-    }
-
-    /// The detached byte budget demotes orphaned checkpoint stores to
-    /// their packed images before the global budget runs — and the
-    /// demoted session still finishes bit-identical once resumed.
-    #[test]
-    fn detached_budget_demotes_first() {
-        // Long enough (64 bits) that three 8-bit-capacity symbols cannot
-        // finish the decode before the detach happens.
-        let m = BitVec::from_bytes(&[0xa5, 0x3c, 0x5a, 0xc3, 0x96, 0x69, 0x0f, 0xf0]);
-        let (mut tx, rx) = session_pair(71, &m, RxConfig::default());
-        let (_, rx2) = session_pair(71, &m, RxConfig::default());
-        let mut solo = rx2;
-        let mut pool = Pool::new(MultiConfig {
-            detached_budget: 1, // any orphaned checkpoint store is over it
-            ..MultiConfig::default()
-        });
-        let id = pool.insert(rx).unwrap();
-        let mut events = Vec::new();
-        // Build up checkpoint state, then detach under a tiny budget.
-        for _ in 0..3 {
-            let (_s, sym) = tx.next_symbol();
-            pool.ingest(id, &[sym]).unwrap();
-            solo.ingest(&[sym]).unwrap();
-            pool.drive_into(&mut events);
-        }
-        pool.detach(id).unwrap();
-        let demotions_before = pool.demotions();
-        let (_s, sym) = tx.next_symbol();
-        pool.ingest(id, &[sym]).unwrap();
-        solo.ingest(&[sym]).unwrap();
-        pool.drive_into(&mut events);
-        assert!(
-            pool.demotions() > demotions_before,
-            "an over-budget orphaned store must be demoted to its packed image"
-        );
-        pool.attach(id).unwrap();
-        for _ in 0..200 {
-            if solo.is_finished() {
-                break;
-            }
-            let (_s, sym) = tx.next_symbol();
-            pool.ingest(id, &[sym]).unwrap();
-            solo.ingest(&[sym]).unwrap();
-            pool.drive_into(&mut events);
-        }
-        assert!(solo.is_finished());
-        let p = pool.get(id).unwrap();
-        assert_eq!(p.payload(), solo.payload());
-        assert_eq!(p.last_result().stats, solo.last_result().stats);
+        assert!(pool.get(idc).is_some(), "a session left out is never shed");
+        assert_eq!(pool.len(), 1);
     }
 }

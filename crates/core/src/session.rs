@@ -32,7 +32,11 @@
 //! fraction of the per-retry work — see `BENCH_session.json`. A session
 //! pooled in a [`crate::sched::MultiDecoder`] runs the same attempt
 //! through the pool's one shared scratch instead of its own, which then
-//! stays empty.
+//! stays empty. Each attempt also refreshes the store's packed image
+//! ([`packed_checkpoint_image`](RxSession::packed_checkpoint_image)),
+//! which a serving snapshot carries across a restart and
+//! [`adopt_packed_checkpoints`](RxSession::adopt_packed_checkpoints)
+//! installs again.
 //!
 //! # Exact attempts
 //!
@@ -743,41 +747,24 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         }
     }
 
-    /// Heap bytes held by this session's checkpoint store (the figure a
-    /// pool-level memory budget accounts against).
+    /// Heap bytes held by this session's checkpoint store (the pool's
+    /// shedding tie-break after predicted nodes).
     pub fn checkpoint_bytes(&self) -> usize {
         self.ckpt.memory_bytes()
     }
 
-    /// Frees the checkpoint store's memory (the scheduler's eviction
+    /// Frees the checkpoint store's memory (the pool's quarantine
     /// path). The next retry decodes from scratch — results are
     /// bit-identical, only the work changes.
     pub fn evict_checkpoints(&mut self) {
         self.ckpt.release();
     }
 
-    /// Heap bytes of the session's *packed* checkpoint image — what the
-    /// session costs after [`demote_checkpoints`](Self::demote_checkpoints).
+    /// Heap bytes of the session's *packed* checkpoint image — what a
+    /// snapshot carries for it
+    /// ([`packed_checkpoint_image`](Self::packed_checkpoint_image)).
     pub fn checkpoint_packed_bytes(&self) -> usize {
         self.ckpt.packed_bytes()
-    }
-
-    /// Whether [`demote_checkpoints`](Self::demote_checkpoints) would
-    /// succeed right now (a packed image is in sync and the raw tier is
-    /// resident).
-    pub fn can_demote_checkpoints(&self) -> bool {
-        self.ckpt.can_demote()
-    }
-
-    /// Drops the checkpoint store's raw snapshot tier, keeping only the
-    /// compressed image (~20× smaller) — the scheduler's preferred
-    /// budget lever. Unlike [`evict_checkpoints`](Self::evict_checkpoints)
-    /// the session keeps its full resume depth: the next retry
-    /// transparently unpacks (bit-identical snapshots, one extra hash +
-    /// cost evaluation per saved entry) instead of re-decoding from
-    /// scratch. Returns `false` when nothing packed is available.
-    pub fn demote_checkpoints(&mut self) -> bool {
-        self.ckpt.demote()
     }
 
     /// The symbol count the thinning schedule will run the next decode

@@ -159,11 +159,7 @@ impl<T: Transport> ServeClient<T> {
     /// # Errors
     ///
     /// Propagates invalid shape (`k` out of range, payload not a whole
-    /// number of segments after framing).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 ≤ c ≤ 16`, like [`LinearMapper::new`].
+    /// number of segments after framing, `c` outside `2..=16`).
     pub fn new(transport: T, cfg: &ClientConfig, payload: &BitVec) -> Result<Self, SpinalError> {
         let framed = frame_encode(payload, Checksum::Crc16);
         let params = CodeParams::builder()
@@ -174,7 +170,7 @@ impl<T: Transport> ServeClient<T> {
         let code = SpinalCode::new(
             params,
             Lookup3::new(cfg.seed),
-            LinearMapper::new(cfg.c),
+            LinearMapper::try_new(cfg.c)?,
             StridedPuncture::stride8(),
         );
         let tx = code.tx_session(&framed)?;

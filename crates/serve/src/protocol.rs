@@ -9,6 +9,7 @@
 use spinal_core::decode::BeamConfig;
 use spinal_core::error::SpinalError;
 use spinal_core::frame::Checksum;
+use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
 use spinal_link::{FaultPlan, FeedbackMode};
 use spinal_sim::engine::Accumulate;
@@ -23,8 +24,7 @@ pub struct LinkConfig {
     pub payload_bits: u32,
     /// Segment size `k`.
     pub k: u32,
-    /// Linear-mapper bits per dimension `c` (`2..=16`; the client
-    /// panics outside that range, like `LinearMapper::new`).
+    /// Linear-mapper bits per dimension `c` (`2..=16`).
     pub c: u32,
     /// Beam width the receiver decodes with.
     pub beam: u32,
@@ -58,6 +58,7 @@ impl LinkConfig {
     /// [`SpinalError::AtLeastOne`] for an empty window or a zero symbol
     /// budget, attempt ceiling or cumulative-ACK period,
     /// [`SpinalError::BeamConfig`] for a zero beam,
+    /// [`SpinalError::MapperDepth`] for `c` outside `2..=16`,
     /// [`SpinalError::Probability`] and [`SpinalError::AtLeastOne`] from
     /// the fault and feedback plans, and [`SpinalError::Param`] for a
     /// frame that does not split into `k`-bit segments.
@@ -78,6 +79,7 @@ impl LinkConfig {
             return Err(SpinalError::AtLeastOne { name, value });
         }
         BeamConfig::with_beam(self.beam as usize).validate()?;
+        LinearMapper::try_new(self.c)?;
         self.faults.validate()?;
         self.feedback.validate()?;
         CodeParams::builder()

@@ -54,9 +54,10 @@
 //! its verdict is delivered or its detach deadline passes, indexed by
 //! resume-token id and by pool slot. A connection only points at its
 //! flow; detaching unlinks the two and stamps the deadline, resuming
-//! looks the token up and relinks. The pool only carries an orphan bit
-//! ([`MultiDecoder::detach`] / [`MultiDecoder::attach`]) that puts the
-//! session first in line for demotion and shedding.
+//! looks the token up and relinks. The pool keeps no record of
+//! detachment: under pressure the server hands it the shard's detached
+//! pending sessions, and [`MultiDecoder::shed_costliest`] picks the
+//! victim among them.
 //!
 //! All timers count ticks, never wall-clock time, so every lifecycle
 //! path is deterministic. Shards never share mutable state, so
@@ -111,6 +112,13 @@ fn resume_auth(secret: u64, id: u64) -> u64 {
     derive_seed(secret, 43, id)
 }
 
+/// The shard that owns connection or token id `id` — the one routing
+/// rule for admissions, RESUME connections and restored entries, so a
+/// RESUME always reaches the shard holding its flow.
+fn shard_of(id: u64, shards: usize) -> usize {
+    (derive_seed(0x5EED_C0DE, 41, id) % shards as u64) as usize
+}
+
 /// A process-random 64-bit value for the default resume secret, drawn
 /// from the standard library's per-process SipHash keys (no extra
 /// dependency, not in any per-tick path).
@@ -129,10 +137,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-shard decoder-pool configuration. `work_budget` is the tree
     /// nodes one shard tick may spend driving its pool (the deadline
-    /// knob); `detach_ttl` is the *tick* TTL of detached sessions,
-    /// enforced by the server (the pool never reads it);
-    /// `detached_budget` bounds orphaned checkpoint bytes demote-first
-    /// inside each shard pool.
+    /// knob); `max_sessions` is each shard's admission ceiling, which
+    /// sheds detached sessions before it refuses a HELLO; `detach_ttl`
+    /// is the *tick* TTL of detached sessions, enforced by the server
+    /// (the pool never reads it).
     pub pool: MultiConfig,
     /// Egress bytes queued per connection above which its ingress stops
     /// being drained (backpressure).
@@ -530,6 +538,15 @@ impl FlowTable {
     fn iter(&self) -> impl Iterator<Item = &Flow> {
         self.slab.iter().flatten()
     }
+
+    /// Pool sessions of the detached flows still decoding: the shard's
+    /// orphans, the only sessions overload may shed.
+    fn orphans(&self) -> impl Iterator<Item = SessionId> + '_ {
+        self.iter().filter_map(|flow| match flow.verdict {
+            Verdict::Pending(sid) if flow.conn.is_none() => Some(sid),
+            _ => None,
+        })
+    }
 }
 
 struct Shard<T> {
@@ -602,7 +619,7 @@ impl<T: Transport> Server<T> {
     pub fn add_connection(&mut self, transport: T) -> ConnHandle {
         let id = self.next_conn_id;
         self.next_conn_id += 1;
-        let shard_i = (derive_seed(0x5EED_C0DE, 41, id) % self.shards.len() as u64) as usize;
+        let shard_i = shard_of(id, self.shards.len());
         self.install(transport, id, shard_i)
     }
 
@@ -614,7 +631,7 @@ impl<T: Transport> Server<T> {
     pub fn add_resume_connection(&mut self, transport: T, token: ResumeToken) -> ConnHandle {
         let id = self.next_conn_id;
         self.next_conn_id += 1;
-        let shard_i = (derive_seed(0x5EED_C0DE, 41, token.id) % self.shards.len() as u64) as usize;
+        let shard_i = shard_of(token.id, self.shards.len());
         self.install(transport, id, shard_i)
     }
 
@@ -800,12 +817,6 @@ impl<T: Transport> Server<T> {
                 tick,
                 next_conn_id: self.next_conn_id,
                 secret_probe: resume_auth(secret, SECRET_PROBE_ID),
-                pool_round: self
-                    .shards
-                    .iter()
-                    .map(|s| s.pool.rounds())
-                    .max()
-                    .unwrap_or(0),
                 pending,
                 entry_count: flows().count() as u32,
                 stats: self.stats().to_words().to_vec(),
@@ -852,18 +863,17 @@ impl<T: Transport> Server<T> {
     /// Rebuilds a server from a warm-restart snapshot written by
     /// [`Server::snapshot_into`].
     ///
-    /// The restored server resumes the snapshot's tick clock,
-    /// connection-id sequence and pool round counter, so every
-    /// persisted absolute deadline (detach TTLs) and round-relative
-    /// stamp keeps meaning — no restored session expires instantly and
-    /// none becomes immortal. Every in-flight session comes back
-    /// *detached* under its original resume token: clients reconnect
-    /// and re-attach through the ordinary RESUME path, and a resumed
-    /// flow is bit-identical (same `symbols_used`, same `attempts`) to
-    /// one the restart never interrupted. Drain state is deliberately
-    /// *not* carried: a restore is a fresh process accepting work, so a
-    /// pre-crash [`Server::begin_drain`] must be re-issued if still
-    /// wanted.
+    /// The restored server resumes the snapshot's tick clock and
+    /// connection-id sequence, so every persisted absolute deadline
+    /// (detach TTLs) keeps meaning — no restored session expires
+    /// instantly and none becomes immortal. Every in-flight session
+    /// comes back *detached* under its original resume token: clients
+    /// reconnect and re-attach through the ordinary RESUME path, and a
+    /// resumed flow is bit-identical (same `symbols_used`, same
+    /// `attempts`) to one the restart never interrupted. Drain state is
+    /// deliberately *not* carried: a restore is a fresh process
+    /// accepting work, so a pre-crash [`Server::begin_drain`] must be
+    /// re-issued if still wanted.
     ///
     /// Degradation is per-section: an entry whose CRC or structure
     /// fails validation (or whose token does not verify against the
@@ -911,11 +921,8 @@ impl<T: Transport> Server<T> {
         let mut words = [0u64; STAT_WORDS];
         words.copy_from_slice(&header.stats);
         server.shards[0].stats = ServeStats::from_words(&words);
-        for shard in &mut server.shards {
-            shard.pool.restore_round(header.pool_round);
-        }
 
-        let n_shards = server.shards.len() as u64;
+        let n_shards = server.shards.len();
         let mut pending_restored = 0u64;
         let mut restored = 0u64;
         while !reader.done() {
@@ -930,8 +937,7 @@ impl<T: Transport> Server<T> {
             if entry.token.auth != resume_auth(secret, entry.token.id) {
                 continue;
             }
-            let shard_i = (derive_seed(0x5EED_C0DE, 41, entry.token.id) % n_shards) as usize;
-            let shard = &mut server.shards[shard_i];
+            let shard = &mut server.shards[shard_of(entry.token.id, n_shards)];
             if shard.flows.by_token(entry.token.id).is_some() {
                 continue;
             }
@@ -977,10 +983,6 @@ impl<T: Transport> Server<T> {
                             .expect("restored session is live")
                             .adopt_packed_checkpoints(blob);
                     }
-                    shard
-                        .pool
-                        .detach(sid)
-                        .expect("freshly admitted session detaches");
                     pending_restored += 1;
                     Verdict::Pending(sid)
                 }
@@ -1094,7 +1096,7 @@ fn shard_tick<T: Transport>(
                     conn.egress.drain(..n);
                 }
                 Err(_) => {
-                    detach(conn, flows, pool, tick, ttl, stats);
+                    detach(conn, flows, tick, ttl, stats);
                     conn.dead = true;
                     stats.transport_closed += 1;
                     continue;
@@ -1319,7 +1321,7 @@ fn shard_tick<T: Transport>(
         }
 
         if conn.dead {
-            detach(conn, flows, pool, tick, ttl, stats);
+            detach(conn, flows, tick, ttl, stats);
             continue;
         }
 
@@ -1328,7 +1330,7 @@ fn shard_tick<T: Transport>(
         if conn.state != ConnState::Closed {
             let idle = tick.saturating_sub(conn.last_rx_tick);
             if idle >= cfg.idle_deadline {
-                detach(conn, flows, pool, tick, ttl, stats);
+                detach(conn, flows, tick, ttl, stats);
                 conn.dead = true;
                 stats.idle_closed += 1;
                 continue;
@@ -1344,7 +1346,7 @@ fn shard_tick<T: Transport>(
         // token and the dialogue closed.
         if let Some(deadline) = drain {
             if tick >= deadline && conn.state != ConnState::Closed {
-                detach(conn, flows, pool, tick, ttl, stats);
+                detach(conn, flows, tick, ttl, stats);
                 send_close(conn, cfg, stats, CloseReason::Shed);
             }
         }
@@ -1366,7 +1368,7 @@ fn shard_tick<T: Transport>(
         // Newest connection wins; the stale one is detached and closed.
         if let Some(o) = f.and_then(|f| flows.get(f).conn) {
             let oc = conns[o].as_mut().expect("a flow's connection is live");
-            detach(oc, flows, pool, tick, ttl, stats);
+            detach(oc, flows, tick, ttl, stats);
             oc.dead = true;
         }
         let Some(conn) = conns.get_mut(cidx).and_then(|c| c.as_mut()) else {
@@ -1391,10 +1393,6 @@ fn shard_tick<T: Transport>(
             send_close(conn, cfg, stats, reason);
             conn.state = ConnState::Closed;
             continue;
-        }
-        if let Verdict::Pending(sid) = flow.verdict {
-            pool.attach(sid)
-                .expect("pending detached session is live in the pool");
         }
         flow.conn = Some(cidx);
         conn.state = ConnState::Attached(f);
@@ -1528,35 +1526,34 @@ fn pending_body(
 /// cannot fit (`B × 2^k` over the cap) could never attempt, and is
 /// refused like any other inadmissible shape.
 fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, SpinalError> {
+    const CORRUPT: SpinalError = SpinalError::Wire {
+        kind: WireErrorKind::Corrupt,
+    };
     let beam = BeamConfig::with_beam(h.beam as usize);
     let shape_ok = h.message_bits >= 1
         && h.message_bits <= cfg.max_message_bits
         && (1..=16).contains(&h.k)
-        && (2..=16).contains(&h.c)
         && h.beam >= 1
         && h.beam <= cfg.max_beam
         && u64::from(h.beam) << h.k <= beam.max_frontier as u64
         && h.max_symbols >= 1;
     if !shape_ok {
-        return Err(SpinalError::Wire {
-            kind: WireErrorKind::Corrupt,
-        });
+        return Err(CORRUPT);
     }
     let params = CodeParams::builder()
         .message_bits(h.message_bits)
         .k(h.k)
         .seed(h.seed)
         .build()
-        .map_err(|_| SpinalError::Wire {
-            kind: WireErrorKind::Corrupt,
-        })?;
+        .map_err(|_| CORRUPT)?;
+    let mapper = LinearMapper::try_new(h.c).map_err(|_| CORRUPT)?;
     // DATA frames carry explicit slots and are ingested by slot, so the
     // session's schedule never labels a symbol: the paper's stride-8
     // schedule stands in.
     let code = SpinalCode::new(
         params,
         Lookup3::new(h.seed),
-        LinearMapper::new(h.c),
+        mapper,
         StridedPuncture::stride8(),
     );
     let rx = code.rx_session(
@@ -1574,7 +1571,8 @@ fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, Spi
 
 /// [`admit`], shedding the highest-predicted-cost detached session (and
 /// retrying) each time the pool reports full — new work preempts
-/// orphaned work, never the other way around.
+/// orphaned work, never the other way around. The flow table names the
+/// candidates; the pool ranks them.
 fn admit_or_shed(
     h: &Hello,
     cfg: &ServeConfig,
@@ -1585,14 +1583,13 @@ fn admit_or_shed(
     loop {
         match admit(h, cfg, pool) {
             Err(SpinalError::PoolFull { live, max_sessions }) => {
-                let Some(sid) = pool.shed_costliest_detached() else {
+                let Some(sid) = pool.shed_costliest(flows.orphans()) else {
                     return Err(SpinalError::PoolFull { live, max_sessions });
                 };
-                // Every pool orphan is a detached pending flow; the pool
-                // has already removed its session.
+                // The pool has already removed the victim's session.
                 let f = flows
                     .by_slot(sid.slot())
-                    .expect("a pool orphan belongs to a flow");
+                    .expect("a shed orphan belongs to a flow");
                 flows.remove(f);
                 stats.shed += 1;
             }
@@ -1602,13 +1599,12 @@ fn admit_or_shed(
 }
 
 /// Unlinks a connection from its flow and starts the flow's detach
-/// clock, so a later RESUME can pick it up: a pending session becomes a
-/// pool orphan, a decoded one keeps its result for replay. The
-/// connection ends `Closed`; a greeting one carried nothing.
+/// clock, so a later RESUME can pick it up: a pending session keeps
+/// decoding as an orphan, a decoded one keeps its result for replay.
+/// The connection ends `Closed`; a greeting one carried nothing.
 fn detach<T>(
     conn: &mut Conn<T>,
     flows: &mut FlowTable,
-    pool: &mut Pool,
     tick: u64,
     ttl: u64,
     stats: &mut ServeStats,
@@ -1617,10 +1613,6 @@ fn detach<T>(
         let flow = flows.get_mut(f);
         flow.conn = None;
         flow.expires_tick = tick.saturating_add(ttl);
-        if let Verdict::Pending(sid) = flow.verdict {
-            pool.detach(sid)
-                .expect("pending session is live in the pool");
-        }
         conn.result_pending = false;
         stats.detached += 1;
     }
@@ -1652,7 +1644,7 @@ fn protocol_close<T>(
     // and stays resumable instead of being dropped.
     match conn.state {
         ConnState::Attached(f) if matches!(flows.get(f).verdict, Verdict::Pending(_)) => {
-            detach(conn, flows, pool, tick, ttl, stats);
+            detach(conn, flows, tick, ttl, stats);
         }
         _ => release(conn, flows, pool),
     }

@@ -39,7 +39,7 @@ use crate::wire::ResumeToken;
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 
 /// The snapshot-format version this build writes and restores.
-pub(crate) const SNAP_VERSION: u8 = 2;
+pub(crate) const SNAP_VERSION: u8 = 3;
 
 /// Preamble length: magic + version byte.
 const PREAMBLE_LEN: usize = SNAP_MAGIC.len() + 1;
@@ -96,9 +96,6 @@ pub(crate) struct SnapshotHeader {
     /// `resume_auth(secret, PROBE_ID)` — lets the restorer detect a
     /// secret mismatch without ever writing the secret itself.
     pub secret_probe: u64,
-    /// Highest shard-pool drive round (detach bookkeeping is
-    /// round-relative; the restored pools carry it forward).
-    pub pool_round: u64,
     /// How many entries are pending (in-flight) sessions — the restorer
     /// charges `restore_dropped` against this so conservation closes
     /// even when corrupt entries are skipped.
@@ -196,7 +193,6 @@ pub(crate) fn write_header(out: &mut Vec<u8>, h: &SnapshotHeader) {
         p.extend_from_slice(&h.tick.to_le_bytes());
         p.extend_from_slice(&h.next_conn_id.to_le_bytes());
         p.extend_from_slice(&h.secret_probe.to_le_bytes());
-        p.extend_from_slice(&h.pool_round.to_le_bytes());
         p.extend_from_slice(&h.pending.to_le_bytes());
         p.extend_from_slice(&h.entry_count.to_le_bytes());
         p.extend_from_slice(&(h.stats.len() as u32).to_le_bytes());
@@ -395,7 +391,6 @@ pub(crate) fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, SpinalError
     let tick = r.u64().ok_or_else(corrupt)?;
     let next_conn_id = r.u64().ok_or_else(corrupt)?;
     let secret_probe = r.u64().ok_or_else(corrupt)?;
-    let pool_round = r.u64().ok_or_else(corrupt)?;
     let pending = r.u64().ok_or_else(corrupt)?;
     let entry_count = r.u32().ok_or_else(corrupt)?;
     let n_stats = r.u32().ok_or_else(corrupt)? as usize;
@@ -413,7 +408,6 @@ pub(crate) fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, SpinalError
         tick,
         next_conn_id,
         secret_probe,
-        pool_round,
         pending,
         entry_count,
         stats,
@@ -529,7 +523,6 @@ mod tests {
             tick: 42,
             next_conn_id: 7,
             secret_probe: 0xdead_beef,
-            pool_round: 99,
             pending: 1,
             entry_count: 2,
             stats: vec![1, 2, 3],
@@ -598,7 +591,6 @@ mod tests {
         assert_eq!(h.tick, 42);
         assert_eq!(h.next_conn_id, 7);
         assert_eq!(h.secret_probe, 0xdead_beef);
-        assert_eq!(h.pool_round, 99);
         assert_eq!(h.pending, 1);
         assert_eq!(h.entry_count, 2);
         assert_eq!(h.stats, vec![1, 2, 3]);

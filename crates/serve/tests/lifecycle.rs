@@ -300,34 +300,41 @@ fn resume_is_honoured_during_the_drain_window() {
     assert_eq!(stats.decoded, 1);
 }
 
-/// Overload shedding: with the pool full and an orphaned (detached)
-/// session resident, a new HELLO evicts the costliest orphan instead
-/// of bouncing with BUSY; the orphan's token is then refused.
+/// Overload shedding: with the pool full of an orphaned (detached)
+/// session and an attached one, a new HELLO evicts the orphan instead
+/// of bouncing with BUSY — the attached flow is never a candidate and
+/// still decodes; the orphan's token is then refused.
 #[test]
 fn admission_sheds_detached_orphans_before_busy() {
     let cfg = ServeConfig {
         pool: MultiConfig {
-            max_sessions: 1,
+            max_sessions: 2,
             ..MultiConfig::default()
         },
         ..ServeConfig::default()
     };
     let mut server = Server::new(cfg).unwrap();
+    let one_symbol = ClientConfig {
+        burst: 1,
+        ..ClientConfig::default()
+    };
 
-    // Flow A streams, then its connection dies without a resume.
+    // Flow A streams, then its connection dies without a resume; flow
+    // C streams beside it and stays attached, still decoding.
     let (a_local, a_remote) = loopback_pair(1 << 16);
     server.add_connection(a_remote);
     let mut a = ServeClient::new(
         a_local,
-        &ClientConfig {
-            burst: 1,
-            ..ClientConfig::default()
-        },
+        &one_symbol,
         &BitVec::from_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]),
     )
     .unwrap();
+    let (c_local, c_remote) = loopback_pair(1 << 16);
+    server.add_connection(c_remote);
+    let mut c = ServeClient::new(c_local, &one_symbol, &payload(61)).unwrap();
     for _ in 0..4 {
         a.tick();
+        c.tick();
         server.tick();
     }
     let a_token = a.resume_token().expect("A was admitted");
@@ -335,22 +342,31 @@ fn admission_sheds_detached_orphans_before_busy() {
     for _ in 0..3 {
         server.tick();
     }
+    assert!(!c.is_done(), "C must still be decoding");
     assert_eq!(server.detached_sessions(), 1);
-    assert_eq!(server.live_sessions(), 1, "orphan still occupies the pool");
+    assert_eq!(
+        server.live_sessions(),
+        2,
+        "the orphan still occupies the pool"
+    );
 
-    // Flow B's HELLO must evict the orphan, not bounce.
+    // Flow B's HELLO must evict the orphan, not bounce, and not take C.
     let (b_local, b_remote) = loopback_pair(1 << 16);
     server.add_connection(b_remote);
-    let mut clients =
-        vec![ServeClient::new(b_local, &ClientConfig::default(), &payload(60)).unwrap()];
+    let b = ServeClient::new(b_local, &ClientConfig::default(), &payload(60)).unwrap();
+    let mut clients = vec![b, c];
     run_to_done(&mut server, &mut clients, false);
-    assert!(matches!(
-        clients[0].outcome(),
-        Some(ClientOutcome::Decoded { .. })
-    ));
+    for client in &clients {
+        assert!(matches!(
+            client.outcome(),
+            Some(ClientOutcome::Decoded { .. })
+        ));
+    }
+    assert_eq!(clients[1].decoded_payload(), Some(&payload(61)));
     let stats = server.stats();
     assert_eq!(stats.shed, 1, "the orphan was shed to admit B");
     assert_eq!(stats.busy_rejected, 0);
+    assert_eq!(stats.decoded, 2);
     assert_eq!(server.detached_sessions(), 0);
 
     // The shed orphan's token is now a typed refusal.

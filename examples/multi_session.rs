@@ -5,10 +5,8 @@
 //! spinal-coded flows at once. Two [`MultiDecoder`] pools (one per
 //! symbol type) serve 16 AWGN flows at staggered SNRs and 16 BSC flows
 //! at staggered crossover probabilities. Every drive runs each due
-//! attempt whole through the pool's one shared scratch, retries resume
-//! from per-session checkpoints, and the AWGN pool runs
-//! under a deliberately tight checkpoint-memory budget to demonstrate
-//! eviction (which changes work, never results).
+//! attempt whole through the pool's one shared scratch, and retries
+//! resume from per-session checkpoints.
 //!
 //! Run with: `cargo run --release --example multi_session`
 
@@ -54,12 +52,9 @@ fn message(i: u64) -> BitVec {
 }
 
 fn main() {
-    // --- AWGN pool: 16 flows from 6 to 21 dB, tight checkpoint budget.
+    // --- AWGN pool: 16 flows from 6 to 21 dB.
     let mut awgn_pool: MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture> =
-        MultiDecoder::new(MultiConfig {
-            checkpoint_budget: 128 * 1024,
-            ..MultiConfig::default()
-        });
+        MultiDecoder::new(MultiConfig::default());
     let mut awgn_flows = Vec::new();
     let mut awgn_ids = Vec::new();
     for i in 0..FLOWS_PER_LINK as u64 {
@@ -178,16 +173,14 @@ fn main() {
         assert!(round < 20_000, "mixed fleet must drain");
     }
 
-    // Pool-level accounting: the budget kept AWGN checkpoint memory
-    // bounded by evicting cold stores (results were never affected).
+    // Pool-level accounting.
     println!(
-        "\nawgn pool: {} rounds, {} evictions, {} KiB checkpoint memory (budget 128 KiB)",
+        "\nawgn pool: {} rounds, {} KiB checkpoint memory",
         awgn_pool.rounds(),
-        awgn_pool.evictions(),
         awgn_pool.checkpoint_bytes() / 1024,
     );
     println!(
-        "bsc pool:  {} rounds, {} KiB checkpoint memory (unbounded)",
+        "bsc pool:  {} rounds, {} KiB checkpoint memory",
         bsc_pool.rounds(),
         bsc_pool.checkpoint_bytes() / 1024,
     );

@@ -12,12 +12,11 @@
 //!   slots must consume nothing.
 //! * **`MultiDecoder` id streams** — random interleavings of
 //!   insert / ingest / drive / budgeted `drive_until` / remove /
-//!   checkpoint demote / detach / resume-by-token /
-//!   TTL reap / cost-ranked shed, including stale (generational) and
-//!   double-removed ids and forged resume tokens, against pools with
-//!   tiny checkpoint budgets, detached-session TTLs and byte budgets,
-//!   work budgets, admission ceilings (`PoolFull`), and attempt
-//!   ceilings (abandonment → quarantine).
+//!   packed-image re-adopt / caller-side detach and re-attach /
+//!   cost-ranked shed among the caller's orphans, including stale
+//!   (generational) and double-removed ids, against pools with work
+//!   budgets, admission ceilings (`PoolFull`), and attempt ceilings
+//!   (abandonment → quarantine).
 //! * **Faulted ingest streams** — symbol streams run through a seeded
 //!   `LinkFault` composition (drops, duplicates, reordering, bursts,
 //!   stale slot labels) before `ingest_at`: in-range faulted slots must
@@ -144,26 +143,22 @@ proptest! {
         }
     }
 
-    /// Pool id streams: stale ids, double removes, tiny checkpoint /
-    /// work budgets, admission and attempt ceilings — typed errors
-    /// only, live sessions stay reachable, quarantined sessions reject
-    /// ingest but remain removable.
+    /// Pool id streams: stale ids, double removes, tiny work budgets,
+    /// admission and attempt ceilings — typed errors only, live
+    /// sessions stay reachable, quarantined sessions reject ingest but
+    /// remain removable.
     #[test]
     fn fuzz_pool_id_streams_never_panic(
         seed in any::<u64>(),
         ops in proptest::collection::vec(any::<u64>(), 1..96),
-        budget in 0usize..100_000,
         work in 0u64..40,
         ceiling in 0u32..24,
         max_sessions in 1usize..8,
-        dbudget in 0usize..4,
     ) {
         let mut pool = Pool::new(MultiConfig {
-            checkpoint_budget: budget,
             work_budget: if work == 0 { u64::MAX } else { work },
             max_session_attempts: ceiling.max(1),
             max_sessions,
-            detached_budget: if dbudget == 0 { usize::MAX } else { dbudget * 20_000 },
             ..MultiConfig::default()
         });
         let mut lanes: Vec<(spinal_codes::SessionId, Tx)> = Vec::new();
@@ -172,7 +167,7 @@ proptest! {
         let mut events = Vec::new();
         // Cost-ranked shedding takes sessions without a caller-side
         // remove; reconcile the live set after every op that can do so.
-        // The orphan set must always match the pool's orphan count.
+        // The orphan set is the caller's alone (the pool keeps none).
         macro_rules! reconcile {
             () => {
                 lanes.retain(|(id, _)| {
@@ -184,7 +179,6 @@ proptest! {
                     }
                 });
                 orphans.retain(|&id| pool.get(id).is_some());
-                prop_assert_eq!(pool.detached_len(), orphans.len());
             };
         }
         for &op in &ops {
@@ -252,60 +246,61 @@ proptest! {
                     }
                 }
                 6 => {
-                    // Demote a random live session's checkpoints:
-                    // demotion is transparent policy, so any
-                    // interleaving must stay panic-free.
+                    // Re-adopt a random live session's own packed
+                    // image, as a restore would: the next attempt
+                    // unpacks it, so any interleaving must stay
+                    // panic-free.
                     let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
                         let rx = pool.get_mut(*id).expect("live id");
-                        let could = rx.can_demote_checkpoints();
-                        prop_assert_eq!(rx.demote_checkpoints(), could);
+                        if let Some(image) = rx.packed_checkpoint_image().map(<[u8]>::to_vec) {
+                            prop_assert!(
+                                rx.adopt_packed_checkpoints(&image).is_ok(),
+                                "a session's own image validates"
+                            );
+                        }
                     }
                 }
                 9 => {
-                    // Detach a random live session (detaching an orphan
-                    // again is a no-op); stale ids must be rejected with
-                    // a typed error.
+                    // Orphan a random live session: its connection is gone,
+                    // which only the caller records.
                     let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
-                        prop_assert!(pool.detach(*id).is_ok(), "live sessions detach");
                         if !orphans.contains(id) {
                             orphans.push(*id);
                         }
-                    } else if let Some(&id) = dead.first() {
-                        prop_assert!(pool.detach(id).is_err(), "stale ids must not detach");
                     }
-                    reconcile!();
                 }
                 10 => {
                     // Re-attach a tracked orphan (or a random live
-                    // session, a no-op when attached); stale ids must be
-                    // rejected with a typed error.
+                    // session, a no-op when attached).
                     let pick = (op >> 4) as usize;
                     if !orphans.is_empty() && (op >> 3) % 2 == 0 {
                         let id = orphans.swap_remove(pick % orphans.len());
-                        prop_assert!(pool.attach(id).is_ok(), "orphans re-attach");
-                        prop_assert!(pool.get(id).is_some(), "attached id resolves");
+                        prop_assert!(pool.get(id).is_some(), "re-attached id resolves");
                     } else if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
-                        prop_assert!(pool.attach(*id).is_ok(), "live sessions attach");
                         orphans.retain(|o| o != id);
-                    } else if let Some(&id) = dead.first() {
-                        prop_assert!(pool.attach(id).is_err(), "stale ids must not attach");
                     }
-                    reconcile!();
                 }
                 11 => {
-                    // Cost-ranked shed: only orphans are candidates, the
+                    // Cost-ranked shed: only the caller's orphans (and
+                    // stale ids, which are skipped) are candidates; the
                     // victim vanishes and its id goes stale.
-                    match pool.shed_costliest_detached() {
+                    let candidates = orphans.iter().chain(dead.first()).copied();
+                    match pool.shed_costliest(candidates) {
                         Some(sid) => {
                             prop_assert!(orphans.contains(&sid), "only orphans are shed");
                             prop_assert!(pool.get(sid).is_none(), "shed sessions are gone");
                         }
                         None => prop_assert!(orphans.is_empty(), "an orphan was left unshed"),
+                    }
+                    for (id, _) in &lanes {
+                        if !orphans.contains(id) {
+                            prop_assert!(pool.get(*id).is_some(), "attached sessions are never shed");
+                        }
                     }
                     reconcile!();
                 }

@@ -14,7 +14,9 @@ use spinal_core::decode::AwgnCost;
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
-use spinal_serve::{simulate_link, ChaosEvent, ChaosPlan, LinkConfig};
+use spinal_serve::{
+    loopback_pair, simulate_link, ChaosEvent, ChaosPlan, ClientConfig, LinkConfig, ServeClient,
+};
 
 #[test]
 fn invalid_inputs_return_typed_errors_and_never_panic() {
@@ -198,6 +200,7 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
         link_err(&|l| l.beam = 0),
         SpinalError::BeamConfig { beam_width: 0, .. }
     ));
+    assert_eq!(link_err(&|l| l.c = 1), SpinalError::MapperDepth { c: 1 });
     assert_eq!(
         link_err(&|l| l.feedback = ChaosPlan::new(1).with(ChaosEvent::FeedbackLoss { p: 1.1 })),
         SpinalError::Probability {
@@ -212,6 +215,23 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
             value: 1.5
         }
     );
+
+    // --- Serving client: a mapper depth outside 2..=16 is a typed
+    // error, as the same HELLO gets a typed close from the server. ---
+    assert_eq!(
+        LinearMapper::try_new(17).unwrap_err(),
+        SpinalError::MapperDepth { c: 17 }
+    );
+    let (local, _remote) = loopback_pair(1 << 10);
+    let client = ServeClient::new(
+        local,
+        &ClientConfig {
+            c: 17,
+            ..ClientConfig::default()
+        },
+        &BitVec::from_bytes(&[1, 2]),
+    );
+    assert_eq!(client.err(), Some(SpinalError::MapperDepth { c: 17 }));
 
     // --- Fault plans: probabilities and degenerate windows. ---
     let plan = FaultPlan::new(1).with(LinkFault::Drop { p: -0.2 });

@@ -7,14 +7,16 @@
 //! attempt counts, and per-attempt `DecodeResult`s (candidates and
 //! as-if-from-scratch work counters) must be **bit-identical** to
 //! driving each session alone with the same symbols coalesced per
-//! drive. The same must hold with a checkpoint-memory budget tight
-//! enough to force evictions (eviction changes work, never results).
+//! drive. The same must hold when every pooled session re-adopts its
+//! own packed checkpoint image before each drive, as a restart's
+//! restore would, so its attempts rebuild their resume state by
+//! unpacking it.
 //!
-//! The compressed checkpoint tier gets the same treatment: a session
-//! forced through demote → packed-blob restore before every retry must
-//! be bit-identical to one that is never demoted. So do sessions that
-//! attempt only when the attempt fits (`RxConfig::exact_attempts`, the
-//! served configuration).
+//! The compressed checkpoint tier gets the same treatment solo: a
+//! session restored from its packed image before every retry must be
+//! bit-identical to one that never is. So do sessions that attempt
+//! only when the attempt fits (`RxConfig::exact_attempts`, the served
+//! configuration).
 
 use proptest::prelude::*;
 use spinal_codes::channel::{AwgnChannel, Channel};
@@ -57,12 +59,22 @@ fn build_lane(seed: u64, msg: &BitVec, snr_db: f64, exact_attempts: bool) -> (La
     )
 }
 
-/// Replays one interleaving through a pool configured with `cfg` and
-/// through isolated mirror sessions, asserting event-for-event and
-/// state-for-state equality. Returns (decoded, exhausted) counts as a
+/// Re-installs a session's own packed checkpoint image, as a restart's
+/// restore would: its next attempt must unpack before resuming.
+fn readopt(rx: &mut Rx) {
+    if let Some(image) = rx.packed_checkpoint_image().map(<[u8]>::to_vec) {
+        rx.adopt_packed_checkpoints(&image)
+            .expect("a session's own image validates");
+    }
+}
+
+/// Replays one interleaving through a pool and through isolated mirror
+/// sessions, asserting event-for-event and state-for-state equality.
+/// With `readopt_images`, every pooled session re-adopts its own packed
+/// image before each drive. Returns (decoded, exhausted) counts as a
 /// coverage probe.
 fn check_interleaving(
-    cfg: MultiConfig,
+    readopt_images: bool,
     exact_attempts: bool,
     seeds: &[u64],
     snr_db: f64,
@@ -72,7 +84,7 @@ fn check_interleaving(
         .iter()
         .map(|&s| BitVec::from_bytes(&[s as u8, (s >> 8) as u8, (s >> 16) as u8 ^ 0x5a]))
         .collect();
-    let mut pool = Pool::new(cfg);
+    let mut pool = Pool::new(MultiConfig::default());
     let mut lanes = Vec::new();
     let mut ids = Vec::new();
     let mut solo = Vec::new();
@@ -106,6 +118,11 @@ fn check_interleaving(
             // ingest at the drive boundary.
             let poll = solo[lane_idx].ingest(&lane.chunk).unwrap();
             expect.push((lane_idx, poll));
+        }
+        if readopt_images {
+            for &id in &ids {
+                readopt(pool.get_mut(id).expect("pooled session is live"));
+            }
         }
         pool.drive_into(&mut events);
         assert_eq!(
@@ -154,7 +171,7 @@ proptest! {
 
     /// The pinning property: over random interleavings, pool output is
     /// bit-identical to isolated per-session decoding — with and
-    /// without a budget forcing evictions.
+    /// without every pooled attempt restoring from its packed image.
     #[test]
     fn prop_pool_bit_identical_to_solo(
         seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
@@ -162,18 +179,16 @@ proptest! {
         schedule in proptest::collection::vec(
             proptest::collection::vec(0u8..4, 1..5), 6..18),
     ) {
-        let base = check_interleaving(MultiConfig::default(), false, &seeds, snr_db, &schedule);
-        let tight = check_interleaving(
-            MultiConfig { checkpoint_budget: 2048, ..MultiConfig::default() },
-            false, &seeds, snr_db, &schedule);
-        // Every configuration sees the identical outcome set (each one
-        // already matched its own solo mirror event-for-event).
-        prop_assert_eq!(base, tight);
+        let base = check_interleaving(false, false, &seeds, snr_db, &schedule);
+        let packed = check_interleaving(true, false, &seeds, snr_db, &schedule);
+        // Both runs see the identical outcome set (each one already
+        // matched its own solo mirror event-for-event).
+        prop_assert_eq!(base, packed);
     }
 
     /// The same pinning property with the served switch on: a pooled
     /// session that waits for its attempts to fit polls exactly as the
-    /// same session alone — with and without evictions.
+    /// same session alone — with and without packed-image restores.
     #[test]
     fn prop_exact_attempts_pool_bit_identical_to_solo(
         seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
@@ -181,16 +196,14 @@ proptest! {
         schedule in proptest::collection::vec(
             proptest::collection::vec(0u8..4, 1..5), 6..18),
     ) {
-        let base = check_interleaving(MultiConfig::default(), true, &seeds, snr_db, &schedule);
-        let tight = check_interleaving(
-            MultiConfig { checkpoint_budget: 2048, ..MultiConfig::default() },
-            true, &seeds, snr_db, &schedule);
-        prop_assert_eq!(base, tight);
+        let base = check_interleaving(false, true, &seeds, snr_db, &schedule);
+        let packed = check_interleaving(true, true, &seeds, snr_db, &schedule);
+        prop_assert_eq!(base, packed);
     }
 
-    /// Packed restore is invisible: a session whose raw checkpoint tier
-    /// is dropped (demoted) before every ingest — so each retry must
-    /// rebuild its resume state from the packed blob — produces polls,
+    /// Packed restore is invisible: a session that re-adopts its own
+    /// packed image before every ingest — so each retry must rebuild
+    /// its resume state from the packed blob — produces polls,
     /// payloads, and per-attempt `DecodeResult`s bit-identical to a
     /// session that never restores from its packed blob.
     #[test]
@@ -200,10 +213,10 @@ proptest! {
         chunks in proptest::collection::vec(any::<u8>(), 4..24),
     ) {
         let msg = BitVec::from_bytes(&[seed as u8, (seed >> 8) as u8, (seed >> 16) as u8 ^ 0x5a]);
-        let (mut lane, mut demoted) = build_lane(seed, &msg, snr_db, false);
+        let (mut lane, mut restored) = build_lane(seed, &msg, snr_db, false);
         let (_, mut plain) = build_lane(seed, &msg, snr_db, false);
         for &c in &chunks {
-            if demoted.is_finished() {
+            if restored.is_finished() {
                 break;
             }
             let n = usize::from(c % 4) + 1;
@@ -212,22 +225,22 @@ proptest! {
                 let (_slot, x) = lane.tx.next_symbol();
                 lane.chunk.push(lane.channel.transmit(x));
             }
-            // Force the cold path: drop the raw tier so this ingest's
-            // attempt restores from the packed blob (or replays from
-            // scratch when the dirty level is 0 — also exercised).
-            demoted.demote_checkpoints();
-            let a = demoted.ingest(&lane.chunk).unwrap();
+            // Force the cold path: this ingest's attempt restores from
+            // the packed blob (or replays from scratch when the dirty
+            // level is 0 — also exercised).
+            readopt(&mut restored);
+            let a = restored.ingest(&lane.chunk).unwrap();
             let b = plain.ingest(&lane.chunk).unwrap();
             prop_assert_eq!(a, b);
-            let (dr, pr) = (demoted.last_result(), plain.last_result());
+            let (dr, pr) = (restored.last_result(), plain.last_result());
             prop_assert_eq!(&dr.message, &pr.message);
             prop_assert_eq!(dr.cost.to_bits(), pr.cost.to_bits());
             prop_assert_eq!(&dr.candidates, &pr.candidates);
             prop_assert_eq!(&dr.stats, &pr.stats, "stats are as-if-from-scratch");
         }
         // The cold path actually ran: every attempt repacked, and the
-        // never-demoted mirror never unpacked.
-        prop_assert!(demoted.checkpoints().packs() >= u64::from(demoted.attempts()));
+        // never-restored mirror never unpacked.
+        prop_assert!(restored.checkpoints().packs() >= u64::from(restored.attempts()));
         prop_assert_eq!(plain.checkpoints().unpacks(), 0);
     }
 }
@@ -239,12 +252,6 @@ fn fixed_interleaving_matches_solo() {
     let schedule: Vec<Vec<u8>> = (0..16)
         .map(|r| vec![(r % 3) as u8, 1, ((r + 1) % 4) as u8])
         .collect();
-    let (decoded, _) = check_interleaving(
-        MultiConfig::default(),
-        false,
-        &[11, 22, 33],
-        14.0,
-        &schedule,
-    );
+    let (decoded, _) = check_interleaving(false, false, &[11, 22, 33], 14.0, &schedule);
     assert!(decoded >= 1, "14 dB should decode at least one session");
 }
