@@ -17,13 +17,15 @@
 //!   synthetic AWGN-shaped cost keys at the level sizes the decoder
 //!   actually selects over (`B·2^k` children).
 //!
-//! Writes `BENCH_beam_decode.json` (shared `benchmark`/`config` schema,
-//! see [`spinal_bench::BenchSummary`]). With `--quick` it additionally
-//! sweeps every SIMD tier × selection mode the machine supports,
-//! asserts bit-identity against the scalar/comparator baseline, and
-//! writes the deterministic summary `quick_cost_engine.json` that CI
+//! A full run writes `BENCH_beam_decode.json` (shared
+//! `benchmark`/`config` schema, see [`spinal_bench::BenchSummary`]).
+//! `--quick` instead sweeps every SIMD tier × selection mode the machine
+//! supports, asserts bit-identity against the scalar/comparator
+//! baseline, times the same sections with fewer iterations, and writes
+//! only the deterministic summary `quick_cost_engine.json` that CI
 //! diffs against `crates/bench/golden/quick_cost_engine.json` — the
-//! cross-runner proof that every dispatch tier decodes identically.
+//! cross-runner proof that every dispatch tier decodes identically. It
+//! leaves the full-run artifact untouched.
 //!
 //! Options: `--trials N` (measurement iterations per point, default
 //! 40), `--seed S`, `--quick`.
@@ -572,9 +574,11 @@ fn main() {
     let packed = packed_section(&args, &params);
     let selection = selection_section(&args);
 
-    let json = render_json(&args, &awgn, &packed, &selection);
-    std::fs::write("BENCH_beam_decode.json", &json).expect("write BENCH_beam_decode.json");
-    println!("# wrote BENCH_beam_decode.json");
+    if !args.quick {
+        let json = render_json(&args, &awgn, &packed, &selection);
+        std::fs::write("BENCH_beam_decode.json", &json).expect("write BENCH_beam_decode.json");
+        println!("# wrote BENCH_beam_decode.json");
+    }
 }
 
 /// Hand-rendered JSON (the workspace carries no serialization

@@ -17,8 +17,10 @@
 //!   root on every retry (scratch reuse, but no cross-attempt state).
 //!
 //! Both must accept at exactly the same symbol count (bit-identity is
-//! asserted). Writes `BENCH_session.json`; options: `--trials N`
-//! (measurement rounds, default 30), `--seed S`, `--quick`.
+//! asserted). A full run writes `BENCH_session.json`; `--quick` runs
+//! fewer rounds and trials, prints the same tables, and writes nothing.
+//! Options: `--trials N` (measurement rounds, default 30), `--seed S`,
+//! `--quick`.
 
 use spinal_bench::{
     banner, deep_first_grid, deep_first_grid_shaped, print_deep_first_grid, DeepFirstPoint, RunArgs,
@@ -417,20 +419,22 @@ fn main() {
         }
     );
 
-    let json = render_json(
-        &args,
-        rounds,
-        &points,
-        &probe,
-        &grid,
-        grid_trials,
-        &fig2_grid,
-        fig2_trials,
-        win_fraction,
-        fig2_win,
-    );
-    std::fs::write("BENCH_session.json", &json).expect("write BENCH_session.json");
-    println!("# wrote BENCH_session.json");
+    if !args.quick {
+        let json = render_json(
+            &args,
+            rounds,
+            &points,
+            &probe,
+            &grid,
+            grid_trials,
+            &fig2_grid,
+            fig2_trials,
+            win_fraction,
+            fig2_win,
+        );
+        std::fs::write("BENCH_session.json", &json).expect("write BENCH_session.json");
+        println!("# wrote BENCH_session.json");
+    }
 }
 
 /// Hand-rendered JSON (the workspace carries no serialization

@@ -25,9 +25,10 @@
 //! vs `hash_batch`, for every spine-hash family (the core batching layer
 //! the engine rides on).
 //!
-//! Writes `BENCH_sim_engine.json` into the working directory and prints
-//! the same numbers as a table. Options: `--trials N` (default 60, the
-//! AWGN count; BSC runs 2×), `--seed S`, `--threads T`, `--quick`.
+//! Prints the numbers as a table; a full run also writes
+//! `BENCH_sim_engine.json` into the working directory, while `--quick`
+//! (fewer rounds) writes nothing. Options: `--trials N` (default 60,
+//! the AWGN count; BSC runs 2×), `--seed S`, `--threads T`, `--quick`.
 
 use spinal_bench::{banner, best_time, measure_hash_families, RunArgs};
 use spinal_channel::{AwgnChannel, BscChannel, Channel, Rng};
@@ -380,6 +381,8 @@ fn main() {
         ));
     }
     json.push_str("  }\n}\n");
-    std::fs::write("BENCH_sim_engine.json", &json).expect("write BENCH_sim_engine.json");
-    println!("\n# wrote BENCH_sim_engine.json");
+    if !args.quick {
+        std::fs::write("BENCH_sim_engine.json", &json).expect("write BENCH_sim_engine.json");
+        println!("\n# wrote BENCH_sim_engine.json");
+    }
 }

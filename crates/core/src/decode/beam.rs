@@ -70,7 +70,6 @@
 
 use crate::bits::BitVec;
 use crate::decode::batch::{self, ObsRead, PackedMask};
-use crate::decode::ckpt_pack::{bits_for, BitReader, BitWriter, PackedCheckpoints};
 use crate::decode::cost::CostModel;
 use crate::decode::select::{self, cost_key, key_cost, SelectMode, SelectScratch};
 use crate::decode::{Candidate, DecodeResult, DecodeStats, Observations};
@@ -369,22 +368,12 @@ impl Default for CachedPlan {
 /// count shrinks or the level count changes. After the first attempt
 /// warms the buffers, checkpointing allocates nothing.
 ///
-/// # The packed tier
-///
-/// Alongside the raw per-level snapshots, the store keeps a
-/// **compressed** image of the same prefix, refilled at every attempt
-/// finish: topology only — the parent index into the previous level's
-/// committed frontier plus the `k`-bit segment, bit-packed, with the
-/// per-level work counters varint-coded (see the private
-/// `decode::ckpt_pack` module). Spines and cost keys are *not* stored;
-/// they are recomputed on restore by replaying the per-entry spine hash
-/// and cost accumulation — the identical arithmetic the expansion loop
-/// used, so the rebuilt snapshots are bit-for-bit the originals. The
-/// image is what a serving snapshot carries across a process restart
-/// ([`packed_image`](Self::packed_image)); installed into a fresh store
-/// by [`BeamDecoder::adopt_packed_checkpoints`], it keeps the full
-/// resumption depth at ~1/20 the bytes, at the cost of one transparent
-/// unpack on the session's next attempt.
+/// The store is a cache, never state a result depends on: an empty
+/// store (a fresh one, a [`release`](Self::release)d one, or one whose
+/// session came back from a warm restart holding only its
+/// observations) makes the next attempt decode from level 0, with the
+/// same result and the same reported stats as a resumed one — only the
+/// work the attempt does changes.
 #[derive(Clone, Debug, Default)]
 pub struct BeamCheckpoints {
     saved: SavedStates,
@@ -398,17 +387,6 @@ pub struct BeamCheckpoints {
     n_levels: u32,
     levels_resumed: u64,
     levels_run: u64,
-    /// Compressed image of `saved` (topology + stats bitstream),
-    /// refilled at every attempt finish.
-    packed: PackedCheckpoints,
-    /// Only the adopted packed image is resident; the next attempt
-    /// must unpack before resuming.
-    demoted: bool,
-    /// Packs performed over the store's lifetime.
-    packs: u64,
-    /// Restores out of an adopted packed image over the store's
-    /// lifetime.
-    unpacks: u64,
 }
 
 impl BeamCheckpoints {
@@ -427,8 +405,6 @@ impl BeamCheckpoints {
         }
         self.obs_len = 0;
         self.n_levels = 0;
-        self.packed.clear();
-        self.demoted = false;
     }
 
     /// [`reset`](Self::reset) that also returns every buffer's memory to
@@ -442,12 +418,11 @@ impl BeamCheckpoints {
         self.arena_parents = Vec::new();
         self.arena_segs = Vec::new();
         self.plans = Vec::new();
-        self.packed.bytes = Vec::new();
     }
 
     /// Heap bytes currently held by this store (capacity-based: saved
-    /// frontiers, the backtracking arena, cached packed masks, and the
-    /// packed image).
+    /// frontiers, the backtracking arena, and the cached XOR/popcount
+    /// cost masks).
     pub fn memory_bytes(&self) -> usize {
         use core::mem::size_of;
         let mut bytes = self.arena_parents.capacity() * size_of::<u32>()
@@ -461,43 +436,7 @@ impl BeamCheckpoints {
         for plan in &self.plans {
             bytes += plan.packed.capacity() * size_of::<PackedMask>();
         }
-        bytes + self.packed.memory_bytes()
-    }
-
-    /// Heap bytes the compressed checkpoint image currently holds —
-    /// what a session's resumable state costs in a snapshot.
-    pub fn packed_bytes(&self) -> usize {
-        self.packed.memory_bytes()
-    }
-
-    /// The packed checkpoint image, when one is in sync with the saved
-    /// prefix — the bytes a pool snapshot carries across a process
-    /// restart. `None` when nothing has been packed.
-    pub fn packed_image(&self) -> Option<&[u8]> {
-        if self.packed.active {
-            Some(&self.packed.bytes)
-        } else {
-            None
-        }
-    }
-
-    /// Whether the store holds only a packed image installed by
-    /// [`BeamDecoder::adopt_packed_checkpoints`], with no raw tier in
-    /// sync; cleared transparently by the next attempt's restore.
-    pub fn is_demoted(&self) -> bool {
-        self.demoted
-    }
-
-    /// Packs performed over the store's lifetime (one per attempt finish
-    /// that left a checkpoint prefix).
-    pub fn packs(&self) -> u64 {
-        self.packs
-    }
-
-    /// Restores out of an adopted packed image served over the store's
-    /// lifetime.
-    pub fn unpacks(&self) -> u64 {
-        self.unpacks
+        bytes
     }
 
     /// Number of tree levels the valid checkpoint prefix covers — the
@@ -932,18 +871,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             ckpt.plans
                 .resize_with(n_levels as usize, CachedPlan::default);
         }
-        if ckpt.demoted {
-            // Only an adopted packed image is resident; rebuild the
-            // levels this restore needs from its topology. The recompute
-            // replays the expansion arithmetic exactly, so the rebuilt
-            // snapshots are bit-for-bit the ones that were packed. A
-            // from-scratch start needs nothing back.
-            if start > 0 {
-                self.unpack_checkpoints(start, obs, ckpt, scratch);
-                ckpt.unpacks += 1;
-            }
-            ckpt.demoted = false;
-        }
 
         let init_stats = if start == 0 {
             fresh_stats(self.kernel_dispatch)
@@ -1032,8 +959,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             saved,
             arena_parents,
             arena_segs,
-            packed,
-            packs,
             ..
         } = ckpt;
         self.finish_core(
@@ -1047,417 +972,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             stats,
             out,
         );
-        // Keep the compressed tier in sync with the snapshots this
-        // attempt just (re)wrote, so a snapshot can image the store at
-        // any point between attempts.
-        if saved.valid > 0 {
-            self.pack_checkpoints(saved, packed);
-            *packs += 1;
-        }
-    }
-
-    /// Serializes `saved`'s valid prefix into `packed`: per level, the
-    /// entry count and varint-coded work counters, then — spines and
-    /// cost keys elided — each entry's parent *slot* (index into the
-    /// previous level's committed frontier, `⌈log2 |C|⌉` bits) and
-    /// segment (`k` bits; zero bits at tail levels). Refills the
-    /// retained buffer in place, so steady-state packing allocates
-    /// nothing once the buffer has reached its working size.
-    fn pack_checkpoints(&self, saved: &SavedStates, packed: &mut PackedCheckpoints) {
-        let msg_segs = self.params.message_segments();
-        let k = self.params.k();
-        packed.bytes.clear();
-        let mut w = BitWriter::new(&mut packed.bytes);
-        w.push_varint(u64::from(saved.valid));
-        let mut prev_nodes = 0u64;
-        let mut prev_hash = 0u64;
-        for t in 0..saved.valid as usize {
-            let e = &saved.levels[t];
-            w.push_varint(e.spines.len() as u64);
-            // Work counters are nondecreasing across the sweep: store
-            // per-level deltas (level 0 is absolute).
-            w.push_varint(e.stats.nodes_expanded - prev_nodes);
-            w.push_varint(e.stats.hash_calls - prev_hash);
-            w.push_varint(e.stats.frontier_peak as u64);
-            w.push(u64::from(e.stats.complete), 1);
-            prev_nodes = e.stats.nodes_expanded;
-            prev_hash = e.stats.hash_calls;
-            if t == 0 {
-                debug_assert_eq!(e.spines.len(), 1, "level 0 holds exactly the root");
-                continue;
-            }
-            // The committed frontier the slots index into: its size is
-            // the arena growth between the two snapshots (level 1's
-            // parent is the root, which is not in the arena).
-            let committed_prev = if t == 1 {
-                1
-            } else {
-                e.arena_len - saved.levels[t - 1].arena_len
-            };
-            let slot_bits = bits_for(committed_prev);
-            let seg_bits = if (t as u32 - 1) < msg_segs { k } else { 0 };
-            let base = saved.levels[t - 1].arena_len as u32;
-            for (j, &seg) in e.segs.iter().enumerate() {
-                let slot = if t == 1 {
-                    0
-                } else {
-                    u64::from(e.parents[j] - base)
-                };
-                w.push(slot, slot_bits);
-                w.push(u64::from(seg), seg_bits);
-            }
-        }
-        w.finish();
-        packed.active = true;
-    }
-
-    /// Rebuilds `saved.levels[0..=start]` (and the arena prefix and
-    /// packed-mask caches below `start`) from the packed image, after
-    /// [`adopt_packed_checkpoints`](Self::adopt_packed_checkpoints).
-    /// Spines and cost keys are recomputed
-    /// by replaying, per entry, exactly the arithmetic the expansion
-    /// loop used — the single-step spine hash, then either the packed
-    /// XOR/popcount kernel or the sequential per-observation cost fold —
-    /// so the rebuilt snapshots are bit-identical to the packed ones.
-    /// Pre-prunes between levels are replayed with the same canonical
-    /// selection to reconstruct each level's committed frontier (which
-    /// the next level's slots index into). Cost: one hash + one cost
-    /// evaluation per saved entry — `2^k`× less work than re-expanding
-    /// the sweep from scratch.
-    fn unpack_checkpoints(
-        &self,
-        start: u32,
-        obs: &Observations<M::Symbol>,
-        ckpt: &mut BeamCheckpoints,
-        scratch: &mut DecoderScratch,
-    ) {
-        let msg_segs = self.params.message_segments();
-        let k = self.params.k();
-        let branch = 1usize << k;
-        let bps = self.mapper.bits_per_symbol();
-        let BeamCheckpoints {
-            saved,
-            arena_parents,
-            arena_segs,
-            plans,
-            packed,
-            ..
-        } = ckpt;
-        debug_assert!(packed.active, "unpack without a packed image");
-        let mut r = BitReader::new(&packed.bytes);
-        let packed_valid = r.pull_varint() as u32;
-        debug_assert!(
-            start < packed_valid,
-            "resume level {start} beyond packed prefix {packed_valid}"
-        );
-        if saved.levels.len() <= start as usize {
-            saved
-                .levels
-                .resize_with(start as usize + 1, SavedLevel::default);
-        }
-        arena_parents.clear();
-        arena_segs.clear();
-
-        let dispatch = self.kernel_dispatch;
-        let mut prev_nodes = 0u64;
-        let mut prev_hash = 0u64;
-        let mut pull_stats = |r: &mut BitReader<'_>| {
-            prev_nodes += r.pull_varint();
-            prev_hash += r.pull_varint();
-            let frontier_peak = r.pull_varint() as usize;
-            let complete = r.pull(1) != 0;
-            DecodeStats {
-                nodes_expanded: prev_nodes,
-                frontier_peak,
-                hash_calls: prev_hash,
-                complete,
-                kernel_dispatch: dispatch,
-            }
-        };
-
-        // The previous level's committed (post-pre-prune) frontier —
-        // what this level's slots index into — lives in the expansion
-        // scratch buffers.
-        let prev_spines = &mut scratch.next_spines;
-        let prev_keys = &mut scratch.next_keys;
-        let prev_parents = &mut scratch.next_parents;
-        let prev_segs = &mut scratch.next_segs;
-        let blocks = &mut scratch.blocks;
-        let order = &mut scratch.order;
-        let selector = &mut scratch.selector;
-        let geo = &mut scratch.plan_geo;
-
-        // Level 0: the root (C_0 — never pruned, never committed).
-        let n0 = r.pull_varint() as usize;
-        debug_assert_eq!(n0, 1, "level 0 holds exactly the root");
-        let stats0 = pull_stats(&mut r);
-        {
-            let e = &mut saved.levels[0];
-            e.spines.clear();
-            e.spines.push(INITIAL_SPINE);
-            e.keys.clear();
-            e.keys.push(cost_key(0.0));
-            e.parents.clear();
-            e.parents.push(u32::MAX);
-            e.segs.clear();
-            e.segs.push(0);
-            e.arena_len = 0;
-            e.stats = stats0;
-        }
-        prev_spines.clear();
-        prev_spines.push(INITIAL_SPINE);
-        prev_keys.clear();
-        prev_keys.push(cost_key(0.0));
-        prev_parents.clear();
-        prev_parents.push(u32::MAX);
-        prev_segs.clear();
-        prev_segs.push(0);
-
-        for u in 1..=start as usize {
-            // Sweep `u-1`'s arena commit: its committed frontier gains
-            // the stable indices this level's parents point at.
-            let base = saved.levels[u - 1].arena_len as u32;
-            if u >= 2 {
-                debug_assert_eq!(arena_parents.len(), base as usize);
-                arena_parents.extend_from_slice(prev_parents);
-                arena_segs.extend_from_slice(prev_segs);
-            }
-            let n = r.pull_varint() as usize;
-            let stats = pull_stats(&mut r);
-            let slot_bits = bits_for(prev_spines.len());
-            let seg_bits = if (u as u32 - 1) < msg_segs { k } else { 0 };
-
-            // Entries of this level were scored against level `u-1`'s
-            // observations; refresh that plan (also re-warming the
-            // packed-mask cache the adopt reset).
-            let level_obs = obs.at_level(u as u32 - 1);
-            geo.refresh(level_obs, bps);
-            let p = &mut plans[u - 1];
-            if p.obs_len != level_obs.len() {
-                build_packed(
-                    &self.mapper,
-                    &self.cost,
-                    level_obs,
-                    bps,
-                    &geo.block_ids,
-                    &mut p.packed,
-                );
-                p.obs_len = level_obs.len();
-            }
-            blocks.clear();
-            blocks.resize(geo.block_ids.len(), 0);
-
-            let e = &mut saved.levels[u];
-            e.spines.clear();
-            e.keys.clear();
-            e.parents.clear();
-            e.segs.clear();
-            for _ in 0..n {
-                let slot = r.pull(slot_bits) as usize;
-                let seg = r.pull(seg_bits) as u16;
-                let pspine = prev_spines[slot];
-                let pkey = prev_keys[slot];
-                let spine = self.hash.hash(pspine, u64::from(seg));
-                let key = if geo.reads.is_empty() {
-                    pkey
-                } else {
-                    // Replay the expansion's scoring for this one child:
-                    // same block cache, same kernel / fold, same
-                    // float-operation order — bit-identical keys.
-                    let pcost = key_cost(pkey);
-                    batch::fill_blocks(&self.hash, spine, &geo.block_ids, blocks);
-                    if !p.packed.is_empty() {
-                        let mut one = [0u64; 1];
-                        kernels::packed_row_costs(dispatch, blocks, 1, &p.packed, pcost, &mut one);
-                        one[0]
-                    } else {
-                        let mut acc = pcost;
-                        for (rd, &(_, observed)) in geo.reads.iter().zip(level_obs) {
-                            acc += self
-                                .cost
-                                .cost(observed, self.mapper.map(batch::read_obs(blocks, rd)));
-                        }
-                        cost_key(acc)
-                    }
-                };
-                let parent = if u == 1 { u32::MAX } else { base + slot as u32 };
-                e.spines.push(spine);
-                e.keys.push(key);
-                e.parents.push(parent);
-                e.segs.push(seg);
-            }
-            e.arena_len = arena_parents.len();
-            e.stats = stats;
-
-            // Replay sweep `u`'s pre-prune to obtain C_u — the frontier
-            // the *next* level's slots index into. (Not needed past the
-            // resume level: sweep `start` itself will run live.)
-            if (u as u32) < start {
-                let level_branch = if u as u32 >= msg_segs { 1 } else { branch };
-                let cap_parents = self.config.parent_cap(level_branch);
-                prev_spines.clear();
-                prev_keys.clear();
-                prev_parents.clear();
-                prev_segs.clear();
-                if n > cap_parents {
-                    select::select_smallest(
-                        &e.keys,
-                        cap_parents,
-                        order,
-                        selector,
-                        self.select_mode,
-                    );
-                    for &i in order.iter() {
-                        let i = i as usize;
-                        prev_spines.push(e.spines[i]);
-                        prev_keys.push(e.keys[i]);
-                        prev_parents.push(e.parents[i]);
-                        prev_segs.push(e.segs[i]);
-                    }
-                } else {
-                    prev_spines.extend_from_slice(&e.spines);
-                    prev_keys.extend_from_slice(&e.keys);
-                    prev_parents.extend_from_slice(&e.parents);
-                    prev_segs.extend_from_slice(&e.segs);
-                }
-            }
-        }
-    }
-
-    /// Installs a packed checkpoint image carried across a process
-    /// restart into `ckpt`: the blob becomes the only tier in sync and
-    /// the next attempt transparently unpacks it, replaying the
-    /// expansion arithmetic bit-for-bit. `obs_len` must be the restored
-    /// observation count, which covers every observation the blob was
-    /// packed against.
-    ///
-    /// The blob is **untrusted** (it crossed a process boundary): before
-    /// installing, its structure is re-derived against this decoder's
-    /// shape — level counts, per-level entry counts against the
-    /// committed-frontier evolution the pre-prune replay will
-    /// reconstruct, every parent slot in range, and the bitstream length
-    /// consistent — so a forged or damaged image can never make the
-    /// later unpack index out of bounds or over-allocate.
-    ///
-    /// # Errors
-    ///
-    /// [`SpinalError::Snapshot`] with
-    /// [`SnapshotErrorKind::Corrupt`](crate::error::SnapshotErrorKind::Corrupt)
-    /// when the blob fails structural validation; `ckpt` is left reset
-    /// (cold — the session decodes from scratch, results unchanged).
-    pub fn adopt_packed_checkpoints(
-        &self,
-        ckpt: &mut BeamCheckpoints,
-        obs_len: usize,
-        blob: &[u8],
-    ) -> Result<(), SpinalError> {
-        ckpt.reset();
-        ckpt.n_levels = self.params.n_segments();
-        ckpt.obs_len = obs_len;
-        let limit = MAX_CHECKPOINT_FRONTIER.min(self.config.max_frontier);
-        let valid = self.validate_packed_blob(blob, limit)?;
-        ckpt.packed.bytes.clear();
-        ckpt.packed.bytes.extend_from_slice(blob);
-        ckpt.packed.active = true;
-        ckpt.saved.valid = valid;
-        ckpt.demoted = true;
-        Ok(())
-    }
-
-    /// Walks an untrusted packed image, mirroring the exact arithmetic
-    /// [`unpack_checkpoints`](Self::unpack_checkpoints) will replay —
-    /// including the committed-frontier evolution of the pre-prune —
-    /// without computing any hashes. Returns the valid-prefix depth.
-    fn validate_packed_blob(&self, blob: &[u8], limit: usize) -> Result<u32, SpinalError> {
-        const CORRUPT: SpinalError = SpinalError::Snapshot {
-            kind: crate::error::SnapshotErrorKind::Corrupt,
-        };
-        // A bounded varint pull: rejects encodings whose magnitude
-        // overflows u64 instead of shifting past the accumulator (the
-        // unchecked reader is only ever run on validated bytes).
-        fn pull_varint_checked(r: &mut BitReader<'_>) -> Result<u64, SpinalError> {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let byte = r.pull(8);
-                let group = byte & 0x7f;
-                if shift >= 64 || (group << shift) >> shift != group {
-                    return Err(CORRUPT);
-                }
-                v |= group << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-            }
-        }
-
-        let n_levels = self.params.n_segments();
-        let msg_segs = self.params.message_segments();
-        let k = self.params.k();
-        let branch = 1usize << k;
-        let total_bits = (blob.len() as u64) * 8;
-        let mut r = BitReader::new(blob);
-
-        let valid = pull_varint_checked(&mut r)?;
-        if valid < 1 || valid > u64::from(n_levels) + 1 {
-            return Err(CORRUPT);
-        }
-        let valid = valid as u32;
-        // Work counters are per-level deltas; their running sums must
-        // stay within u64 or the unpack's accumulation would overflow.
-        let mut nodes = 0u64;
-        let mut hash = 0u64;
-        let pull_level_stats = |r: &mut BitReader<'_>, nodes: &mut u64, hash: &mut u64| {
-            *nodes = nodes.checked_add(pull_varint_checked(r)?).ok_or(CORRUPT)?;
-            *hash = hash.checked_add(pull_varint_checked(r)?).ok_or(CORRUPT)?;
-            pull_varint_checked(r)?; // frontier_peak
-            r.pull(1); // complete
-            Ok::<(), SpinalError>(())
-        };
-
-        // Level 0 holds exactly the root.
-        if pull_varint_checked(&mut r)? != 1 {
-            return Err(CORRUPT);
-        }
-        pull_level_stats(&mut r, &mut nodes, &mut hash)?;
-
-        let mut prev_committed = 1usize; // |C_0|: the root
-        for u in 1..valid {
-            let n = pull_varint_checked(&mut r)? as usize;
-            // The frontier entering level `u` is the children of the
-            // previous committed frontier, post-prune: bounded by both
-            // the store/snapshot limit and the expansion fan-out.
-            let parent_branch = if (u - 1) >= msg_segs { 1 } else { branch };
-            if n < 1 || n > limit || n > prev_committed.saturating_mul(parent_branch) {
-                return Err(CORRUPT);
-            }
-            pull_level_stats(&mut r, &mut nodes, &mut hash)?;
-            let slot_bits = bits_for(prev_committed);
-            let seg_bits = if (u - 1) < msg_segs { k } else { 0 };
-            for _ in 0..n {
-                let slot = r.pull(slot_bits) as usize;
-                r.pull(seg_bits);
-                if slot >= prev_committed {
-                    return Err(CORRUPT);
-                }
-            }
-            if r.overran() {
-                return Err(CORRUPT);
-            }
-            // Replay the pre-prune's committed-frontier size for the
-            // next level's slot addressing (same formula as the unpack).
-            let level_branch = if u >= msg_segs { 1usize } else { branch };
-            let cap_parents = self.config.parent_cap(level_branch);
-            prev_committed = n.min(cap_parents);
-        }
-        // The bitstream must end exactly where the walk did (up to the
-        // writer's sub-byte padding): overrun means truncation, slack of
-        // a byte or more means trailing garbage.
-        if r.overran() || total_bits - r.bit_pos() >= 8 {
-            return Err(CORRUPT);
-        }
-        Ok(valid)
     }
 
     fn check_levels(&self, obs: &Observations<M::Symbol>) {
@@ -2026,22 +1540,6 @@ mod tests {
             .unwrap()
     }
 
-    /// Re-installs the store's own packed image, as a restart's restore
-    /// would, so the next attempt must rebuild its resume state by
-    /// unpacking it. `false` when nothing has been packed yet.
-    fn readopt<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
-        dec: &BeamDecoder<H, M, C>,
-        ckpt: &mut BeamCheckpoints,
-    ) -> bool {
-        let Some(image) = ckpt.packed_image().map(<[u8]>::to_vec) else {
-            return false;
-        };
-        let obs_len = ckpt.obs_len;
-        dec.adopt_packed_checkpoints(ckpt, obs_len, &image)
-            .expect("a store's own image validates");
-        true
-    }
-
     fn noiseless_obs(
         enc: &Encoder<Lookup3, LinearMapper>,
         passes: u32,
@@ -2528,45 +2026,67 @@ mod tests {
     /// decode at every step of a growing observation set, for every
     /// chunking of arrivals (per symbol, per sub-pass, per pass) and
     /// under strided puncturing where resumption actually skips levels.
+    /// The second case's tight frontier cap makes resumed sweeps
+    /// pre-prune across the unobserved levels.
     #[test]
     fn incremental_decode_matches_batch_at_every_step() {
         use crate::puncture::{PunctureSchedule, StridedPuncture};
-        let p = params(64, 8, 0); // 8 levels: strided sub-passes skip prefixes
-        let msg = BitVec::from_bytes(&[0x1f, 0x2e, 0x3d, 0x4c, 0x5b, 0x6a, 0x79, 0x88]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::with_beam(4),
-        )
-        .unwrap();
-        let sched = StridedPuncture::stride8();
-        let mut obs = Observations::new(p.n_segments());
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut inc = DecodeResult::default();
-        for g in 0..24u32 {
-            let slots = sched.subpass_slots(p.n_segments(), g);
-            if slots.is_empty() {
-                continue;
+        let cases: [(CodeParams, BeamConfig, &[u8]); 2] = [
+            // 8 levels, branch 256: strided sub-passes skip prefixes.
+            (
+                params(64, 8, 0),
+                BeamConfig::with_beam(4),
+                &[0x1f, 0x2e, 0x3d, 0x4c, 0x5b, 0x6a, 0x79, 0x88],
+            ),
+            // 8 levels, branch 16, at most 4 parents per expansion.
+            (
+                params(32, 4, 0),
+                BeamConfig {
+                    beam_width: 8,
+                    max_frontier: 64,
+                    defer_prune_unobserved: true,
+                },
+                &[0xa5, 0x17, 0x68, 0xf3],
+            ),
+        ];
+        for (p, cfg, bytes) in cases {
+            let msg = BitVec::from_bytes(bytes);
+            let enc =
+                Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
+            let dec = BeamDecoder::new(
+                &p,
+                Lookup3::new(p.seed()),
+                LinearMapper::new(10),
+                AwgnCost,
+                cfg,
+            )
+            .unwrap();
+            let sched = StridedPuncture::stride8();
+            let mut obs = Observations::new(p.n_segments());
+            let mut ckpt = BeamCheckpoints::new();
+            let mut scratch = DecoderScratch::new();
+            let mut inc = DecodeResult::default();
+            for g in 0..24u32 {
+                let slots = sched.subpass_slots(p.n_segments(), g);
+                if slots.is_empty() {
+                    continue;
+                }
+                let dirty = slots.iter().map(|s| s.t).min().unwrap();
+                for &slot in &slots {
+                    obs.push(slot, enc.symbol(slot));
+                }
+                dec.decode_incremental(&obs, dirty, &mut ckpt, &mut scratch, &mut inc);
+                let batch = dec.decode(&obs);
+                assert_eq!(inc.message, batch.message, "{cfg:?} subpass {g}");
+                assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
+                assert_eq!(inc.candidates, batch.candidates);
+                assert_eq!(inc.stats, batch.stats, "stats are as-if-from-scratch");
             }
-            let dirty = slots.iter().map(|s| s.t).min().unwrap();
-            for &slot in &slots {
-                obs.push(slot, enc.symbol(slot));
-            }
-            dec.decode_incremental(&obs, dirty, &mut ckpt, &mut scratch, &mut inc);
-            let batch = dec.decode(&obs);
-            assert_eq!(inc.message, batch.message, "subpass {g}");
-            assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-            assert_eq!(inc.candidates, batch.candidates);
-            assert_eq!(inc.stats, batch.stats, "stats are as-if-from-scratch");
+            assert!(
+                ckpt.levels_resumed() > 0,
+                "strided sub-passes must have resumed past saved levels"
+            );
         }
-        assert!(
-            ckpt.levels_resumed() > 0,
-            "strided sub-passes must have resumed past saved levels"
-        );
     }
 
     /// One-symbol-at-a-time arrivals (the link-simulation pattern): every
@@ -2682,153 +2202,6 @@ mod tests {
             assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
             assert_eq!(inc.candidates, batch.candidates);
         }
-    }
-
-    /// Restoring from the packed image between attempts must be
-    /// invisible: every restore recomputes the snapshots bit-for-bit,
-    /// so results (message, costs, candidates, stats) stay identical to
-    /// batch at every step. Strided puncturing plus a tight frontier
-    /// cap makes the unpack replay pre-prunes and multi-level
-    /// resumption.
-    #[test]
-    fn demoted_checkpoints_restore_bit_identical() {
-        use crate::puncture::{PunctureSchedule, StridedPuncture};
-        let p = params(32, 4, 0); // 8 levels, branch 16
-        let msg = BitVec::from_bytes(&[0xa5, 0x17, 0x68, 0xf3]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig {
-                beam_width: 8,
-                max_frontier: 64,
-                defer_prune_unobserved: true,
-            },
-        )
-        .unwrap();
-        let sched = StridedPuncture::stride8();
-        let mut obs = Observations::new(p.n_segments());
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut inc = DecodeResult::default();
-        let mut raw_peak = 0usize;
-        for g in 0..24u32 {
-            let slots = sched.subpass_slots(p.n_segments(), g);
-            if slots.is_empty() {
-                continue;
-            }
-            let dirty = slots.iter().map(|s| s.t).min().unwrap();
-            for &slot in &slots {
-                obs.push(slot, enc.symbol(slot));
-            }
-            dec.decode_incremental(&obs, dirty, &mut ckpt, &mut scratch, &mut inc);
-            let batch = dec.decode(&obs);
-            assert_eq!(inc.message, batch.message, "subpass {g}");
-            assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-            assert_eq!(inc.candidates, batch.candidates);
-            assert_eq!(inc.stats, batch.stats, "stats are as-if-from-scratch");
-            raw_peak = raw_peak.max(ckpt.memory_bytes());
-            // Re-adopt after every attempt: the next one must unpack.
-            assert!(readopt(&dec, &mut ckpt), "a finished attempt packs");
-            assert!(ckpt.is_demoted());
-        }
-        assert!(ckpt.levels_resumed() > 0, "resumption must have happened");
-        assert!(ckpt.unpacks() > 0, "adopted restores must have unpacked");
-        assert!(ckpt.packs() > 0);
-        assert!(
-            ckpt.packed_bytes() * 5 <= raw_peak,
-            "packed tier ({}) must be >=5x smaller than raw ({})",
-            ckpt.packed_bytes(),
-            raw_peak
-        );
-    }
-
-    /// Adopt/unpack on the bit-channel packed-kernel path, across every
-    /// supported SIMD tier: the unpack recompute routes through the same
-    /// XOR/popcount kernel, so restored keys are bit-identical on all of
-    /// them.
-    #[test]
-    fn demoted_checkpoints_bit_identical_across_kernel_tiers() {
-        let p = params(64, 4, 0);
-        let msg = BitVec::from_bytes(&[0x3c, 0x99, 0x5a, 0xc3, 0x0f, 0xf0, 0x81, 0x7e]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), BinaryMapper::new(), &msg).unwrap();
-        for tier in KernelDispatch::supported() {
-            let dec = BeamDecoder::new(
-                &p,
-                Lookup3::new(p.seed()).with_dispatch(tier),
-                BinaryMapper::new(),
-                BscCost,
-                BeamConfig::with_beam(8),
-            )
-            .unwrap()
-            .with_kernel_dispatch(tier);
-            let mut obs = Observations::new(p.n_segments());
-            let mut ckpt = BeamCheckpoints::new();
-            let mut scratch = DecoderScratch::new();
-            let mut inc = DecodeResult::default();
-            for pass in 0..3u32 {
-                for t in 0..p.n_segments() {
-                    let slot = Slot::new(t, pass);
-                    let mut bit = enc.symbol(slot);
-                    if (pass + t) % 7 == 2 {
-                        bit ^= 1;
-                    }
-                    obs.push(slot, bit);
-                    // Re-adopt before each retry: resumption at `t`
-                    // must unpack every saved level below it.
-                    readopt(&dec, &mut ckpt);
-                    dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut inc);
-                    let batch = dec.decode(&obs);
-                    assert_eq!(inc.message, batch.message, "{tier} pass {pass} t {t}");
-                    assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-                    assert_eq!(inc.candidates, batch.candidates);
-                    assert_eq!(inc.stats, batch.stats);
-                }
-            }
-            assert!(ckpt.unpacks() > p.n_segments() as u64, "{tier}");
-        }
-    }
-
-    /// Deep resumption out of an adopted image: per-symbol arrivals
-    /// with a re-adopt before every retry, so each restore unpacks a
-    /// growing prefix (the hardest replay path: every saved level
-    /// rebuilt).
-    #[test]
-    fn demoted_per_symbol_arrivals_match_batch() {
-        let p = params(40, 8, 0);
-        let msg = BitVec::from_bytes(&[9, 8, 7, 6, 5]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::paper_default(),
-        )
-        .unwrap();
-        let mut obs = Observations::new(p.n_segments());
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut inc = DecodeResult::default();
-        for pass in 0..2u32 {
-            for t in 0..p.n_segments() {
-                let slot = Slot::new(t, pass);
-                obs.push(slot, enc.symbol(slot));
-                readopt(&dec, &mut ckpt);
-                dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut inc);
-                let batch = dec.decode(&obs);
-                assert_eq!(inc.message, batch.message, "pass {pass} t {t}");
-                assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-                assert_eq!(inc.candidates, batch.candidates);
-                assert_eq!(inc.stats, batch.stats);
-            }
-        }
-        assert!(ckpt.levels_resumed() >= 10);
-        // Every retry whose resume level is > 0 unpacked (the t == 0
-        // retries restart from the root with nothing to rebuild).
-        assert!(ckpt.unpacks() >= 8, "{}", ckpt.unpacks());
     }
 
     proptest! {

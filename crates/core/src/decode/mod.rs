@@ -11,7 +11,6 @@
 
 pub(crate) mod batch;
 pub mod beam;
-pub(crate) mod ckpt_pack;
 pub mod cost;
 pub mod ml;
 pub mod reference;

@@ -32,11 +32,11 @@
 //! fraction of the per-retry work — see `BENCH_session.json`. A session
 //! pooled in a [`crate::sched::MultiDecoder`] runs the same attempt
 //! through the pool's one shared scratch instead of its own, which then
-//! stays empty. Each attempt also refreshes the store's packed image
-//! ([`packed_checkpoint_image`](RxSession::packed_checkpoint_image)),
-//! which a serving snapshot carries across a restart and
-//! [`adopt_packed_checkpoints`](RxSession::adopt_packed_checkpoints)
-//! installs again.
+//! stays empty. The store is only a cache of work: a session rebuilt
+//! from its observations alone ([`restore_receive_state`](RxSession::restore_receive_state),
+//! as a serving warm restart does) or one whose store was
+//! [`evict_checkpoints`](RxSession::evict_checkpoints)ed runs its next
+//! attempt from level 0, with the same result.
 //!
 //! # Exact attempts
 //!
@@ -760,13 +760,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.ckpt.release();
     }
 
-    /// Heap bytes of the session's *packed* checkpoint image — what a
-    /// snapshot carries for it
-    /// ([`packed_checkpoint_image`](Self::packed_checkpoint_image)).
-    pub fn checkpoint_packed_bytes(&self) -> usize {
-        self.ckpt.packed_bytes()
-    }
-
     /// The symbol count the thinning schedule will run the next decode
     /// attempt at (see [`RxConfig::attempt_growth`]). Part of the
     /// session's restartable receive state: restoring it exactly is what
@@ -786,13 +779,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.dirty_from
     }
 
-    /// The packed checkpoint image currently in sync with the store, if
-    /// any — the bytes a pool snapshot carries across a process restart
-    /// (see [`adopt_packed_checkpoints`](Self::adopt_packed_checkpoints)).
-    pub fn packed_checkpoint_image(&self) -> Option<&[u8]> {
-        self.ckpt.packed_image()
-    }
-
     /// Restores the receive-side state of a freshly constructed session
     /// from a pool snapshot: the slot-labelled observations in their
     /// original arrival order (per-level cost folds replay in float
@@ -800,6 +786,10 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// counters exactly as they were. The implicit schedule cursor is
     /// untouched — snapshot producers only ever ingest slot-labelled
     /// symbols ([`ingest_at`](Self::ingest_at)), which never advances it.
+    /// The checkpoint store stays empty, so the next attempt decodes
+    /// from level 0: the same attempt an uninterrupted session would
+    /// run, bit for bit, at the cost of the levels it would have
+    /// resumed past.
     ///
     /// # Errors
     ///
@@ -839,25 +829,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.next_attempt = next_attempt;
         self.dirty_from = dirty_from;
         Ok(())
-    }
-
-    /// Installs a packed checkpoint image (from
-    /// [`packed_checkpoint_image`](Self::packed_checkpoint_image) of the
-    /// pre-restart session) into this session's store, validated against
-    /// the decoder's shape — see
-    /// [`BeamDecoder::adopt_packed_checkpoints`]. Call after
-    /// [`restore_receive_state`](Self::restore_receive_state): the image
-    /// is bound to the restored observation count. On error the store is
-    /// left cold; the session still works, its next attempt just decodes
-    /// from scratch (bit-identical results, more work).
-    ///
-    /// # Errors
-    ///
-    /// [`SpinalError::Snapshot`] when the blob fails structural
-    /// validation.
-    pub fn adopt_packed_checkpoints(&mut self, blob: &[u8]) -> Result<(), SpinalError> {
-        self.decoder
-            .adopt_packed_checkpoints(&mut self.ckpt, self.obs.len(), blob)
     }
 
     /// The session's resource configuration (with `beam` normalized to

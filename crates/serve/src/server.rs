@@ -773,15 +773,15 @@ impl<T: Transport> Server<T> {
     /// rebuilds a bit-identical server from.
     ///
     /// Every in-flight session is written with its code shape, receive
-    /// dynamics, full observation set and packed checkpoint image
-    /// (refreshed at every attempt finish, ~20× smaller than the raw
-    /// tier, which stays resident: imaging a session leaves its next
-    /// attempt's work unchanged). Sessions attached to live
-    /// connections are imaged as *detached* under their resume token:
-    /// transports do not survive a process, so after a restore every
-    /// client re-attaches through the ordinary RESUME path with the
-    /// token it already holds. Verdicts held for replay (decoded bits,
-    /// exhaustion, abandonment) are imaged verbatim.
+    /// dynamics and full observation set — what it has heard, not its
+    /// decoder state, so an entry's size does not depend on the beam
+    /// width and imaging a session leaves its checkpoint store as it
+    /// was. Sessions attached to live connections are imaged as
+    /// *detached* under their resume token: transports do not survive a
+    /// process, so after a restore every client re-attaches through the
+    /// ordinary RESUME path with the token it already holds. Verdicts
+    /// held for replay (decoded bits, exhaustion, abandonment) are
+    /// imaged verbatim.
     ///
     /// `out` is cleared and refilled, so one buffer amortizes across
     /// periodic snapshots. Counted in [`ServeStats::snapshots`]
@@ -948,7 +948,6 @@ impl<T: Transport> Server<T> {
                     next_attempt,
                     dirty_from,
                     obs,
-                    packed,
                 } => {
                     let h = Hello {
                         message_bits: shape.message_bits,
@@ -963,6 +962,10 @@ impl<T: Transport> Server<T> {
                     let Ok(sid) = admit(&h, &cfg, &mut shard.pool) else {
                         continue;
                     };
+                    // The session comes back with an empty checkpoint
+                    // store: its next attempt decodes from level 0,
+                    // bit-identical to the checkpoint-resumed attempt
+                    // an uninterrupted server would run.
                     let ok = shard
                         .pool
                         .get_mut(sid)
@@ -972,16 +975,6 @@ impl<T: Transport> Server<T> {
                     if !ok {
                         let _ = shard.pool.remove(sid);
                         continue;
-                    }
-                    if let Some(blob) = &packed {
-                        // Best effort: a blob that fails validation
-                        // leaves the checkpoint store cold — identical
-                        // results, more first-attempt work.
-                        let _ = shard
-                            .pool
-                            .get_mut(sid)
-                            .expect("restored session is live")
-                            .adopt_packed_checkpoints(blob);
                     }
                     pending_restored += 1;
                     Verdict::Pending(sid)
@@ -1497,8 +1490,9 @@ fn shard_tick<T: Transport>(
 
 /// The snapshot image of one in-flight session: the HELLO-equivalent
 /// shape (so restore re-admits through [`admit`]), the receive
-/// dynamics that schedule the next attempt, the full observation set,
-/// and the packed checkpoint blob when one is held.
+/// dynamics that schedule the next attempt, and the full observation
+/// set. Checkpoints are a cache the restored session rebuilds by
+/// decoding from level 0, so none are imaged.
 fn pending_body(
     rx: &RxSession<Lookup3, LinearMapper, AwgnCost, StridedPuncture>,
 ) -> EntryBodyRef<'_> {
@@ -1515,7 +1509,6 @@ fn pending_body(
         next_attempt: rx.next_attempt(),
         dirty_from: rx.dirty_from(),
         obs: rx.observations(),
-        packed: rx.packed_checkpoint_image(),
     }
 }
 
@@ -1753,8 +1746,7 @@ mod tests {
     }
 
     /// Imaging a session leaves its checkpoint store as it was: every
-    /// pending session keeps its raw tier (no unpack owed on its next
-    /// attempt) and holds the packed image the snapshot carried.
+    /// pending session's next attempt resumes from the same level.
     #[test]
     fn snapshot_leaves_checkpoints_resident() {
         use crate::client::{ClientConfig, ServeClient};
@@ -1784,21 +1776,24 @@ mod tests {
                 c.tick();
             }
         }
+        let valid_levels = |server: &Server<_>| {
+            let shard = &server.shards[0];
+            let mut levels = Vec::new();
+            for flow in shard.flows.iter() {
+                let Verdict::Pending(sid) = flow.verdict else {
+                    continue;
+                };
+                let rx = shard.pool.get(sid).unwrap();
+                assert!(rx.attempts() > 0, "the session has attempted a decode");
+                levels.push(rx.checkpoints().valid_levels());
+            }
+            levels
+        };
+        let before = valid_levels(&server);
+        assert_eq!(before.len(), 4);
+        assert!(before.iter().all(|&v| v > 0), "{before:?}");
         let mut image = Vec::new();
         server.snapshot_into(&mut image).unwrap();
-
-        let shard = &server.shards[0];
-        let mut pending = 0;
-        for flow in shard.flows.iter() {
-            let Verdict::Pending(sid) = flow.verdict else {
-                continue;
-            };
-            let rx = shard.pool.get(sid).unwrap();
-            assert!(rx.attempts() > 0, "the session has attempted a decode");
-            assert!(!rx.checkpoints().is_demoted(), "snapshot demoted a session");
-            assert!(rx.packed_checkpoint_image().is_some());
-            pending += 1;
-        }
-        assert_eq!(pending, 4);
+        assert_eq!(valid_levels(&server), before);
     }
 }

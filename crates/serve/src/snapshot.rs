@@ -7,8 +7,8 @@
 //! counters, resume-secret probe, aggregate stats), a fixed size
 //! whatever the server has served; every further section is one live
 //! session *entry* — either a pending in-flight decode (code shape,
-//! receive dynamics, the full observation set, and optionally the
-//! packed checkpoint blob) or a terminal verdict held for replay.
+//! receive dynamics and the full observation set: what the session has
+//! heard, never decoder state) or a terminal verdict held for replay.
 //!
 //! The framing is built for graceful degradation on untrusted bytes:
 //!
@@ -39,7 +39,7 @@ use crate::wire::ResumeToken;
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 
 /// The snapshot-format version this build writes and restores.
-pub(crate) const SNAP_VERSION: u8 = 3;
+pub(crate) const SNAP_VERSION: u8 = 4;
 
 /// Preamble length: magic + version byte.
 const PREAMBLE_LEN: usize = SNAP_MAGIC.len() + 1;
@@ -130,15 +130,13 @@ pub(crate) struct EntryRef<'a> {
 
 /// Entry body, write side.
 pub(crate) enum EntryBodyRef<'a> {
-    /// In-flight decode: shape + receive dynamics + observations (+ the
-    /// packed checkpoint blob when the session holds one).
+    /// In-flight decode: shape + receive dynamics + observations.
     Pending {
         shape: PendingShape,
         attempts: u32,
         next_attempt: u64,
         dirty_from: u32,
         obs: &'a Observations<IqSymbol>,
-        packed: Option<&'a [u8]>,
     },
     /// Decoded while the snapshot was taken; verdict held for replay.
     Done {
@@ -168,7 +166,6 @@ pub(crate) enum ParsedBody {
         next_attempt: u64,
         dirty_from: u32,
         obs: Vec<(Slot, IqSymbol)>,
-        packed: Option<Vec<u8>>,
     },
     Done {
         bits: Option<BitVec>,
@@ -224,7 +221,6 @@ pub(crate) fn write_entry(out: &mut Vec<u8>, e: &EntryRef<'_>) {
                 next_attempt,
                 dirty_from,
                 obs,
-                packed,
             } => {
                 p.push(KIND_PENDING);
                 p.extend_from_slice(&shape.message_bits.to_le_bytes());
@@ -248,14 +244,6 @@ pub(crate) fn write_entry(out: &mut Vec<u8>, e: &EntryRef<'_>) {
                         p.extend_from_slice(&sym.i.to_bits().to_le_bytes());
                         p.extend_from_slice(&sym.q.to_bits().to_le_bytes());
                     }
-                }
-                match packed {
-                    Some(blob) => {
-                        p.push(1);
-                        p.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-                        p.extend_from_slice(blob);
-                    }
-                    None => p.push(0),
                 }
             }
             EntryBodyRef::Done { bits, ack } => {
@@ -461,21 +449,12 @@ pub(crate) fn parse_entry(payload: &[u8]) -> Option<ParsedEntry> {
                     obs.push((Slot::new(t, pass), IqSymbol::new(i, q)));
                 }
             }
-            let packed = match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.u32()? as usize;
-                    Some(r.bytes(len)?.to_vec())
-                }
-                _ => return None,
-            };
             ParsedBody::Pending {
                 shape,
                 attempts,
                 next_attempt,
                 dirty_from,
                 obs,
-                packed,
             }
         }
         KIND_DONE => {
@@ -553,7 +532,6 @@ mod tests {
                     next_attempt: 9,
                     dirty_from: u32::MAX,
                     obs,
-                    packed: Some(&[1, 2, 3, 4]),
                 },
             },
         );
@@ -607,7 +585,6 @@ mod tests {
                 next_attempt,
                 dirty_from,
                 obs: got,
-                packed,
             } => {
                 assert_eq!(shape.message_bits, 96);
                 assert_eq!(shape.seed, 0x5eed);
@@ -623,7 +600,6 @@ mod tests {
                         (Slot::new(2, 0), IqSymbol::new(0.0, 4.0)),
                     ]
                 );
-                assert_eq!(packed.as_deref(), Some(&[1u8, 2, 3, 4][..]));
             }
             _ => panic!("expected pending body"),
         }

@@ -1,6 +1,7 @@
 //! Warm-restart coverage: kill/restore/resume identity against
 //! uninterrupted twins (serial and sharded, up to 256 flows), secret
 //! pinning, snapshot size independent of the traffic already served,
+//! entries that carry observations rather than decoder state,
 //! detached TTL survival across the restart (under the same TTL and
 //! under an infinite one), and adversarial snapshot bytes
 //! (truncation at every boundary, single-byte corruption, forged
@@ -10,7 +11,9 @@
 use proptest::prelude::*;
 use spinal_core::bits::BitVec;
 use spinal_core::error::{SnapshotErrorKind, SpinalError};
+use spinal_core::params::CodeParams;
 use spinal_core::sched::MultiConfig;
+use spinal_core::symbol::IqSymbol;
 use spinal_serve::{
     loopback_pair, ClientConfig, ClientOutcome, LoopbackTransport, ServeClient, ServeConfig, Server,
 };
@@ -272,6 +275,56 @@ fn snapshot_size_does_not_grow_with_flows_served() {
     let after_220 = serve(20..220);
     assert_eq!(header_len(&after_20), header_len(&after_220));
     assert_eq!(after_20.len(), after_220.len());
+}
+
+/// A snapshot images what a pending session has heard, not its decoder
+/// state: two flows fed identical symbols that never decode, one at
+/// B = 4 and one at B = 64, leave entries of one size — a fixed part
+/// plus 4 bytes per tree level and 20 bytes per observation.
+#[test]
+fn snapshot_entry_holds_observations_not_decoder_state() {
+    // Token, feedback mode, sequence and deadline (41 bytes), the entry
+    // kind (1), the HELLO shape (32), the receive counters (16) and the
+    // level count (4).
+    const FIXED: usize = 94;
+    let payload = payload(0, 2, 3);
+    let levels = CodeParams::builder()
+        .message_bits(payload.len() as u32 + 16) // CRC-16 framing
+        .k(ClientConfig::default().k)
+        .build()
+        .unwrap()
+        .n_segments() as usize;
+    let entry = |beam: u32| {
+        let mut server = Server::new(serve_cfg(1)).unwrap();
+        let (local, remote) = loopback_pair(1 << 16);
+        server.add_connection(remote);
+        let cfg = ClientConfig {
+            beam,
+            max_symbols: 1 << 20,
+            ..ClientConfig::default()
+        };
+        let mut clients = vec![ServeClient::new(local, &cfg, &payload)
+            .unwrap()
+            .with_noise(Box::new(|_| IqSymbol::new(0.0, 0.0)))];
+        for _ in 0..30 {
+            tick_all(&mut server, &mut clients, false);
+        }
+        let stats = server.stats();
+        assert!(stats.symbols_in > 0 && stats.decoded == 0, "{stats:?}");
+        let mut image = Vec::new();
+        server.snapshot_into(&mut image).unwrap();
+        // Preamble, header section, then the one entry section.
+        let len_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        let entry_at = 5 + 8 + len_at(5);
+        let entry_len = len_at(entry_at);
+        assert_eq!(entry_at + 8 + entry_len, image.len(), "one entry");
+        (entry_len, stats.symbols_in as usize)
+    };
+    let (narrow, symbols) = entry(4);
+    let (wide, wide_symbols) = entry(64);
+    assert_eq!(symbols, wide_symbols, "identical streams");
+    assert_eq!(narrow, wide, "the beam width does not size an entry");
+    assert_eq!(narrow, FIXED + 4 * levels + 20 * symbols);
 }
 
 /// The detach TTL survives the restart: a session detached before the

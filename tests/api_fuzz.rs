@@ -12,7 +12,7 @@
 //!   slots must consume nothing.
 //! * **`MultiDecoder` id streams** — random interleavings of
 //!   insert / ingest / drive / budgeted `drive_until` / remove /
-//!   packed-image re-adopt / caller-side detach and re-attach /
+//!   checkpoint-store release / caller-side detach and re-attach /
 //!   cost-ranked shed among the caller's orphans, including stale
 //!   (generational) and double-removed ids, against pools with work
 //!   budgets, admission ceilings (`PoolFull`), and attempt ceilings
@@ -246,20 +246,15 @@ proptest! {
                     }
                 }
                 6 => {
-                    // Re-adopt a random live session's own packed
-                    // image, as a restore would: the next attempt
-                    // unpacks it, so any interleaving must stay
-                    // panic-free.
+                    // Release a random live session's checkpoint store,
+                    // leaving it as a restore would: its next attempt
+                    // decodes from level 0, whatever the interleaving.
                     let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
                         let (id, _) = &lanes[pick % lanes.len()];
                         let rx = pool.get_mut(*id).expect("live id");
-                        if let Some(image) = rx.packed_checkpoint_image().map(<[u8]>::to_vec) {
-                            prop_assert!(
-                                rx.adopt_packed_checkpoints(&image).is_ok(),
-                                "a session's own image validates"
-                            );
-                        }
+                        rx.evict_checkpoints();
+                        prop_assert_eq!(rx.checkpoints().valid_levels(), 0);
                     }
                 }
                 9 => {

@@ -7,16 +7,14 @@
 //! attempt counts, and per-attempt `DecodeResult`s (candidates and
 //! as-if-from-scratch work counters) must be **bit-identical** to
 //! driving each session alone with the same symbols coalesced per
-//! drive. The same must hold when every pooled session re-adopts its
-//! own packed checkpoint image before each drive, as a restart's
-//! restore would, so its attempts rebuild their resume state by
-//! unpacking it.
+//! drive. The same must hold when every pooled session's checkpoint
+//! store is released before each drive — the state a warm restart's
+//! restore leaves, observations and no checkpoints — so each attempt
+//! decodes from level 0.
 //!
-//! The compressed checkpoint tier gets the same treatment solo: a
-//! session restored from its packed image before every retry must be
-//! bit-identical to one that never is. So do sessions that attempt
-//! only when the attempt fits (`RxConfig::exact_attempts`, the served
-//! configuration).
+//! Solo, a session released before every retry must be bit-identical
+//! to one that never is. So do sessions that attempt only when the
+//! attempt fits (`RxConfig::exact_attempts`, the served configuration).
 
 use proptest::prelude::*;
 use spinal_codes::channel::{AwgnChannel, Channel};
@@ -59,22 +57,13 @@ fn build_lane(seed: u64, msg: &BitVec, snr_db: f64, exact_attempts: bool) -> (La
     )
 }
 
-/// Re-installs a session's own packed checkpoint image, as a restart's
-/// restore would: its next attempt must unpack before resuming.
-fn readopt(rx: &mut Rx) {
-    if let Some(image) = rx.packed_checkpoint_image().map(<[u8]>::to_vec) {
-        rx.adopt_packed_checkpoints(&image)
-            .expect("a session's own image validates");
-    }
-}
-
 /// Replays one interleaving through a pool and through isolated mirror
 /// sessions, asserting event-for-event and state-for-state equality.
-/// With `readopt_images`, every pooled session re-adopts its own packed
-/// image before each drive. Returns (decoded, exhausted) counts as a
+/// With `cold_stores`, every pooled session's checkpoint store is
+/// released before each drive. Returns (decoded, exhausted) counts as a
 /// coverage probe.
 fn check_interleaving(
-    readopt_images: bool,
+    cold_stores: bool,
     exact_attempts: bool,
     seeds: &[u64],
     snr_db: f64,
@@ -119,9 +108,11 @@ fn check_interleaving(
             let poll = solo[lane_idx].ingest(&lane.chunk).unwrap();
             expect.push((lane_idx, poll));
         }
-        if readopt_images {
+        if cold_stores {
             for &id in &ids {
-                readopt(pool.get_mut(id).expect("pooled session is live"));
+                pool.get_mut(id)
+                    .expect("pooled session is live")
+                    .evict_checkpoints();
             }
         }
         pool.drive_into(&mut events);
@@ -171,7 +162,7 @@ proptest! {
 
     /// The pinning property: over random interleavings, pool output is
     /// bit-identical to isolated per-session decoding — with and
-    /// without every pooled attempt restoring from its packed image.
+    /// without every pooled attempt starting from an empty store.
     #[test]
     fn prop_pool_bit_identical_to_solo(
         seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
@@ -180,15 +171,15 @@ proptest! {
             proptest::collection::vec(0u8..4, 1..5), 6..18),
     ) {
         let base = check_interleaving(false, false, &seeds, snr_db, &schedule);
-        let packed = check_interleaving(true, false, &seeds, snr_db, &schedule);
+        let cold = check_interleaving(true, false, &seeds, snr_db, &schedule);
         // Both runs see the identical outcome set (each one already
         // matched its own solo mirror event-for-event).
-        prop_assert_eq!(base, packed);
+        prop_assert_eq!(base, cold);
     }
 
     /// The same pinning property with the served switch on: a pooled
     /// session that waits for its attempts to fit polls exactly as the
-    /// same session alone — with and without packed-image restores.
+    /// same session alone — with and without empty stores.
     #[test]
     fn prop_exact_attempts_pool_bit_identical_to_solo(
         seeds in proptest::collection::vec(1u64..1_000_000, 2..5),
@@ -197,15 +188,16 @@ proptest! {
             proptest::collection::vec(0u8..4, 1..5), 6..18),
     ) {
         let base = check_interleaving(false, true, &seeds, snr_db, &schedule);
-        let packed = check_interleaving(true, true, &seeds, snr_db, &schedule);
-        prop_assert_eq!(base, packed);
+        let cold = check_interleaving(true, true, &seeds, snr_db, &schedule);
+        prop_assert_eq!(base, cold);
     }
 
-    /// Packed restore is invisible: a session that re-adopts its own
-    /// packed image before every ingest — so each retry must rebuild
-    /// its resume state from the packed blob — produces polls,
-    /// payloads, and per-attempt `DecodeResult`s bit-identical to a
-    /// session that never restores from its packed blob.
+    /// A restored session's empty store is invisible: a session whose
+    /// checkpoint store is released before every ingest — so each
+    /// retry decodes from level 0, as the first attempt after a warm
+    /// restart does — produces polls, payloads, and per-attempt
+    /// `DecodeResult`s bit-identical to a session that is never
+    /// released.
     #[test]
     fn prop_packed_restore_bit_identical_to_never_packed(
         seed in 1u64..1_000_000,
@@ -225,10 +217,9 @@ proptest! {
                 let (_slot, x) = lane.tx.next_symbol();
                 lane.chunk.push(lane.channel.transmit(x));
             }
-            // Force the cold path: this ingest's attempt restores from
-            // the packed blob (or replays from scratch when the dirty
-            // level is 0 — also exercised).
-            readopt(&mut restored);
+            // Force the cold path: this ingest's attempt finds no
+            // checkpoint to resume from.
+            restored.evict_checkpoints();
             let a = restored.ingest(&lane.chunk).unwrap();
             let b = plain.ingest(&lane.chunk).unwrap();
             prop_assert_eq!(a, b);
@@ -238,10 +229,8 @@ proptest! {
             prop_assert_eq!(&dr.candidates, &pr.candidates);
             prop_assert_eq!(&dr.stats, &pr.stats, "stats are as-if-from-scratch");
         }
-        // The cold path actually ran: every attempt repacked, and the
-        // never-restored mirror never unpacked.
-        prop_assert!(restored.checkpoints().packs() >= u64::from(restored.attempts()));
-        prop_assert_eq!(plain.checkpoints().unpacks(), 0);
+        // The cold path actually ran: no attempt resumed a level.
+        prop_assert_eq!(restored.checkpoints().levels_resumed(), 0);
     }
 }
 

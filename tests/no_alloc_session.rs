@@ -117,12 +117,8 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
     run_trial(&mut tx, &mut rx, 0);
     run_trial(&mut tx, &mut rx, 1);
 
-    // Steady state: further trials must not allocate at all — and the
-    // packed checkpoint tier must be live inside the window (every
-    // attempt finish re-packs into the warmed blob), proving packing
-    // itself is allocation-free once the buffer has its steady size.
+    // Steady state: further trials must not allocate at all.
     let before = allocations();
-    let packs_before = rx.checkpoints().packs();
     for seed in 2..6u64 {
         run_trial(&mut tx, &mut rx, seed);
     }
@@ -136,14 +132,6 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
     assert!(
         rx.checkpoints().levels_resumed() > 0,
         "per-symbol retries must resume from checkpoints"
-    );
-    assert!(
-        rx.checkpoints().packs() > packs_before,
-        "packing must be active during the measured window"
-    );
-    assert!(
-        rx.checkpoint_packed_bytes() > 0,
-        "the packed blob must be resident after a packed finish"
     );
 
     // ---- Multi-session scheduler: a warm pool's ingest/drive cycle
@@ -230,12 +218,6 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         "steady-state multi-session cycle must not allocate (saw {} allocations)",
         after - before
     );
-    for &id in &ids {
-        assert!(
-            pool.get(id).unwrap().checkpoint_packed_bytes() > 0,
-            "every pooled session packs its checkpoints at finish"
-        );
-    }
 
     // ---- Deadline-driven drives: the defer/serve cycle of a budgeted
     // drive (aged-first selection, `Deferred` events, reused due/defer
