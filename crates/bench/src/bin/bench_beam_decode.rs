@@ -17,12 +17,22 @@
 //!   synthetic AWGN-shaped cost keys at the level sizes the decoder
 //!   actually selects over (`B·2^k` children).
 //!
+//! A fourth section, **serving points**, times the decode attempts the
+//! servebench fleets run (k = 4, c = 8, stride-8 puncturing): the
+//! clean-fleet shape (48 framed bits, B = 4, noiseless) and the
+//! awgn-fleet shape (64 framed bits, B = 16, 10 dB), each decoded from
+//! level 0 after the first 8 and the first 16 symbols, on the
+//! dispatched SIMD tier and on forced scalar. It reports nodes per
+//! attempt and ns per node: at these shapes the per-node cost, not the
+//! frontier, is what a kernel change moves.
+//!
 //! A full run writes `BENCH_beam_decode.json` (shared
 //! `benchmark`/`config` schema, see [`spinal_bench::BenchSummary`]).
 //! `--quick` instead sweeps every SIMD tier × selection mode the machine
 //! supports, asserts bit-identity against the scalar/comparator
 //! baseline, times the same sections with fewer iterations, and writes
-//! only the deterministic summary `quick_cost_engine.json` that CI
+//! only the deterministic summary `quick_cost_engine.json` (the
+//! serving points' node and hash counts included) that CI
 //! diffs against `crates/bench/golden/quick_cost_engine.json` — the
 //! cross-runner proof that every dispatch tier decodes identically. It
 //! leaves the full-run artifact untouched.
@@ -31,6 +41,7 @@
 //! 40), `--seed S`, `--quick`.
 
 use spinal_bench::{banner, BenchSummary, RunArgs};
+use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::bits::BitVec;
 use spinal_core::decode::select::{self, SelectMode, SelectScratch};
 use spinal_core::decode::{
@@ -42,6 +53,7 @@ use spinal_core::hash::Lookup3;
 use spinal_core::kernels::KernelDispatch;
 use spinal_core::map::{BinaryMapper, LinearMapper};
 use spinal_core::params::CodeParams;
+use spinal_core::puncture::{PunctureSchedule, StridedPuncture};
 use spinal_core::symbol::Slot;
 use spinal_core::IqSymbol;
 use std::hint::black_box;
@@ -76,6 +88,110 @@ struct SelectPoint {
     radix_ns_per_key: f64,
     comparator_ns_per_key: f64,
     speedup: f64,
+}
+
+/// One servebench fleet's code shape (both fleets use the client
+/// defaults k = 4, c = 8 and the stride-8 schedule).
+struct ServingShape {
+    name: &'static str,
+    /// Payload plus CRC-16.
+    framed_bits: u32,
+    beam: usize,
+    /// `None` = noiseless.
+    snr_db: Option<f64>,
+}
+
+const SERVING_K: u32 = 4;
+const SERVING_C: u32 = 8;
+const SERVING_SHAPES: [ServingShape; 2] = [
+    ServingShape {
+        name: "clean",
+        framed_bits: 48,
+        beam: 4,
+        snr_db: None,
+    },
+    ServingShape {
+        name: "awgn",
+        framed_bits: 64,
+        beam: 16,
+        snr_db: Some(10.0),
+    },
+];
+/// Symbols received when the attempt runs: the first burst, and two.
+const SERVING_SYMBOLS: [usize; 2] = [8, 16];
+
+struct ServingPoint {
+    shape: &'static str,
+    symbols: usize,
+    nodes_per_attempt: u64,
+    dispatched_ns_per_node: f64,
+    scalar_ns_per_node: f64,
+    speedup: f64,
+}
+
+/// One serving attempt's inputs: the code and the first
+/// `symbols` symbols of the stride-8 stream (through the shape's
+/// channel).
+fn serving_attempt(
+    shape: &ServingShape,
+    seed: u64,
+    symbols: usize,
+) -> (CodeParams, Observations<IqSymbol>) {
+    let params = CodeParams::builder()
+        .message_bits(shape.framed_bits)
+        .k(SERVING_K)
+        .seed(seed)
+        .build()
+        .expect("valid params");
+    let message = BitVec::from_bools(
+        &(0..u64::from(shape.framed_bits))
+            .map(|i| spinal_sim::derive_seed(seed, 91, i) & 1 == 1)
+            .collect::<Vec<_>>(),
+    );
+    let enc = Encoder::new(
+        &params,
+        Lookup3::new(seed),
+        LinearMapper::new(SERVING_C),
+        &message,
+    )
+    .expect("valid message");
+    let mut channel = shape
+        .snr_db
+        .map(|db| AwgnChannel::from_snr_db(db, seed ^ 0x5e5e));
+    let sched = StridedPuncture::stride8();
+    let mut obs = Observations::new(params.n_segments());
+    let mut slots = Vec::new();
+    let mut g = 0;
+    while obs.len() < symbols {
+        sched.subpass_slots_into(params.n_segments(), g, &mut slots);
+        for &slot in slots.iter().take(symbols - obs.len()) {
+            let sym = enc.symbol(slot);
+            obs.push(slot, channel.as_mut().map_or(sym, |ch| ch.transmit(sym)));
+        }
+        g += 1;
+    }
+    (params, obs)
+}
+
+/// A serving-shape decoder with its hash lanes and cost kernels on
+/// `tier`.
+fn serving_decoder(
+    params: &CodeParams,
+    shape: &ServingShape,
+    seed: u64,
+    tier: KernelDispatch,
+    mode: SelectMode,
+) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
+    BeamDecoder::new(
+        params,
+        Lookup3::new(seed).with_dispatch(tier),
+        LinearMapper::new(SERVING_C),
+        AwgnCost,
+        BeamConfig::with_beam(shape.beam),
+    )
+    .expect("valid decoder config")
+    .with_kernel_dispatch(tier)
+    .with_select_mode(mode)
 }
 
 fn observations(enc: &Encoder<Lookup3, LinearMapper>) -> Observations<IqSymbol> {
@@ -432,6 +548,74 @@ fn selection_section(args: &RunArgs) -> Vec<SelectPoint> {
     out
 }
 
+fn serving_section(args: &RunArgs) -> Vec<ServingPoint> {
+    println!("# serving points: servebench fleet attempts, dispatched tier vs forced scalar");
+    println!(
+        "{:>6} {:>8} {:>8} {:>16} {:>16} {:>8}",
+        "shape", "symbols", "nodes", "dispatched ns/n", "scalar ns/node", "speedup"
+    );
+    let dispatched = KernelDispatch::detect();
+    let mut points = Vec::new();
+    for shape in &SERVING_SHAPES {
+        for symbols in SERVING_SYMBOLS {
+            let (params, obs) = serving_attempt(shape, args.seed, symbols);
+            let wide = serving_decoder(&params, shape, args.seed, dispatched, SelectMode::Auto);
+            let scalar = serving_decoder(
+                &params,
+                shape,
+                args.seed,
+                KernelDispatch::Scalar,
+                SelectMode::Auto,
+            );
+            let mut scratch_w = DecoderScratch::new();
+            let mut scratch_s = DecoderScratch::new();
+            let res = wide.decode_with_scratch(&obs, &mut scratch_w);
+            let base = scalar.decode_with_scratch(&obs, &mut scratch_s);
+            assert_eq!(
+                res.cost.to_bits(),
+                base.cost.to_bits(),
+                "{} {symbols}",
+                shape.name
+            );
+            assert_eq!(res.candidates, base.candidates);
+            let nodes = res.stats.nodes_expanded;
+            // Attempts here take tens to hundreds of µs: run enough of
+            // them per round to dwarf the timer.
+            let iters = (args.trials * 4).max(8);
+            let (wide_secs, scalar_secs) = measure_pair(
+                5,
+                iters,
+                iters,
+                &mut || {
+                    black_box(wide.decode_with_scratch(&obs, &mut scratch_w).cost);
+                },
+                &mut || {
+                    black_box(scalar.decode_with_scratch(&obs, &mut scratch_s).cost);
+                },
+            );
+            let p = ServingPoint {
+                shape: shape.name,
+                symbols,
+                nodes_per_attempt: nodes,
+                dispatched_ns_per_node: wide_secs * 1e9 / nodes as f64,
+                scalar_ns_per_node: scalar_secs * 1e9 / nodes as f64,
+                speedup: scalar_secs / wide_secs,
+            };
+            println!(
+                "{:>6} {:>8} {:>8} {:>16.2} {:>16.2} {:>7.2}x",
+                p.shape,
+                p.symbols,
+                p.nodes_per_attempt,
+                p.dispatched_ns_per_node,
+                p.scalar_ns_per_node,
+                p.speedup
+            );
+            points.push(p);
+        }
+    }
+    points
+}
+
 /// `--quick` self-check: every supported SIMD tier × selection mode
 /// decodes bit-identically to the scalar/comparator baseline on both
 /// the soft and packed paths; returns the deterministic summary that CI
@@ -516,8 +700,35 @@ fn quick_self_check(args: &RunArgs, params: &CodeParams) -> String {
         }
     }
     let soft = soft_base.expect("at least one tier");
+
+    // The servebench fleets' attempt shapes.
+    let mut serving = Vec::new();
+    for shape in &SERVING_SHAPES {
+        for symbols in SERVING_SYMBOLS {
+            let (params, obs) = serving_attempt(shape, args.seed, symbols);
+            let mut base: Option<DecodeResult> = None;
+            for &tier in &tiers {
+                for mode in modes {
+                    let res = serving_decoder(&params, shape, args.seed, tier, mode).decode(&obs);
+                    match &base {
+                        None => base = Some(res),
+                        Some(b) => {
+                            let at = format!("{} {symbols} {tier} {mode:?}", shape.name);
+                            assert_eq!(res.message, b.message, "{at}");
+                            assert_eq!(res.cost.to_bits(), b.cost.to_bits(), "{at}");
+                            assert_eq!(res.candidates, b.candidates, "{at}");
+                            assert_eq!(res.stats.hash_calls, b.stats.hash_calls, "{at}");
+                            assert_eq!(res.stats.nodes_expanded, b.stats.nodes_expanded, "{at}");
+                        }
+                    }
+                }
+            }
+            serving.push((shape.name, symbols, base.expect("at least one tier")));
+        }
+    }
     println!(
-        "# self-check ok: {} tiers x {} select modes bit-identical on both paths",
+        "# self-check ok: {} tiers x {} select modes bit-identical on the packed, soft and \
+         serving paths",
         tiers.len(),
         modes.len()
     );
@@ -527,6 +738,14 @@ fn quick_self_check(args: &RunArgs, params: &CodeParams) -> String {
     // whose SIMD tier broke the contract fails the assertions above or
     // the golden diff below.
     let mut s = String::from("{\n  \"summary\": \"cost_engine_quick\",\n");
+    for (name, symbols, res) in &serving {
+        s.push_str(&format!(
+            "  \"serving_{name}_{symbols}\": {{\"hash_calls\": {}, \"nodes_expanded\": {}, \"candidates\": {}}},\n",
+            res.stats.hash_calls,
+            res.stats.nodes_expanded,
+            res.candidates.len(),
+        ));
+    }
     s.push_str(&format!(
         "  \"packed\": {{\"decoded\": {}, \"cost_bits\": {}, \"hash_calls\": {}, \"nodes_expanded\": {}, \"candidates\": {}}},\n",
         packed.message == msg_b,
@@ -573,9 +792,10 @@ fn main() {
     let awgn = awgn_section(&args, &params);
     let packed = packed_section(&args, &params);
     let selection = selection_section(&args);
+    let serving = serving_section(&args);
 
     if !args.quick {
-        let json = render_json(&args, &awgn, &packed, &selection);
+        let json = render_json(&args, &awgn, &packed, &selection, &serving);
         std::fs::write("BENCH_beam_decode.json", &json).expect("write BENCH_beam_decode.json");
         println!("# wrote BENCH_beam_decode.json");
     }
@@ -588,6 +808,7 @@ fn render_json(
     awgn: &[AwgnPoint],
     packed: &[PackedPoint],
     selection: &[SelectPoint],
+    serving: &[ServingPoint],
 ) -> String {
     let mut s = BenchSummary::new("beam_decode", args.seed, args.trials)
         .config("message_bits", MESSAGE_BITS)
@@ -602,6 +823,10 @@ fn render_json(
         .config_str(
             "baseline_packed",
             "PR-4-equivalent engine: scalar hash lanes + scalar collapse + comparator select",
+        )
+        .config_str(
+            "serving_shapes",
+            "k=4 c=8 stride-8, attempts from level 0: clean 48 bits B=4 noiseless; awgn 64 bits B=16 10 dB",
         )
         .render_header();
     s.push_str("  \"points\": [\n");
@@ -643,6 +868,20 @@ fn render_json(
             p.comparator_ns_per_key,
             p.speedup,
             if i + 1 == selection.len() { "" } else { "," },
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"serving_points\": [\n");
+    for (i, p) in serving.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"shape\": \"{}\", \"symbols\": {}, \"nodes_per_attempt\": {}, \"dispatched_ns_per_node\": {:.2}, \"scalar_ns_per_node\": {:.2}, \"speedup\": {:.3}}}{}\n",
+            p.shape,
+            p.symbols,
+            p.nodes_per_attempt,
+            p.dispatched_ns_per_node,
+            p.scalar_ns_per_node,
+            p.speedup,
+            if i + 1 == serving.len() { "" } else { "," },
         ));
     }
     s.push_str("  ]\n}\n");

@@ -322,13 +322,24 @@ fn run_checkpointed_sessions(flows: &[Flow]) -> Vec<(u64, u32)> {
     out
 }
 
-fn time_sweep(rounds: u32, f: &mut impl FnMut() -> Vec<(u64, u32)>) -> f64 {
-    black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
+/// Times the engines interleaved: after one warm-up sweep each, every
+/// round runs each engine once and each engine keeps its fastest round,
+/// so a slow phase of a shared host lands on all engines alike instead
+/// of on whichever happened to run through it.
+fn time_interleaved<const N: usize>(
+    rounds: u32,
+    mut engines: [&mut dyn FnMut() -> Vec<(u64, u32)>; N],
+) -> [f64; N] {
+    for f in &mut engines {
         black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (f, b) in engines.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            black_box(f());
+            *b = b.min(start.elapsed().as_secs_f64());
+        }
     }
     best
 }
@@ -381,10 +392,16 @@ fn main() {
         let total_attempts: u64 = sched.iter().map(|&(_, a)| u64::from(a)).sum();
         quick_rows.push((n, total_symbols, total_attempts));
 
-        // Timings.
-        let sched_secs = time_sweep(rounds, &mut || run_scheduler(&flows, None)) / n as f64;
-        let scratch_secs = time_sweep(rounds, &mut || run_one_at_a_time(&flows)) / n as f64;
-        let ckpt_secs = time_sweep(rounds, &mut || run_checkpointed_sessions(&flows)) / n as f64;
+        // Timings, one round of each engine per iteration.
+        let [sched_secs, scratch_secs, ckpt_secs] = time_interleaved(
+            rounds,
+            [
+                &mut || run_scheduler(&flows, None),
+                &mut || run_one_at_a_time(&flows),
+                &mut || run_checkpointed_sessions(&flows),
+            ],
+        )
+        .map(|secs| secs / n as f64);
 
         let point = Point {
             sessions: n,

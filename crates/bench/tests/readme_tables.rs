@@ -1,9 +1,11 @@
-//! The README's multi-session numbers must be the ones the committed
-//! artifact it cites holds: each row of the `bench_multi_session` table
+//! The README's bench numbers must be the ones the committed artifacts
+//! they cite hold: each row of the `bench_multi_session` table
 //! (sessions/s rounded to integers, speedups to two decimals) and the
 //! checkpoint memory of the largest fleet are checked against
-//! `BENCH_multi_session.json`, so regenerating the artifact without
-//! rewriting the table fails here.
+//! `BENCH_multi_session.json`, and the `bench_session` paragraph's
+//! speedups, resumed-level share and checkpoint footprint against
+//! `BENCH_session.json`, so regenerating an artifact without rewriting
+//! its README figures fails here.
 
 use std::path::Path;
 
@@ -85,6 +87,54 @@ fn readme_multi_session_table_matches_its_artifact() {
         field(largest, "sessions"),
         field(largest, "checkpoint_bytes") / 1e6
     );
-    let prose = readme.split_whitespace().collect::<Vec<_>>().join(" ");
-    assert!(prose.contains(&memory), "README should read \"{memory}\"");
+    assert!(
+        readme_prose().contains(&memory),
+        "README should read \"{memory}\""
+    );
+}
+
+/// One whitespace-normalized string of the README, so a figure may wrap
+/// across lines.
+fn readme_prose() -> String {
+    repo_file("README.md")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+#[test]
+fn readme_session_paragraph_matches_its_artifact() {
+    let artifact = repo_file("BENCH_session.json");
+    let point = |interval: u32| {
+        let key = format!("\"attempt_interval_symbols\": {interval}, \"incremental");
+        artifact
+            .lines()
+            .find(|l| l.contains(&key))
+            .unwrap_or_else(|| panic!("no interval-{interval} point in BENCH_session.json"))
+    };
+    let (p1, p2, p4, p32) = (point(1), point(2), point(4), point(32));
+    let figures = [
+        format!(
+            "**{:.2}× at per-symbol feedback** ({:.1}% of tree levels resumed)",
+            field(p1, "speedup"),
+            100.0 * field(p1, "levels_resumed_fraction")
+        ),
+        format!("{:.2}× at 2-symbol intervals", field(p2, "speedup")),
+        format!("{:.2}× at 4-symbol intervals", field(p4, "speedup")),
+        format!(
+            "{:.2}× when retrying only once per pass",
+            field(p32, "speedup")
+        ),
+        format!(
+            "(`checkpoint_bytes`, {:.1} KiB at this shape)",
+            field(p1, "checkpoint_bytes") / 1024.0
+        ),
+    ];
+    let prose = readme_prose();
+    for want in &figures {
+        assert!(
+            prose.contains(want.as_str()),
+            "README should read \"{want}\""
+        );
+    }
 }

@@ -13,8 +13,11 @@
 //! Used by both the beam decoder ([`crate::decode::beam`]) and the ML
 //! decoder ([`crate::decode::ml`]).
 
-use crate::expand::EXPAND_SALT;
+use crate::decode::cost::CostModel;
+use crate::decode::select::cost_key;
+use crate::expand::{read_window, window_straddles, EXPAND_SALT};
 use crate::hash::SpineHash;
+use crate::map::Mapper;
 
 /// How one observation's symbol bits sit inside the level's block cache.
 #[derive(Clone, Copy, Debug)]
@@ -172,24 +175,63 @@ pub(crate) fn plan_packed_level(
     true
 }
 
-/// Reads one observation's symbol bits for sibling `c` out of a
-/// block-major cache filled by [`fill_blocks_for_spines`] over `n`
-/// spines. Bit-identical to [`read_obs`] on a per-spine cache.
-#[inline]
-pub(crate) fn read_obs_strided(blocks: &[u64], n: usize, c: usize, r: &ObsRead) -> u64 {
-    crate::expand::read_window(
-        blocks[r.lo as usize * n + c],
-        blocks[r.hi as usize * n + c],
-        r.offset,
-        r.count,
-    )
+/// Scores one parent's child row against a level, observation-major:
+/// child `c`'s cost starts at `parent_cost`, and each observation in
+/// turn reads its symbol bits for every child of the row out of the
+/// block-major cache filled by [`fill_blocks_for_spines`], maps them and
+/// adds its branch cost; then `out_keys[c]` becomes the cost's key.
+/// The key slots double as the row's `f64` accumulator (as raw bits), so
+/// scoring needs no buffer of its own.
+///
+/// Each child gets the same IEEE-754 operations in the same order as a
+/// child-at-a-time loop (parent cost, then observation 0, 1, …; Rust
+/// never contracts to FMA or reassociates), so the keys are
+/// bit-identical to it — only the loop order across children changes,
+/// which lets each observation's map + cost run in SIMD lanes. The
+/// kernel tiers compile this one body per instruction set
+/// ([`crate::kernels::row_costs`]).
+#[inline(always)]
+pub(crate) fn score_row<M: Mapper, C: CostModel<M::Symbol>>(
+    mapper: &M,
+    cost: &C,
+    blocks: &[u64],
+    reads: &[ObsRead],
+    level_obs: &[(u32, M::Symbol)],
+    parent_cost: f64,
+    out_keys: &mut [u64],
+) {
+    let n = out_keys.len();
+    out_keys.fill(parent_cost.to_bits());
+    for (r, &(_, observed)) in reads.iter().zip(level_obs) {
+        let (offset, count) = (r.offset, r.count);
+        let lo = &blocks[r.lo as usize * n..][..n];
+        let add = |acc: &mut u64, bits: u64| {
+            let sum = f64::from_bits(*acc) + cost.cost(observed, mapper.map(bits));
+            *acc = sum.to_bits();
+        };
+        // One loop per window shape: inside each, `read_window`'s own
+        // straddle test is already decided, so the body is branch-free.
+        if window_straddles(offset, count) {
+            let hi = &blocks[r.hi as usize * n..][..n];
+            for ((acc, &b0), &b1) in out_keys.iter_mut().zip(lo).zip(hi) {
+                add(acc, read_window(b0, b1, offset, count));
+            }
+        } else {
+            for (acc, &b0) in out_keys.iter_mut().zip(lo) {
+                add(acc, read_window(b0, b0, offset, count));
+            }
+        }
+    }
+    for k in out_keys.iter_mut() {
+        *k = cost_key(f64::from_bits(*k));
+    }
 }
 
 /// Reads one observation's symbol bits out of the filled block cache.
 /// Bit-identical to [`crate::expand::expand_bits`] over the same stream.
 #[inline]
 pub(crate) fn read_obs(blocks: &[u64], r: &ObsRead) -> u64 {
-    crate::expand::read_window(
+    read_window(
         blocks[r.lo as usize],
         blocks[r.hi as usize],
         r.offset,
@@ -268,8 +310,10 @@ mod tests {
         fill_blocks_for_spines(&h, &spines, &ids, &mut run);
         for (c, &spine) in spines.iter().enumerate() {
             for (r, &pass) in reads.iter().zip(&passes) {
+                let n = spines.len();
+                let (b0, b1) = (run[r.lo as usize * n + c], run[r.hi as usize * n + c]);
                 assert_eq!(
-                    read_obs_strided(&run, spines.len(), c, r),
+                    read_window(b0, b1, r.offset, r.count),
                     symbol_bits(&h, spine, pass, bps),
                     "spine {c} pass {pass}"
                 );

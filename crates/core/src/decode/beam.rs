@@ -45,9 +45,11 @@
 //!   float, and the redundant 8-byte cost mirror PRs 1–5 carried per
 //!   child is gone from the store bandwidth. Costs are materialized
 //!   (via the exact inverse [`crate::decode::select::key_cost`]) only at
-//!   the finish boundary. The expansion loop walks flat slices with no
-//!   branching beyond the observation loop, which the vectorizer and
-//!   prefetcher both like.
+//!   the finish boundary. The expansion loop walks flat slices a child
+//!   row at a time and scores each row observation-major
+//!   ([`crate::kernels`]' row scoring), so each observation's map + cost
+//!   runs in SIMD lanes across the row's children, bit-identical to
+//!   scoring one child at a time.
 //! * **Reusable scratch.** All working memory lives in a
 //!   [`DecoderScratch`] that survives across levels *and* across decode
 //!   attempts. [`BeamDecoder::decode_into`] additionally reuses the
@@ -565,7 +567,7 @@ pub struct BeamDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> {
     mapper: M,
     cost: C,
     config: BeamConfig,
-    /// SIMD tier for the integer kernels, resolved once at construction
+    /// SIMD tier for the kernels, resolved once at construction
     /// (feature detection is cached but still an atomic load; the hot
     /// path reads a field instead).
     kernel_dispatch: KernelDispatch,
@@ -606,16 +608,16 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         &self.config
     }
 
-    /// The SIMD tier this decoder's integer kernels run on (also
+    /// The SIMD tier this decoder's kernels run on (also
     /// reported per decode in [`DecodeStats::kernel_dispatch`]).
     pub fn kernel_dispatch(&self) -> KernelDispatch {
         self.kernel_dispatch
     }
 
-    /// Pins the integer kernels to a specific SIMD tier. Every tier is
-    /// **bit-identical** (the point of integer kernels); this is the
-    /// override the benches and the CI scalar-equivalence self-check
-    /// use. Tiers the CPU cannot execute silently fall back to scalar.
+    /// Pins the kernels to a specific SIMD tier. Every tier is
+    /// **bit-identical** (see [`crate::kernels`]); this is the override
+    /// the benches and the CI scalar-equivalence self-check use. Tiers
+    /// the CPU cannot execute silently fall back to scalar.
     pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
         self.kernel_dispatch = dispatch;
         self
@@ -1406,9 +1408,10 @@ fn select_into(
 /// parent's whole child row is spine-hashed in one
 /// [`SpineHash::hash_batch_fixed_state`] sweep (directly into the output
 /// spine row), the row's expansion blocks are filled block-major by
-/// [`batch::fill_blocks_for_spines`] into `blocks`, and only the
-/// per-observation cost accumulation runs per child. Output slices hold
-/// exactly the level's children.
+/// [`batch::fill_blocks_for_spines`] into `blocks`, and the row is
+/// scored from that cache in one kernel call (packed collapse on bit
+/// channels, observation-major row scoring otherwise). Output slices
+/// hold exactly the level's children.
 #[allow(clippy::too_many_arguments)]
 fn expand_level<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
     hash: &H,
@@ -1473,14 +1476,12 @@ fn expand_level<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
                 // per-observation loop's.
                 kernels::packed_row_costs(dispatch, blocks, level_branch, packed, pcost, row_k);
             } else {
-                for (c, slot_k) in row_k.iter_mut().enumerate() {
-                    let mut acc = pcost;
-                    for (r, &(_, observed)) in reads.iter().zip(level_obs) {
-                        let hyp = mapper.map(batch::read_obs_strided(blocks, level_branch, c, r));
-                        acc += cost.cost(observed, hyp);
-                    }
-                    *slot_k = cost_key(acc);
-                }
+                // Generic path: observation-major over the row, so each
+                // observation's map + cost runs in SIMD lanes across
+                // the children (bit-identical per child).
+                kernels::row_costs(
+                    dispatch, mapper, cost, blocks, reads, level_obs, pcost, row_k,
+                );
             }
         }
         row_p.fill(parent_idx);

@@ -127,7 +127,7 @@ pub struct DecodeStats {
     /// `false` if the search was cut short by a resource cap (the ML
     /// decoder's node budget); the result is then best-effort.
     pub complete: bool,
-    /// The SIMD tier the integer kernels ran on (diagnostic: every tier
+    /// The SIMD tier the kernels ran on (diagnostic: every tier
     /// is bit-identical, see [`crate::kernels`]). The reference decoder
     /// always reports [`KernelDispatch::Scalar`].
     pub kernel_dispatch: KernelDispatch,

@@ -1,17 +1,23 @@
 //! Runtime-dispatched SIMD kernels for the decode hot loops.
 //!
-//! The two innermost loops of the beam decoder — the batched spine-hash
-//! sweeps ([`crate::hash`]) and the per-block XOR+popcount mask collapse
-//! on packed-bit channels ([`crate::decode::beam`]) — are pure integer
-//! arithmetic, so a vectorized implementation is **bit-identical** to
-//! the scalar one by construction: wrapping adds, shifts, XORs and
-//! popcounts have exactly one answer. This module selects the widest
-//! kernel the running CPU supports *at runtime* (`std::arch` feature
-//! detection; no compile-time `target-cpu` flags needed) and falls back
-//! to the scalar paths everywhere else.
+//! Three inner loops of the beam decoder run here. Two are pure integer
+//! arithmetic — the batched spine-hash sweeps ([`crate::hash`]) and the
+//! per-block XOR+popcount mask collapse on packed-bit channels
+//! ([`crate::decode::beam`]) — so a vectorized implementation is
+//! **bit-identical** to the scalar one by construction: wrapping adds,
+//! shifts, XORs and popcounts have exactly one answer. The third, the
+//! generic row scoring (`row_costs`), is floating point: one safe
+//! body that runs the same IEEE-754 operations per child in the same
+//! order on every tier (no FMA contraction, no reassociation), so it is
+//! bit-identical too; only which children share an instruction differs.
+//! This module selects the widest kernel the running CPU supports *at
+//! runtime* (`std::arch` feature detection; no compile-time
+//! `target-cpu` flags needed) and falls back to the scalar paths
+//! everywhere else.
 //!
 //! | kernel | AVX2 (x86_64) | SSE2 (x86_64) | NEON (aarch64) | scalar |
 //! |---|---|---|---|---|
+//! | row scoring (generic costs) | 4 children/vector | baseline body | baseline body | baseline body |
 //! | packed-bit mask collapse | 4 children/iter | 2 children/iter | 2 children/iter | ✓ |
 //! | `lookup3` batch lanes | 8 lanes | — | — | 4-lane ILP |
 //! | `one-at-a-time` batch lanes | 8 lanes | — | — | 4-lane ILP |
@@ -19,7 +25,9 @@
 //!
 //! ("—" means that tier uses the scalar 4-lane ILP kernel; SipHash-2-4
 //! stays scalar everywhere: its 64-bit rotate chain gains little below
-//! AVX-512.)
+//! AVX-512. "Baseline body" is the row-scoring body compiled for the
+//! build's baseline target, which the compiler vectorizes with SSE2 or
+//! NEON.)
 //!
 //! The chosen tier is reported in
 //! [`DecodeStats::kernel_dispatch`](crate::decode::DecodeStats) and the
@@ -29,12 +37,15 @@
 //! [`crate::hash`].
 //!
 //! This is the only module in the crate allowed to contain `unsafe`
-//! (the crate is `#![deny(unsafe_code)]`): all of it is `core::arch`
-//! intrinsic calls behind runtime feature checks, with slice bounds
+//! (the crate is `#![deny(unsafe_code)]`): all of it is calls into
+//! `#[target_feature]` functions — `core::arch` intrinsics or the safe
+//! row-scoring body — behind runtime feature checks, with slice bounds
 //! handled by the safe wrappers in this file.
 
-use crate::decode::batch::PackedMask;
+use crate::decode::batch::{self, ObsRead, PackedMask};
+use crate::decode::cost::CostModel;
 use crate::decode::select::cost_key;
+use crate::map::Mapper;
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -42,7 +53,7 @@ mod x86;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
-/// Which SIMD tier a decode ran its integer kernels on. Every tier is
+/// Which SIMD tier a decode ran its kernels on. Every tier is
 /// bit-identical; the variant is diagnostic (reported in
 /// [`DecodeStats`](crate::decode::DecodeStats) and the bench JSON) and a
 /// bench/test override point
@@ -189,6 +200,48 @@ fn packed_rows_scalar(
         }
         *slot_k = cost_key(parent_cost + f64::from(errs));
     }
+}
+
+/// Scores one expansion row's generic (non-packed) level cost into
+/// `out_keys`: [`batch::score_row`]'s observation-major loop, compiled
+/// for the AVX2 tier when the dispatch selects it and for the build's
+/// baseline otherwise (scalar, SSE2 and NEON run that one body). Every
+/// tier executes the same IEEE-754 operations per child in the same
+/// order, so the keys are bit-identical across tiers.
+#[allow(clippy::too_many_arguments, unused_variables)]
+pub(crate) fn row_costs<M: Mapper, C: CostModel<M::Symbol>>(
+    dispatch: KernelDispatch,
+    mapper: &M,
+    cost: &C,
+    blocks: &[u64],
+    reads: &[ObsRead],
+    level_obs: &[(u32, M::Symbol)],
+    parent_cost: f64,
+    out_keys: &mut [u64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if dispatch == KernelDispatch::Avx2
+        && x86::row_costs_avx2(
+            mapper,
+            cost,
+            blocks,
+            reads,
+            level_obs,
+            parent_cost,
+            out_keys,
+        )
+    {
+        return;
+    }
+    batch::score_row(
+        mapper,
+        cost,
+        blocks,
+        reads,
+        level_obs,
+        parent_cost,
+        out_keys,
+    );
 }
 
 /// `lookup3` element-wise batch (`out[i] = hash(states[i], segments[i])`)
@@ -350,6 +403,9 @@ pub(crate) fn splitmix_fixed_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::AwgnCost;
+    use crate::map::LinearMapper;
+    use crate::symbol::IqSymbol;
     use proptest::prelude::*;
 
     fn masks_from(pairs: &[(u32, u64, u64)]) -> Vec<PackedMask> {
@@ -411,6 +467,31 @@ mod tests {
         }
     }
 
+    /// The child-at-a-time reference for [`row_costs`]: each child's
+    /// cost accumulated observation by observation, its windows read
+    /// from the row's block-major cache gathered back into a per-child
+    /// one.
+    fn child_major_keys(
+        mapper: &LinearMapper,
+        blocks: &[u64],
+        n: usize,
+        reads: &[ObsRead],
+        level_obs: &[(u32, IqSymbol)],
+        parent_cost: f64,
+    ) -> Vec<u64> {
+        let n_blocks = blocks.len() / n;
+        (0..n)
+            .map(|c| {
+                let own: Vec<u64> = (0..n_blocks).map(|b| blocks[b * n + c]).collect();
+                let mut acc = parent_cost;
+                for (r, &(_, observed)) in reads.iter().zip(level_obs) {
+                    acc += AwgnCost.cost(observed, mapper.map(batch::read_obs(&own, r)));
+                }
+                cost_key(acc)
+            })
+            .collect()
+    }
+
     #[test]
     fn detect_is_supported_and_stable() {
         let d = KernelDispatch::detect();
@@ -421,6 +502,45 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Observation-major row scoring equals the child-major loop bit
+        /// for bit on every tier: rows of 2–64 children, 1–4
+        /// observations (repeated passes included), symbol widths whose
+        /// reads straddle blocks (`c = 10`) or align (`c = 8`), random
+        /// received points and parent costs.
+        #[test]
+        fn prop_row_costs_tiers_match_child_major(
+            c in 2u32..=16,
+            k in 1u32..=6,
+            passes in proptest::collection::vec(0u32..12, 1..=4),
+            parent in 0.0f64..500.0,
+            salt in any::<u64>(),
+            noise in any::<u64>(),
+        ) {
+            let mapper = LinearMapper::new(c);
+            let n = 1usize << k;
+            let (mut block_ids, mut reads) = (Vec::new(), Vec::new());
+            batch::plan_level(passes.iter().copied(), mapper.bits_per_symbol(), &mut block_ids, &mut reads);
+            let blocks: Vec<u64> = (0..(block_ids.len() * n) as u64)
+                .map(|i| (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left((i % 61) as u32))
+                .collect();
+            let level_obs: Vec<(u32, IqSymbol)> = passes
+                .iter()
+                .enumerate()
+                .map(|(j, &pass)| {
+                    let z = noise.rotate_left(13 * j as u32);
+                    let jitter = |w: u64| (w & 0xffff) as f64 / 65536.0 - 0.5;
+                    let hyp = mapper.map(z >> 7);
+                    (pass, IqSymbol::new(hyp.i + jitter(z), hyp.q + jitter(z >> 16)))
+                })
+                .collect();
+            let want = child_major_keys(&mapper, &blocks, n, &reads, &level_obs, parent);
+            for tier in KernelDispatch::supported() {
+                let mut keys = vec![0u64; n];
+                row_costs(tier, &mapper, &AwgnCost, &blocks, &reads, &level_obs, parent, &mut keys);
+                prop_assert_eq!(&keys, &want);
+            }
+        }
 
         /// Random blocks/masks/widths: all tiers agree bit-for-bit.
         #[test]

@@ -1,10 +1,12 @@
 //! x86_64 kernels: AVX2 (runtime-detected) and SSE2 (baseline).
 //!
-//! Everything here is integer arithmetic — wrapping adds/subs, shifts,
-//! XORs, byte shuffles and popcounts — so each kernel is bit-identical
-//! to its scalar counterpart by construction; the property tests in
-//! [`super`] and [`crate::hash`] pin that on every machine the suite
-//! runs on.
+//! The intrinsic kernels here are integer arithmetic — wrapping
+//! adds/subs, shifts, XORs, byte shuffles and popcounts — so each is
+//! bit-identical to its scalar counterpart by construction. The AVX2
+//! row scorer is no intrinsic code at all: it recompiles the safe
+//! row-scoring body for AVX2, the same float operations per child in
+//! the same order. The property tests in [`super`] and [`crate::hash`]
+//! pin all of it on every machine the suite runs on.
 //!
 //! Safety model: the only `unsafe` operations are (a) calling
 //! `#[target_feature(enable = "avx2")]` functions, done strictly after
@@ -14,10 +16,72 @@
 
 #![allow(unsafe_code)]
 
-use crate::decode::batch::PackedMask;
+use crate::decode::batch::{self, ObsRead, PackedMask};
+use crate::decode::cost::CostModel;
 use crate::decode::select::SIGN_FOLD;
+use crate::map::Mapper;
 
 use core::arch::x86_64::*;
+
+// ---------------------------------------------------------------------
+// Generic row scoring
+// ---------------------------------------------------------------------
+
+/// [`batch::score_row`] compiled for AVX2: the same safe body, so the
+/// same IEEE-754 operations per child, four children per vector.
+/// Returns `false` (scoring nothing) when the CPU lacks AVX2.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn row_costs_avx2<M: Mapper, C: CostModel<M::Symbol>>(
+    mapper: &M,
+    cost: &C,
+    blocks: &[u64],
+    reads: &[ObsRead],
+    level_obs: &[(u32, M::Symbol)],
+    parent_cost: f64,
+    out_keys: &mut [u64],
+) -> bool {
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        return false;
+    }
+    // SAFETY: AVX2 checked above; the body is safe code.
+    unsafe {
+        row_costs_avx2_inner(
+            mapper,
+            cost,
+            blocks,
+            reads,
+            level_obs,
+            parent_cost,
+            out_keys,
+        )
+    };
+    true
+}
+
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn row_costs_avx2_inner<M: Mapper, C: CostModel<M::Symbol>>(
+    mapper: &M,
+    cost: &C,
+    blocks: &[u64],
+    reads: &[ObsRead],
+    level_obs: &[(u32, M::Symbol)],
+    parent_cost: f64,
+    out_keys: &mut [u64],
+) {
+    batch::score_row(
+        mapper,
+        cost,
+        blocks,
+        reads,
+        level_obs,
+        parent_cost,
+        out_keys,
+    );
+}
 
 // ---------------------------------------------------------------------
 // Packed-bit mask collapse

@@ -130,15 +130,16 @@ impl LinearMapper {
         self.p_star
     }
 
+    /// One Eq. 3 coordinate, branch-free so the beam decoder's row loop
+    /// vectorizes: the sign bit is XOR-ed into the product's sign, which
+    /// is exactly `-1.0 · x` (a zero magnitude with its sign bit set
+    /// still gives `-0.0`), and the magnitude converts through `u32`,
+    /// exact below 2^16.
     #[inline]
     fn map_dim(&self, bits: u64) -> f64 {
-        let sign = if (bits >> (self.c - 1)) & 1 == 1 {
-            -1.0
-        } else {
-            1.0
-        };
-        let mag_bits = bits & ((1u64 << (self.c - 1)) - 1);
-        sign * (mag_bits as f64 * self.scale)
+        let sign = (bits >> (self.c - 1)) & 1;
+        let mag = (bits & ((1u64 << (self.c - 1)) - 1)) as u32;
+        f64::from_bits((f64::from(mag) * self.scale).to_bits() ^ (sign << 63))
     }
 }
 
@@ -594,6 +595,42 @@ mod tests {
         // Zero magnitude maps to the origin regardless of sign.
         let z = m.map(0b100_000);
         assert_eq!(z, IqSymbol::new(0.0, 0.0));
+    }
+
+    /// The branch-free Eq. 3 map equals its literal sign-multiply form
+    /// `(−1)^s · m · scale`, bit for bit, on every input for every
+    /// `c ≤ 12` — including a zero magnitude with its sign bit set
+    /// (`-0.0`).
+    #[test]
+    fn linear_branch_free_matches_sign_multiply_exhaustive() {
+        for c in 2..=12u32 {
+            let m = LinearMapper::new(c);
+            let old_dim = |bits: u64| {
+                let sign = if (bits >> (c - 1)) & 1 == 1 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                sign * ((bits & ((1u64 << (c - 1)) - 1)) as f64 * m.scale)
+            };
+            let mask = (1u64 << c) - 1;
+            for bits in 0..1u64 << (2 * c) {
+                let s = m.map(bits);
+                assert_eq!(
+                    s.i.to_bits(),
+                    old_dim(bits >> c).to_bits(),
+                    "c={c} bits={bits:#x}"
+                );
+                assert_eq!(
+                    s.q.to_bits(),
+                    old_dim(bits & mask).to_bits(),
+                    "c={c} bits={bits:#x}"
+                );
+            }
+            let negative_zero = m.map(1 << (c - 1));
+            assert_eq!(negative_zero.q.to_bits(), (-0.0f64).to_bits(), "c={c}");
+            assert_eq!(negative_zero.i.to_bits(), 0.0f64.to_bits(), "c={c}");
+        }
     }
 
     #[test]

@@ -842,7 +842,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         &self.decoder
     }
 
-    /// The SIMD tier this session's attempts run their integer kernels
+    /// The SIMD tier this session's attempts run their kernels
     /// on (see [`crate::kernels`]). Every tier is bit-identical; mixed
     /// tiers across the sessions of a [`crate::sched::MultiDecoder`]
     /// are therefore safe — only per-attempt wall time differs.
