@@ -33,7 +33,7 @@
 //! Options: `--trials N` (measurement rounds, default 5), `--seed S`,
 //! `--quick`.
 
-use spinal_bench::{banner, RunArgs};
+use spinal_bench::{banner, time_interleaved, RunArgs};
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::bits::BitVec;
 use spinal_core::decode::{
@@ -48,8 +48,6 @@ use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent};
 use spinal_core::session::{Poll, RxConfig, RxSession};
 use spinal_core::symbol::Slot;
 use spinal_core::{frame::AnyTerminator, IqSymbol};
-use std::hint::black_box;
-use std::time::Instant;
 
 const MESSAGE_BITS: u32 = 128;
 const K: u32 = 4;
@@ -320,28 +318,6 @@ fn run_checkpointed_sessions(flows: &[Flow]) -> Vec<(u64, u32)> {
         }
     }
     out
-}
-
-/// Times the engines interleaved: after one warm-up sweep each, every
-/// round runs each engine once and each engine keeps its fastest round,
-/// so a slow phase of a shared host lands on all engines alike instead
-/// of on whichever happened to run through it.
-fn time_interleaved<const N: usize>(
-    rounds: u32,
-    mut engines: [&mut dyn FnMut() -> Vec<(u64, u32)>; N],
-) -> [f64; N] {
-    for f in &mut engines {
-        black_box(f());
-    }
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..rounds {
-        for (f, b) in engines.iter_mut().zip(&mut best) {
-            let start = Instant::now();
-            black_box(f());
-            *b = b.min(start.elapsed().as_secs_f64());
-        }
-    }
-    best
 }
 
 fn main() {

@@ -23,7 +23,8 @@
 //! `--quick`.
 
 use spinal_bench::{
-    banner, deep_first_grid, deep_first_grid_shaped, print_deep_first_grid, DeepFirstPoint, RunArgs,
+    banner, deep_first_grid, deep_first_grid_shaped, print_deep_first_grid, time_interleaved,
+    DeepFirstPoint, RunArgs,
 };
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::bits::BitVec;
@@ -37,8 +38,6 @@ use spinal_core::params::CodeParams;
 use spinal_core::puncture::{PunctureSchedule, StridedPuncture, SubpassOrder};
 use spinal_core::symbol::Slot;
 use spinal_core::IqSymbol;
-use std::hint::black_box;
-use std::time::Instant;
 
 const MESSAGE_BITS: u32 = 128;
 const K: u32 = 4;
@@ -53,6 +52,8 @@ const PASS_SYMBOLS: usize = (MESSAGE_BITS / K) as usize;
 const DELAYS: [usize; 4] = [1, 2, 4, 32];
 const STREAMS: usize = 8;
 const MAX_SYMBOLS: usize = 1600;
+
+type Dec = BeamDecoder<Lookup3, LinearMapper, AwgnCost>;
 
 struct Trial {
     message: BitVec,
@@ -72,6 +73,26 @@ struct Point {
     /// figure a multi-session memory budget accounts against, so the
     /// scheduler-priority claims are auditable from this artifact.
     checkpoint_bytes: usize,
+}
+
+/// One receiver's reusable buffers: each timed engine owns one, so the
+/// engines can be timed interleaved.
+struct Receiver {
+    obs: Observations<IqSymbol>,
+    ckpt: BeamCheckpoints,
+    scratch: DecoderScratch,
+    result: DecodeResult,
+}
+
+impl Receiver {
+    fn new(params: &CodeParams) -> Self {
+        Self {
+            obs: Observations::new(params.n_segments()),
+            ckpt: BeamCheckpoints::new(),
+            scratch: DecoderScratch::new(),
+            result: DecodeResult::default(),
+        }
+    }
 }
 
 /// One `(ordering, delay)` operating point of the checkpoint-aware
@@ -122,16 +143,13 @@ fn build_trials(seed: u64, sched: &StridedPuncture) -> (CodeParams, Vec<Trial>) 
 /// One full incremental session: ingest bursts of `delay` symbols,
 /// retry via checkpoint resumption, stop at genie acceptance. Returns
 /// symbols consumed.
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
-    dec: &BeamDecoder<Lookup3, LinearMapper, AwgnCost>,
-    trial: &Trial,
-    delay: usize,
-    obs: &mut Observations<IqSymbol>,
-    ckpt: &mut BeamCheckpoints,
-    scratch: &mut DecoderScratch,
-    result: &mut DecodeResult,
-) -> usize {
+fn run_incremental(dec: &Dec, trial: &Trial, delay: usize, rx: &mut Receiver) -> usize {
+    let Receiver {
+        obs,
+        ckpt,
+        scratch,
+        result,
+    } = rx;
     obs.clear();
     ckpt.reset();
     // The receiver's first attempt waits for one full pass (every level
@@ -160,14 +178,13 @@ fn run_incremental(
 }
 
 /// The identical attempt schedule, decoding from scratch each retry.
-fn run_scratch(
-    dec: &BeamDecoder<Lookup3, LinearMapper, AwgnCost>,
-    trial: &Trial,
-    delay: usize,
-    obs: &mut Observations<IqSymbol>,
-    scratch: &mut DecoderScratch,
-    result: &mut DecodeResult,
-) -> usize {
+fn run_scratch(dec: &Dec, trial: &Trial, delay: usize, rx: &mut Receiver) -> usize {
+    let Receiver {
+        obs,
+        scratch,
+        result,
+        ..
+    } = rx;
     obs.clear();
     for &(slot, y) in &trial.stream[..PASS_SYMBOLS] {
         obs.push(slot, y);
@@ -190,15 +207,15 @@ fn run_scratch(
     used
 }
 
-fn time_per_sweep(rounds: u32, f: &mut impl FnMut() -> usize) -> f64 {
-    black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+/// A receiver loop: [`run_incremental`] or [`run_scratch`].
+type Engine = fn(&Dec, &Trial, usize, &mut Receiver) -> usize;
+
+/// Symbols one engine consumes over every trial at one attempt interval.
+fn sweep(dec: &Dec, trials: &[Trial], delay: usize, rx: &mut Receiver, engine: Engine) -> usize {
+    trials
+        .iter()
+        .map(|trial| engine(dec, trial, delay, rx))
+        .sum()
 }
 
 fn main() {
@@ -221,10 +238,8 @@ fn main() {
     )
     .expect("valid decoder config");
 
-    let mut obs = Observations::new(params.n_segments());
-    let mut ckpt = BeamCheckpoints::new();
-    let mut scratch = DecoderScratch::new();
-    let mut result = DecodeResult::default();
+    let mut incr_rx = Receiver::new(&params);
+    let mut scratch_rx = Receiver::new(&params);
 
     println!(
         "{:>7} {:>18} {:>18} {:>8} {:>12} {:>14} {:>10}",
@@ -241,16 +256,8 @@ fn main() {
         // Bit-identity: both receivers must accept at the same symbol.
         let mut total_syms = 0usize;
         for trial in &trials {
-            let a = run_incremental(
-                &dec,
-                trial,
-                delay,
-                &mut obs,
-                &mut ckpt,
-                &mut scratch,
-                &mut result,
-            );
-            let b = run_scratch(&dec, trial, delay, &mut obs, &mut scratch, &mut result);
+            let a = run_incremental(&dec, trial, delay, &mut incr_rx);
+            let b = run_scratch(&dec, trial, delay, &mut scratch_rx);
             assert_eq!(a, b, "engines must accept at the same symbol (d={delay})");
             assert!(
                 a < MAX_SYMBOLS,
@@ -259,45 +266,19 @@ fn main() {
             total_syms += a;
         }
         // Resumption fraction measured on a fresh checkpoint sweep.
-        let mut frac_ckpt = BeamCheckpoints::new();
-        for trial in &trials {
-            run_incremental(
-                &dec,
-                trial,
-                delay,
-                &mut obs,
-                &mut frac_ckpt,
-                &mut scratch,
-                &mut result,
-            );
-        }
-        let resumed = frac_ckpt.levels_resumed() as f64;
-        let run = frac_ckpt.levels_run() as f64;
+        let mut frac = Receiver::new(&params);
+        sweep(&dec, &trials, delay, &mut frac, run_incremental);
+        let resumed = frac.ckpt.levels_resumed() as f64;
+        let run = frac.ckpt.levels_run() as f64;
 
-        let mut incr = || {
-            let mut acc = 0;
-            for trial in &trials {
-                acc += run_incremental(
-                    &dec,
-                    trial,
-                    delay,
-                    &mut obs,
-                    &mut ckpt,
-                    &mut scratch,
-                    &mut result,
-                );
-            }
-            acc
-        };
-        let incr_secs = time_per_sweep(rounds, &mut incr) / STREAMS as f64;
-        let mut scr = || {
-            let mut acc = 0;
-            for trial in &trials {
-                acc += run_scratch(&dec, trial, delay, &mut obs, &mut scratch, &mut result);
-            }
-            acc
-        };
-        let scr_secs = time_per_sweep(rounds, &mut scr) / STREAMS as f64;
+        let [incr_secs, scr_secs] = time_interleaved(
+            rounds,
+            [
+                &mut || sweep(&dec, &trials, delay, &mut incr_rx, run_incremental),
+                &mut || sweep(&dec, &trials, delay, &mut scratch_rx, run_scratch),
+            ],
+        )
+        .map(|secs| secs / STREAMS as f64);
 
         let point = Point {
             delay,
@@ -306,7 +287,7 @@ fn main() {
             speedup: scr_secs / incr_secs,
             mean_symbols_to_decode: total_syms as f64 / STREAMS as f64,
             levels_resumed_fraction: resumed / (resumed + run),
-            checkpoint_bytes: frac_ckpt.memory_bytes(),
+            checkpoint_bytes: frac.ckpt.memory_bytes(),
         };
         println!(
             "{:>7} {:>18.1} {:>18.1} {:>7.2}x {:>12.1} {:>13.1}% {:>10.1}",
@@ -323,54 +304,44 @@ fn main() {
 
     // Checkpoint-aware puncturing probe (ROADMAP): does a deep-first
     // sub-pass ordering make retries cheaper without costing coverage?
+    // Both orderings' trials are built up front so each interval times
+    // the two interleaved.
     println!("# puncturing probe: bit-reversed vs deep-first sub-pass ordering");
     println!(
         "{:>14} {:>7} {:>14} {:>12} {:>14}",
         "ordering", "delay", "sessions/s", "mean syms", "lvls resumed"
     );
-    let mut probe = Vec::new();
-    for (name, ordering) in [
+    let mut orderings = [
         ("bit-reversed", SubpassOrder::BitReversed),
         ("deep-first", SubpassOrder::DeepFirst),
-    ] {
+    ]
+    .map(|(name, ordering)| {
         let sched = StridedPuncture::with_order(8, ordering).expect("valid stride");
-        let (_, trials) = build_trials(args.seed, &sched);
-        for delay in [1usize, 4] {
-            let mut frac_ckpt = BeamCheckpoints::new();
-            let mut total_syms = 0usize;
-            for trial in &trials {
-                total_syms += run_incremental(
-                    &dec,
-                    trial,
-                    delay,
-                    &mut obs,
-                    &mut frac_ckpt,
-                    &mut scratch,
-                    &mut result,
-                );
-            }
-            let resumed = frac_ckpt.levels_resumed() as f64;
-            let run = frac_ckpt.levels_run() as f64;
-            let mut sweep = || {
-                let mut acc = 0;
-                for trial in &trials {
-                    acc += run_incremental(
-                        &dec,
-                        trial,
-                        delay,
-                        &mut obs,
-                        &mut ckpt,
-                        &mut scratch,
-                        &mut result,
-                    );
-                }
-                acc
-            };
-            let secs = time_per_sweep(rounds, &mut sweep) / STREAMS as f64;
+        (
+            name,
+            build_trials(args.seed, &sched).1,
+            Receiver::new(&params),
+        )
+    });
+    let mut probe = Vec::new();
+    for delay in [1usize, 4] {
+        let [(_, br_trials, br_rx), (_, df_trials, df_rx)] = &mut orderings;
+        let secs = time_interleaved(
+            rounds,
+            [
+                &mut || sweep(&dec, br_trials, delay, br_rx, run_incremental),
+                &mut || sweep(&dec, df_trials, delay, df_rx, run_incremental),
+            ],
+        );
+        for ((name, trials, _), secs) in orderings.iter().zip(secs) {
+            let mut frac = Receiver::new(&params);
+            let total_syms = sweep(&dec, trials, delay, &mut frac, run_incremental);
+            let resumed = frac.ckpt.levels_resumed() as f64;
+            let run = frac.ckpt.levels_run() as f64;
             let p = ProbePoint {
                 ordering: name,
                 delay,
-                sessions_per_sec: 1.0 / secs,
+                sessions_per_sec: STREAMS as f64 / secs,
                 mean_symbols_to_decode: total_syms as f64 / STREAMS as f64,
                 levels_resumed_fraction: resumed / (resumed + run),
             };

@@ -113,6 +113,28 @@ pub fn best_time(rounds: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Times `engines` interleaved, in seconds per engine: after one
+/// warm-up call each, every round runs each engine once and each engine
+/// keeps its fastest round, so a slow phase of a shared host lands on
+/// all engines alike instead of on whichever happened to run through it.
+pub fn time_interleaved<T, const N: usize>(
+    rounds: u32,
+    mut engines: [&mut dyn FnMut() -> T; N],
+) -> [f64; N] {
+    for f in &mut engines {
+        std::hint::black_box(f());
+    }
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (f, b) in engines.iter_mut().zip(&mut best) {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            *b = b.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
 /// The shared metadata header every `BENCH_*.json` artifact carries —
 /// benchmark name plus a `config` block with at least `seed` and
 /// `iters`. One definition so the artifacts cannot drift apart in

@@ -3,9 +3,10 @@
 //! (sessions/s rounded to integers, speedups to two decimals) and the
 //! checkpoint memory of the largest fleet are checked against
 //! `BENCH_multi_session.json`, and the `bench_session` paragraph's
-//! speedups, resumed-level share and checkpoint footprint against
-//! `BENCH_session.json`, so regenerating an artifact without rewriting
-//! its README figures fails here.
+//! speedups, resumed-level share and checkpoint footprint, and each row
+//! of its puncturing-probe table, against `BENCH_session.json`, so
+//! regenerating an artifact without rewriting its README figures fails
+//! here.
 
 use std::path::Path;
 
@@ -41,27 +42,10 @@ fn readme_multi_session_table_matches_its_artifact() {
         .collect();
     assert!(!points.is_empty(), "the artifact lists no points");
 
-    let header =
-        "| sessions | scheduler s/s | one-at-a-time s/s | speedup | vs checkpointed solo |";
-    let at = readme
-        .find(header)
-        .expect("README has the multi-session table");
-    let rows: Vec<Vec<String>> = readme[at..]
-        .lines()
-        .skip(2)
-        .take_while(|l| l.starts_with('|'))
-        .map(|l| {
-            l.trim_matches('|')
-                .split('|')
-                .map(|cell| {
-                    cell.trim()
-                        .trim_matches('*')
-                        .trim_end_matches('×')
-                        .to_string()
-                })
-                .collect()
-        })
-        .collect();
+    let rows = table_rows(
+        &readme,
+        "| sessions | scheduler s/s | one-at-a-time s/s | speedup | vs checkpointed solo |",
+    );
     assert_eq!(
         rows.len(),
         points.len(),
@@ -91,6 +75,30 @@ fn readme_multi_session_table_matches_its_artifact() {
         readme_prose().contains(&memory),
         "README should read \"{memory}\""
     );
+}
+
+/// The body rows of the README table under `header`, each cell trimmed
+/// of bold markers and a trailing unit (`×`, `%`).
+fn table_rows(readme: &str, header: &str) -> Vec<Vec<String>> {
+    let at = readme
+        .find(header)
+        .unwrap_or_else(|| panic!("README has no table headed {header}"));
+    readme[at..]
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(|cell| {
+                    cell.trim()
+                        .trim_matches('*')
+                        .trim_end_matches(['×', '%'])
+                        .to_string()
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// One whitespace-normalized string of the README, so a figure may wrap
@@ -135,6 +143,41 @@ fn readme_session_paragraph_matches_its_artifact() {
         assert!(
             prose.contains(want.as_str()),
             "README should read \"{want}\""
+        );
+    }
+}
+
+#[test]
+fn readme_puncturing_probe_matches_its_artifact() {
+    let artifact = repo_file("BENCH_session.json");
+    let probes = artifact
+        .lines()
+        .filter(|l| l.contains("\"ordering\": "))
+        .count();
+    let rows = table_rows(
+        &repo_file("README.md"),
+        "| ordering | attempt interval | sessions/s | mean symbols | levels resumed |",
+    );
+    assert_eq!(rows.len(), probes, "one README row per probe point");
+    for row in &rows {
+        let key = format!(
+            "\"ordering\": \"{}\", \"attempt_interval_symbols\": {},",
+            row[0], row[1]
+        );
+        let p = artifact
+            .lines()
+            .find(|l| l.contains(&key))
+            .unwrap_or_else(|| panic!("no probe point for README row {row:?}"));
+        let want = vec![
+            row[0].clone(),
+            row[1].clone(),
+            format!("{:.0}", field(p, "sessions_per_sec")),
+            format!("{:.1}", field(p, "mean_symbols_to_decode")),
+            format!("{:.1}", 100.0 * field(p, "levels_resumed_fraction")),
+        ];
+        assert_eq!(
+            row, &want,
+            "README probe row disagrees with BENCH_session.json"
         );
     }
 }

@@ -410,7 +410,7 @@ impl BeamCheckpoints {
     }
 
     /// [`reset`](Self::reset) that also returns every buffer's memory to
-    /// the allocator — the multi-session pool frees a quarantined
+    /// the allocator — the multi-session pool frees an abandoned
     /// session's store this way. A released store decodes from scratch
     /// on its next retry (bit-identical results, more work) and re-warms
     /// its buffers only if it keeps running.

@@ -226,8 +226,9 @@ pub enum SpinalError {
         /// The configured admission ceiling.
         max_sessions: usize,
     },
-    /// The session exhausted its per-session attempt ceiling on input
-    /// that never decodes and was quarantined by the pool; remove it to
+    /// Ingest into an abandoned session: it reached the pool's
+    /// per-session attempt ceiling on input that never decodes
+    /// ([`crate::session::RxSession::is_abandoned`]); remove it to
     /// reclaim the slot.
     SessionQuarantined,
     /// A count parameter that must be at least one (sender windows,
@@ -320,7 +321,7 @@ impl std::fmt::Display for SpinalError {
             ),
             SpinalError::SessionQuarantined => write!(
                 f,
-                "session was abandoned at its attempt ceiling and quarantined; remove it to reclaim the slot"
+                "session was abandoned at its attempt ceiling; remove it to reclaim the slot"
             ),
             SpinalError::AtLeastOne { name, value } => {
                 write!(f, "{name} must be at least one, got {value}")

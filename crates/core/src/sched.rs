@@ -25,31 +25,23 @@
 //! slot also carries across attempts, so consecutive same-shape
 //! attempts whose levels see the same pass list skip the rebuild.
 //!
-//! # Scheduling policy: deadline-driven drives
+//! # Scheduling policy: every due attempt runs
 //!
 //! [`ingest`](MultiDecoder::ingest) only *absorbs* symbols; attempts run
-//! at the next [`drive_into`](MultiDecoder::drive_into). Each drive has
-//! a **work budget** in tree nodes expanded
-//! ([`MultiConfig::work_budget`], or a one-off budget via
-//! [`MultiDecoder::drive_until`]) — the deadline knob, since nodes are
-//! the unit of decode wall time: one level may cost `2^k` nodes or the
-//! whole frontier cap. An attempt's price is exact before it runs: the
-//! decoder walks its frontier arithmetic, without expanding anything,
-//! from the level it resumes at (the lower of its dirty depth and
-//! [`BeamCheckpoints::valid_levels`](crate::decode::BeamCheckpoints::valid_levels)).
-//! The pool serves the **cheapest attempts first** until the budget is
-//! spent, and defers the rest with a [`SessionOutcome::Deferred`] event
-//! and an aging escape hatch: a session deferred for more than a few
-//! drives is served regardless of cost, so no session starves under a
-//! saturating load.
+//! at the next [`drive_into`](MultiDecoder::drive_into), which runs
+//! every due attempt. Whether an attempt is due is the session's own
+//! call — its thinning schedule and, under
+//! [`RxConfig::exact_attempts`](crate::session::RxConfig::exact_attempts),
+//! whether the attempt fits — so the pool adds no order or budget of
+//! its own.
 //!
 //! Two protections bound the damage any one flow can do: **admission
 //! control** ([`MultiConfig::max_sessions`]) rejects inserts beyond a
 //! resident ceiling, and the **per-session attempt ceiling**
 //! ([`MultiConfig::max_session_attempts`]) abandons sessions that keep
 //! exhausting attempts on garbage input — the abandoned session is
-//! quarantined (never scheduled again, ingest rejected with
-//! [`SpinalError::SessionQuarantined`]) until removed.
+//! never scheduled again and rejects ingest with
+//! [`SpinalError::SessionQuarantined`] until removed.
 //!
 //! # Shedding
 //!
@@ -64,8 +56,7 @@
 //! For every session, the poll events a drive emits are a pure function
 //! of the symbols ingested between drives — identical to calling
 //! [`RxSession::ingest`] with the same symbols coalesced per drive, and
-//! therefore independent of attempt ordering and of the work budget.
-//! Only latency is policy; results never are.
+//! therefore independent of the order attempts run in.
 //!
 //! # Example
 //!
@@ -115,30 +106,14 @@ use crate::puncture::PunctureSchedule;
 use crate::session::{Poll, RxSession};
 use crate::symbol::Slot;
 
-/// Drives a session waits before aging lifts it over the
-/// cheapest-first policy (the starvation bound: no due attempt is
-/// deferred more than this many drives beyond the backlog's length).
-const AGING_ROUNDS: u64 = 4;
-
 /// Pool-level resource configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultiConfig {
-    /// Work one drive may spend, counted in tree nodes expanded (each
-    /// served attempt priced exactly, before it runs, from its resume
-    /// level) — the deadline knob: nodes are the unit of decode wall
-    /// time, so a latency target translates directly into a node
-    /// budget. Due attempts beyond the budget are deferred with a
-    /// [`SessionOutcome::Deferred`] event (cheapest retries and aged
-    /// sessions first; at least one attempt always runs, so a drive
-    /// always makes progress). `u64::MAX` (the default) runs every due
-    /// attempt, which keeps the pool's polls bit-identical to solo
-    /// sessions. [`MultiDecoder::drive_until`] overrides it per drive.
-    pub work_budget: u64,
     /// Per-session decode-attempt ceiling — the paper's §3 "too much
     /// time has been spent" escape hatch promoted into the pool. A
     /// session whose attempt would exceed it is abandoned
-    /// ([`SessionOutcome::Abandoned`]) and quarantined: it stops being
-    /// scheduled, its checkpoints are freed, and further
+    /// ([`SessionOutcome::Abandoned`]): it stops being scheduled, its
+    /// checkpoints are freed, and further
     /// [`ingest`](MultiDecoder::ingest) calls return
     /// [`SpinalError::SessionQuarantined`] until it is removed.
     /// `u32::MAX` (the default) disables the ceiling.
@@ -158,7 +133,6 @@ pub struct MultiConfig {
 impl Default for MultiConfig {
     fn default() -> Self {
         Self {
-            work_budget: u64::MAX,
             max_session_attempts: u32::MAX,
             max_sessions: usize::MAX,
             detach_ttl: u64::MAX,
@@ -188,22 +162,12 @@ impl SessionId {
 /// What a drive concluded for one session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionOutcome {
-    /// An attempt (or budget check) ran: the same [`Poll`] a solo
+    /// An attempt (or symbol-budget check) ran: the same [`Poll`] a solo
     /// [`RxSession::ingest`] of the symbols absorbed since the previous
     /// drive would have returned.
     Poll(Poll),
-    /// The session's due attempt was shed by this drive's work budget;
-    /// it stays due and ages toward priority service. Purely
-    /// informational — latency policy, never a result.
-    Deferred {
-        /// Drives this attempt has been waiting since it became due.
-        waited: u64,
-        /// Tree nodes the deferred attempt would have expanded (its
-        /// cost under the budget).
-        nodes: u64,
-    },
     /// The session hit [`MultiConfig::max_session_attempts`] without
-    /// decoding and was quarantined: terminal, no payload. Emitted
+    /// decoding and was abandoned: terminal, no payload. Emitted
     /// exactly once; [`MultiDecoder::remove`] reclaims the slot.
     Abandoned {
         /// Decode attempts the session ran before giving up.
@@ -224,7 +188,7 @@ pub struct SessionEvent {
 
 impl SessionEvent {
     /// The [`Poll`] this event carries, if its outcome was a poll —
-    /// `None` for `Deferred`/`Abandoned` bookkeeping events.
+    /// `None` for an `Abandoned` event.
     pub fn poll(&self) -> Option<Poll> {
         match self.outcome {
             SessionOutcome::Poll(p) => Some(p),
@@ -242,13 +206,8 @@ impl SessionEvent {
 struct Managed<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> {
     rx: RxSession<H, M, C, P>,
     gen: u32,
-    /// Round its pending attempt became due (`u64::MAX` = not due).
-    due_since: u64,
     /// Symbols absorbed since the last emitted event.
     absorbed: usize,
-    /// Abandoned at the attempt ceiling: never scheduled again, ingest
-    /// rejected, waiting for [`MultiDecoder::remove`].
-    quarantined: bool,
 }
 
 /// A pool of live receiver sessions sharing one decoder core — see the
@@ -263,11 +222,8 @@ pub struct MultiDecoder<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Pun
     next_gen: Vec<u32>,
     live: usize,
     round: u64,
-    quarantined: u64,
-    /// Indices of the sessions selected for attempts this drive.
+    /// Indices of the sessions whose attempts run this drive.
     due: Vec<u32>,
-    /// Indices of due sessions shed by the work budget this drive.
-    deferred: Vec<u32>,
     /// The one scratch every attempt runs through.
     shared: DecoderScratch,
 }
@@ -292,9 +248,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             next_gen: Vec::new(),
             live: 0,
             round: 0,
-            quarantined: 0,
             due: Vec::new(),
-            deferred: Vec::new(),
             shared: DecoderScratch::new(),
         }
     }
@@ -317,21 +271,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
     /// Drives run so far.
     pub fn rounds(&self) -> u64 {
         self.round
-    }
-
-    /// Sessions abandoned at the attempt ceiling and quarantined so far
-    /// (lifetime count, not currently-resident count).
-    pub fn quarantines(&self) -> u64 {
-        self.quarantined
-    }
-
-    /// `true` when `id` names a quarantined session (abandoned at the
-    /// attempt ceiling, waiting for [`remove`](Self::remove)).
-    pub fn is_quarantined(&self, id: SessionId) -> bool {
-        matches!(
-            self.slots.get(id.index as usize),
-            Some(Some(m)) if m.gen == id.gen && m.quarantined
-        )
     }
 
     /// Removes the session with the highest predicted remaining cost
@@ -396,9 +335,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         self.slots[index as usize] = Some(Managed {
             rx,
             gen,
-            due_since: u64::MAX,
             absorbed: 0,
-            quarantined: false,
         });
         Ok(SessionId { index, gen })
     }
@@ -455,9 +392,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             .as_mut()
             .expect("resolved slot is live");
         m.rx.rebind(decoder);
-        m.due_since = u64::MAX;
         m.absorbed = 0;
-        m.quarantined = false;
         Ok(())
     }
 
@@ -477,7 +412,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         let m = self.slots[id.index as usize]
             .as_mut()
             .expect("resolved slot is live");
-        if m.quarantined {
+        if m.rx.is_abandoned() {
             return Err(SpinalError::SessionQuarantined);
         }
         let consumed = m.rx.absorb(symbols)?;
@@ -502,7 +437,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         let m = self.slots[id.index as usize]
             .as_mut()
             .expect("resolved slot is live");
-        if m.quarantined {
+        if m.rx.is_abandoned() {
             return Err(SpinalError::SessionQuarantined);
         }
         let consumed = m.rx.absorb_at(symbols)?;
@@ -510,120 +445,56 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
         Ok(())
     }
 
-    /// Runs the pool one scheduling round under the configured
-    /// [`MultiConfig::work_budget`]: selects due attempts (all of them
-    /// by default; cheapest-first with aging under a budget), abandons
-    /// sessions at their attempt ceiling, runs the selected attempts
-    /// whole, one after another in ascending slot order, through the
-    /// shared scratch, emits one
-    /// [`SessionEvent`] per session with activity — including
-    /// [`SessionOutcome::Deferred`] for shed attempts. `events` is
-    /// cleared first and reused.
+    /// Runs the pool one scheduling round: abandons sessions at their
+    /// attempt ceiling, runs every other due attempt whole, one after
+    /// another in ascending slot order, through the shared scratch, and
+    /// emits one [`SessionEvent`] per session with activity —
+    /// abandonments first, then the attempts in slot order, then the
+    /// polls of sessions that absorbed symbols but ran no attempt.
+    /// `events` is cleared first and reused.
     pub fn drive_into(&mut self, events: &mut Vec<SessionEvent>) {
-        self.drive_until_into(self.cfg.work_budget, events);
-    }
-
-    /// [`drive_into`](Self::drive_into) with a one-off work budget, in
-    /// tree nodes — the deadline-driven drive: serve due attempts
-    /// cheapest-first until `work_budget` nodes have been spent, defer
-    /// the rest with aging. At least one due attempt always runs
-    /// (otherwise a budget below the cheapest attempt would livelock
-    /// the pool), and an aged session (deferred ≥ a few drives) is
-    /// served before any cheap newcomer, so no session starves.
-    pub fn drive_until_into(&mut self, work_budget: u64, events: &mut Vec<SessionEvent>) {
         events.clear();
         self.round += 1;
-        let round = self.round;
         let ceiling = self.cfg.max_session_attempts;
 
-        // Select the attempts to run; abandon sessions over the
+        // Select the due attempts; abandon sessions over the
         // per-session attempt ceiling instead of serving them.
         self.due.clear();
-        self.deferred.clear();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let Some(m) = slot.as_mut() else { continue };
-            if m.quarantined {
+            if !m.rx.attempt_due() {
                 continue;
             }
-            if !m.rx.is_listening() {
-                m.due_since = u64::MAX;
+            if m.rx.attempts() >= ceiling {
+                // The §3 escape hatch: this session has spent its
+                // attempt budget without decoding — garbage input, a
+                // hopeless channel, or a misbound code. Stop paying for
+                // it: terminal state and checkpoints freed until the
+                // caller removes it.
+                m.rx.abandon();
+                m.rx.evict_checkpoints();
+                m.absorbed = 0;
+                events.push(SessionEvent {
+                    id: SessionId {
+                        index: i as u32,
+                        gen: m.gen,
+                    },
+                    outcome: SessionOutcome::Abandoned {
+                        attempts: m.rx.attempts(),
+                        symbols: m.rx.symbols(),
+                    },
+                });
                 continue;
             }
-            if m.rx.attempt_due() {
-                if m.rx.attempts() >= ceiling {
-                    // The §3 escape hatch: this session has spent its
-                    // attempt budget without decoding — garbage input,
-                    // a hopeless channel, or a misbound code. Stop
-                    // paying for it: terminal state, checkpoints freed,
-                    // slot quarantined until the caller removes it.
-                    m.rx.abandon();
-                    m.rx.evict_checkpoints();
-                    m.quarantined = true;
-                    m.due_since = u64::MAX;
-                    m.absorbed = 0;
-                    self.quarantined += 1;
-                    events.push(SessionEvent {
-                        id: SessionId {
-                            index: i as u32,
-                            gen: m.gen,
-                        },
-                        outcome: SessionOutcome::Abandoned {
-                            attempts: m.rx.attempts(),
-                            symbols: m.rx.symbols(),
-                        },
-                    });
-                    continue;
-                }
-                if m.due_since == u64::MAX {
-                    m.due_since = round;
-                }
-                self.due.push(i as u32);
-            }
-        }
-        if work_budget != u64::MAX && !self.due.is_empty() {
-            let slots = &self.slots;
-            // Aged sessions first (oldest debt first), then the
-            // cheapest attempts (fewest nodes to expand).
-            self.due.sort_unstable_by_key(|&i| {
-                let m = slots[i as usize].as_ref().expect("due slot is live");
-                if round - m.due_since >= AGING_ROUNDS {
-                    (0u8, m.due_since, i)
-                } else {
-                    (1u8, m.rx.nodes_to_run(), i)
-                }
-            });
-            // Admit attempts in that order until the node budget is
-            // spent; the first attempt is always admitted.
-            let mut served = 1usize;
-            let mut spent = slots[self.due[0] as usize]
-                .as_ref()
-                .expect("due slot is live")
-                .rx
-                .nodes_to_run();
-            while served < self.due.len() {
-                let cost = slots[self.due[served] as usize]
-                    .as_ref()
-                    .expect("due slot is live")
-                    .rx
-                    .nodes_to_run();
-                if spent.saturating_add(cost) > work_budget {
-                    break;
-                }
-                spent += cost;
-                served += 1;
-            }
-            self.deferred.extend_from_slice(&self.due[served..]);
-            self.due.truncate(served);
-            self.due.sort_unstable();
+            self.due.push(i as u32);
         }
 
-        // Run the selected attempts, each whole, through the one shared
+        // Run the due attempts, each whole, through the one shared
         // scratch.
         for &i in &self.due {
             let m = self.slots[i as usize].as_mut().expect("due slot is live");
             let consumed = std::mem::take(&mut m.absorbed);
             let poll = m.rx.run_attempt(Some(&mut self.shared), consumed);
-            m.due_since = u64::MAX;
             events.push(SessionEvent {
                 id: SessionId {
                     index: i,
@@ -633,36 +504,14 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
             });
         }
 
-        // Report the shed attempts. Their sessions stay due (`due_since`
-        // keeps aging them toward priority service); the event lets the
-        // caller observe deadline pressure without polling every id.
-        for &i in &self.deferred {
-            let m = self.slots[i as usize]
-                .as_ref()
-                .expect("deferred slot is live");
-            events.push(SessionEvent {
-                id: SessionId {
-                    index: i,
-                    gen: m.gen,
-                },
-                outcome: SessionOutcome::Deferred {
-                    waited: round - m.due_since,
-                    nodes: m.rx.nodes_to_run(),
-                },
-            });
-        }
-
         // Activity that ran no attempt still polls: the symbol-budget
-        // check, then NeedMore — exactly the solo ingest tail. Sessions
-        // whose due attempt was deferred by the budget emit only their
-        // `Deferred` event (their poll is pending, not concluded).
+        // check, then NeedMore — exactly the solo ingest tail.
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let Some(m) = slot.as_mut() else { continue };
-            if m.quarantined || m.absorbed == 0 || !m.rx.is_listening() || m.rx.attempt_due() {
+            if m.absorbed == 0 || !m.rx.is_listening() {
                 continue;
             }
-            let consumed = m.absorbed;
-            m.absorbed = 0;
+            let consumed = std::mem::take(&mut m.absorbed);
             let poll = m.rx.poll_without_attempt(consumed);
             events.push(SessionEvent {
                 id: SessionId {
@@ -672,21 +521,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule>
                 outcome: SessionOutcome::Poll(poll),
             });
         }
-    }
-
-    /// [`drive_into`](Self::drive_into) returning a fresh event vector.
-    pub fn drive(&mut self) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        self.drive_into(&mut events);
-        events
-    }
-
-    /// [`drive_until_into`](Self::drive_until_into) returning a fresh
-    /// event vector.
-    pub fn drive_until(&mut self, work_budget: u64) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        self.drive_until_into(work_budget, &mut events);
-        events
     }
 
     fn resolve(&self, id: SessionId) -> Result<(), SpinalError> {
@@ -849,139 +683,9 @@ mod tests {
         }
     }
 
-    /// Under a saturating cohort and a per-drive node budget, the pool
-    /// must shed work (Deferred events), stay within the budget, and —
-    /// through aging — keep every session progressing: no starvation.
-    #[test]
-    fn budgeted_drives_defer_and_starve_no_session() {
-        // fig2 at 24 bits is a 3-level spine of k = 8 at B = 16: a
-        // gap-free attempt from scratch expands 256 + 2 × 16 × 256
-        // nodes, so the budget admits one such attempt (or several
-        // cheap incremental ones), and any attempt costs at least one
-        // 256-way expansion.
-        const BUDGET: u64 = 256 + 2 * 16 * 256;
-        let mut pool = Pool::new(MultiConfig {
-            work_budget: BUDGET,
-            ..MultiConfig::default()
-        });
-        let mut txs = Vec::new();
-        let mut ids = Vec::new();
-        for i in 0..8u8 {
-            let m = msg(i);
-            // A receiver bound to the wrong seed never accepts: the
-            // cohort saturates forever.
-            let code = SpinalCode::fig2(m.len() as u32, u64::from(i)).unwrap();
-            let wrong = SpinalCode::fig2(m.len() as u32, 1000 + u64::from(i)).unwrap();
-            txs.push(code.tx_session(&m).unwrap());
-            let rx = wrong
-                .awgn_rx_session(AnyTerminator::genie(m), RxConfig::default())
-                .unwrap();
-            ids.push(pool.insert(rx).unwrap());
-        }
-        let mut events = Vec::new();
-        let mut served_rounds = vec![Vec::new(); ids.len()];
-        let mut deferrals = 0u64;
-        for round in 0..48u64 {
-            for (tx, &id) in txs.iter_mut().zip(&ids) {
-                let (_slot, sym) = tx.next_symbol();
-                pool.ingest(id, &[sym]).unwrap();
-            }
-            let price: Vec<u64> = ids
-                .iter()
-                .map(|&id| pool.get(id).unwrap().nodes_to_run())
-                .collect();
-            pool.drive_into(&mut events);
-            let mut served = 0u64;
-            let mut spent = 0u64;
-            for ev in &events {
-                let lane = ids.iter().position(|&i| i == ev.id).unwrap();
-                match ev.outcome {
-                    SessionOutcome::Poll(_) => {
-                        served += 1;
-                        spent += price[lane];
-                        served_rounds[lane].push(round);
-                    }
-                    SessionOutcome::Deferred { nodes, .. } => {
-                        deferrals += 1;
-                        assert_eq!(nodes, price[lane], "a deferral reports its price");
-                        assert!(nodes >= 256, "a due attempt expands a level");
-                    }
-                    SessionOutcome::Abandoned { .. } => {
-                        panic!("no attempt ceiling configured")
-                    }
-                }
-            }
-            // The first attempt always runs; beyond it, the served
-            // attempts' prices fit the budget.
-            assert!(
-                served == 1 || spent <= BUDGET,
-                "budget must bound the nodes per drive, spent {spent} on {served} attempts"
-            );
-            assert_eq!(
-                events.len(),
-                8,
-                "every due session is either served or reported deferred"
-            );
-        }
-        assert!(deferrals > 0, "a saturating cohort must shed work");
-        for (lane, rounds) in served_rounds.iter().enumerate() {
-            assert!(
-                rounds.len() >= 4,
-                "session {lane} starved: served only {} times",
-                rounds.len()
-            );
-            // The aging bound: no gap longer than the backlog drain time
-            // plus the aging threshold.
-            for w in rounds.windows(2) {
-                assert!(
-                    w[1] - w[0] <= AGING_ROUNDS + ids.len() as u64,
-                    "session {lane} waited {} rounds",
-                    w[1] - w[0]
-                );
-            }
-        }
-    }
-
-    /// A one-off `drive_until` budget must override the configured one,
-    /// and an unbudgeted pool must never defer.
-    #[test]
-    fn drive_until_overrides_config_budget() {
-        let mut pool = Pool::new(MultiConfig::default());
-        let mut txs = Vec::new();
-        let mut ids = Vec::new();
-        for i in 0..4u8 {
-            let m = msg(i);
-            let code = SpinalCode::fig2(m.len() as u32, u64::from(i)).unwrap();
-            let wrong = SpinalCode::fig2(m.len() as u32, 2000 + u64::from(i)).unwrap();
-            txs.push(code.tx_session(&m).unwrap());
-            let rx = wrong
-                .awgn_rx_session(AnyTerminator::genie(m), RxConfig::default())
-                .unwrap();
-            ids.push(pool.insert(rx).unwrap());
-        }
-        for (tx, &id) in txs.iter_mut().zip(&ids) {
-            let (_slot, sym) = tx.next_symbol();
-            pool.ingest(id, &[sym]).unwrap();
-        }
-        // Tight one-off budget: one attempt runs, three defer.
-        let events = pool.drive_until(1);
-        let polls = events.iter().filter(|e| e.poll().is_some()).count();
-        let defers = events
-            .iter()
-            .filter(|e| matches!(e.outcome, SessionOutcome::Deferred { .. }))
-            .count();
-        assert_eq!(polls, 1, "a budget below one attempt still serves one");
-        assert_eq!(defers, 3);
-        // The next (unbudgeted) drive drains the backlog with no new
-        // symbols needed — the deferred sessions are still due.
-        let events = pool.drive();
-        assert_eq!(events.iter().filter(|e| e.poll().is_some()).count(), 3);
-        assert!(events.iter().all(|e| e.poll().is_some()));
-    }
-
     /// The attempt ceiling must abandon hopeless sessions exactly once,
-    /// quarantine them (ingest rejected, never scheduled), and leave the
-    /// slot reclaimable.
+    /// stop scheduling them, reject their ingest with
+    /// `SessionQuarantined`, and leave the slot reclaimable.
     #[test]
     fn attempt_ceiling_abandons_and_quarantines() {
         let mut pool = Pool::new(MultiConfig {
@@ -1002,7 +706,7 @@ mod tests {
         let mut events = Vec::new();
         let mut abandoned_at = None;
         for round in 0..12u64 {
-            if pool.get(id).is_some() && !pool.is_quarantined(id) {
+            if !pool.get(id).unwrap().is_abandoned() {
                 let (_slot, sym) = tx.next_symbol();
                 pool.ingest(id, &[sym]).unwrap();
             }
@@ -1022,10 +726,8 @@ mod tests {
             }
         }
         assert!(abandoned_at.is_some(), "hopeless session must be abandoned");
-        assert_eq!(pool.quarantines(), 1);
-        assert!(pool.is_quarantined(id));
-        assert!(!pool.is_quarantined(id_ok));
-        // Quarantined: ingest rejected with the dedicated error; the
+        assert!(!pool.get(id_ok).unwrap().is_abandoned());
+        // Abandoned: ingest rejected with the dedicated error; the
         // session is terminal without a payload; checkpoints were freed.
         assert_eq!(
             pool.ingest(id, &[]).unwrap_err(),
@@ -1034,7 +736,7 @@ mod tests {
         let s = pool.get(id).unwrap();
         assert!(s.is_finished() && s.is_abandoned());
         assert_eq!(s.payload(), None);
-        assert_eq!(s.checkpoint_bytes(), 0, "quarantine frees checkpoints");
+        assert_eq!(s.checkpoint_bytes(), 0, "abandonment frees checkpoints");
         // The healthy session was unaffected.
         assert_eq!(pool.get(id_ok).unwrap().payload(), Some(&m));
         // Removal reclaims the slot; the returned session is abandoned.

@@ -723,8 +723,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// Tree nodes the next attempt would expand: the decoder's
     /// [`walk_attempt`](BeamDecoder::walk_attempt) summed from the
     /// level the attempt resumes at (the lower of the dirty mark and
-    /// the last valid checkpoint). This is the pool's unit of work — its
-    /// budget, its cheapest-first order and its shedding order.
+    /// the last valid checkpoint). The pool ranks shed victims by it
+    /// ([`MultiDecoder::shed_costliest`](crate::sched::MultiDecoder::shed_costliest)).
     pub(crate) fn nodes_to_run(&self) -> u64 {
         let resume = self
             .dirty_from
@@ -753,9 +753,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.ckpt.memory_bytes()
     }
 
-    /// Frees the checkpoint store's memory (the pool's quarantine
-    /// path). The next retry decodes from scratch — results are
-    /// bit-identical, only the work changes.
+    /// Frees the checkpoint store's memory (the pool frees an abandoned
+    /// session's store this way). The next retry decodes from scratch —
+    /// results are bit-identical, only the work changes.
     pub fn evict_checkpoints(&mut self) {
         self.ckpt.release();
     }

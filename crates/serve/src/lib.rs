@@ -14,10 +14,9 @@
 //! * [`server`] — the sharded serving event loop: each shard owns one
 //!   [`spinal_core::sched::MultiDecoder`] pool and its hash-assigned
 //!   connections, every tick flushes feedback, drains ingress under
-//!   per-connection backpressure, and drives the pool under a node
-//!   budget, running a session's attempt only once it fits the
-//!   decoder's frontier cap. Serial and sharded ticks are
-//!   bit-identical. Crash safety
+//!   per-connection backpressure, and drives the pool, running a
+//!   session's attempt only once it fits the decoder's frontier cap.
+//!   Serial and sharded ticks are bit-identical. Crash safety
 //!   rides on the same machinery: [`server::Server::snapshot_into`]
 //!   images every session into a versioned, per-section-CRC'd blob and
 //!   [`server::Server::restore`] rebuilds a server whose resumed flows

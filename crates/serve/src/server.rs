@@ -23,10 +23,9 @@
 //!    [`BeamConfig::max_frontier`]): such a session could never attempt;
 //! 4. **resume** — deferred RESUME requests re-attach detached flows
 //!    (or replay a verdict reached while detached);
-//! 5. **drive** — one [`MultiDecoder::drive_into`] round under the
-//!    pool's per-tick node budget ([`MultiConfig::work_budget`]),
-//!    turning pool events into flow verdicts and, for attached flows,
-//!    feedback frames (ACK + decoded bits, Close on
+//! 5. **drive** — one [`MultiDecoder::drive_into`] round, which runs
+//!    every due attempt, turning pool events into flow verdicts and,
+//!    for attached flows, feedback frames (ACK + decoded bits, Close on
 //!    exhaustion/abandonment) — detached flows are driven exactly like
 //!    attached ones, which is what keeps a later resume bit-identical to
 //!    an uninterrupted run. Every served session runs with
@@ -135,12 +134,11 @@ fn random_secret() -> u64 {
 pub struct ServeConfig {
     /// Shard (event-loop) count; connections are spread by stable hash.
     pub shards: usize,
-    /// Per-shard decoder-pool configuration. `work_budget` is the tree
-    /// nodes one shard tick may spend driving its pool (the deadline
-    /// knob); `max_sessions` is each shard's admission ceiling, which
-    /// sheds detached sessions before it refuses a HELLO; `detach_ttl`
-    /// is the *tick* TTL of detached sessions, enforced by the server
-    /// (the pool never reads it).
+    /// Per-shard decoder-pool configuration. `max_sessions` is each
+    /// shard's admission ceiling, which sheds detached sessions before
+    /// it refuses a HELLO; `max_session_attempts` abandons a session
+    /// that keeps failing; `detach_ttl` is the *tick* TTL of detached
+    /// sessions, enforced by the server (the pool never reads it).
     pub pool: MultiConfig,
     /// Egress bytes queued per connection above which its ingress stops
     /// being drained (backpressure).
@@ -1414,9 +1412,7 @@ fn shard_tick<T: Transport>(
             continue;
         };
         let verdict = match ev.outcome {
-            SessionOutcome::Poll(Poll::NeedMore { .. }) | SessionOutcome::Deferred { .. } => {
-                continue;
-            }
+            SessionOutcome::Poll(Poll::NeedMore { .. }) => continue,
             SessionOutcome::Poll(Poll::Decoded {
                 symbols_used,
                 attempts,

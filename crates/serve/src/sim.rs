@@ -332,14 +332,14 @@ mod tests {
 
     #[test]
     fn attempt_ceiling_abandons_distinct_from_exhaustion() {
-        // A tiny attempt ceiling quarantines hopeless frames long before
+        // A tiny attempt ceiling abandons hopeless frames long before
         // their symbol budget would run out, and the two outcomes are
         // counted apart.
         let mut cfg = LinkConfig::demo(-25.0, 4, 2);
         cfg.max_symbols_per_frame = 512;
         cfg.max_attempts_per_frame = 3;
         let report = run(&cfg, 6, 5);
-        assert!(report.frames_abandoned > 0, "expected quarantines");
+        assert!(report.frames_abandoned > 0, "expected abandonments");
         assert_eq!(accounted(&report), 6);
         assert!(report.symbols_sent < 6 * 512, "the ceiling binds first");
     }

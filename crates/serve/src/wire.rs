@@ -105,7 +105,7 @@ pub enum CloseReason {
     Done,
     /// The receiver exhausted its symbol budget without decoding.
     Exhausted,
-    /// The server abandoned the session (attempt cap / quarantine).
+    /// The server abandoned the session at its attempt ceiling.
     Abandoned,
     /// A protocol violation (malformed frame, bad dialogue order).
     Protocol,

@@ -483,46 +483,6 @@ fn sharded_run_is_bit_identical_to_serial() {
     assert_eq!(serial, sharded5, "5-way sharding changed results");
 }
 
-/// The pool's node budget paces the server's drive: at one gap-free
-/// attempt's worth of nodes per tick (the default shape is k = 4,
-/// B = 16 over 32 framed bits: 16 + 7 × 16 × 16 nodes from scratch),
-/// attempts queue behind each other, so the same fleet needs more
-/// ticks — and still decodes every payload.
-#[test]
-fn pool_work_budget_paces_the_server_drive() {
-    let run = |work_budget: u64| {
-        let cfg = ServeConfig {
-            pool: MultiConfig {
-                work_budget,
-                ..MultiConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let mut server = Server::new(cfg).unwrap();
-        let mut clients = Vec::new();
-        for i in 0..8 {
-            let (local, remote) = loopback_pair(1 << 16);
-            server.add_connection(remote);
-            let ccfg = ClientConfig {
-                seed: 300 + i,
-                ..ClientConfig::default()
-            };
-            clients.push(ServeClient::new(local, &ccfg, &payload(i)).unwrap());
-        }
-        run_to_done(&mut server, &mut clients, false);
-        for (i, c) in clients.iter().enumerate() {
-            assert_eq!(c.decoded_payload(), Some(&payload(i as u64)));
-        }
-        server.stats().ticks
-    };
-    let free = run(u64::MAX);
-    let paced = run(16 + 7 * 16 * 16);
-    assert!(
-        paced > free,
-        "a one-attempt node budget must pace the drive ({paced} vs {free} ticks)"
-    );
-}
-
 /// A hand-driven peer: it sends the frames a test builds, so the test
 /// chooses exactly which slots reach the server, and it records the
 /// server's ACK.

@@ -11,12 +11,14 @@
 //!   termination) must poll or error, never panic, and out-of-range
 //!   slots must consume nothing.
 //! * **`MultiDecoder` id streams** — random interleavings of
-//!   insert / ingest / drive / budgeted `drive_until` / remove /
-//!   checkpoint-store release / caller-side detach and re-attach /
-//!   cost-ranked shed among the caller's orphans, including stale
-//!   (generational) and double-removed ids, against pools with work
-//!   budgets, admission ceilings (`PoolFull`), and attempt ceilings
-//!   (abandonment → quarantine).
+//!   insert / ingest / drive / remove / checkpoint-store release /
+//!   caller-side detach and re-attach / cost-ranked shed among the
+//!   caller's orphans, including stale (generational) and
+//!   double-removed ids, against pools with admission ceilings
+//!   (`PoolFull`) and attempt ceilings (an abandoned session rejects
+//!   ingest with `SessionQuarantined`); every drive must emit one event
+//!   per session that absorbed symbols since the last drive, and none
+//!   for any other.
 //! * **Faulted ingest streams** — symbol streams run through a seeded
 //!   `LinkFault` composition (drops, duplicates, reordering, bursts,
 //!   stale slot labels) before `ingest_at`: in-range faulted slots must
@@ -32,7 +34,8 @@
 
 use proptest::prelude::*;
 use spinal_codes::{
-    AnyTerminator, BitVec, IqSymbol, MultiConfig, MultiDecoder, RxConfig, Slot, SpinalCode,
+    AnyTerminator, BitVec, IqSymbol, MultiConfig, MultiDecoder, RxConfig, SessionId,
+    SessionOutcome, Slot, SpinalCode,
 };
 use spinal_core::decode::{AwgnCost, BeamConfig, BeamDecoder};
 use spinal_core::hash::Lookup3;
@@ -143,27 +146,27 @@ proptest! {
         }
     }
 
-    /// Pool id streams: stale ids, double removes, tiny work budgets,
-    /// admission and attempt ceilings — typed errors only, live
-    /// sessions stay reachable, quarantined sessions reject ingest but
-    /// remain removable.
+    /// Pool id streams: stale ids, double removes, admission and attempt
+    /// ceilings, thinned and exact-or-wait sessions — typed errors only,
+    /// live sessions stay reachable, abandoned sessions reject ingest
+    /// but remain removable, and every drive keeps the drive contract.
     #[test]
     fn fuzz_pool_id_streams_never_panic(
         seed in any::<u64>(),
         ops in proptest::collection::vec(any::<u64>(), 1..96),
-        work in 0u64..40,
         ceiling in 0u32..24,
         max_sessions in 1usize..8,
     ) {
         let mut pool = Pool::new(MultiConfig {
-            work_budget: if work == 0 { u64::MAX } else { work },
             max_session_attempts: ceiling.max(1),
             max_sessions,
             ..MultiConfig::default()
         });
-        let mut lanes: Vec<(spinal_codes::SessionId, Tx)> = Vec::new();
-        let mut dead: Vec<spinal_codes::SessionId> = Vec::new();
-        let mut orphans: Vec<spinal_codes::SessionId> = Vec::new();
+        let mut lanes: Vec<(SessionId, Tx)> = Vec::new();
+        let mut dead: Vec<SessionId> = Vec::new();
+        let mut orphans: Vec<SessionId> = Vec::new();
+        // Live ids that absorbed symbols since the last drive.
+        let mut absorbed: Vec<SessionId> = Vec::new();
         let mut events = Vec::new();
         // Cost-ranked shedding takes sessions without a caller-side
         // remove; reconcile the live set after every op that can do so.
@@ -179,6 +182,36 @@ proptest! {
                     }
                 });
                 orphans.retain(|&id| pool.get(id).is_some());
+                absorbed.retain(|&id| pool.get(id).is_some());
+            };
+        }
+        // The drive contract: exactly one event for each session that
+        // absorbed symbols since the last drive and none for any other;
+        // abandonments first, then attempts, then polls that ran no
+        // attempt, each in ascending slot order.
+        macro_rules! drive {
+            () => {
+                let before: Vec<(SessionId, u32)> = lanes
+                    .iter()
+                    .map(|(id, _)| (*id, pool.get(*id).expect("live id").attempts()))
+                    .collect();
+                pool.drive_into(&mut events);
+                prop_assert_eq!(events.len(), absorbed.len(), "one event per absorbing session");
+                let mut last = None;
+                for ev in &events {
+                    prop_assert!(absorbed.contains(&ev.id), "event for an idle session: {ev:?}");
+                    let phase = match ev.outcome {
+                        SessionOutcome::Abandoned { .. } => 0u8,
+                        SessionOutcome::Poll(_) => {
+                            let (_, was) = before.iter().find(|(id, _)| *id == ev.id).expect("live id");
+                            if pool.get(ev.id).expect("live id").attempts() > *was { 1 } else { 2 }
+                        }
+                    };
+                    let key = (phase, ev.id.slot());
+                    prop_assert!(last < Some(key), "drive events out of order: {:?}", events);
+                    last = Some(key);
+                }
+                absorbed.clear();
             };
         }
         for &op in &ops {
@@ -187,10 +220,17 @@ proptest! {
                     // Insert a fresh session; a full pool must reject
                     // with the typed admission error.
                     let (code, msg) = fuzz_code(seed ^ op);
+                    // Some sessions thin their attempts or wait for an
+                    // exact fit, so a drive also polls without attempting.
                     let rx = code
                         .awgn_rx_session(
                             AnyTerminator::genie(msg.clone()),
-                            RxConfig { max_symbols: 48, ..RxConfig::default() },
+                            RxConfig {
+                                max_symbols: 48,
+                                attempt_growth: if (op >> 8) & 1 == 1 { 1.5 } else { 1.0 },
+                                exact_attempts: (op >> 9) & 1 == 1,
+                                ..RxConfig::default()
+                            },
                         )
                         .expect("valid session");
                     let tx = code.tx_session(&msg).expect("valid tx");
@@ -210,29 +250,25 @@ proptest! {
                         let idx = pick % lanes.len();
                         let (id, tx) = &mut lanes[idx];
                         let (_slot, x) = tx.next_symbol();
-                        let quarantined = pool.is_quarantined(*id);
+                        let abandoned = pool.get(*id).is_some_and(|rx| rx.is_abandoned());
                         // Finished sessions yield SessionFinished — fine.
                         let res = pool.ingest(*id, &[x]);
-                        if quarantined {
+                        if abandoned {
                             prop_assert!(
                                 matches!(res, Err(spinal_codes::SpinalError::SessionQuarantined)),
-                                "quarantined ingest must report SessionQuarantined, got {res:?}"
+                                "abandoned ingest must report SessionQuarantined, got {res:?}"
                             );
+                        }
+                        if res.is_ok() && !absorbed.contains(id) {
+                            absorbed.push(*id);
                         }
                     } else if let Some(&id) = dead.get(pick % dead.len().max(1)) {
                         prop_assert!(pool.ingest(id, &[symbol_from(op)]).is_err(),
                                      "stale id must be rejected");
                     }
                 }
-                4 => {
-                    pool.drive_into(&mut events);
-                    reconcile!();
-                }
-                8 => {
-                    // Deadline-driven drive with an arbitrary one-off
-                    // budget (including 0, which still serves one).
-                    pool.drive_until_into((op >> 6) % 64, &mut events);
-                    reconcile!();
+                4 | 8 => {
+                    drive!();
                 }
                 5 => {
                     // Remove a random id (possibly already removed).
@@ -310,7 +346,7 @@ proptest! {
                 }
             }
         }
-        pool.drive_into(&mut events);
+        drive!();
     }
 
     /// Faulted ingest streams: a seeded `LinkFault` composition between

@@ -258,7 +258,7 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
             value: 0
         }
     );
-    // --- Pool admission control and quarantine. ---
+    // --- Pool admission control and the attempt ceiling. ---
     let code = SpinalCode::fig2(24, 1).unwrap();
     let msg = BitVec::from_bytes(&[1, 2, 3]);
     let rx = || {
@@ -279,19 +279,19 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
             max_sessions: 1
         }
     );
-    // Garbage input burns the one-attempt ceiling; the pool quarantines
+    // Garbage input burns the one-attempt ceiling; the pool abandons
     // the session and rejects further symbols with a typed error.
     let mut events: Vec<SessionEvent> = Vec::new();
     for _ in 0..8 {
-        if pool.is_quarantined(id) {
+        if pool.get(id).is_some_and(|rx| rx.is_abandoned()) {
             break;
         }
         pool.ingest(id, &[IqSymbol::new(0.0, 0.0)]).unwrap();
         pool.drive_into(&mut events);
     }
     assert!(
-        pool.is_quarantined(id),
-        "one attempt on garbage quarantines"
+        pool.get(id).is_some_and(|rx| rx.is_abandoned()),
+        "one attempt on garbage abandons the session"
     );
     assert_eq!(
         pool.ingest(id, &[IqSymbol::new(0.0, 0.0)]).unwrap_err(),

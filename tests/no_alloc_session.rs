@@ -218,62 +218,4 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         "steady-state multi-session cycle must not allocate (saw {} allocations)",
         after - before
     );
-
-    // ---- Deadline-driven drives: the defer/serve cycle of a budgeted
-    // drive (aged-first selection, `Deferred` events, reused due/defer
-    // lists) must also be allocation-free once warm. A 1-node budget
-    // forces every drive to serve one attempt and defer the rest.
-    let run_budgeted_trial =
-        |pool: &mut MultiDecoder<Lookup3, LinearMapper, AwgnCost, NoPuncture>,
-         txs: &mut Vec<TxSession<Lookup3, LinearMapper, NoPuncture>>,
-         events: &mut Vec<SessionEvent>,
-         base_seed: u64| {
-            for (lane, (tx, &id)) in txs.iter_mut().zip(&ids).enumerate() {
-                let seed = (base_seed + lane as u64) % 6;
-                let msg = &messages[seed as usize];
-                tx.rebind(&base.reseeded(seed), Lookup3::new(seed), msg)
-                    .unwrap();
-                pool.rebind(id, decoders[seed as usize].clone()).unwrap();
-                let rx = pool.get_mut(id).unwrap();
-                rx.terminator_mut().genie_mut().unwrap().set_truth(msg);
-            }
-            let mut deferrals = 0u64;
-            let mut live = POOL_SESSIONS;
-            while live > 0 {
-                for (tx, &id) in txs.iter_mut().zip(&ids) {
-                    if pool.get(id).unwrap().is_finished() {
-                        continue;
-                    }
-                    let (_slot, x) = tx.next_symbol();
-                    pool.ingest(id, &[x]).unwrap();
-                }
-                pool.drive_until_into(1, events);
-                live -= events.iter().filter(|e| e.is_decoded()).count();
-                deferrals += events
-                    .iter()
-                    .filter(|e| e.poll().is_none() && !e.is_decoded())
-                    .count() as u64;
-            }
-            deferrals
-        };
-
-    run_budgeted_trial(&mut pool, &mut txs, &mut events, 0);
-    run_budgeted_trial(&mut pool, &mut txs, &mut events, 1);
-
-    let before = allocations();
-    let mut deferrals = 0u64;
-    for base_seed in 2..6u64 {
-        deferrals += run_budgeted_trial(&mut pool, &mut txs, &mut events, base_seed);
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state budgeted drive cycle must not allocate (saw {} allocations)",
-        after - before
-    );
-    assert!(
-        deferrals > 0,
-        "a 1-node budget over {POOL_SESSIONS} lanes must defer attempts"
-    );
 }
