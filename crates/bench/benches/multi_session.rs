@@ -1,11 +1,12 @@
-//! Micro-benchmark: a [`MultiDecoder`] pool vs the one-at-a-time
-//! serving loop.
+//! Micro-benchmark: sessions lending one decoder scratch vs the
+//! one-at-a-time serving loop.
 //!
 //! One measured iteration decodes a fixed fleet of 16 same-shape
 //! receivers with per-symbol feedback: first pass chunked, then one
-//! symbol per session per round until genie acceptance. The scheduler
-//! runs every retry incrementally and whole through one shared scratch;
-//! the baseline re-decodes each session from scratch on every arrival.
+//! symbol per session per round until genie acceptance. The sessions
+//! run every retry incrementally and whole through the one scratch the
+//! loop lends them; the baseline re-decodes each session from scratch
+//! on every arrival.
 //! The `bench_multi_session` binary runs the full fleet-size sweep and
 //! writes `BENCH_multi_session.json`.
 
@@ -21,8 +22,7 @@ use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
 use spinal_core::puncture::{PunctureSchedule, StridedPuncture};
-use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent};
-use spinal_core::session::{RxConfig, RxSession};
+use spinal_core::session::{Poll, RxConfig, RxSession};
 use spinal_core::symbol::Slot;
 use spinal_core::IqSymbol;
 use std::hint::black_box;
@@ -32,8 +32,6 @@ const K: u32 = 4;
 const C: u32 = 8;
 const SESSIONS: usize = 16;
 const MAX_SYMBOLS: usize = 1200;
-
-type Pool = MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 
 struct Flow {
     params: CodeParams,
@@ -100,46 +98,42 @@ fn bench_multi_session(c: &mut Criterion) {
     let flows = build_flows();
     let pass = (MESSAGE_BITS / K) as usize;
 
-    group.bench_function(BenchmarkId::new("scheduler", SESSIONS), |b| {
-        let mut events: Vec<SessionEvent> = Vec::new();
+    group.bench_function(BenchmarkId::new("shared_scratch", SESSIONS), |b| {
+        let mut scratch = DecoderScratch::new();
         b.iter(|| {
-            let mut pool = Pool::new(MultiConfig::default());
-            let ids: Vec<_> = flows
+            let mut sessions: Vec<_> = flows
                 .iter()
                 .map(|f| {
-                    pool.insert(
-                        RxSession::new(
-                            decoder(f),
-                            StridedPuncture::stride8(),
-                            AnyTerminator::genie(f.message.clone()),
-                            RxConfig::default(),
-                        )
-                        .unwrap(),
+                    RxSession::new(
+                        decoder(f),
+                        StridedPuncture::stride8(),
+                        AnyTerminator::genie(f.message.clone()),
+                        RxConfig::default(),
                     )
                     .unwrap()
                 })
                 .collect();
+            let mut live = SESSIONS;
             let mut chunk = Vec::new();
-            for (f, &id) in flows.iter().zip(&ids) {
+            for (f, rx) in flows.iter().zip(sessions.iter_mut()) {
                 chunk.clear();
                 chunk.extend(f.stream[..pass].iter().map(|&(_, y)| y));
-                pool.ingest(id, &chunk).unwrap();
+                if let Poll::Decoded { .. } = rx.ingest(&mut scratch, &chunk).unwrap() {
+                    live -= 1;
+                }
             }
-            let mut live = SESSIONS;
             let mut cursors = [pass; SESSIONS];
-            pool.drive_into(&mut events);
-            live -= events.iter().filter(|e| e.is_decoded()).count();
             while live > 0 {
-                for (lane, (f, &id)) in flows.iter().zip(&ids).enumerate() {
-                    if pool.get(id).unwrap().is_finished() {
+                for (lane, (f, rx)) in flows.iter().zip(sessions.iter_mut()).enumerate() {
+                    if rx.is_finished() {
                         continue;
                     }
                     let (_s, y) = f.stream[cursors[lane]];
                     cursors[lane] += 1;
-                    pool.ingest(id, &[y]).unwrap();
+                    if let Poll::Decoded { .. } = rx.ingest(&mut scratch, &[y]).unwrap() {
+                        live -= 1;
+                    }
                 }
-                pool.drive_into(&mut events);
-                live -= events.iter().filter(|e| e.is_decoded()).count();
             }
             black_box(live)
         })

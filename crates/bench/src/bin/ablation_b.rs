@@ -50,7 +50,6 @@ fn main() {
         cfg.beam = BeamConfig {
             beam_width: b,
             max_frontier: (1usize << 16).max(b * 256),
-            defer_prune_unobserved: true,
         };
         cfg.max_passes = 300;
         run_awgn(

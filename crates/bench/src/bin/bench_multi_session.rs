@@ -1,5 +1,6 @@
-//! Multi-session perf tracker: one scheduler serving N concurrent
-//! receivers vs. the one-at-a-time serving loop.
+//! Multi-session perf tracker: N concurrent receivers lending one
+//! decoder scratch vs. each holding its own, and vs. the from-scratch
+//! serving loop.
 //!
 //! Models the §1 deployment story — a base station decoding many
 //! same-shape spinal flows with per-symbol feedback. Each round, every
@@ -7,23 +8,22 @@
 //! everything it has; sessions stop at genie acceptance. Three engines
 //! run the *identical* arrival trace and attempt schedule:
 //!
-//! * **scheduler** — a [`MultiDecoder`] pool: every session's attempt
-//!   runs whole through the pool's one hot scratch, and every retry is
-//!   incremental via per-session checkpoints.
-//! * **one_at_a_time** — the pre-scheduler serving loop: each arrival
-//!   immediately re-decodes that session from scratch
-//!   (`decode_into`, scratch reused across sessions). This is the
-//!   memory-comparable baseline: like the pool it keeps no cross-attempt
-//!   search state per session, which is how a multi-receiver loop runs
-//!   once per-session checkpoint stores stop fitting.
-//! * **checkpointed_sessions** — one `RxSession` per flow driven
-//!   one-at-a-time (the PR-3 single-link receiver replicated N times):
-//!   incremental retries, but a private scratch + checkpoint store +
-//!   plan cache per session, i.e. N× the memory and a cold working set
-//!   per attempt once N is large. Reported honestly alongside.
+//! * **shared_scratch** — one `RxSession` per flow, every attempt run
+//!   whole through the one scratch the loop lends them all; every retry
+//!   is incremental via per-session checkpoints.
+//! * **one_at_a_time** — the from-scratch serving loop: each arrival
+//!   immediately re-decodes that session from scratch (`decode_into`,
+//!   scratch reused across sessions). This is the memory-comparable
+//!   baseline: it keeps no cross-attempt search state per session,
+//!   which is how a multi-receiver loop runs once per-session
+//!   checkpoint stores stop fitting.
+//! * **private_scratch** — the same sessions, each with a scratch of
+//!   its own: N× the expansion buffers and a cold working set per
+//!   attempt once N is large. Its ratio to `shared_scratch` is exactly
+//!   what lending one scratch pays.
 //!
 //! All engines must accept every session at exactly the same symbol
-//! count (asserted — the scheduler is an optimization, never a
+//! count (asserted — sharing a scratch is an optimization, never a
 //! semantic). A full run writes `BENCH_multi_session.json`; `--quick`
 //! (the CI smoke) runs the same bit-identity self-check on a reduced
 //! fleet and writes only the deterministic
@@ -33,7 +33,7 @@
 //! Options: `--trials N` (measurement rounds, default 5), `--seed S`,
 //! `--quick`.
 
-use spinal_bench::{banner, time_interleaved, RunArgs};
+use spinal_bench::{banner, time_interleaved, BenchSummary, RunArgs};
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::bits::BitVec;
 use spinal_core::decode::{
@@ -44,7 +44,6 @@ use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
 use spinal_core::puncture::{PunctureSchedule, StridedPuncture};
-use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent};
 use spinal_core::session::{Poll, RxConfig, RxSession};
 use spinal_core::symbol::Slot;
 use spinal_core::{frame::AnyTerminator, IqSymbol};
@@ -64,7 +63,6 @@ const MAX_SYMBOLS: usize = 1600;
 const FLEET: [usize; 4] = [1, 8, 64, 512];
 const FLEET_QUICK: [usize; 3] = [1, 8, 64];
 
-type Pool = MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 type Rx = RxSession<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 
 /// One flow's fixed inputs: its (reseeded) code, message, and the noisy
@@ -78,11 +76,11 @@ struct Flow {
 
 struct Point {
     sessions: usize,
-    scheduler_sessions_per_sec: f64,
+    shared_scratch_sessions_per_sec: f64,
     one_at_a_time_sessions_per_sec: f64,
-    checkpointed_sessions_per_sec: f64,
+    private_scratch_sessions_per_sec: f64,
     speedup: f64,
-    speedup_vs_checkpointed: f64,
+    speedup_vs_private_scratch: f64,
     levels_resumed_fraction: f64,
     checkpoint_bytes: usize,
     mean_symbols_to_decode: f64,
@@ -138,87 +136,85 @@ fn decoder(flow: &Flow) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
     .expect("valid decoder config")
 }
 
-/// Scheduler engine: one symbol per live session per round, one drive
-/// per round. Returns per-session (symbols, attempts) at acceptance.
-fn run_scheduler(flows: &[Flow], stats_out: Option<&mut SchedStats>) -> Vec<(u64, u32)> {
-    let mut pool = Pool::new(MultiConfig::default());
-    let ids: Vec<_> = flows
+/// The session engines: one `RxSession` per flow, one symbol per live
+/// session per round, each ingest running its attempt through one
+/// scratch lent to every session (`private == false`) or through the
+/// session's own. Returns per-session (symbols, attempts) at acceptance.
+fn run_sessions(
+    flows: &[Flow],
+    private: bool,
+    stats_out: Option<&mut SessionStats>,
+) -> Vec<(u64, u32)> {
+    let mut sessions: Vec<Rx> = flows
         .iter()
         .map(|f| {
-            pool.insert(
-                Rx::new(
-                    decoder(f),
-                    StridedPuncture::stride8(),
-                    AnyTerminator::genie(f.message.clone()),
-                    RxConfig::default(),
-                )
-                .expect("valid session config"),
+            Rx::new(
+                decoder(f),
+                StridedPuncture::stride8(),
+                AnyTerminator::genie(f.message.clone()),
+                RxConfig::default(),
             )
-            .expect("pool has no admission ceiling")
+            .expect("valid session config")
         })
         .collect();
+    let mut scratches: Vec<DecoderScratch> = (0..if private { flows.len() } else { 1 })
+        .map(|_| DecoderScratch::new())
+        .collect();
     let mut cursors = vec![PASS_SYMBOLS; flows.len()];
-    let mut events: Vec<SessionEvent> = Vec::new();
     let mut out = vec![(0u64, 0u32); flows.len()];
     let mut live = flows.len();
-    // Round 0: every session ingests its whole first pass as one chunk
-    // (one attempt per session at the first drive).
-    let mut first_pass = Vec::with_capacity(PASS_SYMBOLS);
-    for (flow, &id) in flows.iter().zip(&ids) {
-        first_pass.clear();
-        first_pass.extend(flow.stream[..PASS_SYMBOLS].iter().map(|&(_, y)| y));
-        pool.ingest(id, &first_pass).expect("session listening");
-    }
-    let harvest = |events: &[SessionEvent], out: &mut Vec<(u64, u32)>, live: &mut usize| {
-        for ev in events {
-            if let Some(Poll::Decoded {
-                symbols_used,
-                attempts,
-            }) = ev.poll()
-            {
-                let lane = ids.iter().position(|&i| i == ev.id).expect("known id");
-                out[lane] = (symbols_used, attempts);
-                *live -= 1;
-            }
+    let mut ingest = |lane: usize, rx: &mut Rx, symbols: &[IqSymbol], live: &mut usize| {
+        let n_scratches = scratches.len();
+        let scratch = &mut scratches[lane % n_scratches];
+        if let Poll::Decoded {
+            symbols_used,
+            attempts,
+        } = rx.ingest(scratch, symbols).expect("session listening")
+        {
+            out[lane] = (symbols_used, attempts);
+            *live -= 1;
         }
     };
-    pool.drive_into(&mut events);
-    harvest(&events, &mut out, &mut live);
+    // Round 0: the whole first pass as one chunked ingest (one attempt
+    // per session).
+    let mut first_pass = Vec::with_capacity(PASS_SYMBOLS);
+    for (lane, (flow, rx)) in flows.iter().zip(sessions.iter_mut()).enumerate() {
+        first_pass.clear();
+        first_pass.extend(flow.stream[..PASS_SYMBOLS].iter().map(|&(_, y)| y));
+        ingest(lane, rx, &first_pass, &mut live);
+    }
     // Then per-symbol feedback rounds.
     while live > 0 {
-        for (lane, (flow, &id)) in flows.iter().zip(&ids).enumerate() {
-            if pool.get(id).expect("live session").is_finished() {
+        for (lane, (flow, rx)) in flows.iter().zip(sessions.iter_mut()).enumerate() {
+            if rx.is_finished() {
                 continue;
             }
             assert!(cursors[lane] < MAX_SYMBOLS, "stream budget too small");
             let (_slot, y) = flow.stream[cursors[lane]];
             cursors[lane] += 1;
-            pool.ingest(id, &[y]).expect("session listening");
+            ingest(lane, rx, &[y], &mut live);
         }
-        pool.drive_into(&mut events);
-        harvest(&events, &mut out, &mut live);
     }
     if let Some(stats) = stats_out {
         let (mut resumed, mut run) = (0u64, 0u64);
-        for &id in &ids {
-            let rx = pool.get(id).expect("live session");
+        for rx in &sessions {
             let ck = rx.checkpoints();
             resumed += ck.levels_resumed();
             run += ck.levels_run();
         }
         stats.levels_resumed_fraction = resumed as f64 / (resumed + run) as f64;
-        stats.checkpoint_bytes = pool.checkpoint_bytes();
+        stats.checkpoint_bytes = sessions.iter().map(Rx::checkpoint_bytes).sum();
     }
     out
 }
 
 #[derive(Default)]
-struct SchedStats {
+struct SessionStats {
     levels_resumed_fraction: f64,
     checkpoint_bytes: usize,
 }
 
-/// The pre-scheduler serving loop: every arrival immediately re-decodes
+/// The from-scratch serving loop: every arrival immediately re-decodes
 /// its session from scratch over everything received (scratch shared —
 /// it carries nothing — observations per session).
 fn run_one_at_a_time(flows: &[Flow]) -> Vec<(u64, u32)> {
@@ -267,63 +263,10 @@ fn run_one_at_a_time(flows: &[Flow]) -> Vec<(u64, u32)> {
     out
 }
 
-/// One `RxSession` per flow, driven one-at-a-time: incremental retries
-/// but a private scratch/checkpoint/plan set per session.
-fn run_checkpointed_sessions(flows: &[Flow]) -> Vec<(u64, u32)> {
-    let mut sessions: Vec<Rx> = flows
-        .iter()
-        .map(|f| {
-            Rx::new(
-                decoder(f),
-                StridedPuncture::stride8(),
-                AnyTerminator::genie(f.message.clone()),
-                RxConfig::default(),
-            )
-            .expect("valid session config")
-        })
-        .collect();
-    let mut cursors = vec![PASS_SYMBOLS; flows.len()];
-    let mut out = vec![(0u64, 0u32); flows.len()];
-    let mut live = flows.len();
-    // Round 0: the whole first pass as one chunked ingest.
-    let mut first_pass = Vec::with_capacity(PASS_SYMBOLS);
-    for (lane, (flow, rx)) in flows.iter().zip(sessions.iter_mut()).enumerate() {
-        first_pass.clear();
-        first_pass.extend(flow.stream[..PASS_SYMBOLS].iter().map(|&(_, y)| y));
-        if let Poll::Decoded {
-            symbols_used,
-            attempts,
-        } = rx.ingest(&first_pass).expect("session listening")
-        {
-            out[lane] = (symbols_used, attempts);
-            live -= 1;
-        }
-    }
-    while live > 0 {
-        for (lane, (flow, rx)) in flows.iter().zip(sessions.iter_mut()).enumerate() {
-            if rx.is_finished() {
-                continue;
-            }
-            assert!(cursors[lane] < MAX_SYMBOLS, "stream budget too small");
-            let (_slot, y) = flow.stream[cursors[lane]];
-            cursors[lane] += 1;
-            if let Poll::Decoded {
-                symbols_used,
-                attempts,
-            } = rx.ingest(&[y]).expect("session listening")
-            {
-                out[lane] = (symbols_used, attempts);
-                live -= 1;
-            }
-        }
-    }
-    out
-}
-
 fn main() {
     let args = RunArgs::parse(5);
     banner(
-        "multi-session: scheduler vs one-at-a-time serving loop",
+        "multi-session: sessions lending one scratch vs private scratches vs one-at-a-time loop",
         &args,
         &format!(
             "message_bits={MESSAGE_BITS} k={K} c={C} B={BEAM} snr={SNR_DB}dB stride-8 per-symbol feedback"
@@ -335,11 +278,11 @@ fn main() {
     println!(
         "{:>9} {:>14} {:>14} {:>14} {:>8} {:>10} {:>12} {:>10}",
         "sessions",
-        "sched s/s",
+        "shared s/s",
         "scratch s/s",
-        "ckpt s/s",
+        "private s/s",
         "speedup",
-        "vs ckpt",
+        "vs priv",
         "lvl resumed",
         "ckpt KiB"
     );
@@ -350,42 +293,42 @@ fn main() {
 
         // Bit-identity across engines: every engine must accept each
         // session at the same symbol.
-        let mut stats = SchedStats::default();
-        let sched = run_scheduler(&flows, Some(&mut stats));
+        let mut stats = SessionStats::default();
+        let shared = run_sessions(&flows, false, Some(&mut stats));
         let scratch = run_one_at_a_time(&flows);
-        let ckpt = run_checkpointed_sessions(&flows);
+        let private = run_sessions(&flows, true, None);
         for lane in 0..n {
             assert_eq!(
-                sched[lane], ckpt[lane],
-                "scheduler must match solo sessions (lane {lane})"
+                shared[lane], private[lane],
+                "a lent scratch must match private ones (lane {lane})"
             );
             assert_eq!(
-                sched[lane].0, scratch[lane].0,
+                shared[lane].0, scratch[lane].0,
                 "incremental and from-scratch must accept at the same symbol (lane {lane})"
             );
         }
-        let total_symbols: u64 = sched.iter().map(|&(s, _)| s).sum();
-        let total_attempts: u64 = sched.iter().map(|&(_, a)| u64::from(a)).sum();
+        let total_symbols: u64 = shared.iter().map(|&(s, _)| s).sum();
+        let total_attempts: u64 = shared.iter().map(|&(_, a)| u64::from(a)).sum();
         quick_rows.push((n, total_symbols, total_attempts));
 
         // Timings, one round of each engine per iteration.
-        let [sched_secs, scratch_secs, ckpt_secs] = time_interleaved(
+        let [shared_secs, scratch_secs, private_secs] = time_interleaved(
             rounds,
             [
-                &mut || run_scheduler(&flows, None),
+                &mut || run_sessions(&flows, false, None),
                 &mut || run_one_at_a_time(&flows),
-                &mut || run_checkpointed_sessions(&flows),
+                &mut || run_sessions(&flows, true, None),
             ],
         )
         .map(|secs| secs / n as f64);
 
         let point = Point {
             sessions: n,
-            scheduler_sessions_per_sec: 1.0 / sched_secs,
+            shared_scratch_sessions_per_sec: 1.0 / shared_secs,
             one_at_a_time_sessions_per_sec: 1.0 / scratch_secs,
-            checkpointed_sessions_per_sec: 1.0 / ckpt_secs,
-            speedup: scratch_secs / sched_secs,
-            speedup_vs_checkpointed: ckpt_secs / sched_secs,
+            private_scratch_sessions_per_sec: 1.0 / private_secs,
+            speedup: scratch_secs / shared_secs,
+            speedup_vs_private_scratch: private_secs / shared_secs,
             levels_resumed_fraction: stats.levels_resumed_fraction,
             checkpoint_bytes: stats.checkpoint_bytes,
             mean_symbols_to_decode: total_symbols as f64 / n as f64,
@@ -393,11 +336,11 @@ fn main() {
         println!(
             "{:>9} {:>14.1} {:>14.1} {:>14.1} {:>7.2}x {:>9.2}x {:>11.1}% {:>10.1}",
             point.sessions,
-            point.scheduler_sessions_per_sec,
+            point.shared_scratch_sessions_per_sec,
             point.one_at_a_time_sessions_per_sec,
-            point.checkpointed_sessions_per_sec,
+            point.private_scratch_sessions_per_sec,
             point.speedup,
-            point.speedup_vs_checkpointed,
+            point.speedup_vs_private_scratch,
             100.0 * point.levels_resumed_fraction,
             point.checkpoint_bytes as f64 / 1024.0,
         );
@@ -418,31 +361,36 @@ fn main() {
     }
 }
 
-/// Hand-rendered JSON (the workspace carries no serialization
-/// dependency).
+/// The artifact: the shared [`BenchSummary`] header, then one line per
+/// fleet size (the workspace carries no serialization dependency).
 fn render_json(args: &RunArgs, rounds: u32, points: &[Point]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"multi_session_scheduler\",\n");
-    s.push_str("  \"config\": {\n");
-    s.push_str(&format!(
-        "    \"message_bits\": {MESSAGE_BITS},\n    \"k\": {K},\n    \"c\": {C},\n    \"beam\": {BEAM},\n    \"snr_db\": {SNR_DB},\n    \"schedule\": \"strided-8\",\n    \"feedback\": \"per-symbol\",\n"
-    ));
-    s.push_str(&format!(
-        "    \"seed\": {},\n    \"rounds\": {},\n    \"baseline\": \"one-at-a-time serving loop: each arrival re-decodes its session from scratch (decode_into, shared scratch) — the memory-comparable pre-scheduler loop\",\n    \"extra_baseline\": \"checkpointed_sessions: one RxSession per flow (private scratch+checkpoints per session), driven one at a time\"\n",
-        args.seed, rounds
-    ));
-    s.push_str("  },\n");
+    let mut s = BenchSummary::new("multi_session", args.seed, rounds)
+        .config("message_bits", MESSAGE_BITS)
+        .config("k", K)
+        .config("c", C)
+        .config("beam", BEAM)
+        .config("snr_db", SNR_DB)
+        .config_str("schedule", "strided-8")
+        .config_str("feedback", "per-symbol")
+        .config_str(
+            "baseline",
+            "one-at-a-time serving loop: each arrival re-decodes its session from scratch (decode_into, shared scratch)",
+        )
+        .config_str(
+            "extra_baseline",
+            "private_scratch: the same RxSessions, each lent a scratch of its own",
+        )
+        .render_header();
     s.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"sessions\": {}, \"scheduler_sessions_per_sec\": {:.2}, \"one_at_a_time_sessions_per_sec\": {:.2}, \"checkpointed_sessions_per_sec\": {:.2}, \"speedup\": {:.3}, \"speedup_vs_checkpointed\": {:.3}, \"levels_resumed_fraction\": {:.3}, \"checkpoint_bytes\": {}, \"mean_symbols_to_decode\": {:.1}}}{}\n",
+            "    {{\"sessions\": {}, \"shared_scratch_sessions_per_sec\": {:.2}, \"one_at_a_time_sessions_per_sec\": {:.2}, \"private_scratch_sessions_per_sec\": {:.2}, \"speedup\": {:.3}, \"speedup_vs_private_scratch\": {:.3}, \"levels_resumed_fraction\": {:.3}, \"checkpoint_bytes\": {}, \"mean_symbols_to_decode\": {:.1}}}{}\n",
             p.sessions,
-            p.scheduler_sessions_per_sec,
+            p.shared_scratch_sessions_per_sec,
             p.one_at_a_time_sessions_per_sec,
-            p.checkpointed_sessions_per_sec,
+            p.private_scratch_sessions_per_sec,
             p.speedup,
-            p.speedup_vs_checkpointed,
+            p.speedup_vs_private_scratch,
             p.levels_resumed_fraction,
             p.checkpoint_bytes,
             p.mean_symbols_to_decode,

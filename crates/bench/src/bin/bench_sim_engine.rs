@@ -25,12 +25,14 @@
 //! vs `hash_batch`, for every spine-hash family (the core batching layer
 //! the engine rides on).
 //!
-//! Prints the numbers as a table; a full run also writes
+//! The engines run interleaved, each keeping its fastest round, so a
+//! slow phase of a shared host lands on all of them alike. Prints the
+//! numbers as a table; a full run also writes
 //! `BENCH_sim_engine.json` into the working directory, while `--quick`
 //! (fewer rounds) writes nothing. Options: `--trials N` (default 60,
 //! the AWGN count; BSC runs 2×), `--seed S`, `--threads T`, `--quick`.
 
-use spinal_bench::{banner, best_time, measure_hash_families, RunArgs};
+use spinal_bench::{banner, measure_hash_families, time_interleaved, BenchSummary, RunArgs};
 use spinal_channel::{AwgnChannel, BscChannel, Channel, Rng};
 use spinal_core::decode::{
     reference_decode, AwgnCost, BeamConfig, BeamDecoder, BscCost, CostModel, DecoderScratch,
@@ -46,7 +48,6 @@ use spinal_sim::rateless::{
     run_awgn_with, run_bsc_with, BscRatelessConfig, RatelessConfig, Termination,
 };
 use spinal_sim::stats::derive_seed;
-use std::hint::black_box;
 
 const AWGN_SNR_DB: f64 = 0.0;
 const BSC_P: f64 = 0.10;
@@ -223,19 +224,20 @@ where
         "{label}: engine vs pre-engine"
     );
     let nt_engine = SimEngine::with_workers(threads);
+    let [seed_style, pre_engine, engine_1w, engine_nw] = time_interleaved(
+        rounds,
+        [
+            &mut || seed_style(),
+            &mut || pre_engine(),
+            &mut || engine_run(&SimEngine::serial()),
+            &mut || engine_run(&nt_engine),
+        ],
+    );
     LoopTimes {
-        seed_style: best_time(rounds, || {
-            black_box(seed_style());
-        }),
-        pre_engine: best_time(rounds, || {
-            black_box(pre_engine());
-        }),
-        engine_1w: best_time(rounds, || {
-            black_box(engine_run(&SimEngine::serial()));
-        }),
-        engine_nw: best_time(rounds, || {
-            black_box(engine_run(&nt_engine));
-        }),
+        seed_style,
+        pre_engine,
+        engine_1w,
+        engine_nw,
     }
 }
 
@@ -351,16 +353,16 @@ fn main() {
             threads = threads,
         )
     };
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"sim_engine\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"message_bits\": 24, \"k\": 8, \"beam\": {}, \"schedule\": \"none\", \"termination\": \"genie\", \"awgn_snr_db\": {AWGN_SNR_DB}, \"bsc_p\": {BSC_P}}},\n",
-        awgn.beam.beam_width
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"threads\": {threads},\n",
-        args.seed
-    ));
+    let mut json = BenchSummary::new("sim_engine", args.seed, rounds)
+        .config("message_bits", awgn.message_bits)
+        .config("k", awgn.k)
+        .config("beam", awgn.beam.beam_width)
+        .config_str("schedule", "none")
+        .config_str("termination", "genie")
+        .config("awgn_snr_db", AWGN_SNR_DB)
+        .config("bsc_p", BSC_P)
+        .config("threads", threads)
+        .render_header();
     json.push_str(&channel_json("awgn", trials, &t_awgn));
     json.push_str(",\n");
     json.push_str(&channel_json("bsc", bsc_trials, &t_bsc));

@@ -1,5 +1,7 @@
 //! CI smoke: a tiny fixed AWGN + BSC sweep through the simulation
-//! engine, emitting a deterministic JSON summary.
+//! engine, emitting a deterministic JSON summary. One AWGN point runs
+//! the practical receiver (stride-8 puncturing, CRC-16 termination), so
+//! the punctured CRC path is pinned next to the genie points.
 //!
 //! The configuration is frozen (code shape, seeds, trial counts, chunk
 //! size), so the summary must match the checked-in golden file
@@ -15,6 +17,7 @@
 //! below anything a real regression would move.
 
 use spinal_core::decode::BeamConfig;
+use spinal_core::frame::Checksum;
 use spinal_core::hash::HashFamily;
 use spinal_core::map::AnyIqMapper;
 use spinal_core::puncture::AnySchedule;
@@ -39,6 +42,17 @@ fn awgn_cfg() -> RatelessConfig {
         max_passes: 60,
         attempt_growth: 1.0,
         termination: Termination::Genie,
+    }
+}
+
+/// The practical receiver on the punctured path: stride-8 sub-passes
+/// and CRC-16 termination over a 16-bit payload.
+fn awgn_crc_cfg() -> RatelessConfig {
+    RatelessConfig {
+        message_bits: 32,
+        schedule: AnySchedule::strided(8).expect("8 is a valid stride"),
+        termination: Termination::Crc(Checksum::Crc16),
+        ..awgn_cfg()
     }
 }
 
@@ -109,6 +123,14 @@ fn main() {
         assert_identical(&label, &out, &serial);
         rows.push(point_json(&label, &out));
     }
+    let awgn_crc = awgn_crc_cfg();
+    let snr_db = 10.0;
+    let out = run_awgn_with(&awgn_crc, snr_db, TRIALS, SEED, &e2).expect("valid experiment config");
+    let serial =
+        run_awgn_with(&awgn_crc, snr_db, TRIALS, SEED, &e1).expect("valid experiment config");
+    let label = format!("awgn-crc16-stride8/{snr_db}dB");
+    assert_identical(&label, &out, &serial);
+    rows.push(point_json(&label, &out));
     for p in [0.0, 0.05] {
         let out = run_bsc_with(&bsc, p, TRIALS, SEED, &e2).expect("valid experiment config");
         let serial = run_bsc_with(&bsc, p, TRIALS, SEED, &e1).expect("valid experiment config");

@@ -2,9 +2,10 @@
 //! they cite hold: each row of the `bench_multi_session` table
 //! (sessions/s rounded to integers, speedups to two decimals) and the
 //! checkpoint memory of the largest fleet are checked against
-//! `BENCH_multi_session.json`, and the `bench_session` paragraph's
+//! `BENCH_multi_session.json`, the `bench_session` paragraph's
 //! speedups, resumed-level share and checkpoint footprint, and each row
-//! of its puncturing-probe table, against `BENCH_session.json`, so
+//! of its puncturing-probe table, against `BENCH_session.json`, and
+//! each row of the `bench_chaos` table against `BENCH_chaos.json`, so
 //! regenerating an artifact without rewriting its README figures fails
 //! here.
 
@@ -44,7 +45,7 @@ fn readme_multi_session_table_matches_its_artifact() {
 
     let rows = table_rows(
         &readme,
-        "| sessions | scheduler s/s | one-at-a-time s/s | speedup | vs checkpointed solo |",
+        "| sessions | shared scratch s/s | private scratches s/s | vs private | one-at-a-time s/s | vs one-at-a-time |",
     );
     assert_eq!(
         rows.len(),
@@ -54,10 +55,11 @@ fn readme_multi_session_table_matches_its_artifact() {
     for (row, p) in rows.iter().zip(&points) {
         let want = vec![
             format!("{}", field(p, "sessions")),
-            format!("{:.0}", field(p, "scheduler_sessions_per_sec")),
+            format!("{:.0}", field(p, "shared_scratch_sessions_per_sec")),
+            format!("{:.0}", field(p, "private_scratch_sessions_per_sec")),
+            format!("{:.2}", field(p, "speedup_vs_private_scratch")),
             format!("{:.0}", field(p, "one_at_a_time_sessions_per_sec")),
             format!("{:.2}", field(p, "speedup")),
-            format!("{:.2}", field(p, "speedup_vs_checkpointed")),
         ];
         assert_eq!(
             row, &want,
@@ -74,6 +76,115 @@ fn readme_multi_session_table_matches_its_artifact() {
     assert!(
         readme_prose().contains(&memory),
         "README should read \"{memory}\""
+    );
+}
+
+/// The quoted string after `"key": ` on one artifact line.
+fn str_field<'a>(line: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\": \"");
+    let at = line
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
+        + pat.len();
+    let rest = &line[at..];
+    &rest[..rest
+        .find('"')
+        .unwrap_or_else(|| panic!("open {key} in {line}"))]
+}
+
+#[test]
+fn readme_chaos_table_matches_its_artifact() {
+    let artifact = repo_file("BENCH_chaos.json");
+    let rows: Vec<&str> = artifact
+        .lines()
+        .filter(|l| l.contains("\"class\": "))
+        .collect();
+    // The README reports one table for both shard counts: the per-class
+    // rows must agree across them.
+    let per_class = |l: &&str| {
+        l[l.find("\"class\"").expect("class row")..]
+            .trim_end_matches(',')
+            .to_string()
+    };
+    let serial: Vec<&str> = rows
+        .iter()
+        .copied()
+        .filter(|l| field(l, "shards") == 1.0)
+        .collect();
+    let sharded: Vec<String> = rows
+        .iter()
+        .filter(|l| field(l, "shards") != 1.0)
+        .map(per_class)
+        .collect();
+    assert!(!serial.is_empty(), "the artifact lists no serial rows");
+    assert_eq!(
+        serial.iter().map(per_class).collect::<Vec<_>>(),
+        sharded,
+        "BENCH_chaos.json differs between shard counts"
+    );
+
+    let table = table_rows(
+        &repo_file("README.md"),
+        "| class | flows | delivered | recovered | misdecoded | lost | recovery p99 |",
+    );
+    let mut covered = Vec::new();
+    for row in &table {
+        let classes: Vec<&str> = row[0].split(" / ").collect();
+        let lines: Vec<&str> = classes
+            .iter()
+            .map(|c| {
+                *serial
+                    .iter()
+                    .find(|l| str_field(l, "class") == *c)
+                    .unwrap_or_else(|| panic!("README class {c} is not in BENCH_chaos.json"))
+            })
+            .collect();
+        covered.extend(classes.iter().map(|c| c.to_string()));
+        let sum = |key: &str| lines.iter().map(|l| field(l, key)).sum::<f64>();
+        let or_dash = |x: f64| {
+            if x == 0.0 {
+                "—".to_string()
+            } else {
+                format!("{x}")
+            }
+        };
+        let p99: Vec<f64> = lines
+            .iter()
+            .map(|l| field(l, "recovery_p99_ticks"))
+            .collect();
+        let (lo, hi) = p99
+            .iter()
+            .fold((f64::MAX, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let recovery = if hi == 0.0 {
+            "—".to_string()
+        } else if lo == hi {
+            format!("{hi} ticks")
+        } else {
+            format!("{lo}–{hi} ticks")
+        };
+        let want = vec![
+            row[0].clone(),
+            format!("{}", sum("flows")),
+            format!("{}", sum("delivered")),
+            or_dash(sum("recovered")),
+            format!("{}", sum("misdecoded")),
+            format!("{}", sum("lost")),
+            recovery,
+        ];
+        assert_eq!(
+            row, &want,
+            "README chaos row disagrees with BENCH_chaos.json"
+        );
+    }
+    let mut all: Vec<String> = serial
+        .iter()
+        .map(|l| str_field(l, "class").to_string())
+        .collect();
+    all.sort();
+    covered.sort();
+    assert_eq!(
+        covered, all,
+        "every artifact class appears in one README row"
     );
 }
 

@@ -15,8 +15,7 @@
 //! * **Unobserved levels.** Under puncturing a decode attempt may find
 //!   *no* observations at some tree level; every child then ties with its
 //!   parent's cost and pruning to `B` would pick arbitrarily (losing the
-//!   true path with probability `≈ 1 − B/2^k` per gap). When
-//!   [`BeamConfig::defer_prune_unobserved`] is set (default), the decoder
+//!   true path with probability `≈ 1 − B/2^k` per gap). The decoder
 //!   instead carries the whole frontier across such levels — bounded by
 //!   [`BeamConfig::max_frontier`] — and lets the next observed level do
 //!   the pruning. This is what lets rates exceed `k` bits/symbol at high
@@ -92,10 +91,6 @@ pub struct BeamConfig {
     /// attempt; crossing it forces an early prune with arbitrary
     /// tie-breaking, degrading gracefully rather than failing.
     pub max_frontier: usize,
-    /// Carry the frontier across unobserved levels instead of pruning to
-    /// `B` blindly (see module docs). Disable to get the paper's literal
-    /// fixed-B algorithm at every level.
-    pub defer_prune_unobserved: bool,
 }
 
 impl BeamConfig {
@@ -110,7 +105,6 @@ impl BeamConfig {
         Self {
             beam_width,
             max_frontier: 1 << 16,
-            defer_prune_unobserved: true,
         }
     }
 
@@ -137,10 +131,10 @@ impl BeamConfig {
         (self.max_frontier / branch).max(1)
     }
 
-    /// Children a level keeps: `B` at an observed level (or at every
-    /// level when deferral is off), otherwise only the frontier cap.
+    /// Children a level keeps: `B` at an observed level, otherwise only
+    /// the frontier cap.
     fn survivors(&self, observed: bool) -> usize {
-        if observed || !self.defer_prune_unobserved {
+        if observed {
             self.beam_width
         } else {
             self.max_frontier
@@ -371,9 +365,8 @@ impl Default for CachedPlan {
 /// warms the buffers, checkpointing allocates nothing.
 ///
 /// The store is a cache, never state a result depends on: an empty
-/// store (a fresh one, a [`release`](Self::release)d one, or one whose
-/// session came back from a warm restart holding only its
-/// observations) makes the next attempt decode from level 0, with the
+/// store (a fresh one, or one whose session came back from a warm
+/// restart holding only its observations) makes the next attempt decode from level 0, with the
 /// same result and the same reported stats as a resumed one — only the
 /// work the attempt does changes.
 #[derive(Clone, Debug, Default)]
@@ -407,19 +400,6 @@ impl BeamCheckpoints {
         }
         self.obs_len = 0;
         self.n_levels = 0;
-    }
-
-    /// [`reset`](Self::reset) that also returns every buffer's memory to
-    /// the allocator — the multi-session pool frees an abandoned
-    /// session's store this way. A released store decodes from scratch
-    /// on its next retry (bit-identical results, more work) and re-warms
-    /// its buffers only if it keeps running.
-    pub fn release(&mut self) {
-        self.reset();
-        self.saved.levels = Vec::new();
-        self.arena_parents = Vec::new();
-        self.arena_segs = Vec::new();
-        self.plans = Vec::new();
     }
 
     /// Heap bytes currently held by this store (capacity-based: saved
@@ -1658,24 +1638,6 @@ mod tests {
         .unwrap();
         let res = dec.decode(&obs);
         assert_eq!(res.message, msg, "deferral must bridge the gap");
-
-        // Without deferral the beam prunes blindly at level 1 and almost
-        // surely loses the true path (16 of 256 survive).
-        let literal = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig {
-                defer_prune_unobserved: false,
-                ..BeamConfig::paper_default()
-            },
-        )
-        .unwrap();
-        let res2 = literal.decode(&obs);
-        // (Not asserting failure — it is probabilistic — but the work
-        // done must be strictly smaller without deferral.)
-        assert!(res2.stats.frontier_peak <= res.stats.frontier_peak);
     }
 
     #[test]
@@ -2009,7 +1971,6 @@ mod tests {
                 BeamConfig {
                     beam_width,
                     max_frontier,
-                    defer_prune_unobserved: true,
                 },
             )
             .unwrap_err();
@@ -2045,7 +2006,6 @@ mod tests {
                 BeamConfig {
                     beam_width: 8,
                     max_frontier: 64,
-                    defer_prune_unobserved: true,
                 },
                 &[0xa5, 0x17, 0x68, 0xf3],
             ),
@@ -2280,12 +2240,10 @@ mod tests {
         p: &CodeParams,
         beam_width: usize,
         max_frontier: usize,
-        defer_prune_unobserved: bool,
     ) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
         let cfg = BeamConfig {
             beam_width,
             max_frontier,
-            defer_prune_unobserved,
         };
         BeamDecoder::new(p, Lookup3::new(42), LinearMapper::new(6), AwgnCost, cfg).unwrap()
     }
@@ -2300,12 +2258,12 @@ mod tests {
         #[test]
         fn prop_walk_predicts_nodes_expanded(k in 2u32..=5, segs in 1u32..=8, tail in 0u32..=2,
                                              beam in 1usize..=16, cap_exp in 0u32..=12,
-                                             cap_frac in 0usize..1024, defer in any::<bool>(),
+                                             cap_frac in 0usize..1024,
                                              mask in any::<u64>(), passes in any::<u64>(),
                                              msg_seed in any::<u64>()) {
             let cap = beam.max((1 << cap_exp) + (1usize << cap_exp) * cap_frac / 1024);
             let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (mask >> t) & 1 == 1, passes);
-            let dec = walk_decoder(&p, beam, cap, defer);
+            let dec = walk_decoder(&p, beam, cap);
             let res = dec.decode(&obs);
             prop_assert_eq!(dec.walk_attempt(&obs, 0).nodes, res.stats.nodes_expanded);
             prop_assert_eq!(dec.walk_attempt(&obs, p.n_segments()).nodes, 0);
@@ -2339,8 +2297,8 @@ mod tests {
                 }
             }
             let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (observed >> t) & 1 == 1, passes);
-            let capped = walk_decoder(&p, beam, cap, true);
-            let unbounded = walk_decoder(&p, beam, 1 << 24, true).decode(&obs);
+            let capped = walk_decoder(&p, beam, cap);
+            let unbounded = walk_decoder(&p, beam, 1 << 24).decode(&obs);
             let walk = capped.walk_attempt(&obs, 0);
             prop_assert_eq!(walk.fits, unbounded.stats.frontier_peak <= cap);
             if walk.fits {

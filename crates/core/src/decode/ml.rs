@@ -516,7 +516,6 @@ mod tests {
             BeamConfig {
                 beam_width: 256,
                 max_frontier: 1 << 16,
-                defer_prune_unobserved: true,
             },
         )
         .unwrap()

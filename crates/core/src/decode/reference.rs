@@ -135,7 +135,7 @@ pub fn reference_decode<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
         stats.nodes_expanded += next.len() as u64;
         stats.frontier_peak = stats.frontier_peak.max(next.len());
 
-        let keep = if !level_obs.is_empty() || !config.defer_prune_unobserved {
+        let keep = if !level_obs.is_empty() {
             config.beam_width
         } else {
             config.max_frontier

@@ -58,7 +58,7 @@ impl std::fmt::Display for WireErrorKind {
     }
 }
 
-/// What a pool-snapshot decoder found unusable (see
+/// What a server-snapshot decoder found unusable (see
 /// [`SpinalError::Snapshot`]). A warm-restart restore reports every
 /// whole-snapshot rejection through one of these; per-section damage is
 /// not an error at all — it degrades to dropped sessions counted by the
@@ -215,22 +215,14 @@ pub enum SpinalError {
     /// A session was driven past a terminal [`crate::session::Poll`]
     /// (`Decoded` or `Exhausted`).
     SessionFinished,
-    /// A [`crate::sched::SessionId`] that does not name a live session
-    /// of the pool (already removed, or from another pool).
-    UnknownSession,
-    /// Admission control: the pool already holds
-    /// [`crate::sched::MultiConfig::max_sessions`] live sessions.
+    /// Admission control: a server shard already holds its configured
+    /// ceiling of live sessions.
     PoolFull {
         /// Sessions currently resident.
         live: usize,
         /// The configured admission ceiling.
         max_sessions: usize,
     },
-    /// Ingest into an abandoned session: it reached the pool's
-    /// per-session attempt ceiling on input that never decodes
-    /// ([`crate::session::RxSession::is_abandoned`]); remove it to
-    /// reclaim the slot.
-    SessionQuarantined,
     /// A count parameter that must be at least one (sender windows,
     /// reorder windows, burst lengths, cumulative-ACK periods, …).
     AtLeastOne {
@@ -245,7 +237,7 @@ pub enum SpinalError {
         /// What was malformed.
         kind: WireErrorKind,
     },
-    /// A pool snapshot could not be taken or restored as a whole
+    /// A server snapshot could not be taken or restored as a whole
     /// (section-level damage degrades instead of erroring); see
     /// [`SnapshotErrorKind`].
     Snapshot {
@@ -312,16 +304,9 @@ impl std::fmt::Display for SpinalError {
             SpinalError::SessionFinished => {
                 write!(f, "session already returned a terminal poll")
             }
-            SpinalError::UnknownSession => {
-                write!(f, "session id does not name a live session of this pool")
-            }
             SpinalError::PoolFull { live, max_sessions } => write!(
                 f,
-                "pool admission rejected: {live} live sessions at a ceiling of {max_sessions}"
-            ),
-            SpinalError::SessionQuarantined => write!(
-                f,
-                "session was abandoned at its attempt ceiling; remove it to reclaim the slot"
+                "admission rejected: {live} live sessions at a ceiling of {max_sessions}"
             ),
             SpinalError::AtLeastOne { name, value } => {
                 write!(f, "{name} must be at least one, got {value}")
@@ -330,7 +315,7 @@ impl std::fmt::Display for SpinalError {
                 write!(f, "wire frame rejected: {kind}")
             }
             SpinalError::Snapshot { kind } => {
-                write!(f, "pool snapshot rejected: {kind}")
+                write!(f, "server snapshot rejected: {kind}")
             }
             SpinalError::Config { kind } => {
                 write!(f, "serving configuration rejected: {kind}")

@@ -45,6 +45,7 @@
 //! ```
 //! use spinal_core::bits::BitVec;
 //! use spinal_core::code::SpinalCode;
+//! use spinal_core::decode::DecoderScratch;
 //! use spinal_core::frame::AnyTerminator;
 //! use spinal_core::session::{Poll, RxConfig};
 //!
@@ -57,13 +58,15 @@
 //!
 //! // Receiver session (noiseless here): push symbols in, poll until
 //! // the terminator accepts. Each retry resumes the previous attempt's
-//! // tree search instead of recomputing it.
+//! // tree search instead of recomputing it; the scratch holds one
+//! // attempt's expansion buffers and can serve any number of sessions.
 //! let mut rx = code
 //!     .awgn_rx_session(AnyTerminator::genie(message.clone()), RxConfig::default())
 //!     .unwrap();
+//! let mut scratch = DecoderScratch::new();
 //! loop {
 //!     let (_slot, sym) = tx.next_symbol();
-//!     if let Poll::Decoded { .. } = rx.ingest(&[sym]).unwrap() {
+//!     if let Poll::Decoded { .. } = rx.ingest(&mut scratch, &[sym]).unwrap() {
 //!         break;
 //!     }
 //! }
@@ -94,7 +97,6 @@ pub mod kernels;
 pub mod map;
 pub mod params;
 pub mod puncture;
-pub mod sched;
 pub mod session;
 pub mod spine;
 pub mod symbol;
@@ -119,7 +121,6 @@ pub use map::{
 };
 pub use params::{CodeParams, CodeParamsBuilder, ParamError};
 pub use puncture::{AnySchedule, NoPuncture, PunctureSchedule, StridedPuncture, SubpassOrder};
-pub use sched::{MultiConfig, MultiDecoder, SessionEvent, SessionId, SessionOutcome};
 pub use session::{Poll, RxConfig, RxSession, TxPosition, TxSession};
 pub use spine::{compute_spine, segment_value, spine_step, SpineError, INITIAL_SPINE};
 pub use symbol::{IqSymbol, Slot};

@@ -21,22 +21,34 @@
 //!
 //! # Incremental retries
 //!
-//! An `RxSession` owns a persistent [`DecoderScratch`] **and** a
-//! [`BeamCheckpoints`] store. Every decode attempt runs through
-//! [`BeamDecoder::decode_incremental`]: tree levels below the lowest
-//! spine position that received a new symbol since the last attempt are
-//! *resumed from checkpoints* instead of re-expanded, and a level's
-//! hash-block plan is reused while its observations are unchanged.
-//! Under strided puncturing (where most sub-passes touch only a suffix
-//! of the spine) and per-symbol feedback loops this removes a large
-//! fraction of the per-retry work — see `BENCH_session.json`. A session
-//! pooled in a [`crate::sched::MultiDecoder`] runs the same attempt
-//! through the pool's one shared scratch instead of its own, which then
-//! stays empty. The store is only a cache of work: a session rebuilt
-//! from its observations alone ([`restore_receive_state`](RxSession::restore_receive_state),
-//! as a serving warm restart does) or one whose store was
-//! [`evict_checkpoints`](RxSession::evict_checkpoints)ed runs its next
-//! attempt from level 0, with the same result.
+//! An `RxSession` owns a [`BeamCheckpoints`] store; its caller lends
+//! every decode attempt a [`DecoderScratch`]. A scratch carries no
+//! information between attempts, so one scratch can serve any number of
+//! sessions, of any shape or symbol type, one attempt at a time: a
+//! solo receiver keeps one beside its session, and a serving shard
+//! lends its one scratch to every session it holds. Every decode
+//! attempt runs through [`BeamDecoder::decode_incremental`]: tree levels
+//! below the lowest spine position that received a new symbol since the
+//! last attempt are *resumed from checkpoints* instead of re-expanded,
+//! and a level's hash-block plan is reused while its observations are
+//! unchanged. Under strided puncturing (where most sub-passes touch only
+//! a suffix of the spine) and per-symbol feedback loops this removes a
+//! large fraction of the per-retry work — see `BENCH_session.json`. The
+//! store is only a cache of work: a session rebuilt from its
+//! observations alone ([`restore_receive_state`](RxSession::restore_receive_state),
+//! as a serving warm restart does) runs its next attempt from level 0,
+//! with the same result.
+//!
+//! # Absorb now, decode later
+//!
+//! [`ingest`](RxSession::ingest) records symbols and concludes at once.
+//! A server that hears many sessions per tick splits the two:
+//! [`absorb_at`](RxSession::absorb_at) records slot-labelled arrivals
+//! and runs nothing, and one [`poll`](RxSession::poll) per tick runs the
+//! attempt if one is due ([`attempt_due`](RxSession::attempt_due) is
+//! the one owner of that rule) and otherwise reports the symbols that
+//! arrived. The polls are those of one `ingest` of the same symbols
+//! coalesced per tick.
 //!
 //! # Exact attempts
 //!
@@ -75,6 +87,7 @@
 //!
 //! ```
 //! use spinal_core::code::SpinalCode;
+//! use spinal_core::decode::DecoderScratch;
 //! use spinal_core::frame::{frame_encode, AnyTerminator, Checksum};
 //! use spinal_core::session::{Poll, RxConfig};
 //! use spinal_core::BitVec;
@@ -88,11 +101,12 @@
 //! let mut rx = code
 //!     .awgn_rx_session(AnyTerminator::crc(Checksum::Crc16), RxConfig::default())
 //!     .unwrap();
+//! let mut scratch = DecoderScratch::new();
 //!
 //! // Noiseless link, one symbol per poll.
 //! loop {
 //!     let (_slot, sym) = tx.next_symbol();
-//!     match rx.ingest(&[sym]).unwrap() {
+//!     match rx.ingest(&mut scratch, &[sym]).unwrap() {
 //!         Poll::NeedMore { .. } => continue,
 //!         Poll::Decoded { .. } => break,
 //!         Poll::Exhausted { .. } => panic!("noiseless link must decode"),
@@ -384,7 +398,7 @@ enum RxState {
     Listening,
     Decoded,
     Exhausted,
-    /// Given up by policy (the pool's per-session attempt ceiling — the
+    /// Given up by policy (a server's per-session attempt ceiling — the
     /// §3 "too much time" escape hatch) rather than by symbol budget.
     Abandoned,
 }
@@ -392,14 +406,14 @@ enum RxState {
 /// The receiver's half of a streaming codec session.
 ///
 /// Owns everything a long-lived connection needs across retries: the
-/// slot-labelled observation set, the decoder's reusable scratch (left
-/// cold when a pool lends its own), the per-level checkpoint caches
-/// that make retries incremental, and
-/// the [`Terminator`] that decides success (CRC framing for the
-/// practical receiver, the genie for §5-style experiments). After the
-/// first few attempts warm the buffers, a steady-state
-/// [`ingest`](Self::ingest) → decode → reject cycle performs no heap
-/// allocation.
+/// slot-labelled observation set, the per-level checkpoint caches that
+/// make retries incremental, and the [`Terminator`] that decides
+/// success (CRC framing for the practical receiver, the genie for
+/// §5-style experiments). The expansion buffers of an attempt are the
+/// caller's [`DecoderScratch`], lent to each [`ingest`](Self::ingest)
+/// or [`poll`](Self::poll). After the first few attempts warm the
+/// buffers, a steady-state ingest → decode → reject cycle performs no
+/// heap allocation.
 ///
 /// Symbols pushed through [`ingest`](Self::ingest) are labelled with
 /// slots by the session itself, following the agreed schedule in
@@ -413,7 +427,6 @@ pub struct RxSession<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Punctu
     terminator: AnyTerminator,
     cfg: RxConfig,
     obs: Observations<M::Symbol>,
-    scratch: DecoderScratch,
     ckpt: BeamCheckpoints,
     result: DecodeResult,
     payload: BitVec,
@@ -425,6 +438,8 @@ pub struct RxSession<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Punctu
     /// decode attempt (`u32::MAX` = nothing new).
     dirty_from: u32,
     symbols: u64,
+    /// Symbols absorbed since the last poll.
+    absorbed: usize,
     attempts: u32,
     next_attempt: u64,
     state: RxState,
@@ -458,7 +473,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             terminator,
             cfg,
             obs: Observations::new(n_levels),
-            scratch: DecoderScratch::new(),
             ckpt: BeamCheckpoints::new(),
             result: DecodeResult::default(),
             payload: BitVec::new(),
@@ -467,6 +481,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             cursor_g: 0,
             dirty_from: u32::MAX,
             symbols: 0,
+            absorbed: 0,
             attempts: 0,
             next_attempt: 1,
             state: RxState::Listening,
@@ -507,15 +522,17 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.state == RxState::Abandoned
     }
 
-    /// Terminates the session by policy: the caller (typically a
-    /// [`crate::sched::MultiDecoder`] enforcing its per-session attempt
-    /// ceiling) has decided further decode attempts are not worth their
-    /// work. The session becomes finished without a payload; further
-    /// `ingest` calls return [`SpinalError::SessionFinished`]. No-op on
-    /// an already-finished session.
+    /// Terminates the session by policy: the caller (typically a server
+    /// enforcing its per-session attempt ceiling) has decided further
+    /// decode attempts are not worth their work. The session becomes
+    /// finished without a payload, and symbols absorbed since the last
+    /// poll are dropped unreported; further `ingest` calls return
+    /// [`SpinalError::SessionFinished`]. No-op on an already-finished
+    /// session.
     pub fn abandon(&mut self) {
         if self.state == RxState::Listening {
             self.state = RxState::Abandoned;
+            self.absorbed = 0;
         }
     }
 
@@ -567,6 +584,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.cursor_g = 0;
         self.dirty_from = u32::MAX;
         self.symbols = 0;
+        self.absorbed = 0;
         self.attempts = 0;
         self.next_attempt = 1;
         self.state = RxState::Listening;
@@ -588,7 +606,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
 
     /// Pushes received symbols (in transmission order — the session
     /// labels them with slots by the agreed schedule) and runs a decode
-    /// attempt when the thinning schedule is due.
+    /// attempt through `scratch` when the thinning schedule is due.
     ///
     /// Chunking is the caller's choice and does not affect results: one
     /// symbol per call models per-symbol feedback, one sub-pass per call
@@ -598,9 +616,14 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     ///
     /// Returns [`SpinalError::SessionFinished`] if a terminal poll was
     /// already returned.
-    pub fn ingest(&mut self, symbols: &[M::Symbol]) -> Result<Poll, SpinalError> {
-        let consumed = self.absorb(symbols)?;
-        Ok(self.poll_after_ingest(consumed))
+    pub fn ingest(
+        &mut self,
+        scratch: &mut DecoderScratch,
+        symbols: &[M::Symbol],
+    ) -> Result<Poll, SpinalError> {
+        self.absorb(symbols)?;
+        let due = self.attempt_due();
+        Ok(self.conclude(scratch, due))
     }
 
     /// Like [`ingest`](Self::ingest) for explicitly slot-labelled
@@ -614,17 +637,20 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// Returns [`SpinalError::SessionFinished`] on a finished session,
     /// and [`SpinalError::SlotOutOfRange`] (before consuming anything)
     /// when a slot addresses a spine position outside the code.
-    pub fn ingest_at(&mut self, symbols: &[(Slot, M::Symbol)]) -> Result<Poll, SpinalError> {
-        let consumed = self.absorb_at(symbols)?;
-        Ok(self.poll_after_ingest(consumed))
+    pub fn ingest_at(
+        &mut self,
+        scratch: &mut DecoderScratch,
+        symbols: &[(Slot, M::Symbol)],
+    ) -> Result<Poll, SpinalError> {
+        self.absorb_at(symbols)?;
+        let due = self.attempt_due();
+        Ok(self.conclude(scratch, due))
     }
 
     /// Records symbols (slot-labelled by the schedule cursor) without
-    /// running a decode attempt — the scheduler half of
-    /// [`ingest`](Self::ingest): a [`crate::sched::MultiDecoder`]
-    /// absorbs arrivals as they come and batches the attempts at its
-    /// next drive.
-    pub(crate) fn absorb(&mut self, symbols: &[M::Symbol]) -> Result<usize, SpinalError> {
+    /// running a decode attempt — the first half of
+    /// [`ingest`](Self::ingest).
+    fn absorb(&mut self, symbols: &[M::Symbol]) -> Result<(), SpinalError> {
         if self.state != RxState::Listening {
             return Err(SpinalError::SessionFinished);
         }
@@ -634,14 +660,18 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             self.dirty_from = self.dirty_from.min(slot.t);
         }
         self.symbols += symbols.len() as u64;
-        Ok(symbols.len())
+        self.absorbed += symbols.len();
+        Ok(())
     }
 
-    /// [`absorb`](Self::absorb) for explicitly slot-labelled symbols.
-    pub(crate) fn absorb_at(
-        &mut self,
-        symbols: &[(Slot, M::Symbol)],
-    ) -> Result<usize, SpinalError> {
+    /// Records explicitly slot-labelled symbols without running a
+    /// decode attempt: a server absorbs each tick's arrivals as they
+    /// come and concludes them with one [`poll`](Self::poll).
+    ///
+    /// # Errors
+    ///
+    /// As [`ingest_at`](Self::ingest_at).
+    pub fn absorb_at(&mut self, symbols: &[(Slot, M::Symbol)]) -> Result<(), SpinalError> {
         if self.state != RxState::Listening {
             return Err(SpinalError::SessionFinished);
         }
@@ -657,33 +687,34 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             self.dirty_from = self.dirty_from.min(slot.t);
         }
         self.symbols += symbols.len() as u64;
-        Ok(symbols.len())
+        self.absorbed += symbols.len();
+        Ok(())
     }
 
-    fn poll_after_ingest(&mut self, consumed: usize) -> Poll {
-        if self.attempt_due() {
-            return self.run_attempt(None, consumed);
+    /// Concludes what arrived since the last poll: runs the due decode
+    /// attempt through `scratch`, or — when symbols arrived but no
+    /// attempt is due — the symbol-budget check. Returns `None` when
+    /// nothing arrived and no attempt is due (a restored session's
+    /// first attempt is due before anything arrives). The polls are
+    /// those of one [`ingest`](Self::ingest) of everything absorbed
+    /// since the last poll.
+    pub fn poll(&mut self, scratch: &mut DecoderScratch) -> Option<Poll> {
+        let due = self.attempt_due();
+        if self.absorbed == 0 && !due {
+            return None;
         }
-        self.poll_without_attempt(consumed)
+        Some(self.conclude(scratch, due))
     }
 
-    /// Runs the due decode attempt whole — one
-    /// [`BeamDecoder::decode_incremental`] call through `scratch`, or
-    /// through the session's own scratch when `None` — then the
-    /// terminator and the poll tail (`consumed` is echoed in
-    /// `NeedMore`). Solo [`ingest`](Self::ingest) and the
-    /// [`crate::sched::MultiDecoder`] pool (which lends its one shared
-    /// scratch) both run attempts through here, so a pooled session's
-    /// polls are the solo ones by construction.
-    pub(crate) fn run_attempt(
-        &mut self,
-        scratch: Option<&mut DecoderScratch>,
-        consumed: usize,
-    ) -> Poll {
-        debug_assert!(self.attempt_due());
+    /// Runs the attempt if it is `due`, or else the poll tail, over
+    /// everything absorbed since the last poll.
+    fn conclude(&mut self, scratch: &mut DecoderScratch, due: bool) -> Poll {
+        let consumed = std::mem::take(&mut self.absorbed);
+        if !due {
+            return self.poll_without_attempt(consumed);
+        }
         self.attempts += 1;
         let dirty = std::mem::replace(&mut self.dirty_from, u32::MAX);
-        let scratch = scratch.unwrap_or(&mut self.scratch);
         self.decoder.decode_incremental(
             &self.obs,
             dirty,
@@ -708,24 +739,19 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// schedule is due, and — under [`RxConfig::exact_attempts`] — the
     /// attempt fits. The fit is recomputed from the observations alone,
     /// so a restored session waits exactly as an uninterrupted one.
-    pub(crate) fn attempt_due(&self) -> bool {
+    pub fn attempt_due(&self) -> bool {
         self.state == RxState::Listening
             && self.dirty_from != u32::MAX
             && self.symbols >= self.next_attempt
             && (!self.cfg.exact_attempts || self.decoder.walk_attempt(&self.obs, 0).fits)
     }
 
-    /// `true` while no terminal poll has been returned.
-    pub(crate) fn is_listening(&self) -> bool {
-        self.state == RxState::Listening
-    }
-
-    /// Tree nodes the next attempt would expand: the decoder's
-    /// [`walk_attempt`](BeamDecoder::walk_attempt) summed from the
-    /// level the attempt resumes at (the lower of the dirty mark and
-    /// the last valid checkpoint). The pool ranks shed victims by it
-    /// ([`MultiDecoder::shed_costliest`](crate::sched::MultiDecoder::shed_costliest)).
-    pub(crate) fn nodes_to_run(&self) -> u64 {
+    /// Tree nodes the next attempt would expand: the decoder's walk of
+    /// the attempt's frontier sizes, summed from the level the attempt
+    /// resumes at (the lower of the dirty mark and the last valid
+    /// checkpoint), without expanding anything. A server ranks shed
+    /// victims by it.
+    pub fn nodes_to_run(&self) -> u64 {
         let resume = self
             .dirty_from
             .min(self.obs.n_levels())
@@ -735,7 +761,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
 
     /// The poll tail when no attempt ran (or the attempt was rejected):
     /// the symbol-budget check, then `NeedMore`.
-    pub(crate) fn poll_without_attempt(&mut self, consumed: usize) -> Poll {
+    fn poll_without_attempt(&mut self, consumed: usize) -> Poll {
         if self.symbols >= self.cfg.max_symbols {
             self.state = RxState::Exhausted;
             return Poll::Exhausted {
@@ -747,17 +773,10 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         }
     }
 
-    /// Heap bytes held by this session's checkpoint store (the pool's
+    /// Heap bytes held by this session's checkpoint store (a server's
     /// shedding tie-break after predicted nodes).
     pub fn checkpoint_bytes(&self) -> usize {
         self.ckpt.memory_bytes()
-    }
-
-    /// Frees the checkpoint store's memory (the pool frees an abandoned
-    /// session's store this way). The next retry decodes from scratch —
-    /// results are bit-identical, only the work changes.
-    pub fn evict_checkpoints(&mut self) {
-        self.ckpt.release();
     }
 
     /// The symbol count the thinning schedule will run the next decode
@@ -780,7 +799,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     }
 
     /// Restores the receive-side state of a freshly constructed session
-    /// from a pool snapshot: the slot-labelled observations in their
+    /// from a server snapshot: the slot-labelled observations in their
     /// original arrival order (per-level cost folds replay in float
     /// order, so order matters for bit-identity) and the attempt
     /// counters exactly as they were. The implicit schedule cursor is
@@ -844,8 +863,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
 
     /// The SIMD tier this session's attempts run their kernels
     /// on (see [`crate::kernels`]). Every tier is bit-identical; mixed
-    /// tiers across the sessions of a [`crate::sched::MultiDecoder`]
-    /// are therefore safe — only per-attempt wall time differs.
+    /// tiers across sessions that lend one scratch are therefore safe —
+    /// only per-attempt wall time differs.
     pub fn kernel_dispatch(&self) -> crate::kernels::KernelDispatch {
         self.decoder.kernel_dispatch()
     }
@@ -875,12 +894,13 @@ mod tests {
 
     #[test]
     fn noiseless_roundtrip_per_symbol() {
+        let mut scratch = DecoderScratch::new();
         let msg = BitVec::from_bytes(&[0xca, 0xfe, 0x42]);
         let (mut tx, mut rx) = fig2_pair(3, &msg);
         let mut polls = 0;
         loop {
             let (_slot, sym) = tx.next_symbol();
-            match rx.ingest(&[sym]).unwrap() {
+            match rx.ingest(&mut scratch, &[sym]).unwrap() {
                 Poll::NeedMore { symbols_consumed } => {
                     assert_eq!(symbols_consumed, 1);
                     polls += 1;
@@ -899,11 +919,15 @@ mod tests {
         }
         assert_eq!(rx.payload(), Some(&msg));
         assert!(rx.is_finished());
-        assert_eq!(rx.ingest(&[]), Err(SpinalError::SessionFinished));
+        assert_eq!(
+            rx.ingest(&mut scratch, &[]),
+            Err(SpinalError::SessionFinished)
+        );
     }
 
     #[test]
     fn crc_termination_strips_checksum() {
+        let mut scratch = DecoderScratch::new();
         let payload = BitVec::from_bytes(&[0x5a]);
         let framed = frame_encode(&payload, Checksum::Crc16);
         let code = SpinalCode::fig2(framed.len() as u32, 9).unwrap();
@@ -917,7 +941,7 @@ mod tests {
             tx.next_subpass_into(&mut buf);
             syms.clear();
             syms.extend(buf.iter().map(|&(_, s)| s));
-            if let Poll::Decoded { .. } = rx.ingest(&syms).unwrap() {
+            if let Poll::Decoded { .. } = rx.ingest(&mut scratch, &syms).unwrap() {
                 break;
             }
             assert!(rx.symbols() < 500, "noiseless CRC decode must terminate");
@@ -927,6 +951,7 @@ mod tests {
 
     #[test]
     fn exhaustion_reports_budget() {
+        let mut scratch = DecoderScratch::new();
         // A receiver bound to the wrong seed never accepts.
         let msg = BitVec::from_bytes(&[1, 2, 3]);
         let code = SpinalCode::fig2(24, 1).unwrap();
@@ -943,7 +968,7 @@ mod tests {
             .unwrap();
         loop {
             let (_slot, sym) = tx.next_symbol();
-            match rx.ingest(&[sym]).unwrap() {
+            match rx.ingest(&mut scratch, &[sym]).unwrap() {
                 Poll::NeedMore { .. } => continue,
                 Poll::Exhausted { symbols_used } => {
                     assert_eq!(symbols_used, 12);
@@ -954,7 +979,10 @@ mod tests {
         }
         assert!(rx.is_finished());
         assert_eq!(rx.payload(), None);
-        assert_eq!(rx.ingest(&[]), Err(SpinalError::SessionFinished));
+        assert_eq!(
+            rx.ingest(&mut scratch, &[]),
+            Err(SpinalError::SessionFinished)
+        );
     }
 
     #[test]
@@ -1020,6 +1048,7 @@ mod tests {
 
     #[test]
     fn ingest_at_validates_slots() {
+        let mut scratch = DecoderScratch::new();
         let msg = BitVec::from_bytes(&[1, 2, 3]);
         let code = SpinalCode::fig2(24, 4).unwrap();
         let enc = code.encoder(&msg).unwrap();
@@ -1027,14 +1056,17 @@ mod tests {
             .awgn_rx_session(AnyTerminator::genie(msg.clone()), RxConfig::default())
             .unwrap();
         let err = rx
-            .ingest_at(&[(Slot::new(7, 0), enc.symbol(Slot::new(0, 0)))])
+            .ingest_at(
+                &mut scratch,
+                &[(Slot::new(7, 0), enc.symbol(Slot::new(0, 0)))],
+            )
             .unwrap_err();
         assert_eq!(err, SpinalError::SlotOutOfRange { t: 7, n_levels: 3 });
         // Valid slotted ingest decodes as usual.
         let pairs: Vec<_> = (0..3u32)
             .map(|t| (Slot::new(t, 0), enc.symbol(Slot::new(t, 0))))
             .collect();
-        match rx.ingest_at(&pairs).unwrap() {
+        match rx.ingest_at(&mut scratch, &pairs).unwrap() {
             Poll::Decoded { .. } => {}
             other => panic!("expected decode, got {other:?}"),
         }
@@ -1043,6 +1075,7 @@ mod tests {
 
     #[test]
     fn rebind_reuses_session_across_trials() {
+        let mut scratch = DecoderScratch::new();
         let code = SpinalCode::bsc(16, 4, 11).unwrap();
         let mut rx = RxSession::new(
             code.bsc_beam_decoder(BeamConfig::with_beam(8)).unwrap(),
@@ -1066,7 +1099,7 @@ mod tests {
                 tx.next_subpass_into(&mut buf);
                 syms.clear();
                 syms.extend(buf.iter().map(|&(_, s)| s));
-                match rx.ingest(&syms).unwrap() {
+                match rx.ingest(&mut scratch, &syms).unwrap() {
                     Poll::Decoded { .. } => break true,
                     Poll::NeedMore { .. } if rx.symbols() < 600 => continue,
                     _ => break false,

@@ -89,7 +89,7 @@ pub enum ClientOutcome {
         /// Decode attempts it ran.
         attempts: u32,
     },
-    /// Admission was rejected (pool full).
+    /// Admission was rejected (the shard is at its session ceiling).
     Busy,
     /// The receiver exhausted its symbol budget.
     Exhausted,

@@ -1,6 +1,6 @@
 //! # spinal-serve — the network-facing codec service
 //!
-//! Everything between a byte transport and the decoder pool:
+//! Everything between a byte transport and the receiver sessions:
 //!
 //! * [`wire`] — the versioned, length-prefixed binary frame format of
 //!   the session dialogue (HELLO negotiation, slot-labelled DATA runs,
@@ -11,11 +11,12 @@
 //!   a dependency-free non-blocking `std::net` TCP implementation, and
 //!   counter-seeded connection chaos (stalls, closes, corrupt bytes,
 //!   lost and delayed feedback frames).
-//! * [`server`] — the sharded serving event loop: each shard owns one
-//!   [`spinal_core::sched::MultiDecoder`] pool and its hash-assigned
-//!   connections, every tick flushes feedback, drains ingress under
-//!   per-connection backpressure, and drives the pool, running a
-//!   session's attempt only once it fits the decoder's frontier cap.
+//! * [`server`] — the sharded serving event loop: each shard owns its
+//!   hash-assigned connections, a flow table holding every pending
+//!   flow's session, and one decoder scratch it lends to every attempt;
+//!   every tick flushes feedback, drains ingress under per-connection
+//!   backpressure, and polls each session, running its attempt only once
+//!   it fits the decoder's frontier cap.
 //!   Serial and sharded ticks are bit-identical. Crash safety
 //!   rides on the same machinery: [`server::Server::snapshot_into`]
 //!   images every session into a versioned, per-section-CRC'd blob and
@@ -58,7 +59,7 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientOutcome, NoiseHook, ServeClient};
 pub use protocol::{LinkConfig, LinkReport};
-pub use server::{ConnHandle, ServeConfig, ServeStats, Server};
+pub use server::{ConnHandle, MultiConfig, ServeConfig, ServeStats, Server};
 pub use sim::{simulate_link, simulate_link_ensemble};
 pub use transport::{
     chaos_pair, loopback_pair, loopback_pair_chunked, ChaosEvent, ChaosPlan, ChaosTransport,

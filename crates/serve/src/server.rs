@@ -1,12 +1,13 @@
 //! The sharded codec-serving event loop.
 //!
-//! A [`Server`] owns `N` shards; each shard owns one
-//! [`MultiDecoder`] pool, one flow table, and the connections a stable
-//! hash assigned to it. One [`tick`](Server::tick) runs every shard
-//! through the same cycle:
+//! A [`Server`] owns `N` shards; each shard owns one flow table, the
+//! connections a stable hash assigned to it, and one
+//! [`DecoderScratch`] it lends to every decode attempt it runs. A
+//! pending flow owns its boxed [`RxSession`]. One [`tick`](Server::tick)
+//! runs every shard through the same cycle:
 //!
 //! 1. **expire** — detached flows past their persisted tick deadline
-//!    are removed (with their pool session, if still decoding);
+//!    are removed (with their session, if still decoding);
 //! 2. **flush** — drain each connection's bounded egress queue into its
 //!    transport (partial sends are backpressure, not errors), then
 //!    re-enqueue any result frame (`Decoded`/`Close`) deferred at the
@@ -23,12 +24,15 @@
 //!    [`BeamConfig::max_frontier`]): such a session could never attempt;
 //! 4. **resume** — deferred RESUME requests re-attach detached flows
 //!    (or replay a verdict reached while detached);
-//! 5. **drive** — one [`MultiDecoder::drive_into`] round, which runs
-//!    every due attempt, turning pool events into flow verdicts and,
-//!    for attached flows, feedback frames (ACK + decoded bits, Close on
-//!    exhaustion/abandonment) — detached flows are driven exactly like
-//!    attached ones, which is what keeps a later resume bit-identical to
-//!    an uninterrupted run. Every served session runs with
+//! 5. **drive** — one pass over the flow table: a session whose attempt
+//!    is due at its [`MultiConfig::max_session_attempts`] ceiling is
+//!    abandoned, and every other session [polls](RxSession::poll)
+//!    through the shard's scratch, which runs its due attempt. Each
+//!    verdict becomes, for an attached flow, feedback frames (ACK +
+//!    decoded bits, Close on exhaustion/abandonment) — detached flows
+//!    are driven exactly like attached ones, which is what keeps a later
+//!    resume bit-identical to an uninterrupted run. Every served session
+//!    runs with
 //!    [`RxConfig::exact_attempts`]: an attempt runs only when it fits —
 //!    its decoder carries every hypothesis the observations cannot yet
 //!    tell apart without pruning blindly at the frontier cap — and
@@ -41,7 +45,7 @@
 //! deadline, a drain deadline or a mid-stream protocol violation
 //! *detaches* the session (keyed by the [`ResumeToken`] issued in
 //! HELLO-ACK) instead of dropping it, so a reconnecting client resumes
-//! mid-decode. Under pool pressure the server sheds the
+//! mid-decode. At the admission ceiling the server sheds the
 //! highest-predicted-cost detached session first instead of answering
 //! every HELLO with a flat BUSY. [`Server::begin_drain`] starts a
 //! graceful drain: GO-AWAY to every peer, no new admissions (resume is
@@ -51,12 +55,12 @@
 //! The server is the only owner of that detach lifecycle. Each shard
 //! keeps one flow table: one record per session, from admission until
 //! its verdict is delivered or its detach deadline passes, indexed by
-//! resume-token id and by pool slot. A connection only points at its
-//! flow; detaching unlinks the two and stamps the deadline, resuming
-//! looks the token up and relinks. The pool keeps no record of
-//! detachment: under pressure the server hands it the shard's detached
-//! pending sessions, and [`MultiDecoder::shed_costliest`] picks the
-//! victim among them.
+//! resume-token id, holding the session itself while it decodes. A
+//! connection only points at its flow; detaching unlinks the two and
+//! stamps the deadline, resuming looks the token up and relinks. Under
+//! pressure the table names the victim: the detached pending session
+//! whose next attempt would expand the most tree nodes
+//! ([`RxSession::nodes_to_run`]).
 //!
 //! All timers count ticks, never wall-clock time, so every lifecycle
 //! path is deterministic. Shards never share mutable state, so
@@ -65,20 +69,20 @@
 //! The serial path is the allocation-free steady state (the sharded
 //! path allocates only its thread stacks).
 
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::thread;
 
 use spinal_core::bits::BitVec;
-use spinal_core::decode::{AwgnCost, BeamConfig};
+use spinal_core::decode::{AwgnCost, BeamConfig, DecoderScratch};
 use spinal_core::error::{ConfigErrorKind, SnapshotErrorKind, SpinalError, WireErrorKind};
 use spinal_core::frame::{AnyTerminator, Checksum};
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
 use spinal_core::puncture::StridedPuncture;
-use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent, SessionId, SessionOutcome};
 use spinal_core::session::{Poll, RxConfig, RxSession};
 use spinal_core::symbol::{IqSymbol, Slot};
 use spinal_core::SpinalCode;
@@ -92,7 +96,8 @@ use crate::snapshot::{
 use crate::transport::Transport;
 use crate::wire::{encode_frame, CloseReason, Frame, Hello, ResumeToken, WireDecoder};
 
-type Pool = MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
+/// The receiver session every served flow decodes with.
+type Rx = RxSession<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 
 /// Reserved token id whose authenticator a snapshot header carries as
 /// its secret probe: a restorer whose pinned secret derives a different
@@ -129,16 +134,45 @@ fn random_secret() -> u64 {
     h.finish()
 }
 
+/// Per-shard session limits ([`ServeConfig::pool`]). The server reads
+/// all three fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MultiConfig {
+    /// Per-session decode-attempt ceiling — the paper's §3 "too much
+    /// time has been spent" escape hatch. A session whose attempt is due
+    /// after this many attempts is abandoned instead: its flow settles
+    /// as abandoned and its session is dropped. `u32::MAX` (the
+    /// default) disables the ceiling.
+    pub max_session_attempts: u32,
+    /// Admission control: most pending sessions a shard holds. A HELLO
+    /// beyond it sheds a detached session or gets BUSY. `usize::MAX`
+    /// (the default) disables admission control.
+    pub max_sessions: usize,
+    /// Ticks a detached session (or a verdict held for replay) stays
+    /// resumable. `u64::MAX` (the default) disables expiry.
+    pub detach_ttl: u64,
+}
+
+impl Default for MultiConfig {
+    fn default() -> Self {
+        Self {
+            max_session_attempts: u32::MAX,
+            max_sessions: usize::MAX,
+            detach_ttl: u64::MAX,
+        }
+    }
+}
+
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Shard (event-loop) count; connections are spread by stable hash.
     pub shards: usize,
-    /// Per-shard decoder-pool configuration. `max_sessions` is each
-    /// shard's admission ceiling, which sheds detached sessions before
-    /// it refuses a HELLO; `max_session_attempts` abandons a session
-    /// that keeps failing; `detach_ttl` is the *tick* TTL of detached
-    /// sessions, enforced by the server (the pool never reads it).
+    /// Per-shard session limits: `max_sessions` is each shard's
+    /// admission ceiling, which sheds detached sessions before it
+    /// refuses a HELLO; `max_session_attempts` abandons a session that
+    /// keeps failing; `detach_ttl` is the *tick* TTL of detached
+    /// sessions.
     pub pool: MultiConfig,
     /// Egress bytes queued per connection above which its ingress stops
     /// being drained (backpressure).
@@ -194,7 +228,7 @@ impl ServeConfig {
     /// [`SpinalError::Config`] naming the first broken rule (see
     /// [`ConfigErrorKind`]): zero shards, inverted or zero egress
     /// watermarks, a zero admission cap, a zero lifecycle deadline, or
-    /// a pool that admits no session.
+    /// a shard that admits no session.
     pub fn validate(&self) -> Result<(), SpinalError> {
         let kind = if self.shards < 1 {
             ConfigErrorKind::ZeroShards
@@ -264,13 +298,14 @@ serve_stats! {
     ticks,
     /// Sessions admitted (HELLO → HELLO-ACK).
     admitted,
-    /// Sessions rejected with BUSY (shard pool full, or draining).
+    /// Sessions rejected with BUSY (shard at its admission ceiling, or
+    /// draining).
     busy_rejected,
     /// Sessions that decoded.
     decoded,
     /// Sessions that exhausted their symbol budget.
     exhausted,
-    /// Sessions abandoned by the pool's attempt ceiling.
+    /// Sessions abandoned at the attempt ceiling.
     abandoned,
     /// Connections closed for protocol violations (malformed frames,
     /// bad dialogue order, inadmissible HELLO).
@@ -387,9 +422,9 @@ impl<T> Conn<T> {
 
 /// What a flow has concluded so far.
 enum Verdict {
-    /// Still decoding in the pool (and driven every tick, attached or
-    /// not).
-    Pending(SessionId),
+    /// Still decoding (and driven every tick, attached or not). Boxed,
+    /// so a walk over the flow slab strides over small records.
+    Pending(Box<Rx>),
     /// Decoded; the result is held for delivery and replay.
     Decoded {
         bits: Option<BitVec>,
@@ -397,7 +432,8 @@ enum Verdict {
     },
     /// Exhausted its symbol budget while detached; held for replay.
     Exhausted,
-    /// Abandoned by the pool while detached; held for replay.
+    /// Abandoned at the attempt ceiling while detached; held for
+    /// replay.
     Abandoned,
 }
 
@@ -433,25 +469,20 @@ struct Flow {
 /// server, so fixed-key hashing cannot be flooded from outside.
 type TokenIndex = HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>;
 
-/// A shard's flows: a slab indexed by resume-token id and by the pool
-/// slot of each pending flow's session.
+/// A shard's flows: a slab indexed by resume-token id.
 #[derive(Default)]
 struct FlowTable {
     slab: Vec<Option<Flow>>,
     free: Vec<usize>,
     tokens: TokenIndex,
-    /// Pool slot → index of the flow whose session holds it
-    /// (`usize::MAX` when none does).
-    slots: Vec<usize>,
+    /// Flows still decoding: the shard's live sessions.
+    pending: usize,
 }
 
 impl FlowTable {
     fn insert(&mut self, flow: Flow) -> usize {
         let token_id = flow.token_id;
-        let session = match flow.verdict {
-            Verdict::Pending(sid) => Some(sid),
-            _ => None,
-        };
+        self.pending += usize::from(matches!(flow.verdict, Verdict::Pending(_)));
         let f = match self.free.pop() {
             Some(f) => {
                 self.slab[f] = Some(flow);
@@ -463,17 +494,11 @@ impl FlowTable {
             }
         };
         self.tokens.insert(token_id, f);
-        if let Some(sid) = session {
-            if self.slots.len() <= sid.slot() {
-                self.slots.resize(sid.slot() + 1, usize::MAX);
-            }
-            self.slots[sid.slot()] = f;
-        }
         f
     }
 
-    /// Unlinks flow `f` from both indices and frees its record. A
-    /// pending flow's pool session is the caller's to remove.
+    /// Unlinks flow `f` from the token index and frees its record,
+    /// session included.
     fn remove(&mut self, f: usize) -> Flow {
         let flow = self.slab[f].take().expect("removed flow is live");
         self.free.push(f);
@@ -482,25 +507,23 @@ impl FlowTable {
         if self.tokens.get(&flow.token_id) == Some(&f) {
             self.tokens.remove(&flow.token_id);
         }
-        if let Verdict::Pending(sid) = flow.verdict {
-            self.slots[sid.slot()] = usize::MAX;
-        }
+        self.pending -= usize::from(matches!(flow.verdict, Verdict::Pending(_)));
         flow
     }
 
-    /// Records the verdict the pool reached for flow `f`, whose session
-    /// the caller has removed from the pool.
+    /// Records the verdict pending flow `f` reached, dropping its
+    /// session.
     fn settle(&mut self, f: usize, verdict: Verdict) {
         let flow = self.get_mut(f);
-        if let Verdict::Pending(sid) = std::mem::replace(&mut flow.verdict, verdict) {
-            self.slots[sid.slot()] = usize::MAX;
-        }
+        debug_assert!(matches!(flow.verdict, Verdict::Pending(_)));
+        flow.verdict = verdict;
+        self.pending -= 1;
     }
 
-    /// Removes every detached flow past its deadline, with its pool
-    /// session if it was still decoding. Returns how many were (settled
+    /// Removes every detached flow past its deadline, with its session
+    /// if it was still decoding. Returns how many were (settled
     /// verdicts were counted when they landed).
-    fn expire(&mut self, tick: u64, pool: &mut Pool) -> u64 {
+    fn expire(&mut self, tick: u64) -> u64 {
         let mut expired = 0;
         for f in 0..self.slab.len() {
             let due = self.slab[f]
@@ -509,8 +532,7 @@ impl FlowTable {
             if !due {
                 continue;
             }
-            if let Verdict::Pending(sid) = self.remove(f).verdict {
-                let _ = pool.remove(sid);
+            if let Verdict::Pending(_) = self.remove(f).verdict {
                 expired += 1;
             }
         }
@@ -529,47 +551,55 @@ impl FlowTable {
         self.tokens.get(&token_id).copied()
     }
 
-    fn by_slot(&self, slot: usize) -> Option<usize> {
-        self.slots.get(slot).copied().filter(|&f| f != usize::MAX)
-    }
-
     fn iter(&self) -> impl Iterator<Item = &Flow> {
         self.slab.iter().flatten()
     }
 
-    /// Pool sessions of the detached flows still decoding: the shard's
-    /// orphans, the only sessions overload may shed.
-    fn orphans(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.iter().filter_map(|flow| match flow.verdict {
-            Verdict::Pending(sid) if flow.conn.is_none() => Some(sid),
-            _ => None,
-        })
+    /// The orphan overload sheds first: among the detached flows still
+    /// decoding, the one whose next attempt would expand the most tree
+    /// nodes, then the one holding the most checkpoint bytes, then the
+    /// lowest flow index.
+    fn costliest_orphan(&self) -> Option<usize> {
+        let (_, f) = self
+            .slab
+            .iter()
+            .enumerate()
+            .filter_map(|(f, flow)| match flow {
+                Some(Flow {
+                    verdict: Verdict::Pending(rx),
+                    conn: None,
+                    ..
+                }) => Some((((rx.nodes_to_run(), rx.checkpoint_bytes()), Reverse(f)), f)),
+                _ => None,
+            })
+            .max_by_key(|&(key, _)| key)?;
+        Some(f)
     }
 }
 
 struct Shard<T> {
-    pool: Pool,
     conns: Vec<Option<Conn<T>>>,
     free: Vec<usize>,
     flows: FlowTable,
     /// RESUME requests deferred to after ingress, so re-attachment
     /// never races the death of the connection it supersedes.
     resumes: Vec<(usize, ResumeToken)>,
-    events: Vec<SessionEvent>,
+    /// The expansion buffers every decode attempt of the shard runs
+    /// through, one attempt at a time.
+    scratch: DecoderScratch,
     rxbuf: Vec<u8>,
     symbols: Vec<(Slot, IqSymbol)>,
     stats: ServeStats,
 }
 
 impl<T: Transport> Shard<T> {
-    fn new(pool_cfg: MultiConfig) -> Self {
+    fn new() -> Self {
         Self {
-            pool: Pool::new(pool_cfg),
             conns: Vec::new(),
             free: Vec::new(),
             flows: FlowTable::default(),
             resumes: Vec::new(),
-            events: Vec::new(),
+            scratch: DecoderScratch::new(),
             rxbuf: Vec::with_capacity(16 * 1024),
             symbols: Vec::new(),
             stats: ServeStats::default(),
@@ -599,7 +629,7 @@ impl<T: Transport> Server<T> {
     /// Propagates [`ServeConfig::validate`] failures.
     pub fn new(cfg: ServeConfig) -> Result<Self, SpinalError> {
         cfg.validate()?;
-        let shards = (0..cfg.shards).map(|_| Shard::new(cfg.pool)).collect();
+        let shards = (0..cfg.shards).map(|_| Shard::new()).collect();
         let resume_secret = cfg.resume_secret.unwrap_or_else(random_secret);
         Ok(Self {
             cfg,
@@ -702,7 +732,7 @@ impl<T: Transport> Server<T> {
                     // Lifecycle paths detach or release a flow before a
                     // connection ends; one still attached here is
                     // released rather than left pointing at a free slot.
-                    release(&mut conn, &mut shard.flows, &mut shard.pool);
+                    release(&mut conn, &mut shard.flows);
                     shard.free.push(idx);
                     reaped += 1;
                 }
@@ -723,10 +753,10 @@ impl<T: Transport> Server<T> {
         out
     }
 
-    /// Sessions currently live across all shard pools (attached and
+    /// Sessions currently decoding across all shards (attached and
     /// detached).
     pub fn live_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.len()).sum()
+        self.shards.iter().map(|s| s.flows.pending).sum()
     }
 
     /// Detached sessions currently held for resumption (pending,
@@ -824,9 +854,7 @@ impl<T: Transport> Server<T> {
         for shard in &self.shards {
             for flow in shard.flows.iter() {
                 let body = match &flow.verdict {
-                    Verdict::Pending(sid) => {
-                        pending_body(shard.pool.get(*sid).expect("pending session is live"))
-                    }
+                    Verdict::Pending(rx) => pending_body(rx),
                     Verdict::Decoded { bits, ack } => EntryBodyRef::Done {
                         bits: bits.as_ref(),
                         ack: *ack,
@@ -957,25 +985,21 @@ impl<T: Transport> Server<T> {
                         mode: entry.mode,
                     };
                     // Same admission path as the network, same caps.
-                    let Ok(sid) = admit(&h, &cfg, &mut shard.pool) else {
+                    let Ok(mut rx) = admit(&h, &cfg, shard.flows.pending) else {
                         continue;
                     };
                     // The session comes back with an empty checkpoint
                     // store: its next attempt decodes from level 0,
                     // bit-identical to the checkpoint-resumed attempt
                     // an uninterrupted server would run.
-                    let ok = shard
-                        .pool
-                        .get_mut(sid)
-                        .expect("freshly admitted session is live")
+                    if rx
                         .restore_receive_state(&obs, attempts, next_attempt, dirty_from)
-                        .is_ok();
-                    if !ok {
-                        let _ = shard.pool.remove(sid);
+                        .is_err()
+                    {
                         continue;
                     }
                     pending_restored += 1;
-                    Verdict::Pending(sid)
+                    Verdict::Pending(rx)
                 }
                 ParsedBody::Done { bits, ack } => Verdict::Decoded { bits, ack },
                 ParsedBody::Exhausted => Verdict::Exhausted,
@@ -1000,10 +1024,10 @@ impl<T: Transport> Server<T> {
 impl<T: Transport + Send> Server<T> {
     /// Runs one serving cycle with one scoped thread per shard.
     ///
-    /// Shards share no mutable state — each owns its pool, connections
-    /// and counters — so the result is bit-identical to the serial
-    /// [`tick`](Server::tick): same frames, same verdicts, same stats,
-    /// for any shard count.
+    /// Shards share no mutable state — each owns its flows, scratch,
+    /// connections and counters — so the result is bit-identical to the
+    /// serial [`tick`](Server::tick): same frames, same verdicts, same
+    /// stats, for any shard count.
     pub fn tick_sharded(&mut self) {
         self.tick += 1;
         let t = self.tick;
@@ -1039,12 +1063,11 @@ fn shard_tick<T: Transport>(
     secret: u64,
 ) {
     let Shard {
-        pool,
         conns,
         free: _,
         flows,
         resumes,
-        events,
+        scratch,
         rxbuf,
         symbols,
         stats,
@@ -1054,7 +1077,7 @@ fn shard_tick<T: Transport>(
     // Phase 0: expire detached flows past their deadline. The deadline
     // is the one stamped at detach (or carried by a snapshot), so it
     // holds whatever TTL this server was configured with.
-    stats.expired += flows.expire(tick, pool);
+    stats.expired += flows.expire(tick);
 
     // Phases 1 + 2: per-connection flush (with deferred-result retry),
     // then ingress unless backpressured, then the tick-counted
@@ -1160,7 +1183,7 @@ fn shard_tick<T: Transport>(
             match action {
                 Action::Hello(h) => {
                     if conn.state != ConnState::Greeting || conn.resume_pending {
-                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                        protocol_close(conn, flows, tick, ttl, stats, cfg);
                         break;
                     }
                     if drain.is_some() {
@@ -1170,7 +1193,7 @@ fn shard_tick<T: Transport>(
                             &mut conn.egress,
                             cfg,
                             &Frame::Busy {
-                                live: pool.len().min(u32::MAX as usize) as u32,
+                                live: flows.pending.min(u32::MAX as usize) as u32,
                                 max_sessions: cfg.pool.max_sessions.min(u32::MAX as usize) as u32,
                             },
                             stats,
@@ -1178,11 +1201,11 @@ fn shard_tick<T: Transport>(
                         conn.state = ConnState::Closed;
                         continue;
                     }
-                    match admit_or_shed(&h, cfg, pool, flows, stats) {
-                        Ok(id) => {
+                    match admit_or_shed(&h, cfg, flows, stats) {
+                        Ok(rx) => {
                             let f = flows.insert(Flow {
                                 token_id: conn.conn_id,
-                                verdict: Verdict::Pending(id),
+                                verdict: Verdict::Pending(rx),
                                 mode: h.mode,
                                 expected_seq: 0,
                                 conn: Some(idx),
@@ -1195,7 +1218,7 @@ fn shard_tick<T: Transport>(
                                 &mut conn.egress,
                                 cfg,
                                 &Frame::HelloAck {
-                                    token: id.slot() as u64,
+                                    token: f as u64,
                                     resume: ResumeToken {
                                         id: conn.conn_id,
                                         auth: resume_auth(secret, conn.conn_id),
@@ -1221,21 +1244,21 @@ fn shard_tick<T: Transport>(
                             conn.state = ConnState::Closed;
                         }
                         Err(_) => {
-                            protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                            protocol_close(conn, flows, tick, ttl, stats, cfg);
                             break;
                         }
                     }
                 }
                 Action::Data { seq, count } => match conn.state {
                     ConnState::Greeting => {
-                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                        protocol_close(conn, flows, tick, ttl, stats, cfg);
                         break;
                     }
                     ConnState::Closed => {}
                     ConnState::Attached(f) => {
                         let flow = flows.get_mut(f);
-                        match flow.verdict {
-                            Verdict::Pending(id) => {
+                        match &mut flow.verdict {
+                            Verdict::Pending(rx) => {
                                 stats.symbols_in += count as u64;
                                 if seq > flow.expected_seq {
                                     if flow.mode == FeedbackMode::Nack && !conn.nacked {
@@ -1256,8 +1279,8 @@ fn shard_tick<T: Transport>(
                                     conn.nacked = false;
                                 }
                                 flow.expected_seq = flow.expected_seq.max(seq + count as u64);
-                                if pool.ingest_at(id, symbols).is_err() {
-                                    protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                                if rx.absorb_at(symbols).is_err() {
+                                    protocol_close(conn, flows, tick, ttl, stats, cfg);
                                     break;
                                 }
                             }
@@ -1265,7 +1288,7 @@ fn shard_tick<T: Transport>(
                             // own continued transmissions (unless the full
                             // result is still deferred — it already
                             // carries the ACK).
-                            Verdict::Decoded {
+                            &mut Verdict::Decoded {
                                 ack: (symbols_used, attempts),
                                 ..
                             } => {
@@ -1290,7 +1313,7 @@ fn shard_tick<T: Transport>(
                 Action::ClientClose => {
                     // An orderly close renounces the flow — nothing is
                     // kept for resumption.
-                    release(conn, flows, pool);
+                    release(conn, flows);
                 }
                 Action::Ping(nonce) => {
                     enqueue(&mut conn.egress, cfg, &Frame::Pong { nonce }, stats);
@@ -1298,14 +1321,14 @@ fn shard_tick<T: Transport>(
                 Action::Ignore => {}
                 Action::Resume(token) => {
                     if conn.state != ConnState::Greeting || conn.resume_pending {
-                        protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                        protocol_close(conn, flows, tick, ttl, stats, cfg);
                         break;
                     }
                     conn.resume_pending = true;
                     resumes.push((idx, token));
                 }
                 Action::Violation => {
-                    protocol_close(conn, flows, pool, tick, ttl, stats, cfg);
+                    protocol_close(conn, flows, tick, ttl, stats, cfg);
                     break;
                 }
             }
@@ -1402,40 +1425,43 @@ fn shard_tick<T: Transport>(
     }
     resumes.clear();
 
-    // Phase 3: drive the pool and turn events into verdicts. Detached
-    // flows are driven exactly like attached ones — a pending attempt
-    // concludes in the same drive it would have with the driver
-    // present, which is what keeps resume bit-identical.
-    pool.drive_into(events);
-    for ev in events.iter() {
-        let Some(f) = flows.by_slot(ev.id.slot()) else {
+    // Phase 3: drive every pending session through the shard's one
+    // scratch and deliver the verdicts. Detached flows are driven
+    // exactly like attached ones — a pending attempt concludes in the
+    // same tick it would have with the driver present, which is what
+    // keeps resume bit-identical.
+    let ceiling = cfg.pool.max_session_attempts;
+    for f in 0..flows.slab.len() {
+        let Some(Flow {
+            verdict: Verdict::Pending(rx),
+            ..
+        }) = flows.slab[f].as_mut()
+        else {
             continue;
         };
-        let verdict = match ev.outcome {
-            SessionOutcome::Poll(Poll::NeedMore { .. }) => continue,
-            SessionOutcome::Poll(Poll::Decoded {
-                symbols_used,
-                attempts,
-            }) => {
-                stats.decoded += 1;
-                Verdict::Decoded {
-                    bits: pool
-                        .remove(ev.id)
-                        .expect("decoded session is live")
-                        .payload()
-                        .cloned(),
-                    ack: (symbols_used, attempts),
+        let verdict = if rx.attempts() >= ceiling && rx.attempt_due() {
+            // The §3 escape hatch: this session has spent its attempt
+            // budget without decoding — garbage input, a hopeless
+            // channel, or a misbound code. Stop paying for it.
+            stats.abandoned += 1;
+            Verdict::Abandoned
+        } else {
+            match rx.poll(scratch) {
+                None | Some(Poll::NeedMore { .. }) => continue,
+                Some(Poll::Decoded {
+                    symbols_used,
+                    attempts,
+                }) => {
+                    stats.decoded += 1;
+                    Verdict::Decoded {
+                        bits: rx.payload().cloned(),
+                        ack: (symbols_used, attempts),
+                    }
                 }
-            }
-            SessionOutcome::Poll(Poll::Exhausted { .. }) => {
-                let _ = pool.remove(ev.id);
-                stats.exhausted += 1;
-                Verdict::Exhausted
-            }
-            SessionOutcome::Abandoned { .. } => {
-                let _ = pool.remove(ev.id);
-                stats.abandoned += 1;
-                Verdict::Abandoned
+                Some(Poll::Exhausted { .. }) => {
+                    stats.exhausted += 1;
+                    Verdict::Exhausted
+                }
             }
         };
         flows.settle(f, verdict);
@@ -1448,7 +1474,7 @@ fn shard_tick<T: Transport>(
         match flow.verdict.close_reason() {
             None => enqueue_result(conn, flow, cfg, stats),
             Some(reason) => {
-                release(conn, flows, pool);
+                release(conn, flows);
                 send_close(conn, cfg, stats, reason);
             }
         }
@@ -1467,9 +1493,9 @@ fn shard_tick<T: Transport>(
             continue;
         }
         conn.last_snapshot = tick;
-        let (decoded, symbols_used) = match flow.verdict {
+        let (decoded, symbols_used) = match &flow.verdict {
             Verdict::Decoded { ack, .. } => (true, ack.0),
-            Verdict::Pending(sid) => (false, pool.get(sid).map_or(0, |rx| rx.symbols())),
+            Verdict::Pending(rx) => (false, rx.symbols()),
             Verdict::Exhausted | Verdict::Abandoned => (false, 0),
         };
         enqueue(
@@ -1489,9 +1515,7 @@ fn shard_tick<T: Transport>(
 /// dynamics that schedule the next attempt, and the full observation
 /// set. Checkpoints are a cache the restored session rebuilds by
 /// decoding from level 0, so none are imaged.
-fn pending_body(
-    rx: &RxSession<Lookup3, LinearMapper, AwgnCost, StridedPuncture>,
-) -> EntryBodyRef<'_> {
+fn pending_body(rx: &Rx) -> EntryBodyRef<'_> {
     EntryBodyRef::Pending {
         shape: PendingShape {
             message_bits: rx.params().message_bits(),
@@ -1508,13 +1532,15 @@ fn pending_body(
     }
 }
 
-/// Validates a HELLO and inserts the session into the shard pool.
+/// Validates a HELLO against a shard holding `pending` sessions and
+/// builds the flow's session.
 ///
 /// A served session attempts only when the attempt fits its frontier
 /// cap ([`RxConfig::exact_attempts`]), so a shape whose gap-free level
 /// cannot fit (`B × 2^k` over the cap) could never attempt, and is
-/// refused like any other inadmissible shape.
-fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, SpinalError> {
+/// refused like any other inadmissible shape. A valid shape at the
+/// admission ceiling gets [`SpinalError::PoolFull`].
+fn admit(h: &Hello, cfg: &ServeConfig, pending: usize) -> Result<Box<Rx>, SpinalError> {
     const CORRUPT: SpinalError = SpinalError::Wire {
         kind: WireErrorKind::Corrupt,
     };
@@ -1536,6 +1562,12 @@ fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, Spi
         .build()
         .map_err(|_| CORRUPT)?;
     let mapper = LinearMapper::try_new(h.c).map_err(|_| CORRUPT)?;
+    if pending >= cfg.pool.max_sessions {
+        return Err(SpinalError::PoolFull {
+            live: pending,
+            max_sessions: cfg.pool.max_sessions,
+        });
+    }
     // DATA frames carry explicit slots and are ingested by slot, so the
     // session's schedule never labels a symbol: the paper's stride-8
     // schedule stands in.
@@ -1555,30 +1587,22 @@ fn admit(h: &Hello, cfg: &ServeConfig, pool: &mut Pool) -> Result<SessionId, Spi
             exact_attempts: true,
         },
     )?;
-    pool.insert(rx)
+    Ok(Box::new(rx))
 }
 
-/// [`admit`], shedding the highest-predicted-cost detached session (and
-/// retrying) each time the pool reports full — new work preempts
-/// orphaned work, never the other way around. The flow table names the
-/// candidates; the pool ranks them.
+/// [`admit`], shedding the costliest orphan (and retrying) each time the
+/// shard is at its admission ceiling — new work preempts orphaned work,
+/// never the other way around.
 fn admit_or_shed(
     h: &Hello,
     cfg: &ServeConfig,
-    pool: &mut Pool,
     flows: &mut FlowTable,
     stats: &mut ServeStats,
-) -> Result<SessionId, SpinalError> {
+) -> Result<Box<Rx>, SpinalError> {
     loop {
-        match admit(h, cfg, pool) {
-            Err(SpinalError::PoolFull { live, max_sessions }) => {
-                let Some(sid) = pool.shed_costliest(flows.orphans()) else {
-                    return Err(SpinalError::PoolFull { live, max_sessions });
-                };
-                // The pool has already removed the victim's session.
-                let f = flows
-                    .by_slot(sid.slot())
-                    .expect("a shed orphan belongs to a flow");
+        match admit(h, cfg, flows.pending) {
+            Err(full @ SpinalError::PoolFull { .. }) => {
+                let f = flows.costliest_orphan().ok_or(full)?;
                 flows.remove(f);
                 stats.shed += 1;
             }
@@ -1608,13 +1632,11 @@ fn detach<T>(
     conn.state = ConnState::Closed;
 }
 
-/// Closes a connection and drops its flow for good, pool session
-/// included: nothing is kept for resumption.
-fn release<T>(conn: &mut Conn<T>, flows: &mut FlowTable, pool: &mut Pool) {
+/// Closes a connection and drops its flow for good, session included:
+/// nothing is kept for resumption.
+fn release<T>(conn: &mut Conn<T>, flows: &mut FlowTable) {
     if let ConnState::Attached(f) = conn.state {
-        if let Verdict::Pending(sid) = flows.remove(f).verdict {
-            let _ = pool.remove(sid);
-        }
+        flows.remove(f);
     }
     conn.state = ConnState::Closed;
 }
@@ -1622,7 +1644,6 @@ fn release<T>(conn: &mut Conn<T>, flows: &mut FlowTable, pool: &mut Pool) {
 fn protocol_close<T>(
     conn: &mut Conn<T>,
     flows: &mut FlowTable,
-    pool: &mut Pool,
     tick: u64,
     ttl: u64,
     stats: &mut ServeStats,
@@ -1635,7 +1656,7 @@ fn protocol_close<T>(
         ConnState::Attached(f) if matches!(flows.get(f).verdict, Verdict::Pending(_)) => {
             detach(conn, flows, tick, ttl, stats);
         }
-        _ => release(conn, flows, pool),
+        _ => release(conn, flows),
     }
     stats.protocol_errors += 1;
     send_close(conn, cfg, stats, CloseReason::Protocol);
@@ -1776,10 +1797,9 @@ mod tests {
             let shard = &server.shards[0];
             let mut levels = Vec::new();
             for flow in shard.flows.iter() {
-                let Verdict::Pending(sid) = flow.verdict else {
+                let Verdict::Pending(rx) = &flow.verdict else {
                     continue;
                 };
-                let rx = shard.pool.get(sid).unwrap();
                 assert!(rx.attempts() > 0, "the session has attempted a decode");
                 levels.push(rx.checkpoints().valid_levels());
             }

@@ -29,13 +29,12 @@ use std::sync::{Arc, Mutex};
 use spinal_channel::{AwgnChannel, Channel, Rng};
 use spinal_core::bits::BitVec;
 use spinal_core::error::SpinalError;
-use spinal_core::sched::MultiConfig;
 use spinal_sim::engine::{Accumulate, Scenario, SimEngine, Trial};
 use spinal_sim::stats::derive_seed;
 
 use crate::client::{ClientConfig, ClientOutcome, ServeClient};
 use crate::protocol::{LinkConfig, LinkReport};
-use crate::server::{ServeConfig, Server};
+use crate::server::{MultiConfig, ServeConfig, Server};
 use crate::transport::{loopback_pair, ChaosTransport, LoopbackTransport};
 
 /// Seed-stream labels (`derive_seed(seed, LABEL, index)`): per-frame

@@ -1,6 +1,6 @@
 //! The versioned warm-restart snapshot format.
 //!
-//! A snapshot is a self-delimiting byte image of a server's pool state:
+//! A snapshot is a self-delimiting byte image of a server's session state:
 //! a 5-byte preamble (magic + version) followed by CRC-framed
 //! *sections*, each `[len: u32 LE][payload][crc32: u32 LE]` with the
 //! CRC taken over the payload alone. Section 0 is the header (tick
@@ -145,7 +145,7 @@ pub(crate) enum EntryBodyRef<'a> {
     },
     /// Exhausted its symbol budget; close held for replay.
     Exhausted,
-    /// Abandoned by the pool; close held for replay.
+    /// Abandoned at the attempt ceiling; close held for replay.
     Abandoned,
 }
 

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | 1 | [`Frame::Hello`] | client → server | code shape + feedback mode negotiation |
 //! | 2 | [`Frame::HelloAck`] | server → client | admission token |
-//! | 3 | [`Frame::Busy`] | server → client | admission rejected (pool full) |
+//! | 3 | [`Frame::Busy`] | server → client | admission rejected (shard full) |
 //! | 4 | [`Frame::Data`] | client → server | a run of I-Q symbols with explicit slot cursors |
 //! | 5 | [`Frame::Ack`] | server → client | decode succeeded |
 //! | 6 | [`Frame::Nack`] | server → client | first missing symbol sequence number |
@@ -221,7 +221,7 @@ impl<'a> SymbolRun<'a> {
     }
 
     /// Appends every entry to `out` (which is not cleared), for handing
-    /// the run to [`spinal_core::sched::MultiDecoder::ingest_at`].
+    /// the run to [`spinal_core::session::RxSession::absorb_at`].
     pub fn copy_into(&self, out: &mut Vec<(Slot, IqSymbol)>) {
         out.extend(self.iter());
     }
@@ -305,7 +305,7 @@ pub enum Frame<'a> {
         /// Credential for resuming this session after a disconnect.
         resume: ResumeToken,
     },
-    /// Admission rejected: the shard's decoder pool is full.
+    /// Admission rejected: the shard is at its session ceiling.
     Busy {
         /// Sessions currently live on the shard.
         live: u32,

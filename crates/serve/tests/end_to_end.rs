@@ -5,21 +5,20 @@
 //! mixed-feedback fleet.
 
 use spinal_core::bits::BitVec;
-use spinal_core::decode::{AwgnCost, BeamConfig};
+use spinal_core::decode::{AwgnCost, BeamConfig, DecoderScratch};
 use spinal_core::frame::{frame_encode, AnyTerminator, Checksum};
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
 use spinal_core::params::CodeParams;
 use spinal_core::puncture::StridedPuncture;
-use spinal_core::sched::MultiConfig;
 use spinal_core::session::RxConfig;
 use spinal_core::symbol::{IqSymbol, Slot};
 use spinal_core::SpinalCode;
 use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
 use spinal_serve::{
     encode_frame, loopback_pair, loopback_pair_chunked, ChaosEvent, ChaosPlan, ChaosTransport,
-    ClientConfig, ClientOutcome, Frame, Hello, LoopbackTransport, ServeClient, ServeConfig, Server,
-    SymbolRun, Transport, WireDecoder,
+    ClientConfig, ClientOutcome, Frame, Hello, LoopbackTransport, MultiConfig, ServeClient,
+    ServeConfig, Server, SymbolRun, Transport, WireDecoder,
 };
 use spinal_sim::stats::derive_seed;
 
@@ -588,6 +587,7 @@ fn gapped_peer_gets_no_attempt_until_the_gap_fills() {
             },
         )
         .unwrap();
+    let mut scratch = DecoderScratch::new();
 
     let mut server = Server::new(ServeConfig::default()).unwrap();
     let mut peer = RawPeer::connect(&mut server, hello);
@@ -609,7 +609,7 @@ fn gapped_peer_gets_no_attempt_until_the_gap_fills() {
         seq += frame.len() as u64;
         server.tick();
         peer.poll();
-        mirror.ingest_at(frame).unwrap();
+        mirror.ingest_at(&mut scratch, frame).unwrap();
         let peak = mirror.last_result().stats.frontier_peak;
         assert!(peak <= beam.max_frontier, "attempt frontier {peak}");
         if i < last {
@@ -719,7 +719,7 @@ fn reap_frees_slots_for_new_sessions() {
         clients[0].outcome(),
         Some(ClientOutcome::Decoded { .. })
     ));
-    // The decoded session already left the pool; dropping the client
+    // The decoded session is already dropped; dropping the client
     // kills the transport, and the reaper frees the connection slot.
     drop(clients);
     server.tick();

@@ -5,7 +5,7 @@
 //! recovery, and a real-socket TCP smoke run.
 
 use spinal_core::bits::BitVec;
-use spinal_core::sched::MultiConfig;
+use spinal_serve::MultiConfig;
 use spinal_serve::{
     chaos_pair, encode_frame, loopback_pair, ChaosEvent, ChaosPlan, ClientConfig, ClientOutcome,
     Frame, LoopbackTransport, ServeClient, ServeConfig, Server, TcpAcceptor, TcpTransport,
@@ -300,7 +300,7 @@ fn resume_is_honoured_during_the_drain_window() {
     assert_eq!(stats.decoded, 1);
 }
 
-/// Overload shedding: with the pool full of an orphaned (detached)
+/// Overload shedding: with the shard full of an orphaned (detached)
 /// session and an attached one, a new HELLO evicts the orphan instead
 /// of bouncing with BUSY — the attached flow is never a candidate and
 /// still decodes; the orphan's token is then refused.
@@ -347,7 +347,7 @@ fn admission_sheds_detached_orphans_before_busy() {
     assert_eq!(
         server.live_sessions(),
         2,
-        "the orphan still occupies the pool"
+        "the orphan still occupies the shard"
     );
 
     // Flow B's HELLO must evict the orphan, not bounce, and not take C.
@@ -397,10 +397,79 @@ fn admission_sheds_detached_orphans_before_busy() {
     assert_eq!(server.stats().resume_rejected, 1);
 }
 
+/// Overload sheds the costliest orphan first: with the shard at its cap
+/// and two orphans — X, whose attempts have run over every level it
+/// heard, and Y, admitted but silent, whose next attempt would walk the
+/// whole unobserved tree — a HELLO sheds Y, although X holds the lower
+/// flow index, and X still resumes and decodes.
+#[test]
+fn admission_sheds_the_costliest_orphan_first() {
+    let cfg = ServeConfig {
+        pool: MultiConfig {
+            max_sessions: 2,
+            ..MultiConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let mut server = Server::new(cfg).unwrap();
+    let ccfg = ClientConfig::default();
+    let x_payload = payload(70);
+
+    // X streams 32 garbage symbols — a full pass and more, every one
+    // attempted and rejected — then its connection dies.
+    let (x_local, x_remote) = loopback_pair(1 << 16);
+    server.add_connection(x_remote);
+    let mut garbage = 32;
+    let mut x = ServeClient::new(x_local, &ccfg, &x_payload)
+        .unwrap()
+        .with_noise(Box::new(move |y| {
+            if garbage > 0 {
+                garbage -= 1;
+                spinal_core::symbol::IqSymbol::new(0.0, 0.0)
+            } else {
+                y
+            }
+        }));
+    for _ in 0..10 {
+        x.tick();
+        server.tick();
+    }
+    assert!(x.symbols_sent() >= 32 && !x.is_done());
+    let x_token = x.resume_token().expect("X was admitted");
+    let (x_srv2, x_cli2) = loopback_pair(1 << 16);
+    drop(x.reconnect(x_cli2));
+
+    // Y is admitted and dies before sending a symbol.
+    let (y_local, y_remote) = loopback_pair(1 << 16);
+    server.add_connection(y_remote);
+    let mut y = ServeClient::new(y_local, &ccfg, &payload(71)).unwrap();
+    y.tick();
+    server.tick();
+    drop(y);
+    server.tick();
+    assert_eq!(server.detached_sessions(), 2);
+    assert_eq!(server.live_sessions(), 2, "both orphans fill the shard");
+
+    // B's HELLO sheds Y; X resumes and decodes beside B.
+    let (b_local, b_remote) = loopback_pair(1 << 16);
+    server.add_connection(b_remote);
+    let b = ServeClient::new(b_local, &ccfg, &payload(72)).unwrap();
+    server.add_resume_connection(x_srv2, x_token);
+    let mut clients = vec![b, x];
+    run_to_done(&mut server, &mut clients, false);
+    assert_eq!(clients[0].decoded_payload(), Some(&payload(72)));
+    assert_eq!(clients[1].decoded_payload(), Some(&x_payload));
+    let stats = server.stats();
+    assert_eq!(stats.shed, 1, "one orphan was shed to admit B");
+    assert_eq!((stats.resumed, stats.resume_rejected), (1, 0), "X resumed");
+    assert_eq!(stats.busy_rejected, 0);
+    assert_eq!(server.live_sessions(), 0);
+}
+
 /// A delivered flow's record does not outlive the flow, even under the
 /// default config (infinite detach TTL): a client that hangs up right
 /// after its verdict has already closed the dialogue, so the server
-/// holds nothing for it — not in the pool, not as a detached verdict.
+/// holds nothing for it — no session, not even a detached verdict.
 #[test]
 fn delivered_flows_leave_no_record_under_default_config() {
     let mut server = Server::new(ServeConfig::default()).unwrap();

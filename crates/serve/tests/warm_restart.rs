@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use spinal_core::bits::BitVec;
 use spinal_core::error::{SnapshotErrorKind, SpinalError};
 use spinal_core::params::CodeParams;
-use spinal_core::sched::MultiConfig;
 use spinal_core::symbol::IqSymbol;
+use spinal_serve::MultiConfig;
 use spinal_serve::{
     loopback_pair, ClientConfig, ClientOutcome, LoopbackTransport, ServeClient, ServeConfig, Server,
 };
@@ -192,8 +192,8 @@ fn assert_kill_restart_identity(n: usize, bytes: usize, kills: [u64; 2]) {
 }
 
 /// A handful of flows, and a fleet of 256 short ones whose restores
-/// exercise flow-table slot reuse, token-index growth and pool-slot
-/// remapping over hundreds of sessions. The short flows finish by tick
+/// exercise flow-table slot reuse and token-index growth over hundreds
+/// of sessions. The short flows finish by tick
 /// 11, so their kills come earlier: the second one lands with some
 /// flows decoded and the rest still in flight.
 #[test]

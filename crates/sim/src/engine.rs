@@ -6,7 +6,9 @@
 //! * **Sharding.** Trials are split into fixed-size *chunks* (the unit of
 //!   scheduling), and chunks are claimed work-stealing-style from a
 //!   shared counter by `workers` threads. A slow chunk never stalls the
-//!   others; an idle worker always has the next chunk to grab.
+//!   others; an idle worker always has the next chunk to grab. A worker
+//!   runs a chunk's trials one at a time through
+//!   [`Scenario::run_trial`].
 //! * **Counter-based randomness.** Trial `i` derives its seed as
 //!   `SplitMix(master_seed, i)` — a pure function of the trial index, so
 //!   a trial's randomness does not depend on which worker runs it, in
@@ -18,9 +20,11 @@
 //!   for any worker count**. (The chunk size is part of the experiment
 //!   definition, like the seed: changing it re-orders the reduction.)
 //! * **Zero steady-state allocation.** Each worker owns one long-lived
-//!   [`Scenario::Worker`] — encoder, decoder scratch, observation
-//!   buffers, message buffers — reused across every trial it runs, the
-//!   same discipline the beam decoder's `DecoderScratch` follows.
+//!   [`Scenario::Worker`] — for the rateless experiment, one sender and
+//!   one receiver session rebound to each trial's code, the one decoder
+//!   scratch their attempts run through, and message buffers — reused
+//!   across every trial it runs, the same discipline the beam decoder's
+//!   `DecoderScratch` follows.
 //! * **Early stop.** [`SimEngine::run_until`] evaluates a stop predicate
 //!   after each in-order chunk merge (e.g. a Wilson-interval width from
 //!   [`crate::stats::wilson_halfwidth`], or a rate standard error). The
@@ -131,33 +135,6 @@ pub trait Scenario: Sync {
     /// information between trials that affects results (buffers carry
     /// *capacity*, never *content*).
     fn run_trial(&self, trial: Trial, worker: &mut Self::Worker, acc: &mut Self::Acc);
-
-    /// Runs one contiguous chunk of trials. The default is the obvious
-    /// loop over [`run_trial`](Self::run_trial); scenarios that serve
-    /// many concurrent decoder sessions override this to batch the
-    /// chunk's trials through one multi-session scheduler
-    /// (`spinal_core::sched::MultiDecoder`), whose attempts all run
-    /// through the pool's one hot decoder scratch (its plan-geometry
-    /// slot included) instead of each trial warming its own. Overrides
-    /// **must** accumulate results in
-    /// ascending trial order and produce an accumulator bit-identical to
-    /// the default loop — trials are independent, so concurrency is an
-    /// execution detail, never a semantic.
-    fn run_chunk(
-        &self,
-        indices: std::ops::Range<u64>,
-        master_seed: u64,
-        worker: &mut Self::Worker,
-        acc: &mut Self::Acc,
-    ) {
-        for index in indices {
-            let trial = Trial {
-                index,
-                seed: trial_seed(master_seed, index),
-            };
-            self.run_trial(trial, worker, acc);
-        }
-    }
 }
 
 /// The counter-based per-trial seed: `SplitMix(master_seed, index)`.
@@ -247,9 +224,15 @@ impl SimEngine {
             let hi = (lo + self.chunk).min(max_trials);
             lo..hi
         };
-        let run_chunk = |ci: u64, worker: &mut S::Worker| {
+        let chunk_acc = |ci: u64, worker: &mut S::Worker| {
             let mut acc = scenario.empty_acc();
-            scenario.run_chunk(chunk_range(ci), master_seed, worker, &mut acc);
+            for index in chunk_range(ci) {
+                let trial = Trial {
+                    index,
+                    seed: trial_seed(master_seed, index),
+                };
+                scenario.run_trial(trial, worker, &mut acc);
+            }
             acc
         };
 
@@ -260,7 +243,7 @@ impl SimEngine {
             let mut merged = scenario.empty_acc();
             let mut done = 0u64;
             for ci in 0..n_chunks {
-                let acc = run_chunk(ci, &mut worker);
+                let acc = chunk_acc(ci, &mut worker);
                 merged.merge(acc);
                 done = chunk_range(ci).end;
                 if stop(&merged, done) {
@@ -302,7 +285,7 @@ impl SimEngine {
                         if ci >= n_chunks || ci >= stop_before.load(Ordering::Relaxed) {
                             break;
                         }
-                        let acc = run_chunk(ci, &mut worker);
+                        let acc = chunk_acc(ci, &mut worker);
                         pending.lock().expect("pending poisoned").insert(ci, acc);
 
                         // Advance the deterministic merge prefix as far

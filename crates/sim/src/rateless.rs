@@ -34,13 +34,12 @@ use crate::engine::{
 };
 use crate::stats::{derive_seed, wilson_halfwidth, RunningStats};
 use spinal_channel::{Channel, Rng};
-use spinal_core::decode::{BeamConfig, BeamDecoder, CostModel};
+use spinal_core::decode::{BeamConfig, BeamDecoder, CostModel, DecoderScratch};
 use spinal_core::frame::{frame_encode, AnyTerminator, Checksum};
 use spinal_core::hash::{AnyHash, HashFamily};
 use spinal_core::map::{AnyIqMapper, BinaryMapper, Mapper};
 use spinal_core::params::CodeParams;
 use spinal_core::puncture::{AnySchedule, PunctureSchedule};
-use spinal_core::sched::{MultiConfig, MultiDecoder, SessionEvent, SessionId};
 use spinal_core::session::{Poll, RxConfig, RxSession, TxSession};
 use spinal_core::symbol::Slot;
 use spinal_core::{AwgnCost, BecCost, BitVec, BscCost, Encoder, SpinalError};
@@ -240,53 +239,21 @@ impl Accumulate for RatelessOutcome {
     }
 }
 
-/// Per-worker reusable state for the rateless scenario: a long-lived
-/// [`MultiDecoder`] pool whose lanes (one per concurrent trial of a
-/// scheduling chunk) are rebound per trial — after the first chunk
-/// warms a lane, a genie-mode worker performs **zero heap allocation**
-/// per trial (CRC-mode framing still builds one message per trial).
-/// Every chunk's trials decode *concurrently* through the pool (trials
-/// share its one hot scratch, one whole attempt at a time), and every
-/// retry is incremental via the per-lane checkpoint stores; results are
-/// bit-identical to running the trials one at a time.
-pub struct RatelessWorker<M: Mapper, C: CostModel<M::Symbol>, Ch> {
-    pool: MultiDecoder<AnyHash, M, C, AnySchedule>,
-    lanes: Vec<RatelessLane<M, Ch>>,
-    events: Vec<SessionEvent>,
-    sub: Vec<(Slot, M::Symbol)>,
-    noisy: Vec<M::Symbol>,
-}
-
-/// One concurrent trial's sender-side state inside a worker.
-struct RatelessLane<M: Mapper, Ch> {
+/// Per-worker reusable state for the rateless scenario: one sender and
+/// one receiver session, rebound to each trial's reseeded code, and the
+/// one scratch every decode attempt runs through — after the first
+/// trial warms them, a genie-mode worker performs **zero heap
+/// allocation** per trial (CRC-mode framing still builds one message
+/// per trial). Every retry is incremental via the receiver's
+/// checkpoint store.
+pub struct RatelessWorker<M: Mapper, C: CostModel<M::Symbol>> {
     tx: Option<TxSession<AnyHash, M, AnySchedule>>,
-    id: Option<SessionId>,
-    channel: Option<Ch>,
+    rx: Option<RxSession<AnyHash, M, C, AnySchedule>>,
+    scratch: DecoderScratch,
     message: BitVec,
     payload: BitVec,
-    /// Sub-pass budget left (`max_passes × subpasses_per_pass`), empty
-    /// sub-passes included — the same loop bound the one-at-a-time
-    /// receiver ran.
-    subpasses_left: u32,
-    /// The terminator accepted (`Poll::Decoded`).
-    finished: bool,
-    /// No more symbols will be fed (decoded, or budget spent).
-    done: bool,
-}
-
-impl<M: Mapper, Ch> RatelessLane<M, Ch> {
-    fn fresh() -> Self {
-        Self {
-            tx: None,
-            id: None,
-            channel: None,
-            message: BitVec::new(),
-            payload: BitVec::new(),
-            subpasses_left: 0,
-            finished: false,
-            done: false,
-        }
-    }
+    sub: Vec<(Slot, M::Symbol)>,
+    noisy: Vec<M::Symbol>,
 }
 
 /// The generic rateless experiment: one trial = draw message, stream
@@ -339,226 +306,23 @@ where
     }
 }
 
-impl<M, C, CM> RatelessScenario<'_, M, C, CM>
-where
-    M: Mapper,
-    C: CostModel<M::Symbol>,
-    CM: ChannelModel<M::Symbol>,
-    M::Symbol: Send,
-{
-    /// Binds lane `lane_idx` of the worker to trial `index`: draws the
-    /// trial's message, rebinds the lane's sender session and pool
-    /// session to the reseeded code, and arms the channel and sub-pass
-    /// budget.
-    fn bind_lane(&self, w: &mut RatelessWorker<M, C, CM::Ch>, lane_idx: usize, index: u64) {
-        let code_seed = derive_seed(self.master_seed, self.streams[0], index);
-        let noise_seed = derive_seed(self.master_seed, self.streams[1], index);
-        let msg_seed = derive_seed(self.master_seed, self.streams[2], index);
-        if w.lanes.len() <= lane_idx {
-            w.lanes.resize_with(lane_idx + 1, RatelessLane::fresh);
-        }
-        let lane = &mut w.lanes[lane_idx];
-
-        // Draw the trial's message (and, in CRC mode, frame it).
-        let mut rng = Rng::seed_from(msg_seed);
-        match self.termination {
-            Termination::Genie => {
-                random_message_into(&mut rng, self.message_bits, &mut lane.message)
-            }
-            Termination::Crc(ck) => {
-                random_message_into(
-                    &mut rng,
-                    self.message_bits - ck.width() as u32,
-                    &mut lane.payload,
-                );
-                lane.message = frame_encode(&lane.payload, ck);
-            }
-        }
-
-        // Rebind the lane's long-lived sender/receiver sessions to this
-        // trial's reseeded code.
-        let params = self.params(code_seed);
-        let hash = AnyHash::new(self.hash, code_seed);
-        match &mut lane.tx {
-            Some(t) => t
-                .rebind(&params, hash, &lane.message)
-                .expect("message length validated by config"),
-            None => {
-                lane.tx = Some(TxSession::new(
-                    Encoder::new(&params, hash, self.mapper.clone(), &lane.message)
-                        .expect("message length validated by config"),
-                    self.schedule.clone(),
-                ))
-            }
-        }
-        let decoder = BeamDecoder::new(
-            &params,
-            hash,
-            self.mapper.clone(),
-            self.cost.clone(),
-            self.beam,
-        )
-        .expect("beam config validated by run entry point");
-        match lane.id {
-            Some(id) => w.pool.rebind(id, decoder).expect("lane session is live"),
-            None => {
-                let terminator = match self.termination {
-                    Termination::Genie => AnyTerminator::genie(BitVec::new()),
-                    Termination::Crc(ck) => AnyTerminator::crc(ck),
-                };
-                let rx = RxSession::new(
-                    decoder,
-                    self.schedule.clone(),
-                    terminator,
-                    RxConfig {
-                        beam: self.beam,
-                        max_symbols: u64::MAX, // the pass budget bounds the loop
-                        attempt_growth: self.attempt_growth,
-                        ..RxConfig::default()
-                    },
-                )
-                .expect("attempt_growth validated by run entry point");
-                lane.id = Some(
-                    w.pool
-                        .insert(rx)
-                        .expect("worker pool has no admission ceiling"),
-                );
-            }
-        }
-        if let Termination::Genie = self.termination {
-            w.pool
-                .get_mut(lane.id.expect("bound above"))
-                .expect("lane session is live")
-                .terminator_mut()
-                .genie_mut()
-                .expect("genie session")
-                .set_truth(&lane.message);
-        }
-        lane.channel = Some(self.channel.make(noise_seed));
-        lane.subpasses_left = self
-            .max_passes
-            .saturating_mul(self.schedule.subpasses_per_pass());
-        lane.finished = false;
-        lane.done = false;
-    }
-
-    /// Runs trials `indices` concurrently through the worker's pool —
-    /// each round feeds every live lane its next non-empty sub-pass and
-    /// one drive runs all due (incremental) attempts through one scratch —
-    /// then accumulates outcomes in ascending trial order. Per-trial
-    /// results are bit-identical to the one-at-a-time loop: each lane's
-    /// symbol stream and attempt schedule are untouched by batching.
-    fn run_lanes(
-        &self,
-        indices: std::ops::Range<u64>,
-        w: &mut RatelessWorker<M, C, CM::Ch>,
-        acc: &mut RatelessOutcome,
-    ) {
-        let n = (indices.end - indices.start) as usize;
-        for (lane_idx, index) in indices.clone().enumerate() {
-            self.bind_lane(w, lane_idx, index);
-        }
-
-        let RatelessWorker {
-            pool,
-            lanes,
-            events,
-            sub,
-            noisy,
-        } = w;
-        loop {
-            let mut any_fed = false;
-            for lane in lanes[..n].iter_mut() {
-                if lane.done {
-                    continue;
-                }
-                // Feed the lane's next non-empty sub-pass (empty ones
-                // consume budget without symbols, as in the solo loop).
-                let mut fed = false;
-                while lane.subpasses_left > 0 {
-                    lane.subpasses_left -= 1;
-                    lane.tx.as_mut().expect("lane bound").next_subpass_into(sub);
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    let channel = lane.channel.as_mut().expect("lane bound");
-                    noisy.clear();
-                    noisy.extend(sub.iter().map(|&(_, x)| channel.transmit(x)));
-                    pool.ingest(lane.id.expect("lane bound"), noisy)
-                        .expect("session still listening");
-                    fed = true;
-                    break;
-                }
-                if fed {
-                    any_fed = true;
-                } else {
-                    // Pass budget spent without acceptance.
-                    lane.done = true;
-                }
-            }
-            if !any_fed {
-                break;
-            }
-            pool.drive_into(events);
-            for ev in events.iter() {
-                let lane = lanes[..n]
-                    .iter_mut()
-                    .find(|l| l.id == Some(ev.id))
-                    .expect("event for a bound lane");
-                match ev.poll() {
-                    Some(Poll::NeedMore { .. }) | None => {}
-                    Some(Poll::Decoded { .. }) => {
-                        lane.finished = true;
-                        lane.done = true;
-                    }
-                    Some(Poll::Exhausted { .. }) => lane.done = true,
-                }
-            }
-        }
-
-        // Accumulate in ascending trial order (the chunk merge contract).
-        for lane in lanes[..n].iter() {
-            let rx = pool.get(lane.id.expect("lane bound")).expect("lane live");
-            let correct = lane.finished
-                && match self.termination {
-                    // The genie accepts exactly the truth.
-                    Termination::Genie => true,
-                    Termination::Crc(_) => rx.payload() == Some(&lane.payload),
-                };
-            let sent = rx.symbols();
-            acc.trials += 1;
-            acc.attempts.push(f64::from(rx.attempts()));
-            acc.total_symbols += sent;
-            if correct {
-                acc.successes += 1;
-                acc.rate.push(f64::from(self.payload_bits) / sent as f64);
-                acc.symbols_on_success.push(sent as f64);
-            } else {
-                if lane.finished {
-                    acc.undetected += 1;
-                }
-                acc.rate.push(0.0);
-            }
-        }
-    }
-}
-
 impl<M, C, CM> Scenario for RatelessScenario<'_, M, C, CM>
 where
     M: Mapper,
     C: CostModel<M::Symbol>,
     CM: ChannelModel<M::Symbol>,
     M::Symbol: Send,
-    CM::Ch: Send,
 {
-    type Worker = RatelessWorker<M, C, CM::Ch>;
+    type Worker = RatelessWorker<M, C>;
     type Acc = RatelessOutcome;
 
     fn make_worker(&self) -> Self::Worker {
         RatelessWorker {
-            pool: MultiDecoder::new(MultiConfig::default()),
-            lanes: Vec::new(),
-            events: Vec::new(),
+            tx: None,
+            rx: None,
+            scratch: DecoderScratch::new(),
+            message: BitVec::new(),
+            payload: BitVec::new(),
             sub: Vec::new(),
             noisy: Vec::new(),
         }
@@ -569,20 +333,128 @@ where
     }
 
     fn run_trial(&self, trial: Trial, w: &mut Self::Worker, acc: &mut RatelessOutcome) {
-        self.run_lanes(trial.index..trial.index + 1, w, acc);
-    }
+        let code_seed = derive_seed(self.master_seed, self.streams[0], trial.index);
+        let noise_seed = derive_seed(self.master_seed, self.streams[1], trial.index);
+        let msg_seed = derive_seed(self.master_seed, self.streams[2], trial.index);
+        let RatelessWorker {
+            tx,
+            rx,
+            scratch,
+            message,
+            payload,
+            sub,
+            noisy,
+        } = w;
 
-    /// The multi-session override: the chunk's trials decode
-    /// concurrently through the worker's pool (see
-    /// [`Scenario::run_chunk`] for the bit-identity contract).
-    fn run_chunk(
-        &self,
-        indices: std::ops::Range<u64>,
-        _master_seed: u64,
-        w: &mut Self::Worker,
-        acc: &mut RatelessOutcome,
-    ) {
-        self.run_lanes(indices, w, acc);
+        // Draw the trial's message (and, in CRC mode, frame it).
+        let mut rng = Rng::seed_from(msg_seed);
+        match self.termination {
+            Termination::Genie => random_message_into(&mut rng, self.message_bits, message),
+            Termination::Crc(ck) => {
+                random_message_into(&mut rng, self.message_bits - ck.width() as u32, payload);
+                *message = frame_encode(payload, ck);
+            }
+        }
+
+        // Rebind the worker's long-lived sender/receiver sessions to
+        // this trial's reseeded code.
+        let params = self.params(code_seed);
+        let hash = AnyHash::new(self.hash, code_seed);
+        let tx = match tx {
+            Some(t) => {
+                t.rebind(&params, hash, message)
+                    .expect("message length validated by config");
+                t
+            }
+            None => tx.insert(TxSession::new(
+                Encoder::new(&params, hash, self.mapper.clone(), message)
+                    .expect("message length validated by config"),
+                self.schedule.clone(),
+            )),
+        };
+        let decoder = BeamDecoder::new(
+            &params,
+            hash,
+            self.mapper.clone(),
+            self.cost.clone(),
+            self.beam,
+        )
+        .expect("beam config validated by run entry point");
+        let rx = match rx {
+            Some(r) => {
+                r.rebind(decoder);
+                r
+            }
+            None => {
+                let terminator = match self.termination {
+                    Termination::Genie => AnyTerminator::genie(BitVec::new()),
+                    Termination::Crc(ck) => AnyTerminator::crc(ck),
+                };
+                rx.insert(
+                    RxSession::new(
+                        decoder,
+                        self.schedule.clone(),
+                        terminator,
+                        RxConfig {
+                            beam: self.beam,
+                            max_symbols: u64::MAX, // the pass budget bounds the loop
+                            attempt_growth: self.attempt_growth,
+                            ..RxConfig::default()
+                        },
+                    )
+                    .expect("attempt_growth validated by run entry point"),
+                )
+            }
+        };
+        if let Termination::Genie = self.termination {
+            rx.terminator_mut()
+                .genie_mut()
+                .expect("genie session")
+                .set_truth(message);
+        }
+        let mut channel = self.channel.make(noise_seed);
+
+        // Stream sub-passes until the terminator accepts or the pass
+        // budget is spent; empty sub-passes consume budget without
+        // symbols.
+        let mut finished = false;
+        for _ in 0..self
+            .max_passes
+            .saturating_mul(self.schedule.subpasses_per_pass())
+        {
+            tx.next_subpass_into(sub);
+            if sub.is_empty() {
+                continue;
+            }
+            noisy.clear();
+            noisy.extend(sub.iter().map(|&(_, x)| channel.transmit(x)));
+            let poll = rx.ingest(scratch, noisy).expect("session still listening");
+            if let Poll::Decoded { .. } = poll {
+                finished = true;
+                break;
+            }
+        }
+
+        let correct = finished
+            && match self.termination {
+                // The genie accepts exactly the truth.
+                Termination::Genie => true,
+                Termination::Crc(_) => rx.payload() == Some(&*payload),
+            };
+        let sent = rx.symbols();
+        acc.trials += 1;
+        acc.attempts.push(f64::from(rx.attempts()));
+        acc.total_symbols += sent;
+        if correct {
+            acc.successes += 1;
+            acc.rate.push(f64::from(self.payload_bits) / sent as f64);
+            acc.symbols_on_success.push(sent as f64);
+        } else {
+            if finished {
+                acc.undetected += 1;
+            }
+            acc.rate.push(0.0);
+        }
     }
 }
 
@@ -670,7 +542,6 @@ where
     C: CostModel<M::Symbol>,
     CM: ChannelModel<M::Symbol>,
     M::Symbol: Send,
-    CM::Ch: Send,
 {
     // Validate the whole configuration up front with typed errors, so
     // per-trial construction can rely on it unconditionally.

@@ -17,7 +17,7 @@
 
 use spinal_codes::channel::{AwgnChannel, Channel};
 use spinal_codes::info::awgn_capacity_db;
-use spinal_codes::{AnyTerminator, BitVec, Poll, RxConfig, SpinalCode};
+use spinal_codes::{AnyTerminator, BitVec, DecoderScratch, Poll, RxConfig, SpinalCode};
 
 fn main() {
     let snr_db: f64 = std::env::args()
@@ -45,10 +45,14 @@ fn main() {
         )
         .expect("valid session configuration");
     let mut channel = AwgnChannel::from_snr_db(snr_db, 7);
+    let mut scratch = DecoderScratch::new();
 
     loop {
         let (_slot, x) = tx.next_symbol();
-        match rx.ingest(&[channel.transmit(x)]).expect("session open") {
+        match rx
+            .ingest(&mut scratch, &[channel.transmit(x)])
+            .expect("session open")
+        {
             Poll::NeedMore { .. } => continue,
             Poll::Decoded { symbols_used, .. } => {
                 println!(

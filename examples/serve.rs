@@ -37,7 +37,7 @@ fn payload() -> BitVec {
 
 fn serve_cfg() -> ServeConfig {
     // A 4-shard event loop; connections spread across shards by stable
-    // hash, each shard owning its own decoder pool. The resume secret
+    // hash, each shard owning its own flow table. The resume secret
     // is pinned: snapshots demand it (tokens minted under a
     // process-random secret would verify for nobody after a restart).
     ServeConfig {
@@ -98,7 +98,7 @@ fn run(kill_at: Option<u64>, faulty: bool) -> (ClientOutcome, bool, u64) {
         if !killed && kill_at.is_some_and(|at| ticks >= at) {
             if let Some(token) = client.resume_token() {
                 killed = true;
-                // Process death: image the pool, drop the server (the
+                // Process death: image the sessions, drop the server (the
                 // transport dies with it), rebuild, re-attach by token.
                 server.snapshot_into(&mut image).expect("secret is pinned");
                 server = Server::restore(serve_cfg(), &image).expect("own snapshot restores");

@@ -16,7 +16,9 @@
 
 use spinal_codes::channel::{AwgnChannel, Channel};
 use spinal_codes::info::awgn_capacity_db;
-use spinal_codes::{frame_encode, AnyTerminator, BitVec, Checksum, Poll, RxConfig, SpinalCode};
+use spinal_codes::{
+    frame_encode, AnyTerminator, BitVec, Checksum, DecoderScratch, Poll, RxConfig, SpinalCode,
+};
 
 fn main() {
     let snr_db: f64 = std::env::args()
@@ -51,11 +53,15 @@ fn main() {
         )
         .expect("valid session configuration");
     let mut channel = AwgnChannel::from_snr_db(snr_db, 7);
+    let mut scratch = DecoderScratch::new();
 
     // The protocol loop: one symbol per feedback round.
     loop {
         let (_slot, x) = tx.next_symbol();
-        match rx.ingest(&[channel.transmit(x)]).expect("session open") {
+        match rx
+            .ingest(&mut scratch, &[channel.transmit(x)])
+            .expect("session open")
+        {
             Poll::NeedMore { .. } => continue,
             Poll::Decoded {
                 symbols_used,

@@ -32,7 +32,9 @@
 //! are resumed from checkpoints, bit-identical to a batch decode.
 //!
 //! ```
-//! use spinal_codes::{frame_encode, AnyTerminator, BitVec, Checksum, Poll, RxConfig, SpinalCode};
+//! use spinal_codes::{
+//!     frame_encode, AnyTerminator, BitVec, Checksum, DecoderScratch, Poll, RxConfig, SpinalCode,
+//! };
 //! use spinal_codes::channel::{AwgnChannel, Channel};
 //!
 //! // The paper's Figure 2 code carrying a CRC-16-framed payload.
@@ -47,9 +49,10 @@
 //!
 //! // Stream symbols through a 15 dB AWGN channel until the CRC verifies.
 //! let mut channel = AwgnChannel::from_snr_db(15.0, 99);
+//! let mut scratch = DecoderScratch::new();
 //! loop {
 //!     let (_slot, x) = tx.next_symbol();
-//!     match rx.ingest(&[channel.transmit(x)]).unwrap() {
+//!     match rx.ingest(&mut scratch, &[channel.transmit(x)]).unwrap() {
 //!         Poll::NeedMore { .. } => continue,
 //!         Poll::Decoded { symbols_used, .. } => {
 //!             // The achieved rate adapts to the channel.

@@ -1,5 +1,5 @@
-//! Fuzz-style no-panic harness over the public session and pool APIs
-//! (ROADMAP error-boundary item), on the offline proptest shim.
+//! Fuzz-style no-panic harness over the public session and serving
+//! APIs (ROADMAP error-boundary item), on the offline proptest shim.
 //!
 //! Three surfaces, all driven by random byte/word streams:
 //!
@@ -10,15 +10,15 @@
 //!   streams (out-of-order, duplicated, out-of-range, after
 //!   termination) must poll or error, never panic, and out-of-range
 //!   slots must consume nothing.
-//! * **`MultiDecoder` id streams** — random interleavings of
-//!   insert / ingest / drive / remove / checkpoint-store release /
-//!   caller-side detach and re-attach / cost-ranked shed among the
-//!   caller's orphans, including stale (generational) and
-//!   double-removed ids, against pools with admission ceilings
-//!   (`PoolFull`) and attempt ceilings (an abandoned session rejects
-//!   ingest with `SessionQuarantined`); every drive must emit one event
-//!   per session that absorbed symbols since the last drive, and none
-//!   for any other.
+//! * **Lent-scratch session streams** — random interleavings of
+//!   create / `absorb_at` (in and out of range) / poll-all through one
+//!   shared scratch / checkpoint-store release (a rebuild from the
+//!   observations, as a restore does) / drop, over thinned and
+//!   exact-or-wait sessions, with an attempt ceiling that abandons a
+//!   due session instead of polling it; after every poll round, each
+//!   session that absorbed symbols since its last poll reported exactly
+//!   one `Poll`, no other session reported any, and an abandoned
+//!   session rejects further symbols.
 //! * **Faulted ingest streams** — symbol streams run through a seeded
 //!   `LinkFault` composition (drops, duplicates, reordering, bursts,
 //!   stale slot labels) before `ingest_at`: in-range faulted slots must
@@ -33,10 +33,7 @@
 //! decoded payloads — the equivalence suites own correctness.
 
 use proptest::prelude::*;
-use spinal_codes::{
-    AnyTerminator, BitVec, IqSymbol, MultiConfig, MultiDecoder, RxConfig, SessionId,
-    SessionOutcome, Slot, SpinalCode,
-};
+use spinal_codes::{AnyTerminator, BitVec, DecoderScratch, IqSymbol, RxConfig, Slot, SpinalCode};
 use spinal_core::decode::{AwgnCost, BeamConfig, BeamDecoder};
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
@@ -44,7 +41,6 @@ use spinal_core::params::CodeParams;
 use spinal_core::puncture::{AnySchedule, StridedPuncture};
 use spinal_core::session::{RxSession, TxSession};
 
-type Pool = MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 type Rx = RxSession<Lookup3, LinearMapper, AwgnCost, StridedPuncture>;
 type Tx = TxSession<Lookup3, LinearMapper, StridedPuncture>;
 
@@ -86,7 +82,6 @@ proptest! {
             let cfg = BeamConfig {
                 beam_width: beam,
                 max_frontier: frontier,
-                defer_prune_unobserved: beam % 2 == 0,
             };
             let dec = BeamDecoder::new(
                 &p,
@@ -123,6 +118,7 @@ proptest! {
                 RxConfig { max_symbols: 64, ..RxConfig::default() },
             )
             .expect("valid session");
+        let mut scratch = DecoderScratch::new();
         let n_levels = 3u32; // fig2(24): 24 / 8 segments
         for (i, &op) in ops.iter().enumerate() {
             let t = (op % 5) as u32; // sometimes out of range (>= 3)
@@ -132,7 +128,7 @@ proptest! {
                 (Slot::new((op >> 11) as u32 % n_levels, pass / 2), symbol_from(op >> 7)),
             ];
             let before = rx.symbols();
-            match rx.ingest_at(&batch) {
+            match rx.ingest_at(&mut scratch, &batch) {
                 Ok(_) => {}
                 Err(spinal_codes::SpinalError::SlotOutOfRange { t: bad, .. }) => {
                     prop_assert!(bad >= n_levels, "op {i}");
@@ -146,207 +142,151 @@ proptest! {
         }
     }
 
-    /// Pool id streams: stale ids, double removes, admission and attempt
-    /// ceilings, thinned and exact-or-wait sessions — typed errors only,
-    /// live sessions stay reachable, abandoned sessions reject ingest
-    /// but remain removable, and every drive keeps the drive contract.
+    /// Lent-scratch session streams: thinned and exact-or-wait sessions,
+    /// out-of-range slots, released stores and an attempt ceiling —
+    /// typed errors only, and every poll round keeps the poll contract.
     #[test]
-    fn fuzz_pool_id_streams_never_panic(
+    fn fuzz_lent_scratch_streams_never_panic(
         seed in any::<u64>(),
         ops in proptest::collection::vec(any::<u64>(), 1..96),
-        ceiling in 0u32..24,
-        max_sessions in 1usize..8,
+        ceiling in 1u32..24,
     ) {
-        let mut pool = Pool::new(MultiConfig {
-            max_session_attempts: ceiling.max(1),
-            max_sessions,
-            ..MultiConfig::default()
-        });
-        let mut lanes: Vec<(SessionId, Tx)> = Vec::new();
-        let mut dead: Vec<SessionId> = Vec::new();
-        let mut orphans: Vec<SessionId> = Vec::new();
-        // Live ids that absorbed symbols since the last drive.
-        let mut absorbed: Vec<SessionId> = Vec::new();
-        let mut events = Vec::new();
-        // Cost-ranked shedding takes sessions without a caller-side
-        // remove; reconcile the live set after every op that can do so.
-        // The orphan set is the caller's alone (the pool keeps none).
-        macro_rules! reconcile {
+        struct Lane {
+            code: SpinalCode<Lookup3, LinearMapper, StridedPuncture>,
+            cfg: RxConfig,
+            msg: BitVec,
+            tx: Tx,
+            rx: Rx,
+            /// Symbols absorbed since the session's last poll.
+            absorbed: bool,
+        }
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut scratch = DecoderScratch::new();
+        // The poll contract: one `Poll` for each session that absorbed
+        // symbols since its last poll, none for any other. A due session
+        // at the ceiling is abandoned instead of polled, as a server
+        // does.
+        macro_rules! poll_all {
             () => {
-                lanes.retain(|(id, _)| {
-                    if pool.get(*id).is_some() {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    let reported = if lane.rx.attempts() >= ceiling && lane.rx.attempt_due() {
+                        lane.rx.abandon();
+                        prop_assert!(lane.rx.is_abandoned() && lane.rx.payload().is_none());
                         true
                     } else {
-                        dead.push(*id);
-                        false
-                    }
-                });
-                orphans.retain(|&id| pool.get(id).is_some());
-                absorbed.retain(|&id| pool.get(id).is_some());
-            };
-        }
-        // The drive contract: exactly one event for each session that
-        // absorbed symbols since the last drive and none for any other;
-        // abandonments first, then attempts, then polls that ran no
-        // attempt, each in ascending slot order.
-        macro_rules! drive {
-            () => {
-                let before: Vec<(SessionId, u32)> = lanes
-                    .iter()
-                    .map(|(id, _)| (*id, pool.get(*id).expect("live id").attempts()))
-                    .collect();
-                pool.drive_into(&mut events);
-                prop_assert_eq!(events.len(), absorbed.len(), "one event per absorbing session");
-                let mut last = None;
-                for ev in &events {
-                    prop_assert!(absorbed.contains(&ev.id), "event for an idle session: {ev:?}");
-                    let phase = match ev.outcome {
-                        SessionOutcome::Abandoned { .. } => 0u8,
-                        SessionOutcome::Poll(_) => {
-                            let (_, was) = before.iter().find(|(id, _)| *id == ev.id).expect("live id");
-                            if pool.get(ev.id).expect("live id").attempts() > *was { 1 } else { 2 }
-                        }
+                        lane.rx.poll(&mut scratch).is_some()
                     };
-                    let key = (phase, ev.id.slot());
-                    prop_assert!(last < Some(key), "drive events out of order: {:?}", events);
-                    last = Some(key);
+                    prop_assert_eq!(reported, lane.absorbed, "lane {} poll contract", i);
+                    lane.absorbed = false;
                 }
-                absorbed.clear();
             };
         }
         for &op in &ops {
-            match op % 12 {
+            let pick = (op >> 4) as usize;
+            match op % 10 {
                 0 | 1 => {
-                    // Insert a fresh session; a full pool must reject
-                    // with the typed admission error.
-                    let (code, msg) = fuzz_code(seed ^ op);
-                    // Some sessions thin their attempts or wait for an
-                    // exact fit, so a drive also polls without attempting.
-                    let rx = code
-                        .awgn_rx_session(
-                            AnyTerminator::genie(msg.clone()),
-                            RxConfig {
-                                max_symbols: 48,
-                                attempt_growth: if (op >> 8) & 1 == 1 { 1.5 } else { 1.0 },
-                                exact_attempts: (op >> 9) & 1 == 1,
-                                ..RxConfig::default()
-                            },
-                        )
-                        .expect("valid session");
-                    let tx = code.tx_session(&msg).expect("valid tx");
-                    match pool.insert(rx) {
-                        Ok(id) => lanes.push((id, tx)),
-                        Err(spinal_codes::SpinalError::PoolFull { live, max_sessions: m }) => {
-                            prop_assert_eq!(live, pool.len());
-                            prop_assert!(pool.len() >= m, "PoolFull below the ceiling");
-                        }
-                        Err(other) => prop_assert!(false, "unexpected insert error {other:?}"),
+                    // A fresh session; some thin their attempts or wait
+                    // for an exact fit, so a poll also reports arrivals
+                    // without attempting.
+                    if lanes.len() < 8 {
+                        let (code, msg) = fuzz_code(seed ^ op);
+                        let cfg = RxConfig {
+                            max_symbols: 48,
+                            attempt_growth: if (op >> 8) & 1 == 1 { 1.5 } else { 1.0 },
+                            exact_attempts: (op >> 9) & 1 == 1,
+                            ..RxConfig::default()
+                        };
+                        let rx = code
+                            .awgn_rx_session(AnyTerminator::genie(msg.clone()), cfg)
+                            .expect("valid session");
+                        let tx = code.tx_session(&msg).expect("valid tx");
+                        lanes.push(Lane { code, cfg, msg, tx, rx, absorbed: false });
                     }
                 }
-                2 | 3 => {
-                    // Ingest into a random live or dead id.
-                    let pick = (op >> 4) as usize;
-                    if !lanes.is_empty() && !pick.is_multiple_of(3) {
-                        let idx = pick % lanes.len();
-                        let (id, tx) = &mut lanes[idx];
-                        let (_slot, x) = tx.next_symbol();
-                        let abandoned = pool.get(*id).is_some_and(|rx| rx.is_abandoned());
-                        // Finished sessions yield SessionFinished — fine.
-                        let res = pool.ingest(*id, &[x]);
-                        if abandoned {
-                            prop_assert!(
-                                matches!(res, Err(spinal_codes::SpinalError::SessionQuarantined)),
-                                "abandoned ingest must report SessionQuarantined, got {res:?}"
-                            );
-                        }
-                        if res.is_ok() && !absorbed.contains(id) {
-                            absorbed.push(*id);
-                        }
-                    } else if let Some(&id) = dead.get(pick % dead.len().max(1)) {
-                        prop_assert!(pool.ingest(id, &[symbol_from(op)]).is_err(),
-                                     "stale id must be rejected");
-                    }
-                }
-                4 | 8 => {
-                    drive!();
-                }
-                5 => {
-                    // Remove a random id (possibly already removed).
-                    let pick = (op >> 4) as usize;
+                2..=4 => {
+                    // Arrivals for a random session, sometimes with a
+                    // slot outside the spine.
                     if !lanes.is_empty() {
-                        let (id, _) = lanes.remove(pick % lanes.len());
-                        prop_assert!(pool.remove(id).is_ok());
-                        prop_assert!(pool.remove(id).is_err(), "double remove");
-                        dead.push(id);
-                        reconcile!();
+                        let idx = pick % lanes.len();
+                        let lane = &mut lanes[idx];
+                        let mut batch = Vec::new();
+                        for _ in 0..1 + (op >> 12) % 3 {
+                            batch.push(lane.tx.next_symbol());
+                        }
+                        if (op >> 14) % 7 == 0 {
+                            batch.push((Slot::new(3 + (op >> 16) as u32 % 4, 0), symbol_from(op)));
+                        }
+                        let before = lane.rx.symbols();
+                        match lane.rx.absorb_at(&batch) {
+                            Ok(()) => lane.absorbed = true,
+                            Err(spinal_codes::SpinalError::SlotOutOfRange { t, .. }) => {
+                                prop_assert!(t >= 3);
+                                prop_assert_eq!(lane.rx.symbols(), before, "errors consume nothing");
+                            }
+                            Err(spinal_codes::SpinalError::SessionFinished) => {
+                                prop_assert!(lane.rx.is_finished());
+                            }
+                            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+                        }
                     }
                 }
-                6 => {
-                    // Release a random live session's checkpoint store,
+                5 | 6 => {
+                    poll_all!();
+                }
+                7 => {
+                    // Release a random polled session's checkpoint store,
                     // leaving it as a restore would: its next attempt
                     // decodes from level 0, whatever the interleaving.
-                    let pick = (op >> 4) as usize;
                     if !lanes.is_empty() {
-                        let (id, _) = &lanes[pick % lanes.len()];
-                        let rx = pool.get_mut(*id).expect("live id");
-                        rx.evict_checkpoints();
-                        prop_assert_eq!(rx.checkpoints().valid_levels(), 0);
+                        let idx = pick % lanes.len();
+                        let lane = &mut lanes[idx];
+                        if !lane.absorbed && !lane.rx.is_finished() {
+                            let obs = lane.rx.observations();
+                            let arrivals: Vec<(Slot, IqSymbol)> = (0..obs.n_levels())
+                                .flat_map(|t| {
+                                    obs.at_level(t)
+                                        .iter()
+                                        .map(move |&(pass, y)| (Slot::new(t, pass), y))
+                                })
+                                .collect();
+                            let mut fresh = lane
+                                .code
+                                .awgn_rx_session(AnyTerminator::genie(lane.msg.clone()), lane.cfg)
+                                .expect("valid session");
+                            fresh
+                                .restore_receive_state(
+                                    &arrivals,
+                                    lane.rx.attempts(),
+                                    lane.rx.next_attempt(),
+                                    lane.rx.dirty_from(),
+                                )
+                                .expect("a live session's own state restores");
+                            prop_assert_eq!(fresh.checkpoints().valid_levels(), 0);
+                            prop_assert!(!fresh.attempt_due(), "a polled session owes no attempt");
+                            lane.rx = fresh;
+                        }
                     }
                 }
-                9 => {
-                    // Orphan a random live session: its connection is gone,
-                    // which only the caller records.
-                    let pick = (op >> 4) as usize;
+                8 => {
+                    // Drop a random session, as a server drops a flow.
                     if !lanes.is_empty() {
-                        let (id, _) = &lanes[pick % lanes.len()];
-                        if !orphans.contains(id) {
-                            orphans.push(*id);
-                        }
+                        lanes.swap_remove(pick % lanes.len());
                     }
-                }
-                10 => {
-                    // Re-attach a tracked orphan (or a random live
-                    // session, a no-op when attached).
-                    let pick = (op >> 4) as usize;
-                    if !orphans.is_empty() && (op >> 3) % 2 == 0 {
-                        let id = orphans.swap_remove(pick % orphans.len());
-                        prop_assert!(pool.get(id).is_some(), "re-attached id resolves");
-                    } else if !lanes.is_empty() {
-                        let (id, _) = &lanes[pick % lanes.len()];
-                        orphans.retain(|o| o != id);
-                    }
-                }
-                11 => {
-                    // Cost-ranked shed: only the caller's orphans (and
-                    // stale ids, which are skipped) are candidates; the
-                    // victim vanishes and its id goes stale.
-                    let candidates = orphans.iter().chain(dead.first()).copied();
-                    match pool.shed_costliest(candidates) {
-                        Some(sid) => {
-                            prop_assert!(orphans.contains(&sid), "only orphans are shed");
-                            prop_assert!(pool.get(sid).is_none(), "shed sessions are gone");
-                        }
-                        None => prop_assert!(orphans.is_empty(), "an orphan was left unshed"),
-                    }
-                    for (id, _) in &lanes {
-                        if !orphans.contains(id) {
-                            prop_assert!(pool.get(*id).is_some(), "attached sessions are never shed");
-                        }
-                    }
-                    reconcile!();
                 }
                 _ => {
-                    // Stale lookups are None, live ones Some.
-                    for &id in &dead {
-                        prop_assert!(pool.get(id).is_none());
-                    }
-                    for (id, _) in &lanes {
-                        prop_assert!(pool.get(*id).is_some());
+                    // Abandoned sessions stay finished and reject input.
+                    for lane in &mut lanes {
+                        if lane.rx.is_abandoned() {
+                            prop_assert_eq!(
+                                lane.rx.absorb_at(&[(Slot::new(0, 0), symbol_from(op))]),
+                                Err(spinal_codes::SpinalError::SessionFinished)
+                            );
+                        }
                     }
                 }
             }
         }
-        drive!();
+        poll_all!();
     }
 
     /// Faulted ingest streams: a seeded `LinkFault` composition between
@@ -373,6 +313,7 @@ proptest! {
                 RxConfig { max_symbols: 256, ..RxConfig::default() },
             )
             .expect("valid session");
+        let mut scratch = DecoderScratch::new();
         let plan = FaultPlan::new(seed)
             .with(LinkFault::Drop { p: p_drop })
             .with(LinkFault::Duplicate { p: p_dup })
@@ -391,9 +332,9 @@ proptest! {
                 continue;
             }
             if rx.is_finished() {
-                prop_assert!(rx.ingest_at(&batch).is_err(), "finished sessions reject");
+                prop_assert!(rx.ingest_at(&mut scratch, &batch).is_err(), "finished sessions reject");
             } else {
-                let poll = rx.ingest_at(&batch);
+                let poll = rx.ingest_at(&mut scratch, &batch);
                 prop_assert!(poll.is_ok(), "faulted in-range slots must ingest: {poll:?}");
             }
         }

@@ -114,7 +114,6 @@ fn check_case(
     let config = BeamConfig {
         beam_width: beam,
         max_frontier: 1 << 14,
-        defer_prune_unobserved: true,
     };
     let decoder = BeamDecoder::new(&params, hash, mapper.clone(), AwgnCost, config).unwrap();
     let mut scratch = DecoderScratch::new();

@@ -9,9 +9,7 @@ use spinal_codes::{
     AnyTerminator, BeamConfig, BitVec, Checksum, CodeParams, MlConfig, ParamError, RxConfig,
     SpinalCode, SpinalError, StridedPuncture,
 };
-use spinal_codes::{IqSymbol, MultiConfig, MultiDecoder, SessionEvent};
-use spinal_core::decode::AwgnCost;
-use spinal_core::hash::Lookup3;
+use spinal_codes::{DecoderScratch, IqSymbol, Slot};
 use spinal_core::map::LinearMapper;
 use spinal_link::{FaultPlan, FeedbackMode, LinkFault};
 use spinal_serve::{
@@ -62,7 +60,6 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
         let bad = BeamConfig {
             beam_width,
             max_frontier,
-            defer_prune_unobserved: true,
         };
         assert_eq!(
             bad.validate().unwrap_err(),
@@ -258,44 +255,27 @@ fn invalid_inputs_return_typed_errors_and_never_panic() {
             value: 0
         }
     );
-    // --- Pool admission control and the attempt ceiling. ---
+    // --- A session given up by policy rejects further symbols. ---
     let code = SpinalCode::fig2(24, 1).unwrap();
-    let msg = BitVec::from_bytes(&[1, 2, 3]);
-    let rx = || {
-        code.awgn_rx_session(AnyTerminator::genie(msg.clone()), RxConfig::default())
-            .unwrap()
-    };
-    let mut pool: MultiDecoder<Lookup3, LinearMapper, AwgnCost, StridedPuncture> =
-        MultiDecoder::new(MultiConfig {
-            max_sessions: 1,
-            max_session_attempts: 1,
-            ..MultiConfig::default()
-        });
-    let id = pool.insert(rx()).unwrap();
+    let mut rx = code
+        .awgn_rx_session(
+            AnyTerminator::genie(BitVec::from_bytes(&[1, 2, 3])),
+            RxConfig::default(),
+        )
+        .unwrap();
+    rx.absorb_at(&[(Slot::new(0, 0), IqSymbol::new(0.0, 0.0))])
+        .unwrap();
+    rx.abandon();
+    assert!(rx.is_finished() && rx.is_abandoned() && rx.payload().is_none());
     assert_eq!(
-        pool.insert(rx()).unwrap_err(),
-        SpinalError::PoolFull {
-            live: 1,
-            max_sessions: 1
-        }
-    );
-    // Garbage input burns the one-attempt ceiling; the pool abandons
-    // the session and rejects further symbols with a typed error.
-    let mut events: Vec<SessionEvent> = Vec::new();
-    for _ in 0..8 {
-        if pool.get(id).is_some_and(|rx| rx.is_abandoned()) {
-            break;
-        }
-        pool.ingest(id, &[IqSymbol::new(0.0, 0.0)]).unwrap();
-        pool.drive_into(&mut events);
-    }
-    assert!(
-        pool.get(id).is_some_and(|rx| rx.is_abandoned()),
-        "one attempt on garbage abandons the session"
+        rx.absorb_at(&[(Slot::new(0, 0), IqSymbol::new(0.0, 0.0))])
+            .unwrap_err(),
+        SpinalError::SessionFinished
     );
     assert_eq!(
-        pool.ingest(id, &[IqSymbol::new(0.0, 0.0)]).unwrap_err(),
-        SpinalError::SessionQuarantined
+        rx.poll(&mut DecoderScratch::new()),
+        None,
+        "an abandoned session reports nothing, not even its last arrivals"
     );
 
     // --- Errors are real std errors with useful Display. ---

@@ -13,7 +13,8 @@
 use spinal_codes::channel::{AdcQuantizer, AwgnChannel, Channel};
 use spinal_codes::link::{FaultCounters, FaultPlan, LinkFault};
 use spinal_codes::{
-    AnyTerminator, BeamConfig, BitVec, IqSymbol, Observations, RxConfig, Slot, SpinalCode,
+    AnyTerminator, BeamConfig, BitVec, DecoderScratch, IqSymbol, Observations, RxConfig, Slot,
+    SpinalCode,
 };
 
 fn code_and_message() -> (
@@ -52,6 +53,7 @@ fn faulted_decode(
         )
         .unwrap();
     let mut channel = AwgnChannel::from_snr_db(snr_db, channel_seed);
+    let mut scratch = DecoderScratch::new();
     let mut fault = plan.stream();
     let mut deliveries = Vec::new();
     let mut batch = Vec::new();
@@ -67,7 +69,7 @@ fn faulted_decode(
         batch.clear();
         batch.extend(deliveries.iter().map(|d| (d.slot, d.symbol)));
         if !batch.is_empty() {
-            rx.ingest_at(&batch).unwrap();
+            rx.ingest_at(&mut scratch, &batch).unwrap();
         }
     }
     if !rx.is_finished() {
@@ -75,7 +77,7 @@ fn faulted_decode(
         batch.clear();
         batch.extend(deliveries.iter().map(|d| (d.slot, d.symbol)));
         if !batch.is_empty() {
-            rx.ingest_at(&batch).unwrap();
+            rx.ingest_at(&mut scratch, &batch).unwrap();
         }
     }
     let decoded_at = if rx.payload() == Some(&message) {
@@ -233,7 +235,6 @@ fn zero_beam_rejected() {
         .awgn_beam_decoder(BeamConfig {
             beam_width: 0,
             max_frontier: 16,
-            defer_prune_unobserved: true,
         })
         .unwrap_err();
     assert_eq!(

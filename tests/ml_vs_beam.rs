@@ -64,7 +64,6 @@ fn wide_beam_matches_ml_awgn() {
             BeamConfig {
                 beam_width: 4096, // 2^12: exhaustive
                 max_frontier: 1 << 20,
-                defer_prune_unobserved: true,
             },
         )
         .unwrap()
@@ -160,7 +159,6 @@ fn wide_beam_matches_ml_bsc() {
             BeamConfig {
                 beam_width: 256,
                 max_frontier: 1 << 16,
-                defer_prune_unobserved: true,
             },
         )
         .unwrap()

@@ -125,7 +125,7 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
             break;
         }
     }
-    // `live_sessions` counts attached *and* detached pool entries: A's
+    // `live_sessions` counts attached *and* detached pending flows: A's
     // attached session plus B's orphan.
     assert_eq!(server.live_sessions(), 2);
     assert_eq!(server.detached_sessions(), 1);

@@ -1,7 +1,7 @@
 //! Steady-state allocation freedom for the serving event loop: once a
 //! shard's connections are established and its buffers warm, a serial
 //! `Server::tick` — egress flush (including the backpressured partial
-//! send), empty-ingress polling, a drive round over the live pool
+//! send), empty-ingress polling, a drive round over the live sessions
 //! (including a session whose due attempt waits for a gap to fill), and
 //! periodic cumulative-ACK snapshots against a capped egress queue —
 //! must never touch the heap. Allocation is an admission-time cost, not
@@ -61,7 +61,7 @@ fn steady_state_server_tick_performs_zero_heap_allocation() {
 
     // Two live sessions that never decode (the noise hook zeroes every
     // symbol, so the CRC can never verify) and never exhaust (huge
-    // symbol budget): the pool stays occupied for the whole window.
+    // symbol budget): the shard stays occupied for the whole window.
     //   A: plain ACK-only flow — its lane sits at NeedMore, not due.
     //   B: cumulative-ACK flow with period 1 — every tick the server
     //      synthesises a snapshot frame into B's capped egress queue.

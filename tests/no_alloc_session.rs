@@ -39,8 +39,8 @@ fn allocations() -> u64 {
 }
 
 use spinal_codes::{
-    AnyTerminator, BeamConfig, BeamDecoder, BitVec, CodeParams, Lookup3, MultiConfig, MultiDecoder,
-    NoPuncture, Poll, RxConfig, RxSession, SessionEvent, TxSession,
+    AnyTerminator, BeamConfig, BeamDecoder, BitVec, CodeParams, DecoderScratch, Lookup3,
+    NoPuncture, Poll, RxConfig, RxSession, TxSession,
 };
 use spinal_core::map::LinearMapper;
 use spinal_core::{AwgnCost, Encoder};
@@ -90,12 +90,13 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         },
     )
     .unwrap();
+    let mut scratch = DecoderScratch::new();
 
     // One full trial: rebind both sessions to `seed`, stream noiseless
     // symbols one at a time until the genie accepts.
-    let run_trial = |tx: &mut TxSession<Lookup3, LinearMapper, NoPuncture>,
-                     rx: &mut RxSession<Lookup3, LinearMapper, AwgnCost, NoPuncture>,
-                     seed: u64| {
+    let mut run_trial = |tx: &mut TxSession<Lookup3, LinearMapper, NoPuncture>,
+                         rx: &mut RxSession<Lookup3, LinearMapper, AwgnCost, NoPuncture>,
+                         seed: u64| {
         let msg = &messages[seed as usize % messages.len()];
         tx.rebind(&base.reseeded(seed), Lookup3::new(seed), msg)
             .unwrap();
@@ -103,7 +104,7 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         rx.terminator_mut().genie_mut().unwrap().set_truth(msg);
         loop {
             let (_slot, x) = tx.next_symbol();
-            match rx.ingest(&[x]).unwrap() {
+            match rx.ingest(&mut scratch, &[x]).unwrap() {
                 Poll::NeedMore { .. } => continue,
                 Poll::Decoded { .. } => break,
                 Poll::Exhausted { .. } => panic!("noiseless trial must decode"),
@@ -134,13 +135,12 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
         "per-symbol retries must resume from checkpoints"
     );
 
-    // ---- Multi-session scheduler: a warm pool's ingest/drive cycle
-    // must be equally allocation-free (the per-connection cost model of
-    // a pool serving many receivers: allocation only at establishment).
-    const POOL_SESSIONS: usize = 4;
-    let mut pool: MultiDecoder<Lookup3, LinearMapper, AwgnCost, NoPuncture> =
-        MultiDecoder::new(MultiConfig::default());
-    let mut txs: Vec<TxSession<Lookup3, LinearMapper, NoPuncture>> = (0..POOL_SESSIONS as u64)
+    // ---- Sessions lending one scratch: a warm fleet's absorb/poll
+    // cycle must be equally allocation-free (the per-connection cost
+    // model of a server shard serving many receivers through one
+    // scratch: allocation only at establishment).
+    const FLEET: usize = 4;
+    let mut txs: Vec<TxSession<Lookup3, LinearMapper, NoPuncture>> = (0..FLEET as u64)
         .map(|s| {
             TxSession::new(
                 Encoder::new(
@@ -154,62 +154,59 @@ fn steady_state_session_cycle_performs_zero_heap_allocation() {
             )
         })
         .collect();
-    let ids: Vec<_> = (0..POOL_SESSIONS)
+    let mut rxs: Vec<RxSession<Lookup3, LinearMapper, AwgnCost, NoPuncture>> = (0..FLEET)
         .map(|s| {
-            pool.insert(
-                RxSession::new(
-                    decoders[s].clone(),
-                    NoPuncture::new(),
-                    AnyTerminator::genie(messages[s].clone()),
-                    RxConfig {
-                        beam,
-                        max_symbols: 4096,
-                        ..RxConfig::default()
-                    },
-                )
-                .unwrap(),
+            RxSession::new(
+                decoders[s].clone(),
+                NoPuncture::new(),
+                AnyTerminator::genie(messages[s].clone()),
+                RxConfig {
+                    beam,
+                    max_symbols: 4096,
+                    ..RxConfig::default()
+                },
             )
             .unwrap()
         })
         .collect();
-    let mut events: Vec<SessionEvent> = Vec::new();
-    // One pooled trial: rebind every lane to `base_seed + lane`, stream
-    // one noiseless symbol per session per drive until all decode.
-    let run_pool_trial = |pool: &mut MultiDecoder<Lookup3, LinearMapper, AwgnCost, NoPuncture>,
-                          txs: &mut Vec<TxSession<Lookup3, LinearMapper, NoPuncture>>,
-                          events: &mut Vec<SessionEvent>,
-                          base_seed: u64| {
-        for (lane, (tx, &id)) in txs.iter_mut().zip(&ids).enumerate() {
-            let seed = (base_seed + lane as u64) % 6;
-            let msg = &messages[seed as usize];
-            tx.rebind(&base.reseeded(seed), Lookup3::new(seed), msg)
-                .unwrap();
-            pool.rebind(id, decoders[seed as usize].clone()).unwrap();
-            let rx = pool.get_mut(id).unwrap();
-            rx.terminator_mut().genie_mut().unwrap().set_truth(msg);
-        }
-        let mut live = POOL_SESSIONS;
-        while live > 0 {
-            for (tx, &id) in txs.iter_mut().zip(&ids) {
-                if pool.get(id).unwrap().is_finished() {
-                    continue;
-                }
-                let (_slot, x) = tx.next_symbol();
-                pool.ingest(id, &[x]).unwrap();
+    let mut shared = DecoderScratch::new();
+    // One fleet trial: rebind every lane to `base_seed + lane`, absorb
+    // one noiseless symbol per live session per round, then poll every
+    // session through the one scratch, until all decode.
+    let mut run_fleet_trial =
+        |txs: &mut Vec<TxSession<Lookup3, LinearMapper, NoPuncture>>,
+         rxs: &mut Vec<RxSession<Lookup3, LinearMapper, AwgnCost, NoPuncture>>,
+         base_seed: u64| {
+            for (lane, (tx, rx)) in txs.iter_mut().zip(rxs.iter_mut()).enumerate() {
+                let seed = (base_seed + lane as u64) % 6;
+                let msg = &messages[seed as usize];
+                tx.rebind(&base.reseeded(seed), Lookup3::new(seed), msg)
+                    .unwrap();
+                rx.rebind(decoders[seed as usize].clone());
+                rx.terminator_mut().genie_mut().unwrap().set_truth(msg);
             }
-            pool.drive_into(events);
-            live -= events.iter().filter(|e| e.is_decoded()).count();
-        }
-    };
+            let mut live = FLEET;
+            while live > 0 {
+                for (tx, rx) in txs.iter_mut().zip(rxs.iter_mut()) {
+                    if !rx.is_finished() {
+                        rx.absorb_at(&[tx.next_symbol()]).unwrap();
+                    }
+                }
+                for rx in rxs.iter_mut() {
+                    if let Some(Poll::Decoded { .. }) = rx.poll(&mut shared) {
+                        live -= 1;
+                    }
+                }
+            }
+        };
 
-    // Warm-up sizes the pool's shared scratch, event/due lists, and
-    // every lane's buffers.
-    run_pool_trial(&mut pool, &mut txs, &mut events, 0);
-    run_pool_trial(&mut pool, &mut txs, &mut events, 1);
+    // Warm-up sizes the shared scratch and every lane's buffers.
+    run_fleet_trial(&mut txs, &mut rxs, 0);
+    run_fleet_trial(&mut txs, &mut rxs, 1);
 
     let before = allocations();
     for base_seed in 2..6u64 {
-        run_pool_trial(&mut pool, &mut txs, &mut events, base_seed);
+        run_fleet_trial(&mut txs, &mut rxs, base_seed);
     }
     let after = allocations();
     assert_eq!(

@@ -48,7 +48,7 @@ fn check_chunking(msg_bytes: &[u8], seed: u64, snr_db: f64, chunks: &[usize]) ->
             obs.push(slot, y);
             syms.push(y);
         }
-        match rx.ingest(&syms).unwrap() {
+        match rx.ingest(&mut scratch, &syms).unwrap() {
             Poll::NeedMore { symbols_consumed } => assert_eq!(symbols_consumed, n),
             other => panic!("never-accepting genie returned {other:?}"),
         }
@@ -155,14 +155,15 @@ proptest! {
         let mut by_slots = code
             .awgn_rx_session(AnyTerminator::genie(message.clone()), RxConfig::default())
             .unwrap();
+        let mut scratch = DecoderScratch::new();
         let mut done = false;
         for _ in 0..n_syms {
             let (slot, x) = tx.next_symbol();
             if done {
                 break;
             }
-            let a = by_cursor.ingest(&[x]).unwrap();
-            let b = by_slots.ingest_at(&[(slot, x)]).unwrap();
+            let a = by_cursor.ingest(&mut scratch, &[x]).unwrap();
+            let b = by_slots.ingest_at(&mut scratch, &[(slot, x)]).unwrap();
             prop_assert_eq!(a, b);
             done = matches!(a, Poll::Decoded { .. } | Poll::Exhausted { .. });
             prop_assert_eq!(
