@@ -1,30 +1,22 @@
 //! Multi-session perf tracker: N concurrent receivers lending one
-//! decoder scratch vs. each holding its own, and vs. the from-scratch
-//! serving loop.
+//! decoder scratch vs. each holding its own.
 //!
 //! Models the §1 deployment story — a base station decoding many
 //! same-shape spinal flows with per-symbol feedback. Each round, every
 //! live session receives its next scheduled symbol and retries decoding
-//! everything it has; sessions stop at genie acceptance. Three engines
-//! run the *identical* arrival trace and attempt schedule:
+//! everything it has, from the root; sessions stop at genie acceptance.
+//! Two engines run the *identical* arrival trace and attempt schedule:
 //!
 //! * **shared_scratch** — one `RxSession` per flow, every attempt run
-//!   whole through the one scratch the loop lends them all; every retry
-//!   is incremental via per-session checkpoints.
-//! * **one_at_a_time** — the from-scratch serving loop: each arrival
-//!   immediately re-decodes that session from scratch (`decode_into`,
-//!   scratch reused across sessions). This is the memory-comparable
-//!   baseline: it keeps no cross-attempt search state per session,
-//!   which is how a multi-receiver loop runs once per-session
-//!   checkpoint stores stop fitting.
+//!   whole through the one scratch the loop lends them all.
 //! * **private_scratch** — the same sessions, each with a scratch of
 //!   its own: N× the expansion buffers and a cold working set per
 //!   attempt once N is large. Its ratio to `shared_scratch` is exactly
 //!   what lending one scratch pays.
 //!
-//! All engines must accept every session at exactly the same symbol
-//! count (asserted — sharing a scratch is an optimization, never a
-//! semantic). A full run writes `BENCH_multi_session.json`; `--quick`
+//! Both engines must accept every session at exactly the same symbol
+//! count and attempt (asserted — sharing a scratch is an optimization,
+//! never a semantic). A full run writes `BENCH_multi_session.json`; `--quick`
 //! (the CI smoke) runs the same bit-identity self-check on a reduced
 //! fleet and writes only the deterministic
 //! `quick_multi_session.json` summary, which CI diffs against
@@ -36,9 +28,7 @@
 use spinal_bench::{banner, time_interleaved, BenchSummary, RunArgs};
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::bits::BitVec;
-use spinal_core::decode::{
-    AwgnCost, BeamConfig, BeamDecoder, DecodeResult, DecoderScratch, Observations,
-};
+use spinal_core::decode::{AwgnCost, BeamConfig, BeamDecoder, DecoderScratch};
 use spinal_core::encode::Encoder;
 use spinal_core::hash::Lookup3;
 use spinal_core::map::LinearMapper;
@@ -55,9 +45,9 @@ const SNR_DB: f64 = 8.0;
 const BEAM: usize = 16;
 /// Symbols of one full pass (`n / k` spine positions): every receiver's
 /// first attempt runs after a whole pass arrived (one chunked ingest),
-/// the per-symbol retry loop starts there — the same receiver model as
-/// `bench_session`, avoiding the sparse-observation warm-up attempts
-/// whose deferred-prune frontiers dwarf the steady state.
+/// the per-symbol retry loop starts there, avoiding the
+/// sparse-observation warm-up attempts whose deferred-prune frontiers
+/// dwarf the steady state.
 const PASS_SYMBOLS: usize = (MESSAGE_BITS / K) as usize;
 const MAX_SYMBOLS: usize = 1600;
 const FLEET: [usize; 4] = [1, 8, 64, 512];
@@ -77,12 +67,8 @@ struct Flow {
 struct Point {
     sessions: usize,
     shared_scratch_sessions_per_sec: f64,
-    one_at_a_time_sessions_per_sec: f64,
     private_scratch_sessions_per_sec: f64,
     speedup: f64,
-    speedup_vs_private_scratch: f64,
-    levels_resumed_fraction: f64,
-    checkpoint_bytes: usize,
     mean_symbols_to_decode: f64,
 }
 
@@ -140,11 +126,7 @@ fn decoder(flow: &Flow) -> BeamDecoder<Lookup3, LinearMapper, AwgnCost> {
 /// session per round, each ingest running its attempt through one
 /// scratch lent to every session (`private == false`) or through the
 /// session's own. Returns per-session (symbols, attempts) at acceptance.
-fn run_sessions(
-    flows: &[Flow],
-    private: bool,
-    stats_out: Option<&mut SessionStats>,
-) -> Vec<(u64, u32)> {
+fn run_sessions(flows: &[Flow], private: bool) -> Vec<(u64, u32)> {
     let mut sessions: Vec<Rx> = flows
         .iter()
         .map(|f| {
@@ -195,78 +177,13 @@ fn run_sessions(
             ingest(lane, rx, &[y], &mut live);
         }
     }
-    if let Some(stats) = stats_out {
-        let (mut resumed, mut run) = (0u64, 0u64);
-        for rx in &sessions {
-            let ck = rx.checkpoints();
-            resumed += ck.levels_resumed();
-            run += ck.levels_run();
-        }
-        stats.levels_resumed_fraction = resumed as f64 / (resumed + run) as f64;
-        stats.checkpoint_bytes = sessions.iter().map(Rx::checkpoint_bytes).sum();
-    }
-    out
-}
-
-#[derive(Default)]
-struct SessionStats {
-    levels_resumed_fraction: f64,
-    checkpoint_bytes: usize,
-}
-
-/// The from-scratch serving loop: every arrival immediately re-decodes
-/// its session from scratch over everything received (scratch shared —
-/// it carries nothing — observations per session).
-fn run_one_at_a_time(flows: &[Flow]) -> Vec<(u64, u32)> {
-    let decs: Vec<_> = flows.iter().map(decoder).collect();
-    let mut obs: Vec<Observations<IqSymbol>> = flows
-        .iter()
-        .map(|f| Observations::new(f.params.n_segments()))
-        .collect();
-    let mut scratch = DecoderScratch::new();
-    let mut result = DecodeResult::default();
-    let mut cursors = vec![PASS_SYMBOLS; flows.len()];
-    let mut out = vec![(0u64, 0u32); flows.len()];
-    let mut done = vec![false; flows.len()];
-    let mut live = flows.len();
-    // Round 0: the whole first pass, one attempt per session.
-    for (lane, flow) in flows.iter().enumerate() {
-        for &(slot, y) in &flow.stream[..PASS_SYMBOLS] {
-            obs[lane].push(slot, y);
-        }
-        decs[lane].decode_into(&obs[lane], &mut scratch, &mut result);
-        out[lane].1 += 1;
-        if result.message == flow.message {
-            out[lane].0 = PASS_SYMBOLS as u64;
-            done[lane] = true;
-            live -= 1;
-        }
-    }
-    while live > 0 {
-        for (lane, flow) in flows.iter().enumerate() {
-            if done[lane] {
-                continue;
-            }
-            assert!(cursors[lane] < MAX_SYMBOLS, "stream budget too small");
-            let (slot, y) = flow.stream[cursors[lane]];
-            cursors[lane] += 1;
-            obs[lane].push(slot, y);
-            decs[lane].decode_into(&obs[lane], &mut scratch, &mut result);
-            out[lane].1 += 1;
-            if result.message == flow.message {
-                out[lane].0 = cursors[lane] as u64;
-                done[lane] = true;
-                live -= 1;
-            }
-        }
-    }
     out
 }
 
 fn main() {
     let args = RunArgs::parse(5);
     banner(
-        "multi-session: sessions lending one scratch vs private scratches vs one-at-a-time loop",
+        "multi-session: sessions lending one scratch vs private scratches",
         &args,
         &format!(
             "message_bits={MESSAGE_BITS} k={K} c={C} B={BEAM} snr={SNR_DB}dB stride-8 per-symbol feedback"
@@ -276,35 +193,22 @@ fn main() {
     let fleet: &[usize] = if args.quick { &FLEET_QUICK } else { &FLEET };
 
     println!(
-        "{:>9} {:>14} {:>14} {:>14} {:>8} {:>10} {:>12} {:>10}",
-        "sessions",
-        "shared s/s",
-        "scratch s/s",
-        "private s/s",
-        "speedup",
-        "vs priv",
-        "lvl resumed",
-        "ckpt KiB"
+        "{:>9} {:>14} {:>14} {:>8}",
+        "sessions", "shared s/s", "private s/s", "speedup"
     );
     let mut points = Vec::new();
     let mut quick_rows = Vec::new();
     for &n in fleet {
         let flows = build_flows(n, args.seed);
 
-        // Bit-identity across engines: every engine must accept each
-        // session at the same symbol.
-        let mut stats = SessionStats::default();
-        let shared = run_sessions(&flows, false, Some(&mut stats));
-        let scratch = run_one_at_a_time(&flows);
-        let private = run_sessions(&flows, true, None);
+        // Bit-identity across engines: both must accept each session
+        // at the same symbol and attempt.
+        let shared = run_sessions(&flows, false);
+        let private = run_sessions(&flows, true);
         for lane in 0..n {
             assert_eq!(
                 shared[lane], private[lane],
                 "a lent scratch must match private ones (lane {lane})"
-            );
-            assert_eq!(
-                shared[lane].0, scratch[lane].0,
-                "incremental and from-scratch must accept at the same symbol (lane {lane})"
             );
         }
         let total_symbols: u64 = shared.iter().map(|&(s, _)| s).sum();
@@ -312,37 +216,27 @@ fn main() {
         quick_rows.push((n, total_symbols, total_attempts));
 
         // Timings, one round of each engine per iteration.
-        let [shared_secs, scratch_secs, private_secs] = time_interleaved(
+        let [shared_secs, private_secs] = time_interleaved(
             rounds,
-            [
-                &mut || run_sessions(&flows, false, None),
-                &mut || run_one_at_a_time(&flows),
-                &mut || run_sessions(&flows, true, None),
-            ],
+            [&mut || run_sessions(&flows, false), &mut || {
+                run_sessions(&flows, true)
+            }],
         )
         .map(|secs| secs / n as f64);
 
         let point = Point {
             sessions: n,
             shared_scratch_sessions_per_sec: 1.0 / shared_secs,
-            one_at_a_time_sessions_per_sec: 1.0 / scratch_secs,
             private_scratch_sessions_per_sec: 1.0 / private_secs,
-            speedup: scratch_secs / shared_secs,
-            speedup_vs_private_scratch: private_secs / shared_secs,
-            levels_resumed_fraction: stats.levels_resumed_fraction,
-            checkpoint_bytes: stats.checkpoint_bytes,
+            speedup: private_secs / shared_secs,
             mean_symbols_to_decode: total_symbols as f64 / n as f64,
         };
         println!(
-            "{:>9} {:>14.1} {:>14.1} {:>14.1} {:>7.2}x {:>9.2}x {:>11.1}% {:>10.1}",
+            "{:>9} {:>14.1} {:>14.1} {:>7.2}x",
             point.sessions,
             point.shared_scratch_sessions_per_sec,
-            point.one_at_a_time_sessions_per_sec,
             point.private_scratch_sessions_per_sec,
             point.speedup,
-            point.speedup_vs_private_scratch,
-            100.0 * point.levels_resumed_fraction,
-            point.checkpoint_bytes as f64 / 1024.0,
         );
         points.push(point);
     }
@@ -374,25 +268,17 @@ fn render_json(args: &RunArgs, rounds: u32, points: &[Point]) -> String {
         .config_str("feedback", "per-symbol")
         .config_str(
             "baseline",
-            "one-at-a-time serving loop: each arrival re-decodes its session from scratch (decode_into, shared scratch)",
-        )
-        .config_str(
-            "extra_baseline",
             "private_scratch: the same RxSessions, each lent a scratch of its own",
         )
         .render_header();
     s.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"sessions\": {}, \"shared_scratch_sessions_per_sec\": {:.2}, \"one_at_a_time_sessions_per_sec\": {:.2}, \"private_scratch_sessions_per_sec\": {:.2}, \"speedup\": {:.3}, \"speedup_vs_private_scratch\": {:.3}, \"levels_resumed_fraction\": {:.3}, \"checkpoint_bytes\": {}, \"mean_symbols_to_decode\": {:.1}}}{}\n",
+            "    {{\"sessions\": {}, \"shared_scratch_sessions_per_sec\": {:.2}, \"private_scratch_sessions_per_sec\": {:.2}, \"speedup\": {:.3}, \"mean_symbols_to_decode\": {:.1}}}{}\n",
             p.sessions,
             p.shared_scratch_sessions_per_sec,
-            p.one_at_a_time_sessions_per_sec,
             p.private_scratch_sessions_per_sec,
             p.speedup,
-            p.speedup_vs_private_scratch,
-            p.levels_resumed_fraction,
-            p.checkpoint_bytes,
             p.mean_symbols_to_decode,
             if i + 1 == points.len() { "" } else { "," },
         ));

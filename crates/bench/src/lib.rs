@@ -228,15 +228,13 @@ pub struct DeepFirstPoint {
     pub message_bits: u32,
     /// Mean rate under the paper's bit-reversed ordering.
     pub bit_reversed_rate: f64,
-    /// Mean rate under the checkpoint-friendly deep-first ordering.
+    /// Mean rate under the opt-in deep-first ordering.
     pub deep_first_rate: f64,
 }
 
-/// Runs the deep-first SNR × message-length coverage sweep at the
-/// puncturing probe's operating point (k = 4, c = 8, B = 16, stride-8;
-/// see `bench_session`'s probe). Shared by `ablation_puncturing` (the
-/// ablation narrative) and `bench_session` (which records the grid in
-/// `BENCH_session.json`).
+/// Runs the deep-first SNR × message-length coverage sweep at a cheap
+/// probe shape (k = 4, c = 8, B = 16, stride-8), as
+/// `ablation_puncturing` prints it.
 pub fn deep_first_grid(args: &RunArgs, trials: u32) -> Vec<DeepFirstPoint> {
     deep_first_grid_shaped(args, trials, 4, 8, 23)
 }
@@ -245,9 +243,9 @@ pub fn deep_first_grid(args: &RunArgs, trials: u32) -> Vec<DeepFirstPoint> {
 /// message-length sweep with segment size `k` and `c` mapper bits per
 /// symbol. `stream` decorrelates the trial seeds from other shapes so
 /// two grids in one report never share noise realisations.
-/// `bench_session` runs this at the paper's Figure 2 shape (k = 8,
-/// c = 10) — the verdict that gates promoting `SubpassOrder::DeepFirst`
-/// from opt-in to a default.
+/// `ablation_puncturing` also runs this at the paper's Figure 2 shape
+/// (k = 8, c = 10) — the verdict that gates promoting
+/// `SubpassOrder::DeepFirst` from opt-in to a default.
 pub fn deep_first_grid_shaped(
     args: &RunArgs,
     trials: u32,

@@ -1,13 +1,9 @@
 //! The README's bench numbers must be the ones the committed artifacts
 //! they cite hold: each row of the `bench_multi_session` table
-//! (sessions/s rounded to integers, speedups to two decimals) and the
-//! checkpoint memory of the largest fleet are checked against
-//! `BENCH_multi_session.json`, the `bench_session` paragraph's
-//! speedups, resumed-level share and checkpoint footprint, and each row
-//! of its puncturing-probe table, against `BENCH_session.json`, and
-//! each row of the `bench_chaos` table against `BENCH_chaos.json`, so
-//! regenerating an artifact without rewriting its README figures fails
-//! here.
+//! (sessions/s rounded to integers, speedups to two decimals) is checked
+//! against `BENCH_multi_session.json`, and each row of the `bench_chaos`
+//! table against `BENCH_chaos.json`, so regenerating an artifact without
+//! rewriting its README figures fails here.
 
 use std::path::Path;
 
@@ -45,7 +41,7 @@ fn readme_multi_session_table_matches_its_artifact() {
 
     let rows = table_rows(
         &readme,
-        "| sessions | shared scratch s/s | private scratches s/s | vs private | one-at-a-time s/s | vs one-at-a-time |",
+        "| sessions | shared scratch s/s | private scratches s/s | vs private |",
     );
     assert_eq!(
         rows.len(),
@@ -57,8 +53,6 @@ fn readme_multi_session_table_matches_its_artifact() {
             format!("{}", field(p, "sessions")),
             format!("{:.0}", field(p, "shared_scratch_sessions_per_sec")),
             format!("{:.0}", field(p, "private_scratch_sessions_per_sec")),
-            format!("{:.2}", field(p, "speedup_vs_private_scratch")),
-            format!("{:.0}", field(p, "one_at_a_time_sessions_per_sec")),
             format!("{:.2}", field(p, "speedup")),
         ];
         assert_eq!(
@@ -66,17 +60,6 @@ fn readme_multi_session_table_matches_its_artifact() {
             "README row disagrees with BENCH_multi_session.json"
         );
     }
-
-    let largest = points.last().expect("checked non-empty");
-    let memory = format!(
-        "{} private checkpoint stores hold ~{:.1} MB",
-        field(largest, "sessions"),
-        field(largest, "checkpoint_bytes") / 1e6
-    );
-    assert!(
-        readme_prose().contains(&memory),
-        "README should read \"{memory}\""
-    );
 }
 
 /// The quoted string after `"key": ` on one artifact line.
@@ -210,85 +193,4 @@ fn table_rows(readme: &str, header: &str) -> Vec<Vec<String>> {
                 .collect()
         })
         .collect()
-}
-
-/// One whitespace-normalized string of the README, so a figure may wrap
-/// across lines.
-fn readme_prose() -> String {
-    repo_file("README.md")
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-#[test]
-fn readme_session_paragraph_matches_its_artifact() {
-    let artifact = repo_file("BENCH_session.json");
-    let point = |interval: u32| {
-        let key = format!("\"attempt_interval_symbols\": {interval}, \"incremental");
-        artifact
-            .lines()
-            .find(|l| l.contains(&key))
-            .unwrap_or_else(|| panic!("no interval-{interval} point in BENCH_session.json"))
-    };
-    let (p1, p2, p4, p32) = (point(1), point(2), point(4), point(32));
-    let figures = [
-        format!(
-            "**{:.2}× at per-symbol feedback** ({:.1}% of tree levels resumed)",
-            field(p1, "speedup"),
-            100.0 * field(p1, "levels_resumed_fraction")
-        ),
-        format!("{:.2}× at 2-symbol intervals", field(p2, "speedup")),
-        format!("{:.2}× at 4-symbol intervals", field(p4, "speedup")),
-        format!(
-            "{:.2}× when retrying only once per pass",
-            field(p32, "speedup")
-        ),
-        format!(
-            "(`checkpoint_bytes`, {:.1} KiB at this shape)",
-            field(p1, "checkpoint_bytes") / 1024.0
-        ),
-    ];
-    let prose = readme_prose();
-    for want in &figures {
-        assert!(
-            prose.contains(want.as_str()),
-            "README should read \"{want}\""
-        );
-    }
-}
-
-#[test]
-fn readme_puncturing_probe_matches_its_artifact() {
-    let artifact = repo_file("BENCH_session.json");
-    let probes = artifact
-        .lines()
-        .filter(|l| l.contains("\"ordering\": "))
-        .count();
-    let rows = table_rows(
-        &repo_file("README.md"),
-        "| ordering | attempt interval | sessions/s | mean symbols | levels resumed |",
-    );
-    assert_eq!(rows.len(), probes, "one README row per probe point");
-    for row in &rows {
-        let key = format!(
-            "\"ordering\": \"{}\", \"attempt_interval_symbols\": {},",
-            row[0], row[1]
-        );
-        let p = artifact
-            .lines()
-            .find(|l| l.contains(&key))
-            .unwrap_or_else(|| panic!("no probe point for README row {row:?}"));
-        let want = vec![
-            row[0].clone(),
-            row[1].clone(),
-            format!("{:.0}", field(p, "sessions_per_sec")),
-            format!("{:.1}", field(p, "mean_symbols_to_decode")),
-            format!("{:.1}", 100.0 * field(p, "levels_resumed_fraction")),
-        ];
-        assert_eq!(
-            row, &want,
-            "README probe row disagrees with BENCH_session.json"
-        );
-    }
 }

@@ -40,12 +40,12 @@
 //!   `segs: Vec<u16>` — instead of a struct per node. The hot loop is
 //!   **key-only**: the `f64` path cost lives exclusively as its
 //!   order-preserving integer image ([`crate::decode::select::cost_key`],
-//!   a bijection), so ranking, pruning, and checkpointing never touch a
-//!   float, and the redundant 8-byte cost mirror PRs 1–5 carried per
-//!   child is gone from the store bandwidth. Costs are materialized
-//!   (via the exact inverse [`crate::decode::select::key_cost`]) only at
-//!   the finish boundary. The expansion loop walks flat slices a child
-//!   row at a time and scores each row observation-major
+//!   a bijection), so ranking and pruning never touch a float, and no
+//!   8-byte cost mirror per child adds to the store bandwidth. Costs are
+//!   materialized (via the exact inverse
+//!   [`crate::decode::select::key_cost`]) only at the finish boundary.
+//!   The expansion loop walks flat slices a child row at a time and
+//!   scores each row observation-major
 //!   ([`crate::kernels`]' row scoring), so each observation's map + cost
 //!   runs in SIMD lanes across the row's children, bit-identical to
 //!   scoring one child at a time.
@@ -152,9 +152,8 @@ pub(crate) struct AttemptWalk {
     /// pre-prune and no blind prune at the cap, so it is bit-identical
     /// to an attempt with an unbounded frontier.
     pub(crate) fits: bool,
-    /// Children the attempt generates from the walk's start level on —
-    /// from level 0, exactly the [`DecodeStats::nodes_expanded`] it
-    /// reports.
+    /// Children the attempt generates: exactly the
+    /// [`DecodeStats::nodes_expanded`] it reports.
     pub(crate) nodes: u64,
 }
 
@@ -211,9 +210,6 @@ pub struct DecoderScratch {
     selector: SelectScratch,
     /// Segment buffer for backtracking.
     path: Vec<u16>,
-    /// The level-plan geometry slot every incremental attempt reads
-    /// (see [`PlanGeo`]).
-    plan_geo: PlanGeo,
 }
 
 impl DecoderScratch {
@@ -221,292 +217,6 @@ impl DecoderScratch {
     /// reused.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// One level's hash-block plan *geometry* (`block_ids` + `reads`), kept
-/// in the scratch for incremental attempts. The geometry is a pure
-/// function of the level's observation pass list and the mapper's
-/// bits-per-symbol — independent of the hash seed and of observed
-/// values — so any level of any session with the same key reuses it
-/// unchanged. The key is stored and compared, never hashed, so two
-/// geometries cannot alias. The packed masks embed observed bit
-/// *values* and stay per-session in [`CachedPlan`].
-#[derive(Clone, Debug, Default)]
-struct PlanGeo {
-    /// Bits per symbol the geometry was built for (0 = empty slot).
-    bps: u32,
-    /// The exact pass list the geometry was built for.
-    passes: Vec<u32>,
-    block_ids: Vec<u64>,
-    reads: Vec<ObsRead>,
-}
-
-impl PlanGeo {
-    /// Makes the slot hold `level_obs`'s geometry, rebuilding it only
-    /// when the key differs from the one it holds.
-    fn refresh<S>(&mut self, level_obs: &[(u32, S)], bps: u32) {
-        let passes = level_obs.iter().map(|&(pass, _)| pass);
-        if self.bps == bps && self.passes.iter().copied().eq(passes.clone()) {
-            return;
-        }
-        batch::plan_level(passes.clone(), bps, &mut self.block_ids, &mut self.reads);
-        self.passes.clear();
-        self.passes.extend(passes);
-        self.bps = bps;
-    }
-}
-
-/// The largest entering frontier [`BeamCheckpoints`] will snapshot.
-/// Levels whose frontier exceeds the limit (deep unobserved-gap
-/// deferral) stop the checkpoint prefix for that attempt; resumption
-/// then starts below them. Bounds checkpoint memory at
-/// `limit × n_levels` entries per store.
-pub const MAX_CHECKPOINT_FRONTIER: usize = 1 << 12;
-
-/// One level's snapshot: the frontier *entering* the level, the arena
-/// prefix committed before it, and the cumulative work counters.
-#[derive(Clone, Debug, Default)]
-struct SavedLevel {
-    spines: Vec<u64>,
-    keys: Vec<u64>,
-    parents: Vec<u32>,
-    segs: Vec<u16>,
-    arena_len: usize,
-    stats: DecodeStats,
-}
-
-/// The contiguous prefix of per-level snapshots a prior attempt left
-/// behind. Entries `[0, valid)` describe the current observation prefix.
-#[derive(Clone, Debug, Default)]
-struct SavedStates {
-    levels: Vec<SavedLevel>,
-    valid: u32,
-}
-
-impl SavedStates {
-    /// Snapshots the state entering level `t`. Only extends the valid
-    /// prefix contiguously, and skips (freezing the prefix) when the
-    /// frontier exceeds [`MAX_CHECKPOINT_FRONTIER`] — too large to be
-    /// worth copying.
-    #[allow(clippy::too_many_arguments)]
-    fn save(
-        &mut self,
-        t: u32,
-        spines: &[u64],
-        keys: &[u64],
-        parents: &[u32],
-        segs: &[u16],
-        arena_len: usize,
-        stats: DecodeStats,
-    ) {
-        if t != self.valid || spines.len() > MAX_CHECKPOINT_FRONTIER {
-            return;
-        }
-        if self.levels.len() <= t as usize {
-            self.levels.resize_with(t as usize + 1, SavedLevel::default);
-        }
-        let e = &mut self.levels[t as usize];
-        e.spines.clear();
-        e.spines.extend_from_slice(spines);
-        e.keys.clear();
-        e.keys.extend_from_slice(keys);
-        e.parents.clear();
-        e.parents.extend_from_slice(parents);
-        e.segs.clear();
-        e.segs.extend_from_slice(segs);
-        e.arena_len = arena_len;
-        e.stats = stats;
-        self.valid = t + 1;
-    }
-}
-
-/// One level's cached per-session plan half: the packed XOR/popcount
-/// masks (see [`crate::decode::batch`]), which embed observed bit values
-/// and are invalidated by observation-count changes. `obs_len ==
-/// usize::MAX` marks a never-built or reset entry. The geometry half
-/// lives in the scratch's [`PlanGeo`] slot.
-#[derive(Clone, Debug)]
-struct CachedPlan {
-    obs_len: usize,
-    packed: Vec<PackedMask>,
-}
-
-impl Default for CachedPlan {
-    fn default() -> Self {
-        Self {
-            obs_len: usize::MAX,
-            packed: Vec::new(),
-        }
-    }
-}
-
-/// Persistent cross-attempt state for [`BeamDecoder::decode_incremental`]:
-/// per-level frontier checkpoints, the backtracking arena they index
-/// into, and per-level packed-mask caches.
-///
-/// A retry that only added observations at levels `>= d` (e.g. one more
-/// punctured sub-pass, or the next symbol of an in-progress pass) resumes
-/// the level sweep at `d` instead of level 0: everything below `d` saw
-/// identical observations, so the saved frontier is exactly what a
-/// from-scratch decode would recompute. The result — message, costs,
-/// candidates, *and* [`DecodeStats`] (reported as-if-from-scratch) — is
-/// **bit-identical** to [`BeamDecoder::decode_into`] over the same
-/// observation set.
-///
-/// # Contract
-///
-/// A checkpoint store belongs to one `(decoder, observation set)` pair at
-/// a time, and the observation set must be **append-only** between
-/// attempts. Call [`reset`](Self::reset) whenever the observations are
-/// cleared or the decoder (parameters, hash, config) changes; stale
-/// checkpoints are also discarded automatically when the observation
-/// count shrinks or the level count changes. After the first attempt
-/// warms the buffers, checkpointing allocates nothing.
-///
-/// The store is a cache, never state a result depends on: an empty
-/// store (a fresh one, or one whose session came back from a warm
-/// restart holding only its observations) makes the next attempt decode from level 0, with the
-/// same result and the same reported stats as a resumed one — only the
-/// work the attempt does changes.
-#[derive(Clone, Debug, Default)]
-pub struct BeamCheckpoints {
-    saved: SavedStates,
-    /// The backtracking arena shared across attempts (replaces the
-    /// per-attempt arena in [`DecoderScratch`]).
-    arena_parents: Vec<u32>,
-    arena_segs: Vec<u16>,
-    plans: Vec<CachedPlan>,
-    /// Observation count at the last attempt (shrinkage ⇒ stale).
-    obs_len: usize,
-    n_levels: u32,
-    levels_resumed: u64,
-    levels_run: u64,
-}
-
-impl BeamCheckpoints {
-    /// Creates an empty checkpoint store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Discards all checkpoints and cached plans (keeping capacity), so
-    /// the next attempt decodes from level 0. Required when the
-    /// observation set is cleared or the decoder changes.
-    pub fn reset(&mut self) {
-        self.saved.valid = 0;
-        for plan in &mut self.plans {
-            plan.obs_len = usize::MAX;
-        }
-        self.obs_len = 0;
-        self.n_levels = 0;
-    }
-
-    /// Heap bytes currently held by this store (capacity-based: saved
-    /// frontiers, the backtracking arena, and the cached XOR/popcount
-    /// cost masks).
-    pub fn memory_bytes(&self) -> usize {
-        use core::mem::size_of;
-        let mut bytes = self.arena_parents.capacity() * size_of::<u32>()
-            + self.arena_segs.capacity() * size_of::<u16>();
-        for level in &self.saved.levels {
-            bytes += level.spines.capacity() * size_of::<u64>()
-                + level.keys.capacity() * size_of::<u64>()
-                + level.parents.capacity() * size_of::<u32>()
-                + level.segs.capacity() * size_of::<u16>();
-        }
-        for plan in &self.plans {
-            bytes += plan.packed.capacity() * size_of::<PackedMask>();
-        }
-        bytes
-    }
-
-    /// Number of tree levels the valid checkpoint prefix covers — the
-    /// deepest point the next retry could resume from. A scheduler uses
-    /// this (with the session's dirty depth) to rank retries by cost.
-    pub fn valid_levels(&self) -> u32 {
-        self.saved.valid
-    }
-
-    /// Tree levels skipped via checkpoint resumption, accumulated over
-    /// the store's lifetime — the direct measure of the incremental-retry
-    /// saving.
-    pub fn levels_resumed(&self) -> u64 {
-        self.levels_resumed
-    }
-
-    /// Tree levels actually expanded across all attempts.
-    pub fn levels_run(&self) -> u64 {
-        self.levels_run
-    }
-}
-
-/// Where the level loop gets its hash-block plans from.
-enum PlanSource<'a> {
-    /// Rebuild every level's plan into per-attempt scratch buffers
-    /// (the batch path).
-    Scratch {
-        block_ids: &'a mut Vec<u64>,
-        reads: &'a mut Vec<ObsRead>,
-        packed: &'a mut Vec<PackedMask>,
-    },
-    /// The incremental path: geometry from the scratch's slot (rebuilt
-    /// only when a level's pass list differs from the one it holds),
-    /// packed masks from the per-session cache (rebuilt only when a
-    /// level's observation count changed).
-    Cached {
-        cache: &'a mut Vec<CachedPlan>,
-        geo: &'a mut PlanGeo,
-    },
-}
-
-/// The SoA frontier entering a level; a level step leaves it holding
-/// the frontier entering the next level.
-struct Frontier<'a> {
-    spines: &'a mut Vec<u64>,
-    keys: &'a mut Vec<u64>,
-    parents: &'a mut Vec<u32>,
-    segs: &'a mut Vec<u16>,
-}
-
-/// The expansion working buffers a level step borrows. Contents never
-/// carry information across steps.
-struct ExpandScratch<'a> {
-    spines: &'a mut Vec<u64>,
-    keys: &'a mut Vec<u64>,
-    parents: &'a mut Vec<u32>,
-    segs: &'a mut Vec<u16>,
-    blocks: &'a mut Vec<u64>,
-    seg_ids: &'a mut Vec<u64>,
-    order: &'a mut Vec<u32>,
-    selector: &'a mut SelectScratch,
-}
-
-impl DecoderScratch {
-    /// Splits the scratch into the frontier, the expansion buffers, the
-    /// plan-geometry slot, and the backtrack path buffer (the
-    /// incremental attempt's layout).
-    fn split_mut(&mut self) -> (Frontier<'_>, ExpandScratch<'_>, &mut PlanGeo, &mut Vec<u16>) {
-        (
-            Frontier {
-                spines: &mut self.spines,
-                keys: &mut self.keys,
-                parents: &mut self.parents,
-                segs: &mut self.segs,
-            },
-            ExpandScratch {
-                spines: &mut self.next_spines,
-                keys: &mut self.next_keys,
-                parents: &mut self.next_parents,
-                segs: &mut self.next_segs,
-                blocks: &mut self.blocks,
-                seg_ids: &mut self.seg_ids,
-                order: &mut self.order,
-                selector: &mut self.selector,
-            },
-            &mut self.plan_geo,
-            &mut self.path,
-        )
     }
 }
 
@@ -628,14 +338,12 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     /// and each level expands `min(F, cap) × branch` children, where a
     /// message level branches `2^k` ways and a tail level once. The
     /// walk reports whether the attempt fits (`F × branch ≤
-    /// max_frontier` at every level) and the children generated from
-    /// level `start` on; pass an attempt's resume level to price what
-    /// it will actually expand.
+    /// max_frontier` at every level) and the children it generates.
     ///
     /// # Panics
     ///
     /// Panics if `obs` was created for a different spine length.
-    pub(crate) fn walk_attempt(&self, obs: &Observations<M::Symbol>, start: u32) -> AttemptWalk {
+    pub(crate) fn walk_attempt(&self, obs: &Observations<M::Symbol>) -> AttemptWalk {
         self.check_levels(obs);
         let msg_segs = self.params.message_segments();
         let branch = 1usize << self.params.k();
@@ -648,9 +356,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             let level_branch = if t >= msg_segs { 1 } else { branch };
             walk.fits &= frontier.saturating_mul(level_branch) <= self.config.max_frontier;
             let children = frontier.min(self.config.parent_cap(level_branch)) * level_branch;
-            if t >= start {
-                walk.nodes += children as u64;
-            }
+            walk.nodes += children as u64;
             frontier = children.min(self.config.survivors(!obs.at_level(t).is_empty()));
         }
         walk
@@ -692,10 +398,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     /// `scratch` and `out`, a decode attempt performs **zero heap
     /// allocation**.
     ///
-    /// This is the one-shot form of the search:
-    /// [`decode_incremental`](Self::decode_incremental) runs the same
-    /// level sweep but resumes from per-level checkpoints.
-    ///
     /// # Panics
     ///
     /// Panics if `obs` was created for a different spine length.
@@ -706,12 +408,60 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         out: &mut DecodeResult,
     ) {
         self.check_levels(obs);
-        let n_levels = self.params.n_segments();
+        // The frontier starts as the root placeholder: it is not in the
+        // arena, so its children point at parent `u32::MAX`.
+        scratch.spines.clear();
+        scratch.keys.clear();
+        scratch.parents.clear();
+        scratch.segs.clear();
+        scratch.spines.push(INITIAL_SPINE);
+        scratch.keys.push(cost_key(0.0));
+        scratch.parents.push(u32::MAX);
+        scratch.segs.push(0);
+        scratch.arena_parents.clear();
+        scratch.arena_segs.clear();
+        let mut stats = DecodeStats {
+            nodes_expanded: 0,
+            frontier_peak: 1,
+            hash_calls: 0,
+            complete: true,
+            kernel_dispatch: self.kernel_dispatch,
+        };
+        for t in 0..self.params.n_segments() {
+            self.level_core(t, obs, scratch, &mut stats);
+        }
+        self.finish_core(scratch, stats, out);
+    }
+
+    fn check_levels(&self, obs: &Observations<M::Symbol>) {
+        assert_eq!(
+            obs.n_levels(),
+            self.params.n_segments(),
+            "observations sized for {} levels, code has {}",
+            obs.n_levels(),
+            self.params.n_segments()
+        );
+    }
+
+    /// One level of the beam sweep: pre-prune, arena commit, plan,
+    /// expand, prune. The scratch's frontier enters level `t` and
+    /// leaves holding the frontier entering `t + 1`; its other working
+    /// buffers carry nothing from one level to the next.
+    fn level_core(
+        &self,
+        t: u32,
+        obs: &Observations<M::Symbol>,
+        scratch: &mut DecoderScratch,
+        stats: &mut DecodeStats,
+    ) {
+        let msg_segs = self.params.message_segments();
+        let branch = 1usize << self.params.k();
+        let bps = self.mapper.bits_per_symbol();
         let DecoderScratch {
-            spines,
-            keys,
-            parents,
-            segs,
+            spines: fr_spines,
+            keys: fr_keys,
+            parents: fr_parents,
+            segs: fr_segs,
             next_spines,
             next_keys,
             next_parents,
@@ -725,284 +475,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             seg_ids,
             order,
             selector,
-            path,
-            plan_geo: _,
+            path: _,
         } = scratch;
-        init_root(spines, keys, parents, segs, arena_parents, arena_segs);
-        let mut stats = fresh_stats(self.kernel_dispatch);
-        let mut plans = PlanSource::Scratch {
-            block_ids,
-            reads,
-            packed,
-        };
-        for t in 0..n_levels {
-            self.level_core(
-                t,
-                obs,
-                Frontier {
-                    spines: &mut *spines,
-                    keys: &mut *keys,
-                    parents: &mut *parents,
-                    segs: &mut *segs,
-                },
-                ExpandScratch {
-                    spines: &mut *next_spines,
-                    keys: &mut *next_keys,
-                    parents: &mut *next_parents,
-                    segs: &mut *next_segs,
-                    blocks: &mut *blocks,
-                    seg_ids: &mut *seg_ids,
-                    order: &mut *order,
-                    selector: &mut *selector,
-                },
-                arena_parents,
-                arena_segs,
-                &mut plans,
-                None,
-                &mut stats,
-            );
-        }
-        self.finish_core(
-            Frontier {
-                spines,
-                keys,
-                parents,
-                segs,
-            },
-            arena_parents,
-            arena_segs,
-            None,
-            order,
-            selector,
-            path,
-            stats,
-            out,
-        );
-    }
-
-    /// Incremental re-decode for rateless retry loops: bit-identical to
-    /// [`decode_into`](Self::decode_into) over the same observations, but
-    /// resumes the level sweep from the deepest checkpoint at or below
-    /// `dirty_from` — the lowest spine position that received a new
-    /// observation since the previous attempt with this `ckpt`. Levels
-    /// below the resume point are not re-expanded; their saved frontier
-    /// is exactly what a from-scratch decode would recompute, because
-    /// their observations did not change.
-    ///
-    /// Pass `dirty_from = 0` (or a fresh/reset `ckpt`) to decode from
-    /// scratch; pass `dirty_from >= n_segments` when no observation was
-    /// added to re-rank the saved final frontier without any expansion.
-    ///
-    /// The reported [`DecodeStats`] are *as-if-from-scratch* (prefix
-    /// counters are restored from the checkpoint), so results compare
-    /// bit-for-bit with the batch path; the actual work saved is
-    /// tracked on the checkpoint store
-    /// ([`BeamCheckpoints::levels_resumed`]).
-    ///
-    /// See [`BeamCheckpoints`] for the append-only observation contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obs` was created for a different spine length.
-    pub fn decode_incremental(
-        &self,
-        obs: &Observations<M::Symbol>,
-        dirty_from: u32,
-        ckpt: &mut BeamCheckpoints,
-        scratch: &mut DecoderScratch,
-        out: &mut DecodeResult,
-    ) {
-        let (start, mut stats) = self.attempt_begin(obs, dirty_from, ckpt, scratch);
-        let n_levels = self.params.n_segments();
-        for t in start..n_levels {
-            let (fr, ex, geo, _) = scratch.split_mut();
-            self.ckpt_level(t, obs, ckpt, fr, ex, geo, &mut stats);
-        }
-        let (fr, ex, _, path) = scratch.split_mut();
-        self.ckpt_finish(ckpt, fr, ex.order, ex.selector, path, stats, out);
-    }
-
-    /// The head of an incremental attempt: validates/refreshes the
-    /// checkpoint store, picks the resume level, restores the entering
-    /// frontier into `scratch`'s frontier buffers (or initializes the
-    /// root for a from-scratch start), and rolls the arena back. Returns
-    /// the start level and the as-if-from-scratch work counters entering
-    /// it.
-    fn attempt_begin(
-        &self,
-        obs: &Observations<M::Symbol>,
-        dirty_from: u32,
-        ckpt: &mut BeamCheckpoints,
-        scratch: &mut DecoderScratch,
-    ) -> (u32, DecodeStats) {
-        self.check_levels(obs);
-        let n_levels = self.params.n_segments();
-        if ckpt.n_levels != n_levels || obs.len() < ckpt.obs_len {
-            // Geometry changed or observations shrank: everything saved
-            // is stale.
-            ckpt.reset();
-            ckpt.n_levels = n_levels;
-        }
-        let start = dirty_from
-            .min(n_levels)
-            .min(ckpt.saved.valid.saturating_sub(1));
-        ckpt.levels_resumed += u64::from(start);
-        ckpt.levels_run += u64::from(n_levels - start);
-        ckpt.obs_len = obs.len();
-        if ckpt.plans.len() < n_levels as usize {
-            ckpt.plans
-                .resize_with(n_levels as usize, CachedPlan::default);
-        }
-
-        let init_stats = if start == 0 {
-            fresh_stats(self.kernel_dispatch)
-        } else {
-            ckpt.saved.levels[start as usize].stats
-        };
-        if start > 0 {
-            // Restore the frontier entering `start` and roll the arena
-            // back to what was committed before it. The checkpoint holds
-            // cost keys natively, so restore is a straight copy.
-            let e = &ckpt.saved.levels[start as usize];
-            scratch.spines.clear();
-            scratch.spines.extend_from_slice(&e.spines);
-            scratch.keys.clear();
-            scratch.keys.extend_from_slice(&e.keys);
-            scratch.parents.clear();
-            scratch.parents.extend_from_slice(&e.parents);
-            scratch.segs.clear();
-            scratch.segs.extend_from_slice(&e.segs);
-            ckpt.arena_parents.truncate(e.arena_len);
-            ckpt.arena_segs.truncate(e.arena_len);
-        } else {
-            init_root(
-                &mut scratch.spines,
-                &mut scratch.keys,
-                &mut scratch.parents,
-                &mut scratch.segs,
-                &mut ckpt.arena_parents,
-                &mut ckpt.arena_segs,
-            );
-        }
-        // Checkpoints at and above the resume point are about to be
-        // overwritten.
-        ckpt.saved.valid = start;
-        (start, init_stats)
-    }
-
-    /// [`level_core`](Self::level_core) wired to a checkpoint store's
-    /// arena, packed-mask cache, and saver, and to the scratch's
-    /// plan-geometry slot.
-    #[allow(clippy::too_many_arguments)]
-    fn ckpt_level(
-        &self,
-        t: u32,
-        obs: &Observations<M::Symbol>,
-        ckpt: &mut BeamCheckpoints,
-        fr: Frontier<'_>,
-        ex: ExpandScratch<'_>,
-        geo: &mut PlanGeo,
-        stats: &mut DecodeStats,
-    ) {
-        let BeamCheckpoints {
-            saved,
-            arena_parents,
-            arena_segs,
-            plans,
-            ..
-        } = ckpt;
-        let mut plans = PlanSource::Cached { cache: plans, geo };
-        self.level_core(
-            t,
-            obs,
-            fr,
-            ex,
-            arena_parents,
-            arena_segs,
-            &mut plans,
-            Some(saved),
-            stats,
-        );
-    }
-
-    /// [`finish_core`](Self::finish_core) wired to a checkpoint store.
-    #[allow(clippy::too_many_arguments)]
-    fn ckpt_finish(
-        &self,
-        ckpt: &mut BeamCheckpoints,
-        fr: Frontier<'_>,
-        order: &mut Vec<u32>,
-        selector: &mut SelectScratch,
-        path: &mut Vec<u16>,
-        stats: DecodeStats,
-        out: &mut DecodeResult,
-    ) {
-        let BeamCheckpoints {
-            saved,
-            arena_parents,
-            arena_segs,
-            ..
-        } = ckpt;
-        self.finish_core(
-            fr,
-            arena_parents,
-            arena_segs,
-            Some(saved),
-            order,
-            selector,
-            path,
-            stats,
-            out,
-        );
-    }
-
-    fn check_levels(&self, obs: &Observations<M::Symbol>) {
-        assert_eq!(
-            obs.n_levels(),
-            self.params.n_segments(),
-            "observations sized for {} levels, code has {}",
-            obs.n_levels(),
-            self.params.n_segments()
-        );
-    }
-
-    /// One level of the beam sweep: snapshot, pre-prune, arena commit,
-    /// plan, expand, prune. `fr` holds the frontier entering level `t`
-    /// and leaves holding the frontier entering `t + 1`; `ex` is pure
-    /// scratch. Both the batch and incremental entry points are loops
-    /// over this one function, so they cannot drift apart.
-    #[allow(clippy::too_many_arguments)]
-    fn level_core(
-        &self,
-        t: u32,
-        obs: &Observations<M::Symbol>,
-        fr: Frontier<'_>,
-        ex: ExpandScratch<'_>,
-        arena_parents: &mut Vec<u32>,
-        arena_segs: &mut Vec<u16>,
-        plans: &mut PlanSource<'_>,
-        saver: Option<&mut SavedStates>,
-        stats: &mut DecodeStats,
-    ) {
-        let msg_segs = self.params.message_segments();
-        let branch = 1usize << self.params.k();
-        let bps = self.mapper.bits_per_symbol();
-        let Frontier {
-            spines: fr_spines,
-            keys: fr_keys,
-            parents: fr_parents,
-            segs: fr_segs,
-        } = fr;
-        let ExpandScratch {
-            spines: next_spines,
-            keys: next_keys,
-            parents: next_parents,
-            segs: next_segs,
-            blocks,
-            seg_ids,
-            order,
-            selector,
-        } = ex;
         if seg_ids.len() < branch {
             seg_ids.extend(seg_ids.len() as u64..branch as u64);
         }
@@ -1011,21 +485,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         let level_obs = obs.at_level(t);
         let tail = t >= msg_segs;
         let level_branch = if tail { 1 } else { branch };
-
-        // Snapshot the state entering this level so a later attempt
-        // whose first new observation sits at or above `t` can resume
-        // here.
-        if let Some(sv) = saver {
-            sv.save(
-                t,
-                fr_spines,
-                fr_keys,
-                fr_parents,
-                fr_segs,
-                arena_parents.len(),
-                *stats,
-            );
-        }
 
         // Pre-prune so the expansion never exceeds max_frontier.
         let cap_parents = self.config.parent_cap(level_branch);
@@ -1064,46 +523,16 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
 
         // Plan the level once: distinct expansion blocks + one read
         // descriptor per observation; on 1-bit channels, also try to
-        // collapse the whole level into XOR/popcount block masks. The
-        // incremental path reuses the geometry slot while the pass list
-        // matches and the packed masks while the level's observation
-        // count is unchanged (observations are append-only, so equal
-        // count means equal content).
-        let (plan_blocks, plan_reads, plan_packed): (&[u64], &[ObsRead], &[PackedMask]) =
-            match plans {
-                PlanSource::Scratch {
-                    block_ids,
-                    reads,
-                    packed,
-                } => {
-                    build_plan(
-                        &self.mapper,
-                        &self.cost,
-                        level_obs,
-                        bps,
-                        block_ids,
-                        reads,
-                        packed,
-                    );
-                    (block_ids, reads, packed)
-                }
-                PlanSource::Cached { cache, geo } => {
-                    geo.refresh(level_obs, bps);
-                    let p = &mut cache[t as usize];
-                    if p.obs_len != level_obs.len() {
-                        build_packed(
-                            &self.mapper,
-                            &self.cost,
-                            level_obs,
-                            bps,
-                            &geo.block_ids,
-                            &mut p.packed,
-                        );
-                        p.obs_len = level_obs.len();
-                    }
-                    (&geo.block_ids, &geo.reads, &p.packed)
-                }
-            };
+        // collapse the whole level into XOR/popcount block masks.
+        build_plan(
+            &self.mapper,
+            &self.cost,
+            level_obs,
+            bps,
+            block_ids,
+            reads,
+            packed,
+        );
 
         // Expand every parent into the pre-sized child buffers.
         let n_parents = fr_spines.len();
@@ -1127,9 +556,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
             root_level,
             &seg_ids[..level_branch],
             level_obs,
-            plan_blocks,
-            plan_reads,
-            plan_packed,
+            block_ids,
+            reads,
+            packed,
             blocks,
             next_spines,
             next_keys,
@@ -1140,7 +569,7 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         stats.frontier_peak = stats.frontier_peak.max(n_children);
         // One spine-step hash per child, plus one hash per distinct
         // expansion block per child at observed levels.
-        stats.hash_calls += n_children as u64 * (1 + plan_blocks.len() as u64);
+        stats.hash_calls += n_children as u64 * (1 + block_ids.len() as u64);
 
         // Prune: to B at observed levels (or always, if deferral is
         // off); otherwise only enforce the frontier cap.
@@ -1172,40 +601,26 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
         }
     }
 
-    /// The tail of a sweep: snapshot the final frontier (entry
-    /// `n_levels`, so an attempt with no new observations is a pure
-    /// re-rank), rank the survivors, and materialize `out`.
-    #[allow(clippy::too_many_arguments)]
+    /// The tail of a sweep: rank the surviving hypotheses and
+    /// materialize `out`.
     fn finish_core(
         &self,
-        fr: Frontier<'_>,
-        arena_parents: &[u32],
-        arena_segs: &[u16],
-        saver: Option<&mut SavedStates>,
-        order: &mut Vec<u32>,
-        selector: &mut SelectScratch,
-        path: &mut Vec<u16>,
+        scratch: &mut DecoderScratch,
         stats: DecodeStats,
         out: &mut DecodeResult,
     ) {
-        let n_levels = self.params.n_segments();
-        let Frontier {
+        let DecoderScratch {
             spines: fr_spines,
             keys: fr_keys,
             parents: fr_parents,
             segs: fr_segs,
-        } = fr;
-        if let Some(sv) = saver {
-            sv.save(
-                n_levels,
-                fr_spines,
-                fr_keys,
-                fr_parents,
-                fr_segs,
-                arena_parents.len(),
-                stats,
-            );
-        }
+            arena_parents,
+            arena_segs,
+            order,
+            selector,
+            path,
+            ..
+        } = scratch;
 
         // Rank the surviving hypotheses: select the top-B, sort only
         // those (canonical (cost, index) order over the integer keys —
@@ -1252,39 +667,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>> BeamDecoder<H, M, C> {
     }
 }
 
-/// Initializes the frontier to the root placeholder (not in the arena;
-/// its children use parent = `u32::MAX`) and clears the arena.
-fn init_root(
-    fr_spines: &mut Vec<u64>,
-    fr_keys: &mut Vec<u64>,
-    fr_parents: &mut Vec<u32>,
-    fr_segs: &mut Vec<u16>,
-    arena_parents: &mut Vec<u32>,
-    arena_segs: &mut Vec<u16>,
-) {
-    fr_spines.clear();
-    fr_keys.clear();
-    fr_parents.clear();
-    fr_segs.clear();
-    fr_spines.push(INITIAL_SPINE);
-    fr_keys.push(cost_key(0.0));
-    fr_parents.push(u32::MAX);
-    fr_segs.push(0);
-    arena_parents.clear();
-    arena_segs.clear();
-}
-
-/// The work counters a from-scratch attempt starts with.
-fn fresh_stats(kernel_dispatch: KernelDispatch) -> DecodeStats {
-    DecodeStats {
-        nodes_expanded: 0,
-        frontier_peak: 1,
-        hash_calls: 0,
-        complete: true,
-        kernel_dispatch,
-    }
-}
-
 /// Builds one level's hash-block plan (and, on bit channels, the packed
 /// XOR/popcount masks) into the given buffers.
 fn build_plan<M: Mapper, C: CostModel<M::Symbol>>(
@@ -1303,23 +685,7 @@ fn build_plan<M: Mapper, C: CostModel<M::Symbol>>(
         return;
     }
     batch::plan_level(level_obs.iter().map(|&(p, _)| p), bps, block_ids, reads);
-    build_packed(mapper, cost, level_obs, bps, block_ids, packed);
-}
-
-/// Builds just the packed XOR/popcount masks for one level against an
-/// already-built geometry (`block_ids`) — the per-session half of a
-/// plan (the masks embed observed bit values, so they cannot be shared
-/// across sessions).
-fn build_packed<M: Mapper, C: CostModel<M::Symbol>>(
-    mapper: &M,
-    cost: &C,
-    level_obs: &[(u32, M::Symbol)],
-    bps: u32,
-    block_ids: &[u64],
-    packed: &mut Vec<PackedMask>,
-) {
-    packed.clear();
-    if level_obs.is_empty() || bps != 1 || !mapper.bit_identity() {
+    if bps != 1 || !mapper.bit_identity() {
         return;
     }
     let mut packable = true;
@@ -1440,7 +806,7 @@ fn expand_level<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>>(
         } else {
             // The parent's float cost is rebuilt from its key once per
             // row (register-only; the frontier stores keys exclusively)
-            // so the accumulation order matches the from-scratch path
+            // so the accumulation order matches the reference decoder's
             // bit-for-bit.
             let pcost = key_cost(pkey);
             // One batched sweep per distinct expansion block fills the
@@ -1984,187 +1350,6 @@ mod tests {
         }
     }
 
-    /// The incremental entry point must be bit-identical to the batch
-    /// decode at every step of a growing observation set, for every
-    /// chunking of arrivals (per symbol, per sub-pass, per pass) and
-    /// under strided puncturing where resumption actually skips levels.
-    /// The second case's tight frontier cap makes resumed sweeps
-    /// pre-prune across the unobserved levels.
-    #[test]
-    fn incremental_decode_matches_batch_at_every_step() {
-        use crate::puncture::{PunctureSchedule, StridedPuncture};
-        let cases: [(CodeParams, BeamConfig, &[u8]); 2] = [
-            // 8 levels, branch 256: strided sub-passes skip prefixes.
-            (
-                params(64, 8, 0),
-                BeamConfig::with_beam(4),
-                &[0x1f, 0x2e, 0x3d, 0x4c, 0x5b, 0x6a, 0x79, 0x88],
-            ),
-            // 8 levels, branch 16, at most 4 parents per expansion.
-            (
-                params(32, 4, 0),
-                BeamConfig {
-                    beam_width: 8,
-                    max_frontier: 64,
-                },
-                &[0xa5, 0x17, 0x68, 0xf3],
-            ),
-        ];
-        for (p, cfg, bytes) in cases {
-            let msg = BitVec::from_bytes(bytes);
-            let enc =
-                Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-            let dec = BeamDecoder::new(
-                &p,
-                Lookup3::new(p.seed()),
-                LinearMapper::new(10),
-                AwgnCost,
-                cfg,
-            )
-            .unwrap();
-            let sched = StridedPuncture::stride8();
-            let mut obs = Observations::new(p.n_segments());
-            let mut ckpt = BeamCheckpoints::new();
-            let mut scratch = DecoderScratch::new();
-            let mut inc = DecodeResult::default();
-            for g in 0..24u32 {
-                let slots = sched.subpass_slots(p.n_segments(), g);
-                if slots.is_empty() {
-                    continue;
-                }
-                let dirty = slots.iter().map(|s| s.t).min().unwrap();
-                for &slot in &slots {
-                    obs.push(slot, enc.symbol(slot));
-                }
-                dec.decode_incremental(&obs, dirty, &mut ckpt, &mut scratch, &mut inc);
-                let batch = dec.decode(&obs);
-                assert_eq!(inc.message, batch.message, "{cfg:?} subpass {g}");
-                assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-                assert_eq!(inc.candidates, batch.candidates);
-                assert_eq!(inc.stats, batch.stats, "stats are as-if-from-scratch");
-            }
-            assert!(
-                ckpt.levels_resumed() > 0,
-                "strided sub-passes must have resumed past saved levels"
-            );
-        }
-    }
-
-    /// One-symbol-at-a-time arrivals (the link-simulation pattern): every
-    /// retry after a symbol at level t resumes at t.
-    #[test]
-    fn incremental_decode_per_symbol_arrivals() {
-        let p = params(40, 8, 0);
-        let msg = BitVec::from_bytes(&[9, 8, 7, 6, 5]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::paper_default(),
-        )
-        .unwrap();
-        let mut obs = Observations::new(p.n_segments());
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut inc = DecodeResult::default();
-        for pass in 0..2u32 {
-            for t in 0..p.n_segments() {
-                let slot = Slot::new(t, pass);
-                obs.push(slot, enc.symbol(slot));
-                dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut inc);
-                let batch = dec.decode(&obs);
-                assert_eq!(inc.message, batch.message, "pass {pass} t {t}");
-                assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-                assert_eq!(inc.candidates, batch.candidates);
-                assert_eq!(inc.stats, batch.stats);
-            }
-        }
-        // Re-rank with nothing new: still identical.
-        dec.decode_incremental(&obs, p.n_segments(), &mut ckpt, &mut scratch, &mut inc);
-        let batch = dec.decode(&obs);
-        assert_eq!(inc.candidates, batch.candidates);
-        // 5 levels x 10 arrivals: levels below the dirty one are skipped.
-        assert!(ckpt.levels_resumed() >= 10, "{}", ckpt.levels_resumed());
-    }
-
-    /// Clearing the observations without resetting the checkpoints is
-    /// caught by the shrinkage guard; resetting works too.
-    #[test]
-    fn incremental_checkpoints_survive_reset_and_shrink() {
-        let p = params(24, 8, 0);
-        let msg_a = BitVec::from_bytes(&[1, 2, 3]);
-        let msg_b = BitVec::from_bytes(&[4, 5, 6]);
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            LinearMapper::new(10),
-            AwgnCost,
-            BeamConfig::paper_default(),
-        )
-        .unwrap();
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut out = DecodeResult::default();
-        for (msg, use_reset) in [(&msg_a, false), (&msg_b, true), (&msg_a, false)] {
-            let enc = Encoder::new(&p, Lookup3::new(p.seed()), LinearMapper::new(10), msg).unwrap();
-            let mut obs = Observations::new(p.n_segments());
-            if use_reset {
-                ckpt.reset();
-            }
-            for t in 0..p.n_segments() {
-                let slot = Slot::new(t, 0);
-                obs.push(slot, enc.symbol(slot));
-                // A fresh (smaller) observation set: the shrinkage guard
-                // must invalidate stale checkpoints even without reset().
-                dec.decode_incremental(&obs, t, &mut ckpt, &mut scratch, &mut out);
-                assert_eq!(out.candidates, dec.decode(&obs).candidates, "t {t}");
-            }
-            assert_eq!(out.message, *msg);
-        }
-    }
-
-    /// Duplicate observations at one level (packed-mask fallback) under
-    /// incremental retries: the cached plan is rebuilt when the level's
-    /// count changes and results stay identical to batch.
-    #[test]
-    fn incremental_decode_bsc_duplicates_match_batch() {
-        let p = params(16, 4, 0);
-        let msg = BitVec::from_bytes(&[0x3c, 0x99]);
-        let enc = Encoder::new(&p, Lookup3::new(p.seed()), BinaryMapper::new(), &msg).unwrap();
-        let dec = BeamDecoder::new(
-            &p,
-            Lookup3::new(p.seed()),
-            BinaryMapper::new(),
-            BscCost,
-            BeamConfig::with_beam(8),
-        )
-        .unwrap();
-        let mut obs = Observations::new(p.n_segments());
-        let mut ckpt = BeamCheckpoints::new();
-        let mut scratch = DecoderScratch::new();
-        let mut inc = DecodeResult::default();
-        for pass in 0..6u32 {
-            for t in 0..p.n_segments() {
-                let slot = Slot::new(t, pass);
-                let mut bit = enc.symbol(slot);
-                if (pass + t) % 5 == 1 {
-                    bit ^= 1;
-                }
-                obs.push(slot, bit);
-                if pass == 2 {
-                    obs.push(slot, bit ^ 1); // duplicate stream bit
-                }
-            }
-            dec.decode_incremental(&obs, 0, &mut ckpt, &mut scratch, &mut inc);
-            let batch = dec.decode(&obs);
-            assert_eq!(inc.message, batch.message, "pass {pass}");
-            assert_eq!(inc.cost.to_bits(), batch.cost.to_bits());
-            assert_eq!(inc.candidates, batch.candidates);
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -2251,10 +1436,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The walk prices an attempt exactly: from level 0 it predicts
-        /// the `nodes_expanded` of a from-scratch decode, pre-prunes and
-        /// blind prunes at the cap included, over random shapes, caps
-        /// and slot patterns.
+        /// The walk prices an attempt exactly: it predicts the decode's
+        /// `nodes_expanded`, pre-prunes and blind prunes at the cap
+        /// included, over random shapes, caps and slot patterns.
         #[test]
         fn prop_walk_predicts_nodes_expanded(k in 2u32..=5, segs in 1u32..=8, tail in 0u32..=2,
                                              beam in 1usize..=16, cap_exp in 0u32..=12,
@@ -2265,8 +1449,7 @@ mod tests {
             let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (mask >> t) & 1 == 1, passes);
             let dec = walk_decoder(&p, beam, cap);
             let res = dec.decode(&obs);
-            prop_assert_eq!(dec.walk_attempt(&obs, 0).nodes, res.stats.nodes_expanded);
-            prop_assert_eq!(dec.walk_attempt(&obs, p.n_segments()).nodes, 0);
+            prop_assert_eq!(dec.walk_attempt(&obs).nodes, res.stats.nodes_expanded);
         }
 
         /// The fit rule is tight and the attempts it admits are exact:
@@ -2299,7 +1482,7 @@ mod tests {
             let (p, obs) = walk_case(k, segs, tail, msg_seed, |t| (observed >> t) & 1 == 1, passes);
             let capped = walk_decoder(&p, beam, cap);
             let unbounded = walk_decoder(&p, beam, 1 << 24).decode(&obs);
-            let walk = capped.walk_attempt(&obs, 0);
+            let walk = capped.walk_attempt(&obs);
             prop_assert_eq!(walk.fits, unbounded.stats.frontier_peak <= cap);
             if walk.fits {
                 let res = capped.decode(&obs);

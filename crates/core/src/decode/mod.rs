@@ -16,7 +16,7 @@ pub mod ml;
 pub mod reference;
 pub mod select;
 
-pub use beam::{BeamCheckpoints, BeamConfig, BeamDecoder, DecoderScratch};
+pub use beam::{BeamConfig, BeamDecoder, DecoderScratch};
 pub use cost::{AwgnCost, BecCost, BscCost, CostModel};
 pub use ml::{MlConfig, MlDecoder, MlScratch};
 pub use reference::reference_decode;

@@ -9,7 +9,7 @@
 //! * [`crc32`] / [`crc16`] — bit-oriented CRCs implemented from scratch
 //!   (CRC-32/BZIP2 and CRC-16/CCITT-FALSE: MSB-first, matching
 //!   [`BitVec`]'s bit order, so they are well-defined on non-byte-aligned
-//!   payloads);
+//!   payloads), and [`crc32_bytes`], the same CRC-32 over a byte slice;
 //! * [`frame_encode`] / [`frame_check`] — payload ‖ CRC framing;
 //! * [`GenieOracle`] — the §5 methodology: accept when the best
 //!   hypothesis equals the true message;
@@ -25,6 +25,12 @@ use crate::decode::DecodeResult;
 /// standard on whole bytes.
 pub fn crc32(bits: &BitVec) -> u32 {
     CRC32.prefix(bits, bits.len())
+}
+
+/// [`crc32`] over whole bytes, through the same table: the checksum
+/// `spinal-serve`'s snapshot sections carry.
+pub fn crc32_bytes(bytes: &[u8]) -> u32 {
+    (CRC32.bytes(CRC32.init, bytes) ^ CRC32.xorout) >> CRC32.shift
 }
 
 /// CRC-16/CCITT-FALSE: polynomial `0x1021`, init `0xFFFF`, no reflection,
@@ -91,15 +97,18 @@ impl Crc {
         reg
     }
 
+    /// Shifts whole `bytes` through `reg`, a table lookup per byte.
+    fn bytes(&self, reg: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(reg, |reg, &byte| {
+            (reg << 8) ^ self.table[((reg >> 24) as u8 ^ byte) as usize]
+        })
+    }
+
     /// The checksum of the first `len` bits of `bits`: whole bytes
     /// through the table, the rest through the bit loop.
     fn prefix(&self, bits: &BitVec, len: usize) -> u32 {
         let whole = len / 8;
-        let reg = bits.as_bytes()[..whole]
-            .iter()
-            .fold(self.init, |reg, &byte| {
-                (reg << 8) ^ self.table[((reg >> 24) as u8 ^ byte) as usize]
-            });
+        let reg = self.bytes(self.init, &bits.as_bytes()[..whole]);
         let reg = self.bits(reg, (whole * 8..len).map(|i| bits.get(i)));
         (reg ^ self.xorout) >> self.shift
     }
@@ -381,6 +390,21 @@ mod tests {
         // CRC-32/BZIP2 of the ASCII string "123456789" is 0xFC891918.
         let v = BitVec::from_bytes(b"123456789");
         assert_eq!(crc32(&v), 0xFC89_1918);
+    }
+
+    #[test]
+    fn crc32_bytes_matches_the_bit_crc() {
+        assert_eq!(crc32_bytes(b"123456789"), 0xFC89_1918);
+        assert_eq!(crc32_bytes(&[]), crc32(&BitVec::new()));
+        let bytes: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+        for len in [1, 7, 8, 64, 256] {
+            let whole = &bytes[..len];
+            assert_eq!(
+                crc32_bytes(whole),
+                crc32(&BitVec::from_bytes(whole)),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! * [`encode`] — the rateless encoder (random-access and streaming).
 //! * [`decode`] — the practical B-beam decoder with graceful scale-down
 //!   and the exact branch-and-bound ML decoder, over AWGN (ℓ²) and BSC
-//!   (Hamming) metrics; [`decode::BeamCheckpoints`] makes retries
-//!   incremental.
+//!   (Hamming) metrics.
 //! * [`frame`] — CRC-16/32 framing, genie and CRC termination.
 //! * [`session`] — streaming sessions: [`session::TxSession`] (pull
 //!   symbols, seek/replay on NACK) and [`session::RxSession`] (push
@@ -57,8 +56,8 @@
 //! let mut tx = code.tx_session(&message).unwrap();
 //!
 //! // Receiver session (noiseless here): push symbols in, poll until
-//! // the terminator accepts. Each retry resumes the previous attempt's
-//! // tree search instead of recomputing it; the scratch holds one
+//! // the terminator accepts. Each retry runs the tree search again from
+//! // the root, as the paper's receiver does; the scratch holds one
 //! // attempt's expansion buffers and can serve any number of sessions.
 //! let mut rx = code
 //!     .awgn_rx_session(AnyTerminator::genie(message.clone()), RxConfig::default())
@@ -104,9 +103,8 @@ pub mod symbol;
 pub use bits::BitVec;
 pub use code::SpinalCode;
 pub use decode::{
-    reference_decode, AwgnCost, BeamCheckpoints, BeamConfig, BeamDecoder, BecCost, BscCost,
-    Candidate, CostModel, DecodeResult, DecodeStats, DecoderScratch, MlConfig, MlDecoder,
-    MlScratch, Observations,
+    reference_decode, AwgnCost, BeamConfig, BeamDecoder, BecCost, BscCost, Candidate, CostModel,
+    DecodeResult, DecodeStats, DecoderScratch, MlConfig, MlDecoder, MlScratch, Observations,
 };
 pub use encode::Encoder;
 pub use error::{ConfigErrorKind, SpinalError, WireErrorKind};

@@ -84,22 +84,12 @@ impl PunctureSchedule for NoPuncture {
 /// How a strided pass orders its sub-pass residues.
 ///
 /// The residue *set* per pass is identical either way (full coverage);
-/// the order decides two different costs:
-///
-/// * **Coverage spread** — how evenly the spine is covered after a
-///   partial pass, which is when high-SNR receivers decode.
-///   [`BitReversed`](SubpassOrder::BitReversed) optimizes this.
-/// * **Retry depth** — a decode attempt after sub-pass `j` resumes its
-///   incremental sweep at spine position `order[j]`
-///   ([`crate::decode::BeamDecoder::decode_incremental`]), so orders
-///   that front-load the *shallow* residues make the expensive
-///   low-resume retries happen early (when few symbols are in play) and
-///   leave the late retries deep and cheap.
-///   [`DeepFirst`](SubpassOrder::DeepFirst) is the checkpoint-aware
-///   probe from the ROADMAP: descending residues, deepest first.
-///
-/// `bench_session` quantifies both (see README); the paper default
-/// stays bit-reversed.
+/// the order decides how evenly the spine is covered after a partial
+/// pass, which is when high-SNR receivers decode.
+/// [`BitReversed`](SubpassOrder::BitReversed), the paper default,
+/// optimizes this. [`DeepFirst`](SubpassOrder::DeepFirst) (descending
+/// residues) is an opt-in probe; `ablation_puncturing` prints its rate
+/// grid beside the bit-reversed one (see README).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SubpassOrder {
     /// Bit-reversed enumeration (`[0,4,2,6,1,5,3,7]` for stride 8): the
@@ -107,7 +97,7 @@ pub enum SubpassOrder {
     #[default]
     BitReversed,
     /// Descending residues (`[7,6,5,4,3,2,1,0]` for stride 8): deep
-    /// spine positions first, so mid-pass retries resume deep.
+    /// spine positions first.
     DeepFirst,
 }
 
@@ -119,7 +109,7 @@ pub enum SubpassOrder {
 /// `t`. The default `order` is the bit-reversal permutation of
 /// `0..stride`, which maximises the spread of early coverage (positions
 /// hit 0, stride/2, stride/4, 3·stride/4, … apart); see [`SubpassOrder`]
-/// for the checkpoint-aware alternative. The order is computed from
+/// for the deep-first alternative. The order is computed from
 /// `(stride, ordering)` on demand, so the schedule is a plain `Copy`
 /// value and cloning it never allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -230,7 +220,7 @@ impl AnySchedule {
     }
 
     /// The strided schedule with an explicit sub-pass ordering (the
-    /// checkpoint-aware `deep-first` probe, or the default).
+    /// `deep-first` probe, or the default).
     ///
     /// # Errors
     ///
@@ -357,9 +347,7 @@ mod tests {
         assert_eq!(order(&s), [7, 6, 5, 4, 3, 2, 1, 0]);
         assert_eq!(s.ordering(), SubpassOrder::DeepFirst);
         assert_eq!(s.name(), "strided-deep");
-        // Retry depth: the attempt after sub-pass j resumes at residue
-        // order[j] — monotonically *shallower* within a pass, so the
-        // expensive level-0 refresh happens exactly once, last.
+        // Residues descend monotonically within a pass.
         for (j, w) in order(&s).windows(2).enumerate() {
             assert!(w[0] > w[1], "order must descend at {j}");
         }

@@ -19,25 +19,21 @@
 //!   is the practical §3.2 receiver, no genie required), or
 //!   `Exhausted { .. }` (the symbol budget expired).
 //!
-//! # Incremental retries
+//! # Every attempt decodes from the root
 //!
-//! An `RxSession` owns a [`BeamCheckpoints`] store; its caller lends
-//! every decode attempt a [`DecoderScratch`]. A scratch carries no
-//! information between attempts, so one scratch can serve any number of
-//! sessions, of any shape or symbol type, one attempt at a time: a
-//! solo receiver keeps one beside its session, and a serving shard
-//! lends its one scratch to every session it holds. Every decode
-//! attempt runs through [`BeamDecoder::decode_incremental`]: tree levels
-//! below the lowest spine position that received a new symbol since the
-//! last attempt are *resumed from checkpoints* instead of re-expanded,
-//! and a level's hash-block plan is reused while its observations are
-//! unchanged. Under strided puncturing (where most sub-passes touch only
-//! a suffix of the spine) and per-symbol feedback loops this removes a
-//! large fraction of the per-retry work — see `BENCH_session.json`. The
-//! store is only a cache of work: a session rebuilt from its
-//! observations alone ([`restore_receive_state`](RxSession::restore_receive_state),
-//! as a serving warm restart does) runs its next attempt from level 0,
-//! with the same result.
+//! An `RxSession` keeps its observations, its receive counters and its
+//! last result; its caller lends every decode attempt a
+//! [`DecoderScratch`]. A scratch carries no information between
+//! attempts, so one scratch can serve any number of sessions, of any
+//! shape or symbol type, one attempt at a time: a solo receiver keeps
+//! one beside its session, and a serving shard lends its one scratch to
+//! every session it holds. Every decode attempt is one
+//! [`BeamDecoder::decode_into`] over all observations so far, from tree
+//! level 0, as the paper's receiver runs its beam search again after
+//! each pass or sub-pass (§3.2). A session rebuilt from its observations
+//! alone ([`restore_receive_state`](RxSession::restore_receive_state),
+//! as a serving warm restart does) therefore runs the same next attempt
+//! as an uninterrupted one.
 //!
 //! # Absorb now, decode later
 //!
@@ -69,8 +65,8 @@
 //!
 //! Every decode attempt a session runs is **bit-identical** to batch
 //! `decode` over the same observation prefix — message, cost bits,
-//! candidate list, and work counters — because checkpoint resumption is
-//! bit-identical to decoding from scratch. With the default
+//! candidate list, and work counters — because each attempt *is* one
+//! batch decode. With the default
 //! `attempt_growth = 1.0` (an attempt after every ingest that added
 //! symbols) this makes the session's observable behaviour a pure
 //! function of the symbols ingested, independent of chunking: one
@@ -116,7 +112,6 @@
 //! ```
 
 use crate::bits::BitVec;
-use crate::decode::beam::BeamCheckpoints;
 use crate::decode::cost::CostModel;
 use crate::decode::{BeamDecoder, DecodeResult, DecoderScratch, Observations};
 use crate::encode::Encoder;
@@ -406,8 +401,8 @@ enum RxState {
 /// The receiver's half of a streaming codec session.
 ///
 /// Owns everything a long-lived connection needs across retries: the
-/// slot-labelled observation set, the per-level checkpoint caches that
-/// make retries incremental, and the [`Terminator`] that decides
+/// slot-labelled observation set, the receive counters, the last
+/// attempt's result, and the [`Terminator`] that decides
 /// success (CRC framing for the practical receiver, the genie for
 /// §5-style experiments). The expansion buffers of an attempt are the
 /// caller's [`DecoderScratch`], lent to each [`ingest`](Self::ingest)
@@ -427,7 +422,6 @@ pub struct RxSession<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: Punctu
     terminator: AnyTerminator,
     cfg: RxConfig,
     obs: Observations<M::Symbol>,
-    ckpt: BeamCheckpoints,
     result: DecodeResult,
     payload: BitVec,
     /// Receiver-side slot cursor (mirrors the sender's stream order).
@@ -473,7 +467,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             terminator,
             cfg,
             obs: Observations::new(n_levels),
-            ckpt: BeamCheckpoints::new(),
             result: DecodeResult::default(),
             payload: BitVec::new(),
             slots: Vec::new(),
@@ -549,14 +542,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         &self.result
     }
 
-    /// The incremental-retry checkpoint store; its
-    /// [`levels_resumed`](BeamCheckpoints::levels_resumed) /
-    /// [`levels_run`](BeamCheckpoints::levels_run) counters quantify the
-    /// work retries skipped.
-    pub fn checkpoints(&self) -> &BeamCheckpoints {
-        &self.ckpt
-    }
-
     /// The received observation set accumulated so far.
     pub fn observations(&self) -> &Observations<M::Symbol> {
         &self.obs
@@ -578,7 +563,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         // stale beam shape.
         self.cfg.beam = *decoder.config();
         self.decoder = decoder;
-        self.ckpt.reset();
         self.slots.clear();
         self.slot_pos = 0;
         self.cursor_g = 0;
@@ -714,14 +698,9 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
             return self.poll_without_attempt(consumed);
         }
         self.attempts += 1;
-        let dirty = std::mem::replace(&mut self.dirty_from, u32::MAX);
-        self.decoder.decode_incremental(
-            &self.obs,
-            dirty,
-            &mut self.ckpt,
-            scratch,
-            &mut self.result,
-        );
+        self.dirty_from = u32::MAX;
+        self.decoder
+            .decode_into(&self.obs, scratch, &mut self.result);
         if self.terminator.accept_into(&self.result, &mut self.payload) {
             self.state = RxState::Decoded;
             return Poll::Decoded {
@@ -743,20 +722,14 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         self.state == RxState::Listening
             && self.dirty_from != u32::MAX
             && self.symbols >= self.next_attempt
-            && (!self.cfg.exact_attempts || self.decoder.walk_attempt(&self.obs, 0).fits)
+            && (!self.cfg.exact_attempts || self.decoder.walk_attempt(&self.obs).fits)
     }
 
     /// Tree nodes the next attempt would expand: the decoder's walk of
-    /// the attempt's frontier sizes, summed from the level the attempt
-    /// resumes at (the lower of the dirty mark and the last valid
-    /// checkpoint), without expanding anything. A server ranks shed
-    /// victims by it.
+    /// the attempt's frontier sizes from level 0, without expanding
+    /// anything. A server ranks shed victims by it.
     pub fn nodes_to_run(&self) -> u64 {
-        let resume = self
-            .dirty_from
-            .min(self.obs.n_levels())
-            .min(self.ckpt.valid_levels().saturating_sub(1));
-        self.decoder.walk_attempt(&self.obs, resume).nodes
+        self.decoder.walk_attempt(&self.obs).nodes
     }
 
     /// The poll tail when no attempt ran (or the attempt was rejected):
@@ -771,12 +744,6 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
         Poll::NeedMore {
             symbols_consumed: consumed,
         }
-    }
-
-    /// Heap bytes held by this session's checkpoint store (a server's
-    /// shedding tie-break after predicted nodes).
-    pub fn checkpoint_bytes(&self) -> usize {
-        self.ckpt.memory_bytes()
     }
 
     /// The symbol count the thinning schedule will run the next decode
@@ -805,10 +772,8 @@ impl<H: SpineHash, M: Mapper, C: CostModel<M::Symbol>, P: PunctureSchedule> RxSe
     /// counters exactly as they were. The implicit schedule cursor is
     /// untouched — snapshot producers only ever ingest slot-labelled
     /// symbols ([`ingest_at`](Self::ingest_at)), which never advances it.
-    /// The checkpoint store stays empty, so the next attempt decodes
-    /// from level 0: the same attempt an uninterrupted session would
-    /// run, bit for bit, at the cost of the levels it would have
-    /// resumed past.
+    /// The next attempt is the one an uninterrupted session would run,
+    /// bit for bit.
     ///
     /// # Errors
     ///

@@ -60,7 +60,7 @@
 //! stamps the deadline, resuming looks the token up and relinks. Under
 //! pressure the table names the victim: the detached pending session
 //! whose next attempt would expand the most tree nodes
-//! ([`RxSession::nodes_to_run`]).
+//! ([`RxSession::nodes_to_run`]), ties going to the lowest flow index.
 //!
 //! All timers count ticks, never wall-clock time, so every lifecycle
 //! path is deterministic. Shards never share mutable state, so
@@ -557,8 +557,7 @@ impl FlowTable {
 
     /// The orphan overload sheds first: among the detached flows still
     /// decoding, the one whose next attempt would expand the most tree
-    /// nodes, then the one holding the most checkpoint bytes, then the
-    /// lowest flow index.
+    /// nodes, ties going to the lowest flow index.
     fn costliest_orphan(&self) -> Option<usize> {
         let (_, f) = self
             .slab
@@ -569,7 +568,7 @@ impl FlowTable {
                     verdict: Verdict::Pending(rx),
                     conn: None,
                     ..
-                }) => Some((((rx.nodes_to_run(), rx.checkpoint_bytes()), Reverse(f)), f)),
+                }) => Some(((rx.nodes_to_run(), Reverse(f)), f)),
                 _ => None,
             })
             .max_by_key(|&(key, _)| key)?;
@@ -803,8 +802,7 @@ impl<T: Transport> Server<T> {
     /// Every in-flight session is written with its code shape, receive
     /// dynamics and full observation set — what it has heard, not its
     /// decoder state, so an entry's size does not depend on the beam
-    /// width and imaging a session leaves its checkpoint store as it
-    /// was. Sessions attached to live connections are imaged as
+    /// width. Sessions attached to live connections are imaged as
     /// *detached* under their resume token: transports do not survive a
     /// process, so after a restore every client re-attaches through the
     /// ordinary RESUME path with the token it already holds. Verdicts
@@ -988,10 +986,9 @@ impl<T: Transport> Server<T> {
                     let Ok(mut rx) = admit(&h, &cfg, shard.flows.pending) else {
                         continue;
                     };
-                    // The session comes back with an empty checkpoint
-                    // store: its next attempt decodes from level 0,
-                    // bit-identical to the checkpoint-resumed attempt
-                    // an uninterrupted server would run.
+                    // The session comes back holding what it had heard:
+                    // its next attempt is the one an uninterrupted
+                    // server would run, bit for bit.
                     if rx
                         .restore_receive_state(&obs, attempts, next_attempt, dirty_from)
                         .is_err()
@@ -1513,8 +1510,8 @@ fn shard_tick<T: Transport>(
 /// The snapshot image of one in-flight session: the HELLO-equivalent
 /// shape (so restore re-admits through [`admit`]), the receive
 /// dynamics that schedule the next attempt, and the full observation
-/// set. Checkpoints are a cache the restored session rebuilds by
-/// decoding from level 0, so none are imaged.
+/// set. A session holds no decoder state between attempts, so that is
+/// all its next attempt needs.
 fn pending_body(rx: &Rx) -> EntryBodyRef<'_> {
     EntryBodyRef::Pending {
         shape: PendingShape {
@@ -1760,56 +1757,5 @@ mod tests {
         sum.absorb(&stats);
         assert_eq!(sum.ticks, 0, "absorb skips the clock");
         assert_eq!(sum.restore_dropped, 44);
-    }
-
-    /// Imaging a session leaves its checkpoint store as it was: every
-    /// pending session's next attempt resumes from the same level.
-    #[test]
-    fn snapshot_leaves_checkpoints_resident() {
-        use crate::client::{ClientConfig, ServeClient};
-        use crate::transport::loopback_pair;
-
-        let cfg = ServeConfig {
-            resume_secret: Some(7),
-            ..ServeConfig::default()
-        };
-        let mut server = Server::new(cfg).unwrap();
-        let ccfg = ClientConfig {
-            max_symbols: 1 << 20,
-            ..ClientConfig::default()
-        };
-        let mut clients = Vec::new();
-        for i in 0..4u8 {
-            let (local, remote) = loopback_pair(1 << 16);
-            server.add_connection(remote);
-            let client = ServeClient::new(local, &ccfg, &BitVec::from_bytes(&[i, 0x5a]))
-                .unwrap()
-                .with_noise(Box::new(|_| IqSymbol::new(0.0, 0.0)));
-            clients.push(client);
-        }
-        for _ in 0..30 {
-            server.tick();
-            for c in &mut clients {
-                c.tick();
-            }
-        }
-        let valid_levels = |server: &Server<_>| {
-            let shard = &server.shards[0];
-            let mut levels = Vec::new();
-            for flow in shard.flows.iter() {
-                let Verdict::Pending(rx) = &flow.verdict else {
-                    continue;
-                };
-                assert!(rx.attempts() > 0, "the session has attempted a decode");
-                levels.push(rx.checkpoints().valid_levels());
-            }
-            levels
-        };
-        let before = valid_levels(&server);
-        assert_eq!(before.len(), 4);
-        assert!(before.iter().all(|&v| v > 0), "{before:?}");
-        let mut image = Vec::new();
-        server.snapshot_into(&mut image).unwrap();
-        assert_eq!(valid_levels(&server), before);
     }
 }

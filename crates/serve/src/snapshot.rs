@@ -3,7 +3,9 @@
 //! A snapshot is a self-delimiting byte image of a server's session state:
 //! a 5-byte preamble (magic + version) followed by CRC-framed
 //! *sections*, each `[len: u32 LE][payload][crc32: u32 LE]` with the
-//! CRC taken over the payload alone. Section 0 is the header (tick
+//! CRC taken over the payload alone
+//! ([`crc32_bytes`](spinal_core::frame::crc32_bytes), the CRC-32 the
+//! codec frames payloads with). Section 0 is the header (tick
 //! counters, resume-secret probe, aggregate stats), a fixed size
 //! whatever the server has served; every further section is one live
 //! session *entry* — either a pending in-flight decode (code shape,
@@ -30,6 +32,7 @@
 use spinal_core::bits::BitVec;
 use spinal_core::decode::Observations;
 use spinal_core::error::{SnapshotErrorKind, SpinalError};
+use spinal_core::frame::crc32_bytes;
 use spinal_core::symbol::{IqSymbol, Slot};
 use spinal_link::FeedbackMode;
 
@@ -39,7 +42,7 @@ use crate::wire::ResumeToken;
 pub(crate) const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 
 /// The snapshot-format version this build writes and restores.
-pub(crate) const SNAP_VERSION: u8 = 4;
+pub(crate) const SNAP_VERSION: u8 = 5;
 
 /// Preamble length: magic + version byte.
 const PREAMBLE_LEN: usize = SNAP_MAGIC.len() + 1;
@@ -49,20 +52,6 @@ const SECTION_OVERHEAD: usize = 8;
 
 fn snap_err(kind: SnapshotErrorKind) -> SpinalError {
     SpinalError::Snapshot { kind }
-}
-
-/// Bitwise CRC-32 (IEEE 802.3, reflected 0xEDB88320) — a handful of
-/// sections per snapshot, so table-free is plenty.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Appends the magic + version preamble.
@@ -80,7 +69,7 @@ pub(crate) fn write_section(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) 
     fill(out);
     let len = (out.len() - payload_at) as u32;
     out[len_at..payload_at].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&out[payload_at..]);
+    let crc = crc32_bytes(&out[payload_at..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
@@ -360,7 +349,7 @@ impl<'a> SnapshotReader<'a> {
         let payload = &rest[4..4 + len];
         let crc = u32::from_le_bytes(rest[4 + len..SECTION_OVERHEAD + len].try_into().expect("4"));
         self.pos += SECTION_OVERHEAD + len;
-        if crc32(payload) != crc {
+        if crc32_bytes(payload) != crc {
             return Ok(None);
         }
         Ok(Some(payload))

@@ -244,8 +244,7 @@ impl Accumulate for RatelessOutcome {
 /// one scratch every decode attempt runs through — after the first
 /// trial warms them, a genie-mode worker performs **zero heap
 /// allocation** per trial (CRC-mode framing still builds one message
-/// per trial). Every retry is incremental via the receiver's
-/// checkpoint store.
+/// per trial). Every retry decodes from the root.
 pub struct RatelessWorker<M: Mapper, C: CostModel<M::Symbol>> {
     tx: Option<TxSession<AnyHash, M, AnySchedule>>,
     rx: Option<RxSession<AnyHash, M, C, AnySchedule>>,

@@ -5,8 +5,8 @@
 //! spinal-coded flows at once. 16 AWGN flows at staggered SNRs and 16
 //! BSC flows at staggered crossover probabilities each own their
 //! receiver session; the loop lends every attempt the same
-//! [`DecoderScratch`], which is tied to no symbol type, and retries
-//! resume from per-session checkpoints.
+//! [`DecoderScratch`], which is tied to no symbol type, and every retry
+//! decodes its session again from the root.
 //!
 //! Run with: `cargo run --release --example multi_session`
 
@@ -151,22 +151,5 @@ fn main() {
         assert!(round < 20_000, "mixed fleet must drain");
     }
 
-    // Fleet-level accounting.
-    let awgn_bytes: usize = awgn_flows.iter().map(|f| f.rx.checkpoint_bytes()).sum();
-    let bsc_bytes: usize = bsc_flows.iter().map(|f| f.rx.checkpoint_bytes()).sum();
     println!("\n{round} rounds through one scratch");
-    println!("awgn flows: {} KiB checkpoint memory", awgn_bytes / 1024);
-    println!("bsc flows:  {} KiB checkpoint memory", bsc_bytes / 1024);
-    let resumed: u64 = bsc_flows
-        .iter()
-        .map(|f| f.rx.checkpoints().levels_resumed())
-        .sum();
-    let run: u64 = bsc_flows
-        .iter()
-        .map(|f| f.rx.checkpoints().levels_run())
-        .sum();
-    println!(
-        "bsc flows:  {:.1}% of tree levels resumed from checkpoints",
-        100.0 * resumed as f64 / (resumed + run) as f64
-    );
 }

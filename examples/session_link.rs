@@ -5,10 +5,8 @@
 //! symbols; the receiver pushes each received symbol into an
 //! [`RxSession`] and polls. No genie anywhere: termination is the CRC
 //! check on the beam's candidates, exactly the paper's §3.2 receiver.
-//! Every decode retry is incremental — levels below the newest symbol's
-//! spine position are resumed from checkpoints instead of re-searched —
-//! and the checkpoint counters printed at the end show how much of the
-//! tree work the session skipped.
+//! Every decode retry runs the beam search again from the root over
+//! everything received so far.
 //!
 //! ```text
 //! cargo run --release --example session_link [-- <snr_db>]
@@ -75,14 +73,6 @@ fn main() {
                 println!(
                     "payload ok : {} (CRC-verified, no genie)",
                     *decoded == payload
-                );
-                let ckpt = rx.checkpoints();
-                let total = ckpt.levels_resumed() + ckpt.levels_run();
-                println!(
-                    "retry work : {} of {} tree levels resumed from checkpoints ({:.0}%)",
-                    ckpt.levels_resumed(),
-                    total,
-                    100.0 * ckpt.levels_resumed() as f64 / total.max(1) as f64
                 );
                 break;
             }

@@ -28,8 +28,8 @@
 //! symbols from the encoder (with seek/replay for NACKs), an
 //! [`RxSession`] ingests them and polls `NeedMore` / `Decoded` /
 //! `Exhausted`, with CRC framing deciding termination — no genie. Every
-//! retry is incremental: tree levels unaffected by the newest symbols
-//! are resumed from checkpoints, bit-identical to a batch decode.
+//! retry runs the beam search again from the root over everything
+//! received, bit-identical to a batch decode.
 //!
 //! ```
 //! use spinal_codes::{

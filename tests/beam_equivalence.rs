@@ -172,3 +172,44 @@ fn tie_heavy_unobserved_gaps_match_reference() {
     check_case(4, 4, 16, 8, HashFamily::SipHash24, 42, 3, 0.0);
     check_case(2, 5, 8, 4, HashFamily::OneAtATime, 7, 2, 0.0);
 }
+
+/// A tight frontier cap under stride-8 sub-passes: 8 levels branching
+/// 16 ways with at most 4 parents per expansion, so the attempts over
+/// the early sub-passes pre-prune across unobserved levels. The decode
+/// after every sub-pass must match the reference, work counters
+/// included.
+#[test]
+fn tight_cap_strided_subpasses_match_reference() {
+    use spinal_core::hash::Lookup3;
+    use spinal_core::map::LinearMapper;
+    use spinal_core::puncture::StridedPuncture;
+
+    let params = CodeParams::builder()
+        .message_bits(32)
+        .k(4)
+        .tail_segments(0)
+        .seed(42)
+        .build()
+        .unwrap();
+    let hash = Lookup3::new(42);
+    let mapper = LinearMapper::new(10);
+    let message = BitVec::from_bytes(&[0xa5, 0x17, 0x68, 0xf3]);
+    let enc = Encoder::new(&params, hash, mapper, &message).unwrap();
+    let config = BeamConfig {
+        beam_width: 8,
+        max_frontier: 64,
+    };
+    let decoder = BeamDecoder::new(&params, hash, mapper, AwgnCost, config).unwrap();
+    let schedule = StridedPuncture::stride8();
+    let mut obs = Observations::new(params.n_segments());
+    let mut scratch = DecoderScratch::new();
+    let mut out = DecodeResult::default();
+    for g in 0..24u32 {
+        for (slot, sym) in enc.subpass(&schedule, g) {
+            obs.push(slot, sym);
+        }
+        decoder.decode_into(&obs, &mut scratch, &mut out);
+        let reference = reference_decode(&params, &hash, &mapper, &AwgnCost, &config, &obs);
+        assert_identical(&out, &reference, &format!("sub-pass {g}"));
+    }
+}

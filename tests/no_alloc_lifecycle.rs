@@ -212,9 +212,8 @@ fn lifecycle_steady_state_performs_zero_heap_allocation() {
     drop(a.reconnect(cli3));
 
     // Warm-up: re-admission and the fresh connection's buffers are
-    // allocation-time costs; streaming runs the restored decoder hot
-    // (its first attempt re-warms the empty checkpoint store), then
-    // silence reaches the per-tick fixed point.
+    // allocation-time costs; streaming runs the restored decoder hot,
+    // then silence reaches the per-tick fixed point.
     for _ in 0..60 {
         a.tick();
         server.tick();

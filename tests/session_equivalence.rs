@@ -5,9 +5,8 @@
 //!   chunking** — one symbol at a time, sub-pass by sub-pass, or all at
 //!   once — must produce decode attempts that are **bit-identical**
 //!   (message, cost bits, candidate list, work counters) to the batch
-//!   `BeamDecoder::decode` over the same observation prefix. This is
-//!   what makes the incremental checkpoint engine trustworthy: it is an
-//!   optimization, never a semantic.
+//!   `BeamDecoder::decode` over the same observation prefix: chunking
+//!   decides only when attempts run, never what they compute.
 //! * A `TxSession` that seeks back after a NACK must replay exactly the
 //!   symbols a fresh encoder produces.
 
